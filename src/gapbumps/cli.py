@@ -23,7 +23,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,16 +46,26 @@ from .operator import (
     diagonalize,
     midgap_shift,
 )
-from .reduction import AllKernel, OutOfBall, classify_origin, detect_kernel, kernel_combination, solve_w
+from .reduction import (
+    W_RESIDUAL_TOL,
+    AllKernel,
+    OutOfBall,
+    classify_origin,
+    detect_kernel,
+    kernel_combination,
+    solve_w,
+)
 from .solver import (
     NoConvergence,
-    SolutionRecord,
     SolverOptions,
     TrivialCollapse,
+    _make_record,
+    draw_ansatz,
     find_critical_point,
     initial_ansatz,
 )
 from .torus import GridField, TorusDomain
+from .verify import _scalar, run_verification
 
 
 class ConfigError(Exception):
@@ -81,16 +91,7 @@ _DEFAULT_CONFIG: dict = {
         "dealias": False,
         "dealias_factor": 1.5,
     },
-    "solver": {
-        "newton_tol": 1e-10,
-        "max_iters": 200,
-        "backtrack": 0.5,
-        "sufficient_decrease": 1e-4,
-        "tikhonov": 1e-8,
-        "tikhonov_cap": 1e-2,
-        "deflation_radius": 0.5,
-        "collapse_norm": 1e-3,
-    },
+    "solver": asdict(SolverOptions()),
     "seed": 0,
     "ansatz": {"center": None, "width": 0.5, "amplitude": 6.0},
 }
@@ -239,16 +240,6 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2, default=_scalar) + "\n")
 
 
-def _scalar(x):
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, np.bool_):
-        return bool(x)
-    raise TypeError(f"not JSON-serializable: {type(x).__name__}")
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -286,72 +277,38 @@ def _record_from_file(path: str, cfg: RunConfig):
     """Load a solution: record JSON (self-describing) or bare field CSV.
 
     A CSV has no fingerprints, so the active config supplies domain,
-    potential and nonlinearity; the record's diagnostics are recomputed.
+    potential and nonlinearity. Either way only the field is read: every
+    diagnostic is recomputed from it, and a field that is not a critical
+    point (residual above W_RESIDUAL_TOL) is refused.
     Returns (record, decomposition, nonlinearity).
     """
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"no such solution file: {path}")
     if p.suffix == ".csv":
-        S = diagonalize(cfg.potential, cfg.domain)
+        S, nl = diagonalize(cfg.potential, cfg.domain), cfg.nonlinearity
         field = read_field_csv(p, cfg.domain)
-        return _rebuild_record(field, S, cfg.nonlinearity), S, cfg.nonlinearity
-    try:
-        d = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
-    for key in ("domain", "potential", "nonlinearity", "values"):
-        if key not in d:
-            raise ConfigError(f"{path}: not a solution record (missing {key!r})")
-    dom = d["domain"]
-    domain = TorusDomain(int(dom["dim"]), int(dom["cells"]), int(dom["samples_per_cell"]))
-    potential = _potential_from_dict(d["potential"])
-    nl = _nonlinearity_from_dict(d["nonlinearity"])
-    S = diagonalize(potential, domain)
-    field = GridField(domain, np.asarray(d["values"]))
-    rec = SolutionRecord(
-        field=field,
-        energy=float(d["energy"]),
-        residual=float(d["residual"]),
-        norm_k=float(d["norm_k"]),
-        negative_hessian_count=int(d["negative_hessian_count"]),
-        kernel_dim_estimate=int(d["kernel_dim_estimate"]),
-        iterations=int(d["iterations"]),
-        residual_history=tuple(float(r) for r in d["residual_history"]),
-        domain_fingerprint=dict(dom),
-        potential_fingerprint=dict(d["potential"]),
-        nonlinearity_fingerprint=dict(d["nonlinearity"]),
-    )
+    else:
+        try:
+            d = json.loads(p.read_text())
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
+        for key in ("domain", "potential", "nonlinearity", "values"):
+            if key not in d:
+                raise ConfigError(f"{path}: not a solution record (missing {key!r})")
+        dom = d["domain"]
+        domain = TorusDomain(int(dom["dim"]), int(dom["cells"]), int(dom["samples_per_cell"]))
+        S = diagonalize(_potential_from_dict(d["potential"]), domain)
+        nl = _nonlinearity_from_dict(d["nonlinearity"])
+        field = GridField(domain, np.asarray(d["values"]))
+    # the loaded field is kept verbatim; a-coordinates round-trip it only to roundoff
+    rec = replace(_make_record(S.a_from_field(field), S, nl, 0, []), field=field)
+    if rec.residual > W_RESIDUAL_TOL:
+        raise ConfigError(
+            f"{path}: not a critical point (recomputed residual {rec.residual:.3e} "
+            f"exceeds {W_RESIDUAL_TOL:g})"
+        )
     return rec, S, nl
-
-
-def _rebuild_record(field: GridField, S, nl: Nonlinearity) -> SolutionRecord:
-    from .functional import a_hessian, a_value_and_gradient
-    import scipy.linalg
-
-    a = S.a_from_field(field)
-    energy, g = a_value_and_gradient(S, nl, a)
-    mu = scipy.linalg.eigvalsh(a_hessian(S, nl, a))
-    scale = float(np.abs(mu).max())
-    near = np.abs(mu) < 1e-4 * scale
-    dom = S.domain
-    return SolutionRecord(
-        field=field,
-        energy=float(energy),
-        residual=float(np.linalg.norm(g)),
-        norm_k=float(np.linalg.norm(a)),
-        negative_hessian_count=int(((mu < 0) & ~near).sum()),
-        kernel_dim_estimate=int(near.sum()),
-        iterations=0,
-        residual_history=(),
-        domain_fingerprint={
-            "dim": dom.dim,
-            "cells": dom.cells,
-            "samples_per_cell": dom.samples_per_cell,
-        },
-        potential_fingerprint=S.potential.to_dict(),
-        nonlinearity_fingerprint=nl.to_dict(),
-    )
 
 
 def _write_manifest(
@@ -454,11 +411,8 @@ def cmd_solve(args, cfg: RunConfig) -> int:
             break
         except (NoConvergence, TrivialCollapse) as e:
             last_error = e
-            # jitter for the next try; same distribution the deflated search uses
-            k = cfg.domain.cells
-            center = tuple(rng.uniform(-k / 2, k / 2, size=cfg.domain.dim))
-            width = float(rng.uniform(0.3, 0.9))
-            amplitude = float(rng.uniform(4.0, 16.0) * (1 if rng.random() < 0.5 else -1))
+            # jitter for the next try; the deflated search draws the same way
+            center, width, amplitude = draw_ansatz(rng, cfg.domain)
     if rec is None:
         assert last_error is not None
         raise last_error
@@ -595,8 +549,6 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:
-    from .verify import run_verification
-
     started = time.monotonic()
     out = _outdir()
     report = run_verification(seed=cfg.seed)

@@ -299,11 +299,6 @@ def hessian_matrix(
     return a_hessian(S, nl, S.a_from_field(u))
 
 
-def residual_norm(u: GridField, S: SpectralDecomposition, nl: Nonlinearity) -> float:
-    """||grad J(u)||_k, the convergence measure used everywhere."""
-    return float(np.linalg.norm(a_gradient(S, nl, S.a_from_field(u))))
-
-
 def interaction_defect(
     u_list: list[GridField],
     phi: GridField,

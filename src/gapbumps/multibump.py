@@ -17,7 +17,7 @@ from numpy.typing import NDArray
 
 from .functional import Nonlinearity, a_gradient, a_value_and_gradient
 from .operator import SpectralDecomposition
-from .reduction import KernelBasis, _projected_newton, joint_kernel_matrix
+from .reduction import KernelBasis, _projected_newton, fd_hessian, joint_kernel_matrix
 from .solver import NoConvergence, SolverOptions, find_critical_point
 from .torus import GridField, TorusDomain, embed_with_cutoff, spectral_gradient, translate
 
@@ -52,6 +52,15 @@ def periodic_separation(
     return float(best)
 
 
+def _require_distinct(centers: list[tuple[int, ...]], cells: int) -> None:
+    seen = set()
+    for b in centers:
+        key = tuple(int(c) % cells for c in b)
+        if key in seen:
+            raise CentersCollide(f"center {b} duplicates another modulo {cells}")
+        seen.add(key)
+
+
 def superpose(
     base: GridField,
     centers: list[tuple[int, ...]],
@@ -62,13 +71,7 @@ def superpose(
     The base is embedded (with the boundary cutoff) first when it lives
     on a smaller torus of the same resolution.
     """
-    k = domain.cells
-    seen = set()
-    for b in centers:
-        key = tuple(int(c) % k for c in b)
-        if key in seen:
-            raise CentersCollide(f"center {b} duplicates another modulo {k}")
-        seen.add(key)
+    _require_distinct(centers, domain.cells)
     f = base if base.domain.compatible(domain) else embed_with_cutoff(base, domain)
     total = np.zeros(domain.shape)
     for b in centers:
@@ -114,14 +117,10 @@ def build_problem(
     S: SpectralDecomposition,
 ) -> MultibumpProblem:
     k = S.domain.cells
-    seen = set()
     for b in centers:
         if len(b) != S.domain.dim:
             raise ValueError(f"center {b} has wrong dimension")
-        key = tuple(int(c) % k for c in b)
-        if key in seen:
-            raise CentersCollide(f"center {b} duplicates another modulo {k}")
-        seen.add(key)
+    _require_distinct(centers, k)
     l_sep = periodic_separation(centers, k)
     raw, gram = joint_kernel_matrix(kb, centers, S)
     prob = MultibumpProblem(
@@ -249,10 +248,9 @@ def solve_multibump(
         ball = prob.kb.delta0
         fd_step = 1e-3
 
-        def reduced_value(xv: NDArray[np.float64], w0) -> tuple[float, NDArray[np.float64]]:
-            af, wv = correction(xv, w0)
-            val, g = a_value_and_gradient(S, nl, af)
-            return float(val), wv
+        def reduced_value(xv: NDArray[np.float64]) -> float:
+            # warm-started from the current correction w
+            return float(a_value_and_gradient(S, nl, correction(xv, w)[0])[0])
 
         for iteration in range(max_reduced_iters):
             a_full, w = correction(x, w)
@@ -261,26 +259,7 @@ def solve_multibump(
             if float(np.linalg.norm(G)) <= reduced_tol:
                 phase2_iters = iteration
                 break
-            d = prob.joint_dim
-            Hred = np.zeros((d, d))
-            I0, _ = reduced_value(x, w)
-            for i in range(d):
-                ei = np.zeros(d)
-                ei[i] = fd_step
-                Ip, _ = reduced_value(x + ei, w)
-                Im, _ = reduced_value(x - ei, w)
-                Hred[i, i] = (Ip - 2.0 * I0 + Im) / fd_step**2
-                for j in range(i + 1, d):
-                    ej = np.zeros(d)
-                    ej[j] = fd_step
-                    cross = (
-                        reduced_value(x + ei + ej, w)[0]
-                        + reduced_value(x - ei - ej, w)[0]
-                        - reduced_value(x + ei - ej, w)[0]
-                        - reduced_value(x - ei + ej, w)[0]
-                    ) / (4.0 * fd_step**2)
-                    Hred[i, j] = cross
-                    Hred[j, i] = cross
+            Hred = fd_hessian(reduced_value, x, fd_step)
             try:
                 step = scipy.linalg.solve(Hred, -G, assume_a="sym")
             except scipy.linalg.LinAlgError as err:

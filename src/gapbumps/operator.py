@@ -7,13 +7,10 @@ eigenpair; the spectral gap around zero is certified from the eigenvalues,
 and the energy inner product (u, v)_k = sum |lambda_i| c_i d_i built from
 the eigencoefficients drives all downstream Newton/reduction algebra.
 
-Two coefficient conventions coexist:
-
-* "energy coefficients" c_i = <u, phi_i>_L2 against the L2-orthonormal
-  eigenfields (the public EnergyCoefficients type), with
-  ||u||_k^2 = sum |lambda_i| c_i^2;
-* the internally preferred weighted coordinates a_i = sqrt(|lambda_i|) c_i,
-  in which (., .)_k is plain Euclidean. Solvers work in a-space.
+Fields are expanded as c_i = <u, phi_i>_L2 against the L2-orthonormal
+eigenfields (SpectralDecomposition.c_from_values). Solvers work in the
+weighted coordinates a_i = sqrt(|lambda_i|) c_i, in which (., .)_k is plain
+Euclidean; the spectral projections and the quadratic form stay in c.
 """
 
 from __future__ import annotations
@@ -125,19 +122,6 @@ def operator_matrix(V: PeriodicPotential, domain: TorusDomain) -> NDArray[np.flo
     return mat
 
 
-def apply_operator(S: "SpectralDecomposition", u: GridField) -> GridField:
-    """(-Lap + V) u via FFT; independent of the dense assembly path."""
-    spec = np.fft.fftn(u.values)
-    xi = u.domain.wavenumbers()
-    mult = np.zeros(u.domain.shape)
-    for ax in range(u.domain.dim):
-        shape = [1] * u.domain.dim
-        shape[ax] = xi.size
-        mult = mult + (xi**2).reshape(shape)
-    lap = np.fft.ifftn(mult * spec).real
-    return GridField(u.domain, lap + S.potential_values * u.values)
-
-
 @dataclass(eq=False)
 class SpectralDecomposition:
     """All eigenpairs of -Lap + V on Q_k, plus gap and splitting data.
@@ -192,37 +176,25 @@ class SpectralDecomposition:
         if self.gap is None:
             raise ValueError("operation requires a certified spectral gap around 0")
 
-    # -- weighted a-coordinates ------------------------------------------------
-    def a_from_values(self, values: NDArray[np.float64]) -> NDArray[np.float64]:
+    # -- coefficients c and weighted a-coordinates a = weights * c --------------
+    def c_from_values(self, values: NDArray[np.float64]) -> NDArray[np.float64]:
         quad_weight = self.domain.spacing**self.domain.dim
-        c = quad_weight * (self.eigenfields.T @ values.reshape(-1))
-        return self.weights * c
+        return quad_weight * (self.eigenfields.T @ values.reshape(-1))
+
+    def values_from_c(self, c: NDArray[np.float64]) -> NDArray[np.float64]:
+        return (self.eigenfields @ c).reshape(self.domain.shape)
+
+    def a_from_values(self, values: NDArray[np.float64]) -> NDArray[np.float64]:
+        return self.weights * self.c_from_values(values)
 
     def a_from_field(self, u: GridField) -> NDArray[np.float64]:
         return self.a_from_values(u.values)
 
     def values_from_a(self, a: NDArray[np.float64]) -> NDArray[np.float64]:
-        c = a / self.weights
-        return (self.eigenfields @ c).reshape(self.domain.shape)
+        return self.values_from_c(a / self.weights)
 
     def field_from_a(self, a: NDArray[np.float64]) -> GridField:
         return GridField(self.domain, self.values_from_a(a))
-
-
-@dataclass(frozen=True)
-class EnergyCoefficients:
-    """Expansion c_i = <u, phi_i>_L2 against the eigenfields of a decomposition."""
-
-    c: NDArray[np.float64]
-    decomposition: SpectralDecomposition
-
-    @property
-    def weighted(self) -> NDArray[np.float64]:
-        return self.decomposition.weights * self.c
-
-    @property
-    def norm_k(self) -> float:
-        return float(np.linalg.norm(self.weighted))
 
 
 def diagonalize(V: PeriodicPotential, domain: TorusDomain) -> SpectralDecomposition:
@@ -262,19 +234,6 @@ def diagonalize(V: PeriodicPotential, domain: TorusDomain) -> SpectralDecomposit
     )
 
 
-def to_energy(u: GridField, S: SpectralDecomposition) -> EnergyCoefficients:
-    if not u.domain.compatible(S.domain):
-        raise ValueError("field and decomposition domains differ")
-    quad_weight = u.domain.spacing**u.domain.dim
-    c = quad_weight * (S.eigenfields.T @ u.flat)
-    return EnergyCoefficients(c=c, decomposition=S)
-
-
-def from_energy(coeffs: EnergyCoefficients) -> GridField:
-    S = coeffs.decomposition
-    return GridField(S.domain, S.eigenfields @ coeffs.c)
-
-
 def energy_inner(u: GridField, v: GridField, S: SpectralDecomposition) -> float:
     return float(np.dot(S.a_from_field(u), S.a_from_field(v)))
 
@@ -283,23 +242,29 @@ def energy_norm(u: GridField, S: SpectralDecomposition) -> float:
     return float(np.linalg.norm(S.a_from_field(u)))
 
 
+def _coefficients(u: GridField, S: SpectralDecomposition) -> NDArray[np.float64]:
+    if not u.domain.compatible(S.domain):
+        raise ValueError("field and decomposition domains differ")
+    return S.c_from_values(u.values)
+
+
 def project_negative(u: GridField, S: SpectralDecomposition) -> GridField:
     """P_k u: the component spanned by eigenfields with lambda_i < 0."""
     S.require_gap()
-    c = to_energy(u, S).c * (S.eigenvalues < 0.0)
-    return from_energy(EnergyCoefficients(c=c, decomposition=S))
+    c = _coefficients(u, S) * (S.eigenvalues < 0.0)
+    return GridField(S.domain, S.values_from_c(c))
 
 
 def project_positive(u: GridField, S: SpectralDecomposition) -> GridField:
     """T_k u: the component spanned by eigenfields with lambda_i > 0."""
     S.require_gap()
-    c = to_energy(u, S).c * (S.eigenvalues > 0.0)
-    return from_energy(EnergyCoefficients(c=c, decomposition=S))
+    c = _coefficients(u, S) * (S.eigenvalues > 0.0)
+    return GridField(S.domain, S.values_from_c(c))
 
 
 def quadratic_form(u: GridField, S: SpectralDecomposition) -> float:
     """int |grad u|^2 + V u^2, evaluated as sum lambda_i c_i^2."""
-    c = to_energy(u, S).c
+    c = _coefficients(u, S)
     return float(np.sum(S.eigenvalues * c * c))
 
 
@@ -402,8 +367,8 @@ def norm_equivalence_report(
             c[trial] = 1.0
         else:
             c = rng.standard_normal(n) * decay
-        u = from_energy(EnergyCoefficients(c=c, decomposition=S))
-        ratio = EnergyCoefficients(c=c, decomposition=S).norm_k / h1_norm(u)
+        u = GridField(S.domain, S.values_from_c(c))
+        ratio = float(np.linalg.norm(S.weights * c)) / h1_norm(u)
         lo = min(lo, ratio)
         hi = max(hi, ratio)
     return float(lo), float(hi)

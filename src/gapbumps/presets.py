@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from .functional import Nonlinearity
-from .operator import PeriodicPotential, diagonalize, midgap_shift, operator_matrix
+from .operator import PeriodicPotential, midgap_shift, operator_matrix
 from .torus import TorusDomain
 
 # default cosine amplitude; every canned instance uses it
@@ -58,13 +58,6 @@ def default_potential() -> PeriodicPotential:
     return PeriodicPotential(amplitude=AMPLITUDE, shift=midgap_shift(AMPLITUDE))
 
 
-def default_problem(
-    cells: int, samples_per_cell: int = 16
-) -> tuple[TorusDomain, PeriodicPotential, Nonlinearity]:
-    domain = TorusDomain(1, cells, samples_per_cell)
-    return domain, default_potential(), Nonlinearity()
-
-
 @lru_cache(maxsize=None)
 def degenerate_shift(cells: int = 3, samples_per_cell: int = 8) -> float:
     """Shift centering 0 in the widest low-lying gap of the 2-d fixture.
@@ -100,8 +93,3 @@ def degenerate_problem(
         axes=(0,),
     )
     return domain, V, Nonlinearity(dealias=True, dealias_factor=3.0)
-
-
-def default_decomposition(cells: int, samples_per_cell: int = 16):
-    domain, V, _ = default_problem(cells, samples_per_cell)
-    return diagonalize(V, domain)

@@ -18,7 +18,7 @@ from numpy.typing import NDArray
 
 from .functional import Nonlinearity, a_gradient, a_hessian, a_value_and_gradient
 from .operator import SpectralDecomposition
-from .solver import NoConvergence, SolutionRecord
+from .solver import KERNEL_TAU, NoConvergence, SolutionRecord, kernel_split
 from .torus import GridField, embed_with_cutoff, translate
 
 
@@ -30,7 +30,6 @@ class OutOfBall(ValueError):
     """Requested kernel offset lies outside the trust ball."""
 
 
-DEFAULT_TAU = 1e-4
 W_RESIDUAL_TOL = 1e-9
 
 
@@ -86,7 +85,7 @@ def detect_kernel(
     rec: SolutionRecord,
     S: SpectralDecomposition,
     nl: Nonlinearity,
-    tau: float = DEFAULT_TAU,
+    tau: float = KERNEL_TAU,
 ) -> KernelBasis:
     """Diagonalize the Hessian at `rec`, split off |mu| < tau * scale.
 
@@ -99,8 +98,7 @@ def detect_kernel(
     a = S.a_from_field(rec.field)
     H = a_hessian(S, nl, a)
     mu, vecs = scipy.linalg.eigh(H)
-    scale = float(np.abs(mu).max())
-    near = np.abs(mu) < tau * scale
+    near, scale = kernel_split(mu, tau)
     if near.all():
         raise AllKernel(f"all {mu.size} directions below tau*scale = {tau * scale:g}")
     excluded_min = float(np.abs(mu[~near]).min())
@@ -226,6 +224,33 @@ def solve_w(
     )
 
 
+def fd_hessian(
+    value, x: NDArray[np.float64], step: float
+) -> NDArray[np.float64]:
+    """Hessian of `value` at x by central second differences.
+
+    Off-diagonal entries use the symmetric four-point formula, so the
+    matrix is symmetric by construction.
+    """
+    n = x.size
+    H = np.zeros((n, n))
+    f0 = value(x)
+    for i in range(n):
+        ei = np.zeros(n)
+        ei[i] = step
+        H[i, i] = (value(x + ei) - 2.0 * f0 + value(x - ei)) / step**2
+        for j in range(i + 1, n):
+            ej = np.zeros(n)
+            ej[j] = step
+            H[i, j] = H[j, i] = (
+                value(x + ei + ej)
+                + value(x - ei - ej)
+                - value(x + ei - ej)
+                - value(x - ei + ej)
+            ) / (4.0 * step**2)
+    return H
+
+
 @dataclass(frozen=True)
 class OriginClassification:
     morse_index: int
@@ -240,9 +265,8 @@ def classify_origin(
 ) -> OriginClassification:
     """Morse data of the reduced energy at x = 0 by central differences.
 
-    Off-diagonal entries use the symmetric four-point formula, so the
-    reported matrix is symmetric by construction. Eigenvalues within
-    1e-6 of the matrix scale flag a degenerate origin.
+    The reduced Hessian comes from fd_hessian, symmetric by construction.
+    Eigenvalues within 1e-6 of the Hessian scale flag a degenerate origin.
     """
     if kb.l == 0:
         raise ValueError("kernel block is empty, nothing to classify")
@@ -252,8 +276,6 @@ def classify_origin(
     if radius <= 0 or radius > kb.delta0:
         raise ValueError("grid_radius must lie in (0, delta0]")
     step = radius / (stencil // 2)
-    l = kb.l
-
     cache: dict[tuple[float, ...], float] = {}
 
     def I_at(x: NDArray[np.float64]) -> float:
@@ -262,20 +284,7 @@ def classify_origin(
             cache[key] = solve_w(kb, kernel_combination(kb, x)).I
         return cache[key]
 
-    I0 = I_at(np.zeros(l))
-    Hred = np.zeros((l, l))
-    for i in range(l):
-        ei = np.zeros(l)
-        ei[i] = step
-        Hred[i, i] = (I_at(ei) - 2.0 * I0 + I_at(-ei)) / step**2
-        for j in range(i + 1, l):
-            ej = np.zeros(l)
-            ej[j] = step
-            cross = (
-                I_at(ei + ej) + I_at(-ei - ej) - I_at(ei - ej) - I_at(-ei + ej)
-            ) / (4.0 * step**2)
-            Hred[i, j] = cross
-            Hred[j, i] = cross
+    Hred = fd_hessian(I_at, np.zeros(kb.l), step)
     eigs = scipy.linalg.eigvalsh(Hred)
     # degeneracy is judged against the full Hessian's spectral radius;
     # the reduced matrix's own max would make a flat profile look sharp

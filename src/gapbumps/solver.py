@@ -9,7 +9,7 @@ energy of the solutions Newton finds but are not used to drive it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -17,7 +17,7 @@ import scipy.linalg
 from numpy.typing import NDArray
 
 from .functional import Nonlinearity, a_gradient, a_hessian, a_value_and_gradient
-from .operator import PeriodicPotential, SpectralDecomposition, orbit_shifts
+from .operator import SpectralDecomposition, orbit_shifts
 from .torus import GridField, TorusDomain, translate
 
 
@@ -136,6 +136,22 @@ def initial_ansatz(
     return S.field_from_a(a)
 
 
+def draw_ansatz(
+    rng: np.random.Generator, domain: TorusDomain
+) -> tuple[NDArray[np.float64], float, float]:
+    """Random (center, width, amplitude) for initial_ansatz, in that draw order.
+
+    Centers are uniform on the torus, widths in [0.3, 0.9], amplitudes
+    in +-[4, 16] with a fair sign.
+    """
+    k = float(domain.cells)
+    center = rng.uniform(-k / 2, k / 2, size=domain.dim)
+    width = float(rng.uniform(0.3, 0.9))
+    # below ~|a| = 10 in energy norm every start here drains into u = 0
+    amplitude = float(rng.uniform(4.0, 16.0) * (1.0 if rng.uniform() < 0.5 else -1.0))
+    return center, width, amplitude
+
+
 def _newton_direction(
     H: NDArray[np.float64],
     g: NDArray[np.float64],
@@ -156,13 +172,24 @@ def _newton_direction(
     return -(H @ g)  # steepest descent on the merit 0.5|g|^2
 
 
-_KERNEL_TAU = 1e-4
+KERNEL_TAU = 1e-4
+
+
+def kernel_split(
+    mu: NDArray[np.float64], tau: float = KERNEL_TAU
+) -> tuple[NDArray[np.bool_], float]:
+    """Mask of Hessian eigenvalues with |mu| < tau * scale, and the scale.
+
+    scale is the spectral radius max |mu|; the record's counts and the
+    reduction's kernel block both split the spectrum here.
+    """
+    scale = float(np.abs(mu).max())
+    return np.abs(mu) < tau * scale, scale
 
 
 def _hessian_counts(H: NDArray[np.float64]) -> tuple[int, int]:
     mu = scipy.linalg.eigvalsh(H)
-    scale = float(np.abs(mu).max())
-    near = np.abs(mu) < _KERNEL_TAU * scale
+    near, _ = kernel_split(mu)
     negative = (mu < 0) & ~near
     return int(negative.sum()), int(near.sum())
 
@@ -314,30 +341,24 @@ def sphere_level(
         if Jz < best_J:
             best_J, best = Jz, z
     assert best is not None
-    a = best
-    step = 0.5
-    Ja = best_J
-    for _ in range(descent_iters):
+
+    def descent(a: NDArray[np.float64], f: float) -> NDArray[np.float64] | None:
         g = a_gradient(S, nl, a)
         g[:j] = 0.0
         tangent = g - (g @ a) / (r * r) * a
-        tnorm = float(np.linalg.norm(tangent))
-        if tnorm <= 1e-12 * max(1.0, abs(Ja)):
-            break
-        moved = False
-        while step > 1e-14:
-            trial = a - step * tangent
-            trial *= r / np.linalg.norm(trial)
-            Jt = value(trial)
-            if Jt < Ja - 1e-12 * abs(Ja):
-                a, Ja = trial, Jt
-                moved = True
-                step = min(step * 2.0, 1.0)
-                break
-            step *= 0.5
-        if not moved:
-            break
-    return float(Ja)
+        if float(np.linalg.norm(tangent)) <= 1e-12 * max(1.0, abs(f)):
+            return None
+        return -tangent
+
+    def to_sphere(a: NDArray[np.float64]) -> NDArray[np.float64]:
+        return a * (r / np.linalg.norm(a))
+
+    # descent on J is ascent on -J
+    neg_J = _climb(
+        lambda a: -value(a), descent, to_sphere, best, -best_J,
+        step=0.5, cap=1.0, rise=1e-12, iters=descent_iters,
+    )
+    return float(-neg_J)
 
 
 class LinkingBound(NamedTuple):
@@ -374,107 +395,117 @@ def linking_upper_bound(
     j = S.j
     n = S.num_modes
 
-    def embed(y: NDArray[np.float64], t: float) -> NDArray[np.float64]:
+    def embed(x: NDArray[np.float64]) -> NDArray[np.float64]:
         a = np.zeros(n)
-        a[:j] = y
-        return a + t * za
+        a[:j] = x[:j]
+        return a + x[-1] * za
 
-    def value(y: NDArray[np.float64], t: float) -> float:
-        return a_value_and_gradient(S, nl, embed(y, t))[0]
+    def value(x: NDArray[np.float64]) -> float:
+        return a_value_and_gradient(S, nl, embed(x))[0]
 
-    def grad(y: NDArray[np.float64], t: float) -> tuple[NDArray[np.float64], float]:
-        g = a_gradient(S, nl, embed(y, t))
-        return g[:j].copy(), float(g @ za)
+    def grad(x: NDArray[np.float64]) -> NDArray[np.float64]:
+        g = a_gradient(S, nl, embed(x))
+        return np.concatenate([g[:j], [float(g @ za)]])
 
-    def clip(y: NDArray[np.float64], t: float) -> tuple[NDArray[np.float64], float]:
-        t = max(t, 0.0)
+    def ascent(x: NDArray[np.float64], f: float) -> NDArray[np.float64] | None:
+        d = grad(x)
+        if np.hypot(np.linalg.norm(d[:j]), d[-1]) <= 1e-12 * max(1.0, abs(f)):
+            return None
+        return d
+
+    def clip(x: NDArray[np.float64]) -> NDArray[np.float64]:
+        y, t = x[:j], max(x[-1], 0.0)
         norm = np.hypot(np.linalg.norm(y), t)
         if norm > rho:
             y = y * (rho / norm)
             t = t * (rho / norm)
-        return y, t
+        return np.concatenate([y, [t]])
 
-    starts: list[tuple[NDArray[np.float64], float]] = []
+    # states x = [y, t]: negative-subspace part y and ray coordinate t
+    starts: list[NDArray[np.float64]] = []
     for t in np.linspace(0.05 * rho, 0.95 * rho, 12):
-        starts.append((np.zeros(j), float(t)))
+        starts.append(np.concatenate([np.zeros(j), [t]]))
     for _ in range(max(0, samples)):
         y = rng.standard_normal(j)
         t = abs(rng.standard_normal())
         norm = np.hypot(np.linalg.norm(y), t)
         scale = rho * rng.uniform(0.0, 0.95) / max(norm, 1e-30)
-        starts.append((y * scale, t * scale))
-    starts.sort(key=lambda yt: -value(*yt))
+        starts.append(np.concatenate([y * scale, [t * scale]]))
+    starts.sort(key=lambda x: -value(x))
 
     best_val = -np.inf
-    for y, t in starts[:4]:
-        step = 0.5
-        Jc = value(y, t)
-        for _ in range(ascent_iters):
-            gy, gt = grad(y, t)
-            gnorm = np.hypot(np.linalg.norm(gy), gt)
-            if gnorm <= 1e-12 * max(1.0, abs(Jc)):
-                break
-            moved = False
-            while step > 1e-14:
-                ty, tt = clip(y + step * gy, t + step * gt)
-                Jt = value(ty, tt)
-                if Jt > Jc + 1e-14 * abs(Jc):
-                    y, t, Jc = ty, tt, Jt
-                    moved = True
-                    step = min(step * 2.0, 1.0)
-                    break
-                step *= 0.5
-            if not moved:
-                break
+    for x in starts[:4]:
+        Jc = _climb(
+            value, ascent, clip, x, value(x),
+            step=0.5, cap=1.0, rise=1e-14, iters=ascent_iters,
+        )
         best_val = max(best_val, Jc)
 
-    boundary = _boundary_sup(S, nl, za, rho, samples, rng, value)
+    boundary = _boundary_sup(j, rho, samples, rng, value, grad)
     return LinkingBound(float(best_val), float(boundary))
 
 
-def _boundary_sup(S, nl, za, rho, samples, rng, value) -> float:
+def _boundary_sup(j, rho, samples, rng, value, grad) -> float:
     # Two faces: the t=0 slab (J <= 0 there, sup 0 at the origin) and the
     # radius-rho sphere cap with t >= 0. Sample both, then tangential
     # ascent on the cap from the best sample.
-    j = S.j
-    sup = value(np.zeros(j), 0.0)  # origin, exactly J(0) = 0
-    best_y, best_t, best_J = None, 0.0, -np.inf
+    sup = value(np.zeros(j + 1))  # origin, exactly J(0) = 0
+    best_x, best_J = None, -np.inf
     for _ in range(max(4, samples)):
         y = rng.standard_normal(j)
         t = abs(rng.standard_normal())
         norm = np.hypot(np.linalg.norm(y), t)
-        y, t = y * (rho / norm), t * (rho / norm)
-        Jc = value(y, t)
+        x = np.concatenate([y * (rho / norm), [t * (rho / norm)]])
+        Jc = value(x)
         sup = max(sup, Jc)
         if Jc > best_J:
-            best_y, best_t, best_J = y, t, Jc
+            best_x, best_J = x, Jc
         # rim of the t=0 slab belongs to both faces
-        sup = max(sup, value(y / np.linalg.norm(y) * rho, 0.0))
-    y, t, Jc = best_y, best_t, best_J
-    step = 0.25
-    for _ in range(200):
-        g = a_gradient(S, nl, np.concatenate([y, np.zeros(S.num_modes - j)]) + t * za)
-        gy, gt = g[:j], float(g @ za)
-        radial = np.concatenate([y, [t]]) / rho
-        full = np.concatenate([gy, [gt]])
+        rim = np.concatenate([x[:j] / np.linalg.norm(x[:j]) * rho, [0.0]])
+        sup = max(sup, value(rim))
+
+    def tangential(x: NDArray[np.float64], f: float) -> NDArray[np.float64] | None:
+        radial = x / rho
+        full = grad(x)
         tang = full - (full @ radial) * radial
-        if np.linalg.norm(tang) <= 1e-12:
+        return None if np.linalg.norm(tang) <= 1e-12 else tang
+
+    def to_cap(x: NDArray[np.float64]) -> NDArray[np.float64]:
+        x[-1] = max(x[-1], 0.0)
+        return x * (rho / np.linalg.norm(x))
+
+    Jc = _climb(
+        value, tangential, to_cap, best_x, best_J,
+        step=0.25, cap=0.5, rise=1e-14, iters=200,
+    )
+    return max(sup, Jc)
+
+
+def _climb(value, direction, retract, x, fx, *, step, cap, rise, iters) -> float:
+    """Backtracking ascent of `value` from x, where fx = value(x).
+
+    Each iteration asks direction(x, fx) for an ascent direction (None
+    stops), then halves the step from its last accepted length until
+    retract(x + step*d) raises the value by more than rise*|fx| (retract
+    gets a fresh array and may modify it); an accepted step doubles, up
+    to `cap`. Stops when the step falls to 1e-14. Returns the last
+    accepted value.
+    """
+    for _ in range(iters):
+        d = direction(x, fx)
+        if d is None:
             break
-        moved = False
         while step > 1e-14:
-            cand = np.concatenate([y, [t]]) + step * tang
-            cand[-1] = max(cand[-1], 0.0)
-            cand *= rho / np.linalg.norm(cand)
-            Jt = value(cand[:j], float(cand[-1]))
-            if Jt > Jc + 1e-14 * abs(Jc):
-                y, t, Jc = cand[:j], float(cand[-1]), Jt
-                moved = True
-                step = min(step * 2.0, 0.5)
+            trial = retract(x + step * d)
+            ft = value(trial)
+            if ft > fx + rise * abs(fx):
+                x, fx = trial, ft
+                step = min(step * 2.0, cap)
                 break
             step *= 0.5
-        if not moved:
+        else:
             break
-    return max(sup, Jc)
+    return fx
 
 
 def orbit_distance(
@@ -519,16 +550,10 @@ def deflated_search(
     and silent; the caller sees only the survivors.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    domain = S.domain
-    k = float(domain.cells)
     found: list[SolutionRecord] = []
     pool = list(known)
     for _ in range(max(0, tries)):
-        center = rng.uniform(-k / 2, k / 2, size=domain.dim)
-        width = rng.uniform(0.3, 0.9)
-        # below ~|a| = 10 in energy norm every start here drains into u = 0
-        amplitude = rng.uniform(4.0, 16.0) * (1.0 if rng.uniform() < 0.5 else -1.0)
-        init = initial_ansatz(center, width, amplitude, domain, S)
+        init = initial_ansatz(*draw_ansatz(rng, S.domain), S.domain, S)
         try:
             rec = find_critical_point(init, S, nl, opts)
         except (NoConvergence, TrivialCollapse):

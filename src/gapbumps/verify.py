@@ -32,7 +32,6 @@ from .operator import (
 from .multibump import build_problem, separation_sweep, solve_multibump
 from .reduction import detect_kernel, kernel_combination, solve_w, superposition_compare
 from .solver import (
-    SolverOptions,
     deflated_search,
     find_critical_point,
     initial_ansatz,
@@ -84,9 +83,11 @@ class LemmaReport:
 
 
 def _scalar(x):
-    # numpy integers and bools are not JSON types (np.float64 is a float subclass)
+    # numpy scalars are not JSON types (np.float64 alone is a float subclass)
     if isinstance(x, np.integer):
         return int(x)
+    if isinstance(x, np.floating):
+        return float(x)
     if isinstance(x, np.bool_):
         return bool(x)
     raise TypeError(f"not JSON-serializable: {type(x).__name__}")

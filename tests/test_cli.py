@@ -152,6 +152,25 @@ class TestCommands:
         assert lines[0] == "axis,h,I,dI_norm"
         assert len(lines) == 1 + 7  # stencil 3 -> 7 sample offsets per axis
 
+    def test_reduce_recomputes_stripped_diagnostics(self, outdir, tmp_path):
+        assert main(["solve", "--k", "8", "--seed", "7"]) == 0
+        rec = json.loads((outdir / "solution.json").read_text())
+        for key in ("energy", "residual", "norm_k"):
+            del rec[key]
+        path = tmp_path / "stripped.json"
+        path.write_text(json.dumps(rec))
+        assert main(["reduce", "--solution", str(path)]) == 0
+        assert json.loads((outdir / "reduce.json").read_text())["l"] == 1
+
+    def test_reduce_refuses_a_record_that_is_not_critical(self, outdir, tmp_path, capsys):
+        assert main(["solve", "--k", "8", "--seed", "7"]) == 0
+        rec = json.loads((outdir / "solution.json").read_text())
+        rec["potential"]["shift"] += 0.5
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(rec))
+        assert main(["reduce", "--solution", str(path)]) == 2
+        assert "edited.json" in capsys.readouterr().err
+
     def test_reduce_accepts_a_field_csv(self, outdir):
         assert main(["solve", "--k", "8", "--seed", "7"]) == 0
         assert main(["reduce", "--solution", str(outdir / "solution.csv")]) == 0
