@@ -296,11 +296,14 @@ def _record_from_file(path: str, cfg: RunConfig):
         for key in ("domain", "potential", "nonlinearity", "values"):
             if key not in d:
                 raise ConfigError(f"{path}: not a solution record (missing {key!r})")
-        dom = d["domain"]
-        domain = TorusDomain(int(dom["dim"]), int(dom["cells"]), int(dom["samples_per_cell"]))
+        try:
+            dom = d["domain"]
+            domain = TorusDomain(int(dom["dim"]), int(dom["cells"]), int(dom["samples_per_cell"]))
+            field = GridField(domain, np.asarray(d["values"]))
+        except (KeyError, TypeError, ValueError) as e:
+            raise ConfigError(f"{path}: malformed domain or values: {e!r}") from e
         S = diagonalize(_potential_from_dict(d["potential"]), domain)
         nl = _nonlinearity_from_dict(d["nonlinearity"])
-        field = GridField(domain, np.asarray(d["values"]))
     # the loaded field is kept verbatim; a-coordinates round-trip it only to roundoff
     rec = replace(_make_record(S.a_from_field(field), S, nl, 0, []), field=field)
     if rec.residual > W_RESIDUAL_TOL:
@@ -429,9 +432,14 @@ def cmd_solve(args, cfg: RunConfig) -> int:
 def cmd_reduce(args, cfg: RunConfig) -> int:
     started = time.monotonic()
     out = _outdir()
+    if args.stencil < 1:
+        raise ConfigError(f"--stencil must be at least 1, got {args.stencil}")
     rec, S, nl = _record_from_file(args.solution, cfg)
     kb = detect_kernel(rec, S, nl, tau=args.tau)
-    cls = classify_origin(kb, grid_radius=args.radius, stencil=args.stencil)
+    radius = args.radius if args.radius is not None else 0.5 * kb.delta0
+    if not 0 < radius <= kb.delta0:
+        raise ConfigError(f"--radius must lie in (0, delta0 = {kb.delta0:.6g}], got {radius:g}")
+    cls = classify_origin(kb)
     _write_json(
         out / "reduce.json",
         {
@@ -443,7 +451,6 @@ def cmd_reduce(args, cfg: RunConfig) -> int:
             "reduced_hessian": [[float(v) for v in row] for row in cls.reduced_hessian],
         },
     )
-    radius = args.radius if args.radius is not None else 0.5 * kb.delta0
     hs = np.linspace(-radius, radius, 2 * args.stencil + 1)
     rows = []
     for axis in range(kb.l):
@@ -598,8 +605,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solution", required=True, help="solution record JSON or field CSV")
     p.add_argument("--tau", type=float, default=presets.TAU_FORCED,
                    help="relative Hessian threshold for the near-kernel")
-    p.add_argument("--radius", type=float, help="sampling radius (default delta0/2)")
-    p.add_argument("--stencil", type=int, default=3)
+    p.add_argument("--radius", type=float, help="profile radius in (0, delta0] (default delta0/2)")
+    p.add_argument("--stencil", type=int, default=3, help="profile offsets per side, >= 1")
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("multibump", help="glue translated copies of a base solution")

@@ -180,12 +180,7 @@ def _dealias_cache(S: SpectralDecomposition, nl: Nonlinearity) -> dict:
         else:
             coords = -0.5 * dom.cells + dom.cells * np.arange(nf) / nf
             mesh = np.meshgrid(*([coords] * dom.dim), indexing="ij")
-            hf = np.zeros(mesh[0].shape)
-            axes = nl.weight.axes if nl.weight.axes is not None else range(dom.dim)
-            for ax, x in enumerate(mesh):
-                if ax in axes:
-                    hf = hf + nl.weight.profile(x)
-            hfine = _require_nonnegative(hf - nl.weight.shift)
+            hfine = _require_nonnegative(nl.weight.evaluate_on(mesh))
         store[key] = {
             "nf": nf,
             "hfine": hfine,

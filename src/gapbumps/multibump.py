@@ -4,7 +4,8 @@ Three phases: correct the raw superposition orthogonally to the joint
 near-kernel, move the kernel coordinates to a critical point of the
 reduced energy, then polish with unconstrained Newton. Separation sweeps
 record how the correction, the kernel coordinates, and the energy defect
-die off as the copies move apart.
+die off as the copies move apart; the superposition diagnostic compares
+the joint reduced energy with the sum of single-bump ones.
 """
 
 from __future__ import annotations
@@ -17,9 +18,18 @@ from numpy.typing import NDArray
 
 from .functional import Nonlinearity, a_gradient, a_value_and_gradient
 from .operator import SpectralDecomposition
-from .reduction import KernelBasis, _projected_newton, fd_hessian, joint_kernel_matrix
+from .reduction import (
+    KernelBasis, _projected_newton, joint_kernel_matrix, kernel_combination,
+    reduced_hessian, solve_w,
+)
 from .solver import NoConvergence, SolverOptions, find_critical_point
-from .torus import GridField, TorusDomain, embed_with_cutoff, spectral_gradient, translate
+from .torus import (
+    GridField, TorusDomain, embed_with_cutoff, min_image, spectral_gradient, translate
+)
+
+# phase 2 (reduced Newton) stops once |X^T grad J| falls to this
+REDUCED_TOL = 1e-9
+MAX_REDUCED_ITERS = 30
 
 
 class CentersCollide(ValueError):
@@ -40,25 +50,10 @@ def periodic_separation(
     """Smallest pairwise center distance, each axis wrapped."""
     if len(centers) < 2:
         return float("inf")
-    best = np.inf
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            sq = 0.0
-            for a, b in zip(centers[i], centers[j]):
-                d = abs(a - b) % cells
-                d = min(d, cells - d)
-                sq += float(d) ** 2
-            best = min(best, np.sqrt(sq))
-    return float(best)
-
-
-def _require_distinct(centers: list[tuple[int, ...]], cells: int) -> None:
-    seen = set()
-    for b in centers:
-        key = tuple(int(c) % cells for c in b)
-        if key in seen:
-            raise CentersCollide(f"center {b} duplicates another modulo {cells}")
-        seen.add(key)
+    c = np.asarray(centers, dtype=float)
+    i, j = np.triu_indices(len(centers), 1)
+    d = min_image(c[i] - c[j], cells)
+    return float(np.sqrt((d * d).sum(axis=1)).min())
 
 
 def superpose(
@@ -71,7 +66,12 @@ def superpose(
     The base is embedded (with the boundary cutoff) first when it lives
     on a smaller torus of the same resolution.
     """
-    _require_distinct(centers, domain.cells)
+    seen = set()
+    for b in centers:
+        key = tuple(int(c) % domain.cells for c in b)
+        if key in seen:
+            raise CentersCollide(f"center {b} duplicates another modulo {domain.cells}")
+        seen.add(key)
     f = base if base.domain.compatible(domain) else embed_with_cutoff(base, domain)
     total = np.zeros(domain.shape)
     for b in centers:
@@ -84,16 +84,20 @@ def superpose(
 class MultibumpProblem:
     """A gluing instance: base kernel data, target centers, target space.
 
-    joint_raw holds the translated kernel fields as a-columns (the
-    x-coordinate basis, near-orthonormal for separated centers);
-    joint_gram is kept for the orthogonality diagnostic.
+    glued_a is the superposed base in a-coordinates. joint_raw holds the
+    translated kernel fields as a-columns (the x-coordinate basis,
+    near-orthonormal for separated centers); joint_E is its orthonormal
+    QR basis, the block the correction stays orthogonal to; joint_gram
+    is kept for the orthogonality diagnostic.
     """
 
     kb: KernelBasis
     centers: tuple[tuple[int, ...], ...]
     S: SpectralDecomposition
     l_sep: float
+    glued_a: NDArray[np.float64]
     joint_raw: NDArray[np.float64]
+    joint_E: NDArray[np.float64]
     joint_gram: NDArray[np.float64]
 
     @property
@@ -116,19 +120,25 @@ def build_problem(
     centers: list[tuple[int, ...]],
     S: SpectralDecomposition,
 ) -> MultibumpProblem:
-    k = S.domain.cells
+    """Glue translated copies of kb's base at `centers` on the torus of S.
+
+    Refuses colliding centers, and translated kernel fields far from
+    orthonormal although the centers sit at least 4 cells apart.
+    """
     for b in centers:
         if len(b) != S.domain.dim:
             raise ValueError(f"center {b} has wrong dimension")
-    _require_distinct(centers, k)
-    l_sep = periodic_separation(centers, k)
+    glued = superpose(kb.base.field, centers, S.domain)
+    l_sep = periodic_separation(centers, S.domain.cells)
     raw, gram = joint_kernel_matrix(kb, centers, S)
     prob = MultibumpProblem(
         kb=kb,
         centers=tuple(tuple(int(c) for c in b) for b in centers),
         S=S,
         l_sep=l_sep,
+        glued_a=S.a_from_field(glued),
         joint_raw=raw,
+        joint_E=np.linalg.qr(raw)[0] if raw.shape[1] else raw,
         joint_gram=gram,
     )
     if l_sep >= 4 and prob.joint_dim:
@@ -138,6 +148,24 @@ def build_problem(
                 f"(offdiag {prob.gram_offdiag:.3f}) despite separation {l_sep}"
             )
     return prob
+
+
+def joint_correction(
+    prob: MultibumpProblem,
+    nl: Nonlinearity,
+    x: NDArray[np.float64],
+    w0: NDArray[np.float64] | None = None,
+) -> tuple[NDArray[np.float64], NDArray[np.float64], int]:
+    """Correct glued_a + joint_raw x orthogonally to the joint kernel block.
+
+    Solves the projected equation to W_RESIDUAL_TOL, warm-started from w0.
+    Returns (the corrected point, the correction w, Newton iterations),
+    all in a-coordinates.
+    """
+    center = prob.glued_a + prob.joint_raw @ x
+    push = prob.kb.hessian_scale
+    w, iters = _projected_newton(prob.S, nl, center, prob.joint_E, w0=w0, push=push)
+    return center + w, w, iters
 
 
 @dataclass(frozen=True)
@@ -157,15 +185,13 @@ def _voronoi_labels(
 ) -> NDArray[np.int_]:
     # nearest center per grid point, axes wrapped; ties go to the lowest
     # center index so the split is deterministic
-    k = float(domain.cells)
     grids = domain.meshgrid()
     best_d = np.full(domain.shape, np.inf)
     labels = np.zeros(domain.shape, dtype=int)
     for idx, b in enumerate(centers):
         sq = np.zeros(domain.shape)
         for ax, g in enumerate(grids):
-            d = g - float(b[ax])
-            d -= k * np.round(d / k)
+            d = min_image(g - float(b[ax]), domain.cells)
             sq = sq + d * d
         closer = sq < best_d - 1e-12
         best_d = np.where(closer, sq, best_d)
@@ -206,15 +232,12 @@ def solve_multibump(
     nl: Nonlinearity,
     opts: SolverOptions = SolverOptions(),
     separation_floor: float = 4.0,
-    w_tol: float = 1e-9,
-    reduced_tol: float = 1e-9,
-    max_reduced_iters: int = 30,
 ) -> MultibumpResult:
     """Glue translated copies of the base into a genuine critical point.
 
     Phase 1 solves the joint-kernel-projected equation at x = 0; phase 2
     runs Newton on the reduced coordinates (gradient from pairings,
-    Hessian from central second differences), staying inside the trust
+    Hessian from reduction.reduced_hessian), staying inside the trust
     ball; phase 3 polishes with the full unprojected solver and checks
     the polish stayed put. An empty kernel block skips phase 2.
     """
@@ -222,23 +245,13 @@ def solve_multibump(
         raise SeparationTooSmall(
             f"separation {prob.l_sep:g} below floor {separation_floor:g}"
         )
-    glued = superpose(prob.kb.base.field, list(prob.centers), S.domain)
-    glued_a = S.a_from_field(glued)
     raw = prob.joint_raw
-    if prob.joint_dim:
-        Eo, _ = np.linalg.qr(raw)
-    else:
-        Eo = raw
 
     def correction(x: NDArray[np.float64], w0: NDArray[np.float64] | None):
-        center = glued_a + (raw @ x if x.size else 0.0)
         try:
-            w, iters, _ = _projected_newton(
-                S, nl, center, Eo, tol=w_tol, w0=w0, push=prob.kb.hessian_scale
-            )
+            return joint_correction(prob, nl, x, w0)[:2]
         except NoConvergence as err:
             raise NoConvergence(f"phase 1 (projected correction): {err}") from err
-        return center + w, w
 
     x = np.zeros(prob.joint_dim)
     a_full, w = correction(x, None)
@@ -246,20 +259,13 @@ def solve_multibump(
     phase2_iters = 0
     if prob.joint_dim:
         ball = prob.kb.delta0
-        fd_step = 1e-3
-
-        def reduced_value(xv: NDArray[np.float64]) -> float:
-            # warm-started from the current correction w
-            return float(a_value_and_gradient(S, nl, correction(xv, w)[0])[0])
-
-        for iteration in range(max_reduced_iters):
+        for iteration in range(MAX_REDUCED_ITERS):
             a_full, w = correction(x, w)
-            g_full = a_gradient(S, nl, a_full)
-            G = raw.T @ g_full
-            if float(np.linalg.norm(G)) <= reduced_tol:
+            G = raw.T @ a_gradient(S, nl, a_full)
+            if float(np.linalg.norm(G)) <= REDUCED_TOL:
                 phase2_iters = iteration
                 break
-            Hred = fd_hessian(reduced_value, x, fd_step)
+            Hred = reduced_hessian(S, nl, a_full, raw, prob.joint_E, prob.kb.hessian_scale)
             try:
                 step = scipy.linalg.solve(Hred, -G, assume_a="sym")
             except scipy.linalg.LinAlgError as err:
@@ -270,7 +276,7 @@ def solve_multibump(
             x = xn
         else:
             raise NoConvergence(
-                f"phase 2 (reduced Newton): no convergence in {max_reduced_iters} iters"
+                f"phase 2 (reduced Newton): no convergence in {MAX_REDUCED_ITERS} iters"
             )
         a_full, w = correction(x, w)
 
@@ -340,3 +346,62 @@ def separation_sweep(
         )
         rows.append(row)
     return rows
+
+
+def superposition_compare(
+    kb: KernelBasis,
+    centers: list[tuple[int, ...]],
+    sample_points: list[NDArray[np.float64]],
+    target_S: SpectralDecomposition | None = None,
+    base_cache: dict | None = None,
+) -> tuple[float, float, list[dict]]:
+    """Joint reduced energy of several translates vs the sum of singles.
+
+    Every sample point x concatenates one length-l coordinate block per
+    center. The joint side corrects the glued problem of build_problem
+    at x; the single-bump side evaluates the base reduced energy at each
+    block. Returns the largest value gap, the largest gradient gap, and
+    the per-point rows.
+    """
+    if len(centers) < 1:
+        raise ValueError("need at least one center")
+    prob = build_problem(kb, centers, kb.S if target_S is None else target_S)
+    m = prob.m
+    l = kb.l
+    cache = {} if base_cache is None else base_cache
+
+    def single(x_block: NDArray[np.float64]):
+        key = tuple(np.round(x_block, 14))
+        if key not in cache:
+            cache[key] = solve_w(kb, kernel_combination(kb, x_block))
+        return cache[key]
+
+    rows: list[dict] = []
+    max_c0 = 0.0
+    max_c1 = 0.0
+    for x in sample_points:
+        x = np.asarray(x, dtype=float)
+        if x.shape != (m * l,):
+            raise ValueError(f"sample point must have {m * l} coordinates")
+        a_full, _, iters = joint_correction(prob, kb.nl, x)
+        I_joint, g = a_value_and_gradient(prob.S, kb.nl, a_full)
+        dI_joint = prob.joint_raw.T @ g
+        singles = [single(x[i * l : (i + 1) * l]) for i in range(m)]
+        I_sum = sum(s.I for s in singles)
+        dI_sum = np.concatenate([s.dI for s in singles])
+        c0 = abs(float(I_joint) - I_sum)
+        c1 = float(np.abs(dI_joint - dI_sum).max()) if l else 0.0
+        max_c0 = max(max_c0, c0)
+        max_c1 = max(max_c1, c1)
+        rows.append(
+            {
+                "x": x.tolist(),
+                "I_joint": float(I_joint),
+                "I_sum": float(I_sum),
+                "value_gap": c0,
+                "gradient_gap": c1,
+                "newton_iters": iters,
+                "gram_offdiag": prob.gram_offdiag,
+            }
+        )
+    return max_c0, max_c1, rows

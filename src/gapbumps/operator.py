@@ -16,6 +16,7 @@ Euclidean; the spectral projections and the quadratic form stay in c.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -78,9 +79,13 @@ class PeriodicPotential:
 
     def evaluate(self, domain: TorusDomain) -> NDArray[np.float64]:
         """V at the grid points, shaped like the domain."""
-        out = np.zeros(domain.shape)
-        axes = self.axes if self.axes is not None else tuple(range(domain.dim))
-        for ax, x in enumerate(domain.meshgrid()):
+        return self.evaluate_on(domain.meshgrid())
+
+    def evaluate_on(self, mesh: Sequence[NDArray[np.float64]]) -> NDArray[np.float64]:
+        """V at the points of a coordinate mesh, one array per axis."""
+        out = np.zeros(mesh[0].shape)
+        axes = self.axes if self.axes is not None else tuple(range(len(mesh)))
+        for ax, x in enumerate(mesh):
             if ax in axes:
                 out = out + self.profile(x)
         return out - self.shift
@@ -221,7 +226,7 @@ def diagonalize(V: PeriodicPotential, domain: TorusDomain) -> SpectralDecomposit
     gap: tuple[float, float] | None = None
     if min_abs > GAP_CERTIFY_TOL:
         alpha = float(-vals[j - 1]) if j > 0 else np.inf
-        beta = float(vals[j])
+        beta = float(vals[j]) if j < vals.size else np.inf
         gap = (alpha, beta)
     return SpectralDecomposition(
         domain=domain,

@@ -3,9 +3,9 @@
 Splits the space at a base critical point into a low-dimensional
 near-kernel of the Hessian and its orthogonal complement, solves the
 complement equation by projected Newton, and studies the resulting
-reduced energy: its gradient, its Morse data at the origin, and how
-close it comes to a sum of one-bump reduced energies when the base is
-translated to several sites.
+reduced energy: its gradient, its analytic Hessian and its Morse data at
+the origin. Translated copies of the kernel fields span the joint block
+of a multibump problem.
 """
 
 from __future__ import annotations
@@ -122,6 +122,22 @@ def kernel_combination(kb: KernelBasis, x: NDArray[np.float64]) -> GridField:
     return kb.S.field_from_a(kb.E @ x)
 
 
+def _complement_matrix(
+    H: NDArray[np.float64], E: NDArray[np.float64], push: float
+) -> NDArray[np.float64]:
+    """PHP + push*E E^T with P = 1 - E E^T, symmetrized.
+
+    The complement block is PHP; the kernel block is lifted to `push`,
+    so the matrix is invertible and its inverse acts as (PHP)^-1 on the
+    complement.
+    """
+    if not E.size:
+        return H
+    HE = H @ E
+    M = H - HE @ E.T - E @ HE.T + E @ (E.T @ HE) @ E.T + push * (E @ E.T)
+    return 0.5 * (M + M.T)
+
+
 def _projected_newton(
     S: SpectralDecomposition,
     nl: Nonlinearity,
@@ -132,43 +148,33 @@ def _projected_newton(
     eta_ceiling: float | None = None,
     push: float = 1.0,
     w0: NDArray[np.float64] | None = None,
-) -> tuple[NDArray[np.float64], int, float]:
+) -> tuple[NDArray[np.float64], int]:
     """Solve P grad J(a_center + w) = 0 for w orthogonal to span(E).
 
-    The linear solve uses PHP + push*E E^T, whose kernel-block
+    The linear solve uses _complement_matrix, whose kernel-block
     eigenvalues sit at `push`; right-hand sides in the complement keep
     the correction there automatically, and we re-project anyway to
     stop roundoff drift. Monitors the complement conditioning and
     aborts once 1/min|eig| exceeds eta_ceiling (set from the first
     iterate when not given).
 
-    Returns (w, iterations, eta at first iterate). No caller reads the
-    returned eta; every call site discards it.
+    Returns (w, iterations).
     """
 
     def project(v: NDArray[np.float64]) -> NDArray[np.float64]:
         return v - E @ (E.T @ v) if E.size else v
 
     w = np.zeros_like(a_center) if w0 is None else project(w0.copy())
-    eta_first = np.nan
     for iteration in range(max_iters):
         g = a_gradient(S, nl, a_center + w)
         R = project(g)
         if float(np.linalg.norm(R)) <= tol:
-            return w, iteration, eta_first
-        H = a_hessian(S, nl, a_center + w)
-        if E.size:
-            HE = H @ E
-            M = H - HE @ E.T - E @ HE.T + E @ (E.T @ HE) @ E.T + push * (E @ E.T)
-            M = 0.5 * (M + M.T)
-        else:
-            M = H
+            return w, iteration
+        M = _complement_matrix(a_hessian(S, nl, a_center + w), E, push)
         eigs = np.abs(scipy.linalg.eigvalsh(M))
         eta_now = 1.0 / float(eigs.min())
-        if iteration == 0:
-            eta_first = eta_now
-            if eta_ceiling is None:
-                eta_ceiling = 2.0 * eta_now
+        if eta_ceiling is None:
+            eta_ceiling = 2.0 * eta_now
         if eta_now > eta_ceiling:
             raise NoConvergence(
                 f"complement block degenerating: 1/min|eig| = {eta_now:.3e} "
@@ -202,7 +208,7 @@ def solve_w(
         raise OutOfBall(f"|||h||| = {hnorm:.4g} exceeds delta0 = {kb.delta0:.4g}")
     a_center = kb.base_a + ha
     w0_a = kb.S.a_from_field(w0) if w0 is not None else None
-    w_a, iters, _ = _projected_newton(
+    w_a, iters = _projected_newton(
         kb.S,
         kb.nl,
         a_center,
@@ -225,31 +231,30 @@ def solve_w(
     )
 
 
-def fd_hessian(
-    value, x: NDArray[np.float64], step: float
+def reduced_hessian(
+    S: SpectralDecomposition,
+    nl: Nonlinearity,
+    a: NDArray[np.float64],
+    X: NDArray[np.float64],
+    E: NDArray[np.float64],
+    push: float,
 ) -> NDArray[np.float64]:
-    """Hessian of `value` at x by central second differences.
+    """Hessian of x -> J(a + Xx + w(x)) at x = 0, w solving P grad J = 0.
 
-    Off-diagonal entries use the symmetric four-point formula, so the
-    matrix is symmetric by construction.
+    P = 1 - E E^T projects off the orthonormal columns of E, and `a`
+    must already solve the projected equation (w(0) = 0). The reduced
+    gradient is X^T grad J, so its derivative is X^T H (X + w'), and
+    differentiating the projected equation gives w' = -(PHP)^-1 PHX: the
+    result is the Schur complement X^T H X - B^T (PHP)^-1 B with B = PHX.
+    (PHP)^-1 acts through _complement_matrix, whose kernel block `push`
+    never meets B.
     """
-    n = x.size
-    H = np.zeros((n, n))
-    f0 = value(x)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = step
-        H[i, i] = (value(x + ei) - 2.0 * f0 + value(x - ei)) / step**2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = step
-            H[i, j] = H[j, i] = (
-                value(x + ei + ej)
-                + value(x - ei - ej)
-                - value(x + ei - ej)
-                - value(x - ei + ej)
-            ) / (4.0 * step**2)
-    return H
+    H = a_hessian(S, nl, a)
+    HX = H @ X
+    B = HX - E @ (E.T @ HX)
+    M = _complement_matrix(H, E, push)
+    Hred = X.T @ HX - B.T @ scipy.linalg.solve(M, B, assume_a="sym")
+    return 0.5 * (Hred + Hred.T)
 
 
 @dataclass(frozen=True)
@@ -259,33 +264,15 @@ class OriginClassification:
     reduced_hessian: NDArray[np.float64]
 
 
-def classify_origin(
-    kb: KernelBasis,
-    grid_radius: float | None = None,
-    stencil: int = 3,
-) -> OriginClassification:
-    """Morse data of the reduced energy at x = 0 by central differences.
+def classify_origin(kb: KernelBasis) -> OriginClassification:
+    """Morse data of the reduced energy at x = 0 from its analytic Hessian.
 
-    The reduced Hessian comes from fd_hessian, symmetric by construction.
     Eigenvalues within 1e-6 of the Hessian scale flag a degenerate origin.
     """
     if kb.l == 0:
         raise ValueError("kernel block is empty, nothing to classify")
-    if stencil < 3 or stencil % 2 == 0:
-        raise ValueError("stencil must be an odd integer >= 3")
-    radius = kb.delta0 * 0.5 if grid_radius is None else grid_radius
-    if radius <= 0 or radius > kb.delta0:
-        raise ValueError("grid_radius must lie in (0, delta0]")
-    step = radius / (stencil // 2)
-    cache: dict[tuple[float, ...], float] = {}
-
-    def I_at(x: NDArray[np.float64]) -> float:
-        key = tuple(np.round(x, 14))
-        if key not in cache:
-            cache[key] = solve_w(kb, kernel_combination(kb, x)).I
-        return cache[key]
-
-    Hred = fd_hessian(I_at, np.zeros(kb.l), step)
+    w = kb.S.a_from_field(solve_w(kb, GridField.zeros(kb.S.domain)).w)
+    Hred = reduced_hessian(kb.S, kb.nl, kb.base_a + w, kb.E, kb.E, kb.hessian_scale)
     eigs = scipy.linalg.eigvalsh(Hred)
     # degeneracy is judged against the full Hessian's spectral radius;
     # the reduced matrix's own max would make a flat profile look sharp
@@ -319,88 +306,3 @@ def joint_kernel_matrix(
             cols.append(target_S.a_from_field(translate(e, shift)))
     raw = np.column_stack(cols) if cols else np.zeros((target_S.num_modes, 0))
     return raw, raw.T @ raw
-
-
-def superposition_compare(
-    kb: KernelBasis,
-    centers: list[tuple[int, ...]],
-    sample_points: list[NDArray[np.float64]],
-    target_S: SpectralDecomposition | None = None,
-    base_cache: dict | None = None,
-) -> tuple[float, float, list[dict]]:
-    """Joint reduced energy of several translates vs the sum of singles.
-
-    Every sample point x concatenates one length-l coordinate block per
-    center. The joint side glues the translated base copies, forms the
-    joint kernel block from translated kernel fields, and solves the
-    projected equation; the single-bump side evaluates the base reduced
-    energy at each block. Returns the largest value gap, the largest
-    gradient gap, and the per-point rows.
-    """
-    if len(centers) < 1:
-        raise ValueError("need at least one center")
-    S_t = kb.S if target_S is None else target_S
-    m = len(centers)
-    l = kb.l
-
-    base_embedded = _embed_field(kb.base.field, S_t)
-    glued_a = np.zeros(S_t.num_modes)
-    for b in centers:
-        shift = tuple(-int(c) for c in b)
-        glued_a = glued_a + S_t.a_from_field(translate(base_embedded, shift))
-
-    raw, gram = joint_kernel_matrix(kb, centers, S_t)
-    if raw.shape[1]:
-        Eo, _ = np.linalg.qr(raw)
-    else:
-        Eo = raw
-
-    cache = {} if base_cache is None else base_cache
-
-    def single(x_block: NDArray[np.float64]) -> ReducedSample:
-        key = tuple(np.round(x_block, 14))
-        if key not in cache:
-            cache[key] = solve_w(kb, kernel_combination(kb, x_block))
-        return cache[key]
-
-    rows: list[dict] = []
-    max_c0 = 0.0
-    max_c1 = 0.0
-    for x in sample_points:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (m * l,):
-            raise ValueError(f"sample point must have {m * l} coordinates")
-        a_center = glued_a + (raw @ x if raw.size else 0.0)
-        w_a, iters, _ = _projected_newton(
-            kb.S if target_S is None else target_S,
-            kb.nl,
-            a_center,
-            Eo,
-            tol=W_RESIDUAL_TOL,
-        )
-        a_full = a_center + w_a
-        I_joint, g = a_value_and_gradient(S_t, kb.nl, a_full)
-        dI_joint = raw.T @ g if raw.size else np.zeros(0)
-        singles = [single(x[i * l : (i + 1) * l]) for i in range(m)]
-        I_sum = sum(s.I for s in singles)
-        dI_sum = (
-            np.concatenate([s.dI for s in singles]) if l else np.zeros(0)
-        )
-        c0 = abs(float(I_joint) - I_sum)
-        c1 = float(np.abs(dI_joint - dI_sum).max()) if l else 0.0
-        max_c0 = max(max_c0, c0)
-        max_c1 = max(max_c1, c1)
-        rows.append(
-            {
-                "x": x.tolist(),
-                "I_joint": float(I_joint),
-                "I_sum": float(I_sum),
-                "value_gap": c0,
-                "gradient_gap": c1,
-                "newton_iters": iters,
-                "gram_offdiag": float(
-                    np.abs(gram - np.eye(gram.shape[0])).max() if gram.size else 0.0
-                ),
-            }
-        )
-    return max_c0, max_c1, rows

@@ -18,7 +18,7 @@ from numpy.typing import NDArray
 
 from .functional import Nonlinearity, a_gradient, a_hessian, a_value_and_gradient
 from .operator import SpectralDecomposition, orbit_shifts
-from .torus import GridField, TorusDomain, translate
+from .torus import GridField, TorusDomain, min_image, translate
 
 
 class NoConvergence(RuntimeError):
@@ -121,12 +121,9 @@ def initial_ansatz(
         raise ValueError("width must be positive")
     if len(center) != domain.dim:
         raise ValueError("center has wrong dimension")
-    k = float(domain.cells)
     sq = np.zeros(domain.shape)
     for axis, c in enumerate(center):
-        x = domain.axis_coords()
-        d = x - float(c)
-        d -= k * np.round(d / k)
+        d = min_image(domain.axis_coords() - float(c), domain.cells)
         shape = [1] * domain.dim
         shape[axis] = domain.points_per_axis
         sq = sq + (d.reshape(shape)) ** 2

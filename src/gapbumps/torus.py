@@ -153,6 +153,12 @@ def l2_norm(f: GridField) -> float:
     return float(np.sqrt(max(l2_inner(f, f), 0.0)))
 
 
+def min_image(d: NDArray[np.float64], cells: int) -> NDArray[np.float64]:
+    """Displacements wrapped to their minimum image on the k-periodic torus."""
+    k = float(cells)
+    return d - k * np.round(d / k)
+
+
 def translate(f: GridField, b: Sequence[int]) -> GridField:
     """Return f(. + b) for an integer lattice vector b, an exact circular shift.
 

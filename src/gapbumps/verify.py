@@ -29,8 +29,8 @@ from .operator import (
     norm_equivalence_report,
     project_positive,
 )
-from .multibump import build_problem, separation_sweep, solve_multibump
-from .reduction import detect_kernel, kernel_combination, solve_w, superposition_compare
+from .multibump import build_problem, separation_sweep, solve_multibump, superposition_compare
+from .reduction import detect_kernel, kernel_combination, solve_w
 from .solver import (
     deflated_search,
     find_critical_point,
@@ -446,7 +446,7 @@ class VerificationSession:
                 name="superposition_limit",
                 claim="the joint reduced energy of two translates approaches the sum "
                 "of single-bump reduced energies as separation grows",
-                operation="reduction.superposition_compare",
+                operation="multibump.superposition_compare",
                 measured={"separations": [4, 8, 16], "value_gaps": c0s, "gradient_gaps": c1s},
                 tolerance="both gap sequences strictly decreasing",
                 passed=ok,
@@ -572,9 +572,10 @@ class VerificationSession:
             )
         ]
 
-    def run_all(self) -> LemmaReport:
-        report = LemmaReport(seed=self.seed)
-        for check in (
+    @property
+    def checks(self) -> tuple:
+        """Every check, bound to this session, in report order."""
+        return (
             self.check_spectral_gap,
             self.check_band_consistency,
             self.check_norm_equivalence,
@@ -586,7 +587,11 @@ class VerificationSession:
             self.check_interaction_decay,
             self.check_multibump,
             self.check_multiplicity,
-        ):
+        )
+
+    def run_all(self) -> LemmaReport:
+        report = LemmaReport(seed=self.seed)
+        for check in self.checks:
             report.entries.extend(check())
         return report
 

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from gapbumps.verify import VerificationSession, run_verification
+from gapbumps.verify import LemmaReport, VerificationSession, run_verification
 
 BUDGETS_S = {
     1: 10.0,
@@ -30,35 +30,26 @@ BUDGETS_S = {
 
 @pytest.fixture(scope="module")
 def report():
-    """Entries by name, the check that produced each, and each check's wall time."""
+    """Entries by name, the check that produced each, each check's wall time,
+    and the entries collected into one report."""
     session = VerificationSession(seed=0)
     entries = {}
     producers = {}
     durations = {}
-    for check in (
-        session.check_spectral_gap,
-        session.check_band_consistency,
-        session.check_norm_equivalence,
-        session.check_calculus,
-        session.check_nontrivial_solution,
-        session.check_linking,
-        session.check_reduction_identities,
-        session.check_superposition_limit,
-        session.check_interaction_decay,
-        session.check_multibump,
-        session.check_multiplicity,
-    ):
+    lemma = LemmaReport(seed=0)
+    for check in session.checks:
         t0 = time.monotonic()
         got = check()
         durations[check.__name__] = time.monotonic() - t0
+        lemma.entries.extend(got)
         for entry in got:
             entries[entry.name] = entry
             producers[entry.name] = check.__name__
-    return entries, producers, durations
+    return entries, producers, durations, lemma
 
 
 def _criterion(report, number, names):
-    entries, producers, durations = report
+    entries, producers, durations, _ = report
     picked = [entries[n] for n in names]
     ok = all(e.passed for e in picked)
     spent = sum(durations[c] for c in {producers[n] for n in names})
@@ -117,16 +108,18 @@ def test_criterion_11_multiplicity_witness(report):
     _criterion(report, 11, ["multiplicity_witness"])
 
 
-def test_criterion_12_determinism():
-    fresh = run_verification(seed=0, determinism=True)
-    entry = {e.name: e for e in fresh.entries}["determinism"]
-    label = "PASS" if entry.passed else "FAIL"
+def test_criterion_12_determinism(report):
+    # a fresh session must reproduce the fixture's suite run byte for byte
+    lemma = report[3]
+    fresh = run_verification(seed=0, determinism=False)
+    identical = fresh.to_json() == lemma.to_json()
+    label = "PASS" if identical and fresh.passed else "FAIL"
     print(f"criterion 12: {label}  (determinism)")
-    assert entry.passed
+    assert identical
     assert fresh.passed, [e.name for e in fresh.entries if not e.passed]
 
 
 def test_every_report_entry_passes(report):
-    entries, _, _ = report
+    entries, _, _, _ = report
     failing = [n for n, e in entries.items() if not e.passed]
     assert not failing, failing

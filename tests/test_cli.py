@@ -171,6 +171,35 @@ class TestCommands:
         assert main(["reduce", "--solution", str(path)]) == 2
         assert "edited.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag",
+        [["--stencil", "0"], ["--radius", "100"]],
+        ids=["stencil_below_1", "radius_beyond_delta0"],
+    )
+    def test_reduce_profile_flags_are_checked(self, outdir, capsys, flag):
+        assert main(["solve", "--k", "8", "--seed", "7"]) == 0
+        path = str(outdir / "solution.json")
+        assert main(["reduce", "--solution", path, *flag]) == 2
+        assert flag[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rec: rec["domain"].update(samples_per_cell=12),
+            lambda rec: rec.update(values=rec["values"][:-3]),
+            lambda rec: rec["domain"].pop("cells"),
+        ],
+        ids=["samples_per_cell", "short_values", "no_cells"],
+    )
+    def test_reduce_refuses_a_malformed_record(self, outdir, tmp_path, capsys, edit):
+        assert main(["solve", "--k", "8", "--seed", "7"]) == 0
+        rec = json.loads((outdir / "solution.json").read_text())
+        edit(rec)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(rec))
+        assert main(["reduce", "--solution", str(path)]) == 2
+        assert "malformed.json" in capsys.readouterr().err
+
     def test_reduce_accepts_a_field_csv(self, outdir):
         assert main(["solve", "--k", "8", "--seed", "7"]) == 0
         assert main(["reduce", "--solution", str(outdir / "solution.csv")]) == 0

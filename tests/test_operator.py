@@ -74,6 +74,13 @@ class TestFreeAndConstant:
         assert S.eigenvalues[1] == pytest.approx(1.0 + np.pi**2, rel=1e-12)
         assert S.eigenvalues[2] == pytest.approx(1.0 + np.pi**2, rel=1e-12)
 
+    def test_shift_above_the_spectrum_leaves_no_positive_direction(self):
+        # the largest eigenvalue of -Lap on Q_2 at 32 points is (16 pi)^2 < 5000
+        S = diagonalize(PeriodicPotential(shift=5000.0), TorusDomain(1, 2, 16))
+        assert S.j == S.num_modes
+        assert S.beta == np.inf
+        assert S.alpha == pytest.approx(5000.0 - (16 * np.pi) ** 2, rel=1e-9)
+
 
 class TestDecomposition:
     def test_matrix_is_symmetric(self, potential):
