@@ -237,7 +237,14 @@ def _outdir() -> Path:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2, default=_scalar) + "\n")
+    # strict JSON: a non-finite float is a bug in the payload, not an artifact
+    text = json.dumps(payload, sort_keys=True, indent=2, default=_scalar, allow_nan=False)
+    path.write_text(text + "\n")
+
+
+def _finite_or_none(value: float) -> float | None:
+    """A float for strict JSON: None stands for an unbounded value."""
+    return value if np.isfinite(value) else None
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -315,8 +322,16 @@ def _record_from_file(path: str, cfg: RunConfig):
 
 
 def _write_manifest(
-    outdir: Path, command: str, cfg: RunConfig, artifacts: list[str], started: float
+    outdir: Path,
+    command: str,
+    cfg: RunConfig,
+    artifacts: list[str],
+    started: float,
+    phases: dict[str, float] | None = None,
 ) -> None:
+    """manifest.json; `phases` adds per-phase seconds next to total_s."""
+    timings = {name: round(seconds, 3) for name, seconds in (phases or {}).items()}
+    timings["total_s"] = round(time.monotonic() - started, 3)
     _write_json(
         outdir / "manifest.json",
         {
@@ -329,7 +344,7 @@ def _write_manifest(
                 "numpy": np.__version__,
                 "scipy": scipy.__version__,
             },
-            "timings": {"total_s": round(time.monotonic() - started, 3)},
+            "timings": timings,
             "artifacts": artifacts,
         },
     )
@@ -386,10 +401,11 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
         ["i", "lambda"],
         [(i, float(lam)) for i, lam in enumerate(S.eigenvalues)],
     )
+    # an infinite edge is written as null: certified, unbounded on that side
     gap = {
         "j": S.j,
-        "alpha": S.alpha if S.has_gap else None,
-        "beta": S.beta if S.has_gap else None,
+        "alpha": _finite_or_none(S.alpha) if S.has_gap else None,
+        "beta": _finite_or_none(S.beta) if S.has_gap else None,
         "certified": S.has_gap,
     }
     _write_json(out / "gap.json", gap)
@@ -401,6 +417,7 @@ def cmd_solve(args, cfg: RunConfig) -> int:
     started = time.monotonic()
     out = _outdir()
     S = diagonalize(cfg.potential, cfg.domain)
+    diagonalized = time.monotonic()
     rng = np.random.default_rng(cfg.seed)
     center = tuple(float(c) for c in cfg.ansatz["center"])
     width = float(cfg.ansatz["width"])
@@ -419,9 +436,10 @@ def cmd_solve(args, cfg: RunConfig) -> int:
     if rec is None:
         assert last_error is not None
         raise last_error
+    phases = {"diagonalize_s": diagonalized - started, "newton_s": time.monotonic() - diagonalized}
     _write_json(out / "solution.json", rec.to_dict())
     write_field_csv(out / "solution.csv", rec.field)
-    _write_manifest(out, "solve", cfg, ["solution.json", "solution.csv"], started)
+    _write_manifest(out, "solve", cfg, ["solution.json", "solution.csv"], started, phases)
     print(
         f"J = {rec.energy:.12g}, |u|_k = {rec.norm_k:.12g}, "
         f"residual = {rec.residual:.3e}, {rec.iterations} iterations"
@@ -429,9 +447,15 @@ def cmd_solve(args, cfg: RunConfig) -> int:
     return 0
 
 
+def _check_tau(tau: float) -> None:
+    if not tau > 0:
+        raise ConfigError(f"--tau must be positive, got {tau:g}")
+
+
 def cmd_reduce(args, cfg: RunConfig) -> int:
     started = time.monotonic()
     out = _outdir()
+    _check_tau(args.tau)
     if args.stencil < 1:
         raise ConfigError(f"--stencil must be at least 1, got {args.stencil}")
     rec, S, nl = _record_from_file(args.solution, cfg)
@@ -481,6 +505,7 @@ def _target_decomposition(args, cfg: RunConfig, base_S):
 def cmd_multibump(args, cfg: RunConfig) -> int:
     started = time.monotonic()
     out = _outdir()
+    _check_tau(args.tau)
     rec, base_S, nl = _record_from_file(args.base, cfg)
     kb = detect_kernel(rec, base_S, nl, tau=args.tau)
     S = _target_decomposition(args, cfg, base_S)
@@ -491,7 +516,7 @@ def cmd_multibump(args, cfg: RunConfig) -> int:
         out / "multibump.json",
         {
             "centers": [list(c) for c in centers],
-            "separation": prob.l_sep,
+            "separation": _finite_or_none(prob.l_sep),  # null for a single bump
             "residual": res.residual,
             "correction_norm": res.correction_norm,
             "reduced_coords_norm": res.reduced_coords_norm,
@@ -513,13 +538,16 @@ def cmd_multibump(args, cfg: RunConfig) -> int:
 def cmd_sweep(args, cfg: RunConfig) -> int:
     started = time.monotonic()
     out = _outdir()
-    rec, base_S, nl = _record_from_file(args.base, cfg)
-    kb = detect_kernel(rec, base_S, nl, tau=args.tau)
-    S = _target_decomposition(args, cfg, base_S)
+    _check_tau(args.tau)
     try:
         l_values = [int(v) for v in args.seps.split(",")]
     except ValueError as e:
         raise ConfigError(f"--seps: {e}") from e
+    if min(l_values) < 1 or sorted(l_values) != l_values:
+        raise ConfigError(f"--seps must be positive and ascending, got {args.seps}")
+    rec, base_S, nl = _record_from_file(args.base, cfg)
+    kb = detect_kernel(rec, base_S, nl, tau=args.tau)
+    S = _target_decomposition(args, cfg, base_S)
     rows = separation_sweep(kb, args.m, l_values, S, nl, cfg.solver)
     csv_rows = []
     for row in rows:

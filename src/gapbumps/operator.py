@@ -2,10 +2,18 @@
 
 Assembly is Fourier-pseudospectral: the Laplacian is the exact Fourier
 multiplier |xi|^2 on the grid's trigonometric space and V multiplies
-pointwise in physical space. The dense symmetric eigenproblem gives every
-eigenpair; the spectral gap around zero is certified from the eigenvalues,
-and the energy inner product (u, v)_k = sum |lambda_i| c_i d_i built from
-the eigencoefficients drives all downstream Newton/reduction algebra.
+pointwise in physical space. V is 1-periodic and the torus Q_k holds whole
+cells, so the operator splits exactly into k^dim Bloch fibers of size
+M^dim, one per quasimomentum theta = 2*pi*j/k (Floquet-Bloch theory). The
+spectrum is built from those fibers: each conjugate pair {j, -j} costs one
+complex Hermitian eigenproblem and yields two real eigenfields per band,
+the real and imaginary parts of its Bloch waves. The cost is
+O(k^dim * M^(3*dim)) for the fibers plus O(N^2) to write the N x N
+eigenfield matrix, instead of O(N^3) for a dense eigensolve.
+
+The spectral gap around zero is certified from the eigenvalues, and the
+energy inner product (u, v)_k = sum |lambda_i| c_i d_i built from the
+eigencoefficients drives all downstream Newton/reduction algebra.
 
 Fields are expanded as c_i = <u, phi_i>_L2 against the L2-orthonormal
 eigenfields (SpectralDecomposition.c_from_values). Solvers work in the
@@ -16,7 +24,8 @@ Euclidean; the spectral projections and the quadratic form stay in c.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import product
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -115,7 +124,11 @@ def _laplacian_block(domain: TorusDomain) -> NDArray[np.float64]:
 
 
 def operator_matrix(V: PeriodicPotential, domain: TorusDomain) -> NDArray[np.float64]:
-    """Dense matrix of -Lap + V on the grid (row-major flattening)."""
+    """Dense matrix of -Lap + V on the grid (row-major flattening).
+
+    The O(N^2)-memory reference that the tests diagonalize densely to check
+    the fiber construction; no computation in the package uses it.
+    """
     lap1 = _laplacian_block(domain)
     if domain.dim == 1:
         mat = lap1.copy()
@@ -127,14 +140,114 @@ def operator_matrix(V: PeriodicPotential, domain: TorusDomain) -> NDArray[np.flo
     return mat
 
 
+# -- Floquet-Bloch fibers ---------------------------------------------------------
+
+
+def _fiber_matrix(
+    V_cell: NDArray[np.float64], theta: Sequence[float]
+) -> NDArray[np.complex128]:
+    """Bloch fiber of -Lap + V on one unit cell at quasimomentum theta.
+
+    V_cell holds V on an M-point cell grid per axis (shape (M,) * dim).
+    Bloch-wave form D F_theta D*: F_theta = -(grad + i theta)^2 + V is the
+    periodic cell operator, its Laplacian part the Fourier multiplier
+    |2*pi*m + theta|^2 with m in FFT order, and D = diag(e^{i theta . x_cell}). The fiber acts on the cell samples of a
+    Bloch wave psi(x + n) = e^{i theta . n} psi(x) directly, and only
+    differences of cell coordinates enter. With M a torus's samples_per_cell
+    and theta = 2*pi*j/k the fiber is exactly that torus operator restricted
+    to quasimomentum j, same truncation; at theta in {0, pi}^dim it is real
+    up to rounding.
+    """
+    modes = V_cell.shape[0]
+    freqs = 2.0 * np.pi * np.fft.fftfreq(modes, d=1.0 / modes)
+    d = np.arange(1 - modes, modes)  # cell-index differences m - n
+    diff = np.arange(modes)[:, None] - np.arange(modes)[None, :] + (modes - 1)
+    blocks = []
+    for th in theta:
+        # Toeplitz in m - n: the circulant F_theta's column times D's phases
+        g = np.fft.ifft((freqs + th) ** 2)[d % modes] * np.exp(1j * th * d / modes)
+        blocks.append(g[diff])
+    if V_cell.ndim == 1:
+        fiber = blocks[0]
+    else:
+        eye = np.eye(modes)
+        fiber = np.kron(blocks[0], eye) + np.kron(eye, blocks[1])
+    fiber[np.diag_indices_from(fiber)] += V_cell.reshape(-1)
+    return fiber
+
+
+def _quasimomenta(domain: TorusDomain) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """One j of each conjugate pair {j, -j mod k}, and whether j = -j.
+
+    Fibers at j and -j are complex conjugates, so one eigensolve serves both.
+    A self-conjugate j (2j = 0 mod k on every axis) has a real fiber.
+    """
+    k = domain.cells
+    for j in product(range(k), repeat=domain.dim):
+        partner = tuple(-i % k for i in j)
+        if j <= partner:
+            yield j, j == partner
+
+
+def _fiber_eigh(
+    V_cell: NDArray[np.float64], j: tuple[int, ...], k: int, real: bool, eigvals_only: bool
+):
+    """Eigenvalues (and eigenvectors) of the fiber at theta = 2*pi*j/k."""
+    fiber = _fiber_matrix(V_cell, 2.0 * np.pi * np.asarray(j) / k)
+    # a real eigensolver keeps degenerate eigenvectors of a real fiber real;
+    # divide and conquer keeps close eigenvectors orthogonal to ~1e-15
+    return eigh(fiber.real if real else fiber, eigvals_only=eigvals_only, driver="evd")
+
+
+def _cell_samples(values: NDArray[np.float64], domain: TorusDomain) -> NDArray[np.float64]:
+    """The torus grid's samples on its first unit cell."""
+    return values[(slice(0, domain.samples_per_cell),) * domain.dim]
+
+
+def torus_spectrum(V: PeriodicPotential, domain: TorusDomain) -> NDArray[np.float64]:
+    """Ascending eigenvalues of -Lap + V on the torus, from its Bloch fibers."""
+    V_cell = _cell_samples(V.evaluate(domain), domain)
+    parts = []
+    for j, real in _quasimomenta(domain):
+        vals = _fiber_eigh(V_cell, j, domain.cells, real, eigvals_only=True)
+        parts.append(vals if real else np.repeat(vals, 2))
+    return np.sort(np.concatenate(parts), kind="stable")
+
+
+def _bloch_columns(
+    U: NDArray[np.complex128], j: tuple[int, ...], domain: TorusDomain
+) -> NDArray[np.complex128]:
+    """Fiber eigenvectors U extended to the torus: psi(x_cell + n) = e^{i theta.n} u(x_cell).
+
+    Row-major over the grid, one column per fiber eigenvector, Euclidean
+    norm sqrt(k^dim) per column.
+    """
+    k, m, dim = domain.cells, domain.samples_per_cell, domain.dim
+    # one table of k-th roots of unity; (j * n) mod k indexes e^{2 pi i j n / k}
+    roots = np.exp(2j * np.pi * np.arange(k) / k)
+    cols = U.reshape((1, m) * dim + (U.shape[1],))
+    for ax in range(dim):
+        shape = [1] * cols.ndim
+        shape[2 * ax] = k
+        cols = cols * roots[(j[ax] * np.arange(k)) % k].reshape(shape)
+    return cols.reshape(domain.num_points, U.shape[1])
+
+
 @dataclass(eq=False)
 class SpectralDecomposition:
     """All eigenpairs of -Lap + V on Q_k, plus gap and splitting data.
 
-    eigenfields holds the L2-orthonormal eigenvectors as columns of a
-    (num_points, num_points) matrix; j counts negative eigenvalues; gap is
-    the certified interval (-alpha, beta) around zero avoided by the
-    spectrum, or None when zero is not safely inside a gap.
+    eigenvalues ascend; eigenfields holds the L2-orthonormal real
+    eigenvectors as columns of a (num_points, num_points) matrix, each with
+    its largest-magnitude entry positive. They are Bloch waves: a
+    self-conjugate quasimomentum contributes its real fiber eigenvectors,
+    every other pair {j, -j} the real and imaginary parts of one complex
+    Bloch wave per band, adjacent and with equal eigenvalues. Inside a
+    degenerate eigenspace that basis is one choice of many: projections,
+    energies and Newton steps do not depend on it, but random draws made
+    coefficient by coefficient (solver.sphere_level) do. j counts negative
+    eigenvalues; gap is the certified interval (-alpha, beta) around zero
+    avoided by the spectrum, or None when zero is not safely inside a gap.
     """
 
     domain: TorusDomain
@@ -146,7 +259,6 @@ class SpectralDecomposition:
     gap: tuple[float, float] | None
     weights: NDArray[np.float64] = field(init=False, repr=False)
     signs: NDArray[np.float64] = field(init=False, repr=False)
-
     def __post_init__(self) -> None:
         for arr in (self.eigenvalues, self.eigenfields, self.potential_values):
             arr.setflags(write=False)
@@ -203,25 +315,55 @@ class SpectralDecomposition:
 
 
 def diagonalize(V: PeriodicPotential, domain: TorusDomain) -> SpectralDecomposition:
-    """Solve the dense symmetric eigenproblem for -Lap + V on the torus.
+    """Every eigenpair of -Lap + V on the torus, assembled from Bloch fibers.
+
+    Each representative quasimomentum j (_quasimomenta) costs one
+    M^dim x M^dim eigensolve: real symmetric when j = -j, complex Hermitian
+    otherwise, where the real and imaginary parts of each Bloch wave, scaled
+    by sqrt(2 / k^dim), are two orthonormal real eigenfields with the same
+    eigenvalue. All eigenvalues are stably sorted together and the columns
+    are written into one preallocated N x N array. Cost
+    O(k^dim * M^(3*dim) + N^2), against O(N^3) for the dense eigensolve.
 
     Raises NotInvertible when some |lambda_i| < 1e-10 (zero effectively in
     the spectrum). The gap interval is certified only when
     min |lambda_i| > 1e-6; between the two thresholds the decomposition is
     returned with gap=None.
     """
-    mat = operator_matrix(V, domain)
-    vals, vecs = eigh(mat)
+    k, dim = domain.cells, domain.dim
+    potential_values = V.evaluate(domain)
+    V_cell = _cell_samples(potential_values, domain)
+    fibers = [
+        (j, real, *_fiber_eigh(V_cell, j, k, real, eigvals_only=False))
+        for j, real in _quasimomenta(domain)
+    ]
+    # one entry per eigenfield, in fiber order: a paired band gives (Re, Im)
+    vals = np.concatenate([lam if real else np.repeat(lam, 2) for _, real, lam, _ in fibers])
+    order = np.argsort(vals, kind="stable")
+    vals = vals[order]
     min_abs = float(np.min(np.abs(vals)))
     if min_abs < INVERTIBLE_TOL:
         raise NotInvertible(
             f"|lambda|_min = {min_abs:.3e}: 0 lies in the spectrum, not in a spectral gap"
         )
-    # L2-orthonormal columns; deterministic sign: largest entry positive
-    vecs = vecs * domain.samples_per_cell ** (domain.dim / 2.0)
-    lead = np.argmax(np.abs(vecs), axis=0)
-    flips = np.sign(vecs[lead, np.arange(vecs.shape[1])])
-    vecs *= flips
+    column = np.empty_like(order)
+    column[order] = np.arange(order.size)
+    vecs = np.empty((domain.num_points, domain.num_points), order="F")
+    start = 0
+    for q, real, _, U in fibers:
+        psi = _bloch_columns(U, q, domain)
+        if real:
+            block = psi.real
+        else:
+            block = np.empty((psi.shape[0], 2 * psi.shape[1]))
+            block[:, 0::2] = psi.real
+            block[:, 1::2] = psi.imag
+        # L2-orthonormal columns; deterministic sign: largest entry positive
+        block *= np.sqrt((1.0 if real else 2.0) / k**dim) * domain.samples_per_cell ** (dim / 2.0)
+        lead = np.argmax(np.abs(block), axis=0)
+        block *= np.sign(block[lead, np.arange(block.shape[1])])
+        vecs[:, column[start : start + block.shape[1]]] = block
+        start += block.shape[1]
     j = int(np.sum(vals < 0.0))
     gap: tuple[float, float] | None = None
     if min_abs > GAP_CERTIFY_TOL:
@@ -233,7 +375,7 @@ def diagonalize(V: PeriodicPotential, domain: TorusDomain) -> SpectralDecomposit
         potential=V,
         eigenvalues=vals,
         eigenfields=vecs,
-        potential_values=V.evaluate(domain),
+        potential_values=potential_values,
         j=j,
         gap=gap,
     )
@@ -276,26 +418,6 @@ def quadratic_form(u: GridField, S: SpectralDecomposition) -> float:
 # -- Floquet-Bloch bands (1-d) --------------------------------------------------
 
 
-def _fiber_matrix(
-    V: PeriodicPotential, theta: float, modes: int
-) -> NDArray[np.complex128]:
-    """Bloch fiber of -d2/dx2 + V on the unit cell at phase theta.
-
-    Physical-space form on a `modes`-point cell grid: conjugating the Bloch
-    wave e^{i theta x} shifts the Fourier symbol to (2*pi*m + theta)^2. With
-    modes equal to a torus's samples_per_cell the fiber eigenvalues at
-    theta = 2*pi*j/k are exactly the torus eigenvalues, same truncation.
-    """
-    freqs = 2.0 * np.pi * np.fft.fftfreq(modes, d=1.0 / modes)
-    mult = (freqs + theta) ** 2
-    col = np.fft.ifft(mult)
-    idx = (np.arange(modes)[:, None] - np.arange(modes)[None, :]) % modes
-    fiber = col[idx]
-    cell = np.arange(modes) / modes
-    fiber[np.diag_indices(modes)] += V.profile(cell) - V.shift
-    return fiber
-
-
 def band_samples(
     V: PeriodicPotential,
     bands: int,
@@ -312,9 +434,9 @@ def band_samples(
         raise ValueError(f"bands={bands} exceeds fiber size modes={modes}")
     thetas = 2.0 * np.pi * np.arange(quasimomenta) / quasimomenta
     vals = np.empty((quasimomenta, bands))
+    cell = V.profile(np.arange(modes) / modes) - V.shift
     for t, theta in enumerate(thetas):
-        fiber = _fiber_matrix(V, theta, modes)
-        vals[t] = eigh(fiber, eigvals_only=True)[:bands]
+        vals[t] = eigh(_fiber_matrix(cell, (theta,)), eigvals_only=True)[:bands]
     return thetas, vals
 
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .functional import Nonlinearity
-from .operator import PeriodicPotential, midgap_shift, operator_matrix
+from .operator import PeriodicPotential, midgap_shift, torus_spectrum
 from .torus import TorusDomain
 
 # default cosine amplitude; every canned instance uses it
@@ -64,12 +63,12 @@ def degenerate_shift(cells: int = 3, samples_per_cell: int = 8) -> float:
 
     The fixture potential varies along axis 0 only; transverse momenta
     shift whole copies of the axis-0 spectrum upward, so the continuum
-    gap closes and the usable gap must be read off the assembled
-    finite-torus spectrum instead.
+    gap closes and the usable gap must be read off the finite-torus
+    spectrum (its Bloch fibers at the torus quasimomenta) instead.
     """
     domain = TorusDomain(2, cells, samples_per_cell)
     V0 = PeriodicPotential(amplitude=AMPLITUDE, shift=0.0, axes=(0,))
-    eigs = scipy.linalg.eigvalsh(operator_matrix(V0, domain))
+    eigs = torus_spectrum(V0, domain)
     window = eigs[(eigs > -14.0) & (eigs < 2.0)]
     gaps = np.diff(window)
     i = int(np.argmax(gaps))

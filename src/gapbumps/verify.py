@@ -101,7 +101,7 @@ class VerificationSession:
     """Shared lazy state for the check suite.
 
     Base solutions and decompositions are cached per torus size, so the
-    expensive pieces (dense diagonalizations, Newton runs) happen once
+    expensive pieces (diagonalizations, Newton runs) happen once
     even though several checks lean on them.
     """
 

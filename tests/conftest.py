@@ -1,6 +1,6 @@
-"""Shared fixtures. Everything expensive is session-scoped: dense
-diagonalizations and Newton runs dominate, and every module reuses the
-same canonical objects."""
+"""Shared fixtures. Everything expensive is session-scoped: Newton runs
+and dense Hessians dominate, and every module reuses the same canonical
+objects."""
 
 import numpy as np
 import pytest

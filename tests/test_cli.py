@@ -20,6 +20,20 @@ def outdir(tmp_path, monkeypatch):
     return out
 
 
+@pytest.fixture(scope="module")
+def solution_k8(tmp_path_factory):
+    """Path of a `solve --k 8 --seed 7` record, shared by the argument checks."""
+    out = tmp_path_factory.mktemp("solve-k8")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("GAPBUMPS_OUT", str(out))
+        assert main(["solve", "--k", "8", "--seed", "7"]) == 0
+    return str(out / "solution.json")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 class TestConfig:
     def test_defaults_load(self):
         cfg = load_config(None)
@@ -116,6 +130,49 @@ class TestCommands:
         cfg = tmp_path / "bad.json"
         cfg.write_text('{"solver": {"backtrack": 2.0}}')
         assert main(["--config", str(cfg), "spectrum"]) == 2
+
+    def test_infinite_gap_edge_is_strict_json(self, outdir, tmp_path):
+        # no positive eigenvalue: beta is infinite, the gap is still certified
+        cfg = tmp_path / "high.json"
+        cfg.write_text('{"potential": {"shift": 5000.0}}')
+        assert main(["--config", str(cfg), "spectrum", "--k", "2"]) == 0
+        for name in ("gap.json", "manifest.json"):
+            json.loads((outdir / name).read_text(), parse_constant=_reject_constant)
+        gap = json.loads((outdir / "gap.json").read_text())
+        assert gap["certified"] and gap["j"] == 32
+        assert gap["beta"] is None
+        assert 0.0 < gap["alpha"] < 5000.0
+
+    def test_single_bump_separation_is_strict_json(self, outdir, solution_k8):
+        # one center has no second bump: the separation is unbounded
+        assert main(["multibump", "--base", solution_k8, "--centers", "0"]) == 0
+        text = (outdir / "multibump.json").read_text()
+        assert json.loads(text, parse_constant=_reject_constant)["separation"] is None
+
+    def test_solve_manifest_times_each_phase(self, outdir):
+        assert main(["solve", "--k", "8", "--seed", "7"]) == 0
+        timings = json.loads((outdir / "manifest.json").read_text())["timings"]
+        assert set(timings) == {"diagonalize_s", "newton_s", "total_s"}
+        assert timings["diagonalize_s"] + timings["newton_s"] <= timings["total_s"] + 2e-3
+        record = json.loads((outdir / "solution.json").read_text())
+        assert not any(key.endswith("_s") or "time" in key for key in record)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reduce", "--solution", "{base}", "--tau", "0"],
+            ["multibump", "--base", "{base}", "--centers", "0;4", "--tau", "-1"],
+            ["sweep", "--base", "{base}", "--seps", "8,4"],
+            ["sweep", "--base", "{base}", "--seps", "0,4"],
+        ],
+        ids=["reduce_tau_zero", "multibump_tau_negative", "seps_descending", "seps_zero"],
+    )
+    def test_bad_arguments_exit_2(self, outdir, solution_k8, capsys, argv):
+        argv = [a.format(base=solution_k8) for a in argv]
+        flag = argv[-2]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and flag in err
 
     def test_missing_solution_file(self, outdir):
         assert main(["reduce", "--solution", "nowhere.json"]) == 2

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+
+from gapbumps import presets
 
 from gapbumps.operator import (
     NotInvertible,
@@ -124,6 +127,65 @@ class TestDecomposition:
         assert energy_inner(v, v, S8) == pytest.approx(
             abs(S8.eigenvalues[5]), rel=1e-9
         )
+
+
+def _eigenspaces(vals, tol):
+    """Index ranges of clusters of ascending eigenvalues closer than tol."""
+    breaks = np.flatnonzero(np.diff(vals) > tol) + 1
+    edges = [0, *breaks.tolist(), vals.size]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _cases():
+    V = presets.default_potential()
+    domain2, V2, _ = presets.degenerate_problem()
+    return [
+        *((V, TorusDomain(1, k, 16)) for k in (2, 3, 5, 8)),
+        (V, TorusDomain(2, 2, 8)),
+        (V2, domain2),
+    ]
+
+
+class TestDenseOracle:
+    """The fiber diagonalize against a dense eigensolve of the assembled matrix.
+
+    band_consistency reads the same Bloch fibers on both of its sides, so
+    these comparisons with scipy.linalg.eigh(operator_matrix(...)) are the
+    independent witness that the fibers reproduce the torus operator. Odd k
+    has only the theta = 0 self-conjugate fiber; the 2-d fixture has
+    eigenspaces spanning several fibers.
+    """
+
+    @pytest.mark.parametrize(
+        "V, domain", _cases(), ids=["k2", "k3", "k5", "k8", "2d_k2", "2d_fixture"]
+    )
+    def test_matches_dense_eigh(self, V, domain):
+        A = operator_matrix(V, domain)
+        dense_vals, dense_vecs = scipy.linalg.eigh(A)
+        S = diagonalize(V, domain)
+        E, vals = S.eigenfields, S.eigenvalues
+        tol = 1e-10 * np.abs(dense_vals).max()
+        assert np.abs(vals - dense_vals).max() <= tol
+        # eigenfields are L2-normalized: Euclidean norm M^(dim/2)
+        unit = domain.samples_per_cell ** (domain.dim / 2.0)
+        assert np.linalg.norm(A @ E - E * vals, axis=0).max() / unit <= tol
+        h = domain.spacing**domain.dim
+        assert np.abs(h * (E.T @ E) - np.eye(vals.size)).max() <= 1e-12
+        # each eigenspace is the dense one, whatever basis spans it
+        for block in _eigenspaces(dense_vals, 1e-8 * np.abs(dense_vals).max()):
+            P = h * E[:, block] @ E[:, block].T
+            Q = dense_vecs[:, block] @ dense_vecs[:, block].T
+            assert np.abs(P - Q).max() <= 1e-9
+
+    def test_large_torus_sampled_columns(self, potential):
+        domain = TorusDomain(1, 128, 16)
+        S = diagonalize(potential, domain)
+        assert S.j == 128
+        assert np.all(np.diff(S.eigenvalues) >= 0.0)
+        cols = np.random.default_rng(0).choice(S.num_modes, 64, replace=False)
+        E = S.eigenfields[:, cols]
+        gram = domain.spacing * (E.T @ E)
+        assert np.abs(gram - np.eye(cols.size)).max() <= 1e-12
 
 
 class TestSplitting:
