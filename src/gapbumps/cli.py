@@ -312,7 +312,7 @@ def _record_from_file(path: str, cfg: RunConfig):
         S = diagonalize(_potential_from_dict(d["potential"]), domain)
         nl = _nonlinearity_from_dict(d["nonlinearity"])
     # the loaded field is kept verbatim; a-coordinates round-trip it only to roundoff
-    rec = replace(_make_record(S.a_from_field(field), S, nl, 0, []), field=field)
+    rec = replace(_make_record(S.a_from_field(field), S, nl), field=field)
     if rec.residual > W_RESIDUAL_TOL:
         raise ConfigError(
             f"{path}: not a critical point (recomputed residual {rec.residual:.3e} "

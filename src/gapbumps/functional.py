@@ -3,9 +3,15 @@
 J(u) = 1/2 ||T u||_k^2 - 1/2 ||P u||_k^2 - int F(x, u) with the power
 nonlinearity f(x,t) = h(x) |t|^(p-2) t. Everything is expressed through the
 eigencoefficients of the operator decomposition: in the weighted a-basis
-the quadratic part is diag(sign lambda) and the gradient is the plain
-Euclidean representative, so Newton systems downstream are dense symmetric
-solves with no mass matrix.
+the quadratic part is D = diag(sign lambda) and the gradient is the plain
+Euclidean representative, so Newton systems need no mass matrix.
+
+The Hessian there is D - G^T G, one row of G per evaluation point. Where
+the solution is a localized bump most rows carry a negligible weight f',
+and `hessian_model` then solves and diagonalizes the Hessian through the
+H-invariant subspace that the active rows span (a Rayleigh-Ritz matrix of
+that dimension, exact to rounding); otherwise it wraps the dense
+`a_hessian`.
 
 Nonlinear terms are collocated on the grid by default. The `dealias` flag
 evaluates them on a zero-padded fine grid instead (factor 3/2 by default;
@@ -20,17 +26,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from numpy.typing import NDArray
 
 from .operator import PeriodicPotential, SpectralDecomposition
 from .torus import GridField
 
 __all__ = [
+    "DenseHessian",
+    "HessianModel",
+    "LowRankHessian",
     "Nonlinearity",
     "evaluate_J",
     "gradient",
     "hessvec",
     "hessian_matrix",
+    "hessian_model",
     "interaction_defect",
 ]
 
@@ -249,15 +260,19 @@ def a_hessian(
     G = F diag(sqrt f'). That is legitimate because f' = (p-1) h |u|^(p-2)
     is nonnegative: p >= 3 and h >= 0, which `weight_values` and the
     fine-grid cache enforce. NumPy evaluates G^T G as a symmetric rank-k
-    update, half the flops of the general product.
+    update, half the flops of the general product, which fills both
+    triangles from one; dividing by the symmetric outer(weights, weights)
+    keeps the result exactly symmetric.
     """
     values = S.values_from_a(a)
     samples, h, qw, cache = _nl_env(S, nl, values)
     fields = S.eigenfields if cache is None else _fine_fields(S, cache)
     G = fields * np.sqrt(qw * nl.fprime(samples, h)).reshape(-1)[:, None]
-    W = G.T @ G
-    A = np.diag(S.signs) - W / np.outer(S.weights, S.weights)
-    return 0.5 * (A + A.T)
+    A = G.T @ G
+    A /= np.outer(S.weights, S.weights)
+    np.negative(A, out=A)
+    A[np.diag_indices_from(A)] += S.signs
+    return A
 
 
 def a_hessvec(
@@ -275,6 +290,158 @@ def a_hessvec(
             nl.fprime(samples, h) * vfine, S.domain.points_per_axis
         )
     return S.signs * v - (S.eigenfields.T @ prod.reshape(-1)) / S.weights
+
+
+class DenseHessian:
+    """The Hessian as the dense N x N matrix of `a_hessian`."""
+
+    backend = "dense"
+
+    def __init__(self, S: SpectralDecomposition, nl: Nonlinearity, a: NDArray) -> None:
+        self.signs = S.signs
+        self.matrix = a_hessian(S, nl, a)
+        self.subspace_dim = S.num_modes
+
+    def matvec(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
+        return self.matrix @ v
+
+    def solve(self, rhs: NDArray[np.float64], mu: float) -> NDArray[np.float64]:
+        """d with (H + mu * diag(sign lambda)) d = rhs."""
+        M = self.matrix.copy()
+        M[np.diag_indices_from(M)] += mu * self.signs
+        return scipy.linalg.solve(M, rhs, assume_a="sym")
+
+    def eigenvalues(self) -> NDArray[np.float64]:
+        return scipy.linalg.eigvalsh(self.matrix)
+
+
+class _SignBlock:
+    """An orthonormal basis Q of one sign block containing its part of range(G^T).
+
+    With G_b the block's columns of G (rows x width): the identity when
+    the block is no wider than G has rows, nothing when G has no rows,
+    and otherwise the Householder QR G_b^T = Q R, kept in LAPACK's
+    compact form, so that G_b Q = R^T needs no product. Q is applied one
+    vector at a time, for which LAPACK's unblocked path needs a workspace
+    of one entry.
+    """
+
+    def __init__(self, Gb: NDArray[np.float64]) -> None:
+        rows, self.width = Gb.shape
+        self.dim = min(rows, self.width)
+        if 0 < rows < self.width:
+            self.householder, R = scipy.linalg.qr(Gb.T, mode="raw")
+            self.GQ = R.T
+        else:
+            self.householder, self.GQ = None, Gb[:, : self.dim]
+
+    def coords(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Q^T v."""
+        if self.householder is None:
+            return v[: self.dim]
+        return scipy.linalg.lapack.dormqr("L", "T", *self.householder, v, lwork=1)[0][: self.dim]
+
+    def embed(self, z: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Q z."""
+        c = np.zeros(self.width)
+        c[: self.dim] = z
+        if self.householder is None:
+            return c
+        return scipy.linalg.lapack.dormqr(
+            "L", "N", *self.householder, c, lwork=1, overwrite_c=1
+        )[0]
+
+
+class LowRankHessian:
+    """H = D - G^T G through the H-invariant subspace spanned by range(G^T).
+
+    D = diag(sign lambda) keeps the negative block (the first j
+    coordinates) and the positive block apart, so orthonormalizing each
+    block's part of G^T on its own gives U = blockdiag(Q-, Q+) with
+    range(G^T) inside span U. That span is H-invariant and H = D on its
+    complement; K = U^T H U = blockdiag(-I, I) - (GU)^T (GU) carries every
+    other eigenvalue and the whole solve. Only orthogonal transforms and
+    one m x m symmetric matrix are involved, m = columns of U.
+    """
+
+    backend = "low-rank"
+
+    def __init__(self, signs: NDArray[np.float64], j: int, G: NDArray[np.float64]) -> None:
+        self.signs, self.j, self.G = signs, j, G
+        self.neg, self.pos = _SignBlock(G[:, :j]), _SignBlock(G[:, j:])
+        self.subspace_dim = self.neg.dim + self.pos.dim
+        self.K_signs = np.concatenate([-np.ones(self.neg.dim), np.ones(self.pos.dim)])
+        GU = np.hstack([self.neg.GQ, self.pos.GQ])
+        self.K = -(GU.T @ GU)
+        self.K[np.diag_indices_from(self.K)] += self.K_signs
+
+    def _coords(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
+        return np.concatenate([self.neg.coords(v[: self.j]), self.pos.coords(v[self.j :])])
+
+    def _embed(self, z: NDArray[np.float64]) -> NDArray[np.float64]:
+        m = self.neg.dim
+        return np.concatenate([self.neg.embed(z[:m]), self.pos.embed(z[m:])])
+
+    def matvec(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
+        return self.signs * v - self.G.T @ (self.G @ v)
+
+    def solve(self, rhs: NDArray[np.float64], mu: float) -> NDArray[np.float64]:
+        """d with (H + mu * diag(sign lambda)) d = rhs; off span U that is (1+mu) D."""
+        y = self._coords(rhs)
+        M = self.K.copy()
+        M[np.diag_indices_from(M)] += mu * self.K_signs
+        z = scipy.linalg.solve(M, y, assume_a="sym")
+        return self._embed(z) + self.signs * (rhs - self._embed(y)) / (1.0 + mu)
+
+    def eigenvalues(self) -> NDArray[np.float64]:
+        """All N eigenvalues, ascending: K's, and -1 / +1 off span U."""
+        return np.sort(np.concatenate([
+            scipy.linalg.eigvalsh(self.K),
+            -np.ones(self.neg.width - self.neg.dim),
+            np.ones(self.pos.width - self.pos.dim),
+        ]))
+
+
+HessianModel = DenseHessian | LowRankHessian
+
+
+def _active_rows(
+    S: SpectralDecomposition, nl: Nonlinearity, a: NDArray[np.float64]
+) -> tuple[NDArray[np.float64], NDArray[np.intp]]:
+    """Each collocation point's weight qw * f', and the points where it
+    exceeds eps * the largest weight; the others fall below the rounding
+    of the Gram sum G^T G."""
+    samples, h, qw, _ = _nl_env(S, nl, S.values_from_a(a))
+    weight = (qw * nl.fprime(samples, h)).reshape(-1)
+    return weight, np.flatnonzero(weight > np.finfo(float).eps * weight.max())
+
+
+def _gram_factor(
+    S: SpectralDecomposition, weight: NDArray[np.float64], rows: NDArray[np.intp]
+) -> NDArray[np.float64]:
+    """The rows of G, G^T G the nonlinear block of the Hessian in a-coordinates."""
+    G = S.eigenfields[rows] * np.sqrt(weight[rows])[:, None]
+    G /= S.weights
+    return G
+
+
+def hessian_model(
+    S: SpectralDecomposition, nl: Nonlinearity, a: NDArray[np.float64]
+) -> HessianModel:
+    """The Hessian of J at a, with matvec, solve and eigenvalues.
+
+    A fixed rule picks the backend before anything is built: on a
+    collocated grid with r active rows (`_active_rows`), the low-rank one
+    when its invariant subspace, of dimension min(j, r) + min(N - j, r),
+    is at most N/2; otherwise, and always on the dealiased fine grid, the
+    dense one.
+    """
+    if not nl.dealias:
+        weight, rows = _active_rows(S, nl, a)
+        n, j, r = S.num_modes, S.j, rows.size
+        if min(j, r) + min(n - j, r) <= n // 2:
+            return LowRankHessian(S.signs, j, _gram_factor(S, weight, rows))
+    return DenseHessian(S, nl, a)
 
 
 # -- public field-level operations ------------------------------------------------

@@ -16,7 +16,13 @@ import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
-from .functional import Nonlinearity, a_gradient, a_hessian, a_value_and_gradient
+from .functional import (
+    HessianModel,
+    Nonlinearity,
+    a_gradient,
+    a_value_and_gradient,
+    hessian_model,
+)
 from .operator import SpectralDecomposition, orbit_shifts
 from .torus import GridField, TorusDomain, min_image, translate
 
@@ -65,7 +71,15 @@ class SolutionRecord:
     negative_hessian_count counts eigenvalues below -tau*scale of the
     Hessian at the solution and kernel_dim_estimate those within
     tau*scale of zero, tau = 1e-4; the same relative threshold the
-    reduction uses, so the two views agree.
+    reduction uses, so the two views agree. hessian_backend names the
+    Hessian model those counts came from ("dense" or "low-rank") and
+    hessian_subspace_dim the order of the matrix it diagonalized.
+
+    Newton's own account, one entry per iteration: residual_history the
+    gradient norm before each step (and at the end), step_history the
+    accepted line-search step, mu_history the Tikhonov mu of the Newton
+    direction, or None where steepest descent on the merit was taken.
+    A record rebuilt from a stored field has empty histories.
     """
 
     field: GridField
@@ -76,6 +90,10 @@ class SolutionRecord:
     kernel_dim_estimate: int
     iterations: int
     residual_history: tuple[float, ...]
+    step_history: tuple[float, ...]
+    mu_history: tuple[float | None, ...]
+    hessian_backend: str
+    hessian_subspace_dim: int
     domain_fingerprint: dict
     potential_fingerprint: dict
     nonlinearity_fingerprint: dict
@@ -89,6 +107,10 @@ class SolutionRecord:
             "kernel_dim_estimate": self.kernel_dim_estimate,
             "iterations": self.iterations,
             "residual_history": list(self.residual_history),
+            "step_history": list(self.step_history),
+            "mu_history": list(self.mu_history),
+            "hessian_backend": self.hessian_backend,
+            "hessian_subspace_dim": self.hessian_subspace_dim,
             "domain": self.domain_fingerprint,
             "potential": self.potential_fingerprint,
             "nonlinearity": self.nonlinearity_fingerprint,
@@ -150,23 +172,23 @@ def draw_ansatz(
 
 
 def _newton_direction(
-    H: NDArray[np.float64],
+    H: HessianModel,
     g: NDArray[np.float64],
-    signs: NDArray[np.float64],
     opts: SolverOptions,
-) -> NDArray[np.float64]:
+) -> tuple[NDArray[np.float64], float | None]:
+    """(direction, the Tikhonov mu it was solved with or None)."""
     # Ridge mu*diag(sign lambda) pushes Hessian eigenvalues away from zero
     # on both sides instead of shifting the whole spectrum.
     mu = opts.tikhonov
     while mu <= opts.tikhonov_cap:
         try:
-            d = scipy.linalg.solve(H + mu * np.diag(signs), -g, assume_a="sym")
+            d = H.solve(-g, mu)
         except scipy.linalg.LinAlgError:
             d = None
         if d is not None and np.all(np.isfinite(d)):
-            return d
+            return d, mu
         mu *= 10.0
-    return -(H @ g)  # steepest descent on the merit 0.5|g|^2
+    return -H.matvec(g), None  # steepest descent on the merit 0.5|g|^2
 
 
 KERNEL_TAU = 1e-4
@@ -184,8 +206,8 @@ def kernel_split(
     return np.abs(mu) < tau * scale, scale
 
 
-def _hessian_counts(H: NDArray[np.float64]) -> tuple[int, int]:
-    mu = scipy.linalg.eigvalsh(H)
+def _hessian_counts(H: HessianModel) -> tuple[int, int]:
+    mu = H.eigenvalues()
     near, _ = kernel_split(mu)
     negative = (mu < 0) & ~near
     return int(negative.sum()), int(near.sum())
@@ -199,16 +221,20 @@ def find_critical_point(
 ) -> SolutionRecord:
     """Damped Newton for grad J = 0 from `init`.
 
-    The step solves (H + mu*diag(sign lambda)) d = -g densely; the line
-    search backtracks on the merit 0.5*|g|^2 and falls back to steepest
-    descent for that merit whenever the Newton direction is not a
-    descent direction. Iterates sliding under ``opts.collapse_norm``
-    abort with TrivialCollapse: u = 0 is a critical point, just not one
-    worth returning.
+    The step solves (H + mu*diag(sign lambda)) d = -g through
+    `hessian_model`: on the invariant subspace of the active rows when
+    the bump is localized, densely otherwise. The line search backtracks
+    on the merit 0.5*|g|^2 and falls back to steepest descent for that
+    merit whenever the Newton direction is not a descent direction.
+    Iterates sliding under ``opts.collapse_norm`` abort with
+    TrivialCollapse: u = 0 is a critical point, just not one worth
+    returning. Nothing is kept between calls.
     """
     S.require_gap()
     a = S.a_from_field(init)
     history: list[float] = []
+    steps: list[float] = []
+    mus: list[float | None] = []
     for iteration in range(opts.max_iters):
         g = a_gradient(S, nl, a)
         r = float(np.linalg.norm(g))
@@ -218,13 +244,13 @@ def find_critical_point(
                 f"iterate norm fell below {opts.collapse_norm:g} at step {iteration}"
             )
         if r <= opts.newton_tol:
-            return _make_record(a, S, nl, iteration, history)
-        H = a_hessian(S, nl, a)
-        d = _newton_direction(H, g, S.signs, opts)
-        merit_grad = H @ g
+            return _make_record(a, S, nl, iteration, history, steps, mus)
+        H = hessian_model(S, nl, a)
+        d, mu = _newton_direction(H, g, opts)
+        merit_grad = H.matvec(g)
         slope = float(merit_grad @ d)
         if slope >= 0:
-            d = -merit_grad
+            d, mu = -merit_grad, None
             slope = -float(merit_grad @ merit_grad)
         phi0 = 0.5 * r * r
         step = 1.0
@@ -240,6 +266,8 @@ def find_critical_point(
                 f"line search stalled at residual {r:.3e} (step {iteration})"
             )
         a = a + step * d
+        steps.append(step)
+        mus.append(mu)
     raise NoConvergence(f"no convergence in {opts.max_iters} iterations")
 
 
@@ -247,11 +275,14 @@ def _make_record(
     a: NDArray[np.float64],
     S: SpectralDecomposition,
     nl: Nonlinearity,
-    iterations: int,
-    history: list[float],
+    iterations: int = 0,
+    history: Sequence[float] = (),
+    steps: Sequence[float] = (),
+    mus: Sequence[float | None] = (),
 ) -> SolutionRecord:
     J, g = a_value_and_gradient(S, nl, a)
-    neg, near = _hessian_counts(a_hessian(S, nl, a))
+    H = hessian_model(S, nl, a)
+    neg, near = _hessian_counts(H)
     dom_fp, pot_fp, nl_fp = _fingerprints(S, nl)
     return SolutionRecord(
         field=S.field_from_a(a),
@@ -262,6 +293,10 @@ def _make_record(
         kernel_dim_estimate=near,
         iterations=iterations,
         residual_history=tuple(history),
+        step_history=tuple(steps),
+        mu_history=tuple(mus),
+        hessian_backend=H.backend,
+        hessian_subspace_dim=H.subspace_dim,
         domain_fingerprint=dom_fp,
         potential_fingerprint=pot_fp,
         nonlinearity_fingerprint=nl_fp,

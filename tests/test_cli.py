@@ -5,6 +5,7 @@ import pytest
 
 from gapbumps.cli import (
     ConfigError,
+    _record_from_file,
     load_config,
     main,
     read_field_csv,
@@ -156,6 +157,16 @@ class TestCommands:
         assert timings["diagonalize_s"] + timings["newton_s"] <= timings["total_s"] + 2e-3
         record = json.loads((outdir / "solution.json").read_text())
         assert not any(key.endswith("_s") or "time" in key for key in record)
+
+    def test_solution_explains_its_newton_run(self, solution_k8):
+        rec = json.loads(open(solution_k8).read())
+        assert len(rec["step_history"]) == len(rec["mu_history"]) == rec["iterations"]
+        assert (rec["hessian_backend"], rec["hessian_subspace_dim"]) == ("dense", 128)
+        loaded, _, _ = _record_from_file(solution_k8, load_config(None))
+        assert loaded.iterations == 0
+        assert loaded.residual_history == ()
+        assert loaded.step_history == () and loaded.mu_history == ()
+        assert loaded.hessian_backend == "dense"
 
     @pytest.mark.parametrize(
         "argv",

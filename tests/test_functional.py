@@ -3,6 +3,8 @@ import pytest
 
 from gapbumps.functional import (
     Nonlinearity,
+    _fine_fields,
+    _nl_env,
     a_gradient,
     a_hessian,
     a_hessvec,
@@ -135,6 +137,32 @@ class TestDerivatives:
         Jm = a_value_and_gradient(S4, nl, a - eps * v)[0]
         g = a_gradient(S4, nl, a)
         assert (Jp - Jm) / (2 * eps) == pytest.approx(float(g @ v), rel=1e-7, abs=1e-9)
+
+
+def _symmetrized_hessian(S, nl, a):
+    """a_hessian's earlier formula: diag(signs) - W / outer(w, w), then symmetrized."""
+    samples, h, qw, cache = _nl_env(S, nl, S.values_from_a(a))
+    fields = S.eigenfields if cache is None else _fine_fields(S, cache)
+    G = fields * np.sqrt(qw * nl.fprime(samples, h)).reshape(-1)[:, None]
+    A = np.diag(S.signs) - (G.T @ G) / np.outer(S.weights, S.weights)
+    return 0.5 * (A + A.T)
+
+
+class TestHessianAssembly:
+    """The in-place assembly is exactly symmetric, so it needs no symmetrization."""
+
+    def test_same_entries_on_a_collocated_torus(self, S8, nl, base8):
+        a = S8.a_from_field(base8.field)
+        H = a_hessian(S8, nl, a)
+        assert np.array_equal(H, _symmetrized_hessian(S8, nl, a))
+        assert np.array_equal(H, H.T)
+
+    def test_same_entries_on_the_dealiased_2d_fixture(self, degenerate):
+        S2, nl2, rec, _ = degenerate
+        a = S2.a_from_field(rec.field)
+        H = a_hessian(S2, nl2, a)
+        assert np.array_equal(H, _symmetrized_hessian(S2, nl2, a))
+        assert np.array_equal(H, H.T)
 
 
 class TestDealiasing:

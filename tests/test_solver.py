@@ -1,9 +1,24 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gapbumps import presets
-from gapbumps.functional import evaluate_J
-from gapbumps.operator import energy_norm, project_negative, project_positive
+from gapbumps.functional import (
+    LowRankHessian,
+    Nonlinearity,
+    _active_rows,
+    _gram_factor,
+    a_hessian,
+    evaluate_J,
+    hessian_model,
+)
+from gapbumps.operator import (
+    PeriodicPotential,
+    diagonalize,
+    energy_norm,
+    project_negative,
+    project_positive,
+)
 from gapbumps.solver import (
     NoConvergence,
     SolverOptions,
@@ -17,7 +32,7 @@ from gapbumps.solver import (
     sphere_level,
     validate_solution,
 )
-from gapbumps.torus import GridField, l2_norm, translate
+from gapbumps.torus import GridField, TorusDomain, l2_norm, translate
 
 
 class TestOptions:
@@ -167,3 +182,156 @@ class TestDeflation:
         for i, a in enumerate(found):
             for b in found[i + 1 :]:
                 assert not same_orbit(a.field, b.field, S8, radius=0.5)
+
+
+@pytest.fixture(scope="module")
+def S64(potential):
+    return diagonalize(potential, TorusDomain(1, 64, 16))
+
+
+@pytest.fixture(scope="module")
+def ansatz64(S64):
+    A = presets.BASE_ANSATZ
+    return initial_ansatz(A["center"], A["width"], A["amplitude"], S64.domain, S64)
+
+
+@pytest.fixture(scope="module")
+def base64(S64, ansatz64, nl):
+    return find_critical_point(ansatz64, S64, nl)
+
+
+def _low_rank(S, nl, a):
+    """The low-rank backend at a, whatever the backend rule would pick."""
+    return LowRankHessian(S.signs, S.j, _gram_factor(S, *_active_rows(S, nl, a)))
+
+
+def _assert_matches_dense(model, H, signs, rng):
+    """matvec, solve at two ridges and the spectrum against a dense H."""
+    n = H.shape[0]
+    v = rng.standard_normal(n)
+    mu_dense = scipy.linalg.eigvalsh(H)
+    scale = float(np.abs(mu_dense).max())
+    assert np.linalg.norm(model.matvec(v) - H @ v) <= 1e-13 * scale * np.linalg.norm(v)
+    for mu in (1e-8, 1e-2):
+        ridged = H + mu * np.diag(signs)
+        d = model.solve(v, mu)
+        # backward error at rounding level; the forward error against the
+        # dense solve is as large as the conditioning makes it
+        assert np.linalg.norm(ridged @ d - v) <= 1e-13 * scale * np.linalg.norm(d)
+        dense = scipy.linalg.solve(ridged, v, assume_a="sym")
+        ridged_mu = np.abs(scipy.linalg.eigvalsh(ridged))
+        cond = ridged_mu.max() / ridged_mu.min()
+        assert np.linalg.norm(d - dense) <= 1e-14 * cond * np.linalg.norm(dense)
+    mu_model = model.eigenvalues()
+    assert mu_model.shape == (n,)
+    assert np.all(np.diff(mu_model) >= 0)
+    assert np.abs(mu_model - mu_dense).max() <= 1e-13 * scale
+
+
+class TestLowRankHessian:
+    @pytest.mark.parametrize("point", ["ansatz", "solution"])
+    def test_matches_dense_on_a_long_torus(self, S64, nl, ansatz64, base64, rng, point):
+        field = ansatz64 if point == "ansatz" else base64.field
+        a = S64.a_from_field(field)
+        model = _low_rank(S64, nl, a)
+        assert model.subspace_dim <= S64.num_modes // 2
+        _assert_matches_dense(model, a_hessian(S64, nl, a), S64.signs, rng)
+
+    def test_matches_dense_on_a_collocated_2d_torus(self, degenerate, rng):
+        S2, _, rec, _ = degenerate
+        a = S2.a_from_field(rec.field)
+        model = _low_rank(S2, Nonlinearity(), a)
+        _assert_matches_dense(model, a_hessian(S2, Nonlinearity(), a), S2.signs, rng)
+
+    def test_no_negative_eigenvalues(self, nl, rng):
+        # a shift that puts the whole spectrum above zero: j = 0, so the
+        # negative block is empty
+        S = diagonalize(PeriodicPotential(amplitude=30.0, shift=-15.0), TorusDomain(1, 16, 16))
+        assert S.j == 0
+        a = S.a_from_field(initial_ansatz((0.0,), 0.5, 6.0, S.domain, S))
+        model = _low_rank(S, nl, a)
+        assert model.neg.dim == 0
+        _assert_matches_dense(model, a_hessian(S, nl, a), S.signs, rng)
+
+    def test_no_active_rows_at_zero(self, S64, nl, rng):
+        a = np.zeros(S64.num_modes)
+        model = hessian_model(S64, nl, a)
+        assert model.backend == "low-rank"
+        assert model.G.shape == (0, S64.num_modes) and model.subspace_dim == 0
+        _assert_matches_dense(model, np.diag(S64.signs), S64.signs, rng)
+
+    @pytest.mark.parametrize(
+        "n, j, r",
+        [(40, 40, 7), (40, 0, 7), (40, 3, 7), (40, 20, 50), (40, 0, 0)],
+        ids=["no_positive_block", "no_negative_block", "identity_negative_block",
+             "identity_blocks", "no_rows"],
+    )
+    def test_block_shapes(self, rng, n, j, r):
+        signs = np.concatenate([-np.ones(j), np.ones(n - j)])
+        G = rng.standard_normal((r, n))
+        model = LowRankHessian(signs, j, G)
+        assert model.subspace_dim == min(j, r) + min(n - j, r)
+        _assert_matches_dense(model, np.diag(signs) - G.T @ G, signs, rng)
+
+    def test_backend_rule(self, S8, nl, base8, S64, base64):
+        assert hessian_model(S8, nl, S8.a_from_field(base8.field)).backend == "dense"
+        a = S64.a_from_field(base64.field)
+        assert hessian_model(S64, nl, a).backend == "low-rank"
+        dealiased = Nonlinearity(dealias=True)
+        assert hessian_model(S64, dealiased, a).backend == "dense"
+
+    def test_long_torus_record(self, S64, base64):
+        assert base64.residual <= 1e-12
+        assert base64.hessian_backend == "low-rank"
+        assert base64.hessian_subspace_dim <= S64.num_modes // 2
+        assert base64.negative_hessian_count == 66
+        assert base64.kernel_dim_estimate == 0
+
+
+class TestNewtonHistory:
+    @pytest.mark.parametrize("which", ["base8", "base64"])
+    def test_one_entry_per_iteration(self, request, which):
+        rec = request.getfixturevalue(which)
+        opts = SolverOptions()
+        assert len(rec.step_history) == len(rec.mu_history) == rec.iterations
+        assert len(rec.residual_history) == rec.iterations + 1
+        assert all(0.0 < step <= 1.0 for step in rec.step_history)
+        assert all(mu is None or opts.tikhonov <= mu <= opts.tikhonov_cap for mu in rec.mu_history)
+
+    def test_descent_fallback_is_recorded_without_mu(self, S8, nl, monkeypatch):
+        # the first model turns the Newton step around, so that step is
+        # not a descent direction and steepest descent on the merit is taken
+        from gapbumps import solver
+
+        real_model = solver.hessian_model
+        built = []
+
+        class ReversedSolve:
+            def __init__(self, H):
+                self.H = H
+
+            def solve(self, rhs, mu):
+                return -self.H.solve(rhs, mu)
+
+            def matvec(self, v):
+                return self.H.matvec(v)
+
+        def model(S, nl, a):
+            built.append(real_model(S, nl, a))
+            return ReversedSolve(built[-1]) if len(built) == 1 else built[-1]
+
+        monkeypatch.setattr(solver, "hessian_model", model)
+        A = presets.BASE_ANSATZ
+        init = initial_ansatz(A["center"], A["width"], A["amplitude"], S8.domain, S8)
+        rec = find_critical_point(init, S8, nl)
+        assert rec.residual <= 1e-10
+        assert rec.mu_history[0] is None
+        assert all(mu == SolverOptions().tikhonov for mu in rec.mu_history[1:])
+
+    def test_record_names_its_backend(self, base8, S8):
+        assert base8.hessian_backend == "dense"
+        assert base8.hessian_subspace_dim == S8.num_modes
+        d = base8.to_dict()
+        assert d["step_history"] == list(base8.step_history)
+        assert d["mu_history"] == list(base8.mu_history)
+        assert (d["hessian_backend"], d["hessian_subspace_dim"]) == ("dense", S8.num_modes)
