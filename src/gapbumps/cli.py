@@ -49,6 +49,7 @@ from .operator import (
 from .reduction import (
     W_RESIDUAL_TOL,
     AllKernel,
+    KernelBasis,
     OutOfBall,
     classify_origin,
     detect_kernel,
@@ -65,7 +66,7 @@ from .solver import (
     initial_ansatz,
 )
 from .torus import GridField, TorusDomain
-from .verify import _scalar, run_verification
+from .verify import _scalar, _strictly_decreasing, run_verification
 
 
 class ConfigError(Exception):
@@ -138,13 +139,25 @@ class RunConfig:
         return hashlib.sha256(js.encode()).hexdigest()[:16]
 
 
+def _json_int(value, name: str) -> int:
+    """`value` if it is a JSON integer; 8.7, "8" and true are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _domain_from_dict(d: dict) -> TorusDomain:
+    keys = ("dim", "cells", "samples_per_cell")
+    return TorusDomain(*(_json_int(d[key], f"domain.{key}") for key in keys))
+
+
 def _potential_from_dict(d: dict) -> PeriodicPotential:
     shift = d.get("shift", 0.0)
-    if shift == "auto-midgap":
-        if d.get("kind", "cosine") != "cosine":
-            raise ConfigError("potential.shift 'auto-midgap' requires kind 'cosine'")
-        shift = midgap_shift(float(d.get("amplitude", 0.0)))
     try:
+        if shift == "auto-midgap":
+            if d.get("kind", "cosine") != "cosine":
+                raise ConfigError("potential.shift 'auto-midgap' requires kind 'cosine'")
+            shift = midgap_shift(float(d.get("amplitude", 0.0)))
         return PeriodicPotential(
             kind=d.get("kind", "cosine"),
             amplitude=float(d.get("amplitude", 0.0)),
@@ -157,13 +170,16 @@ def _potential_from_dict(d: dict) -> PeriodicPotential:
 
 
 def _nonlinearity_from_dict(d: dict) -> Nonlinearity:
+    dealias = d.get("dealias", False)
+    if not isinstance(dealias, bool):
+        raise ConfigError(f"nonlinearity.dealias must be true or false, got {dealias!r}")
     try:
         return Nonlinearity(
             p=float(d.get("p", 4.0)),
             q=float(d.get("q", 3.0)),
             gamma=float(d.get("gamma", 4.0)),
             weight=_potential_from_dict(d["h"]) if d.get("h") else None,
-            dealias=bool(d.get("dealias", False)),
+            dealias=dealias,
             dealias_factor=float(d.get("dealias_factor", 1.5)),
         )
     except (TypeError, ValueError) as e:
@@ -194,10 +210,9 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
             node = node[p]
         node[leaf] = value
 
-    dom = raw["domain"]
     try:
-        domain = TorusDomain(int(dom["dim"]), int(dom["cells"]), int(dom["samples_per_cell"]))
-    except (TypeError, ValueError) as e:
+        domain = _domain_from_dict(raw["domain"])
+    except ValueError as e:
         raise ConfigError(f"domain: {e}") from e
     potential = _potential_from_dict(raw["potential"])
     nl = _nonlinearity_from_dict(raw["nonlinearity"])
@@ -205,11 +220,12 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         solver = SolverOptions(**{k: v for k, v in raw["solver"].items()})
     except (TypeError, ValueError) as e:
         raise ConfigError(f"solver: {e}") from e
-    seed = raw["seed"]
-    if not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    seed = _json_int(raw["seed"], "seed")
 
     ansatz = dict(raw["ansatz"])
+    width = ansatz["width"]
+    if isinstance(width, bool) or not isinstance(width, (int, float)) or not width > 0:
+        raise ConfigError(f"ansatz.width must be positive, got {width!r}")
     if ansatz.get("center") is None:
         ansatz["center"] = [0.0] * domain.dim
     if len(ansatz["center"]) != domain.dim:
@@ -304,13 +320,15 @@ def _record_from_file(path: str, cfg: RunConfig):
             if key not in d:
                 raise ConfigError(f"{path}: not a solution record (missing {key!r})")
         try:
-            dom = d["domain"]
-            domain = TorusDomain(int(dom["dim"]), int(dom["cells"]), int(dom["samples_per_cell"]))
+            domain = _domain_from_dict(d["domain"])
             field = GridField(domain, np.asarray(d["values"]))
-        except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError(f"{path}: malformed domain or values: {e!r}") from e
-        S = diagonalize(_potential_from_dict(d["potential"]), domain)
-        nl = _nonlinearity_from_dict(d["nonlinearity"])
+            V = _potential_from_dict(d["potential"])
+            nl = _nonlinearity_from_dict(d["nonlinearity"])
+        except ConfigError as e:
+            raise ConfigError(f"{path}: {e}") from e
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise ConfigError(f"{path}: malformed record: {e!r}") from e
+        S = diagonalize(V, domain)
     # the loaded field is kept verbatim; a-coordinates round-trip it only to roundoff
     rec = replace(_make_record(S.a_from_field(field), S, nl), field=field)
     if rec.residual > W_RESIDUAL_TOL:
@@ -373,6 +391,10 @@ def _parse_centers(text: str, dim: int) -> list[tuple[int, ...]]:
 def cmd_bands(args, cfg: RunConfig) -> int:
     started = time.monotonic()
     out = _outdir()
+    if not 1 <= args.bands <= args.modes:
+        raise ConfigError(f"--bands must lie in [1, --modes = {args.modes}], got {args.bands}")
+    if args.quasimomenta < 1:
+        raise ConfigError(f"--quasimomenta must be at least 1, got {args.quasimomenta}")
     thetas, vals = band_samples(cfg.potential, args.bands, args.quasimomenta, args.modes)
     rows = [
         (float(thetas[t]), b, float(vals[t, b]))
@@ -447,19 +469,19 @@ def cmd_solve(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _check_tau(tau: float) -> None:
+def _kernel_from_file(path: str, cfg: RunConfig, tau: float) -> KernelBasis:
+    """Kernel basis of the solution stored at `path`, split at --tau."""
     if not tau > 0:
         raise ConfigError(f"--tau must be positive, got {tau:g}")
+    return detect_kernel(*_record_from_file(path, cfg), tau=tau)
 
 
 def cmd_reduce(args, cfg: RunConfig) -> int:
     started = time.monotonic()
     out = _outdir()
-    _check_tau(args.tau)
     if args.stencil < 1:
         raise ConfigError(f"--stencil must be at least 1, got {args.stencil}")
-    rec, S, nl = _record_from_file(args.solution, cfg)
-    kb = detect_kernel(rec, S, nl, tau=args.tau)
+    kb = _kernel_from_file(args.solution, cfg, args.tau)
     radius = args.radius if args.radius is not None else 0.5 * kb.delta0
     if not 0 < radius <= kb.delta0:
         raise ConfigError(f"--radius must lie in (0, delta0 = {kb.delta0:.6g}], got {radius:g}")
@@ -492,10 +514,12 @@ def cmd_reduce(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _target_decomposition(args, cfg: RunConfig, base_S):
+def _target_decomposition(args, base_S):
     """The torus the glued problem lives on; reuse the base's when it matches."""
-    cells = args.k if args.k is not None else base_S.domain.cells
     base_dom = base_S.domain
+    cells = args.k if args.k is not None else base_dom.cells
+    if cells < base_dom.cells:
+        raise ConfigError(f"--k must be at least the base's {base_dom.cells} cells, got {cells}")
     if cells == base_dom.cells:
         return base_S
     target = TorusDomain(base_dom.dim, cells, base_dom.samples_per_cell)
@@ -505,13 +529,11 @@ def _target_decomposition(args, cfg: RunConfig, base_S):
 def cmd_multibump(args, cfg: RunConfig) -> int:
     started = time.monotonic()
     out = _outdir()
-    _check_tau(args.tau)
-    rec, base_S, nl = _record_from_file(args.base, cfg)
-    kb = detect_kernel(rec, base_S, nl, tau=args.tau)
-    S = _target_decomposition(args, cfg, base_S)
-    centers = _parse_centers(args.centers, base_S.domain.dim)
+    kb = _kernel_from_file(args.base, cfg, args.tau)
+    S = _target_decomposition(args, kb.S)
+    centers = _parse_centers(args.centers, kb.S.domain.dim)
     prob = build_problem(kb, centers, S)
-    res = solve_multibump(prob, S, nl, cfg.solver)
+    res = solve_multibump(prob, S, kb.nl, cfg.solver)
     _write_json(
         out / "multibump.json",
         {
@@ -538,17 +560,15 @@ def cmd_multibump(args, cfg: RunConfig) -> int:
 def cmd_sweep(args, cfg: RunConfig) -> int:
     started = time.monotonic()
     out = _outdir()
-    _check_tau(args.tau)
     try:
         l_values = [int(v) for v in args.seps.split(",")]
     except ValueError as e:
         raise ConfigError(f"--seps: {e}") from e
     if min(l_values) < 1 or sorted(l_values) != l_values:
         raise ConfigError(f"--seps must be positive and ascending, got {args.seps}")
-    rec, base_S, nl = _record_from_file(args.base, cfg)
-    kb = detect_kernel(rec, base_S, nl, tau=args.tau)
-    S = _target_decomposition(args, cfg, base_S)
-    rows = separation_sweep(kb, args.m, l_values, S, nl, cfg.solver)
+    kb = _kernel_from_file(args.base, cfg, args.tau)
+    S = _target_decomposition(args, kb.S)
+    rows = separation_sweep(kb, args.m, l_values, S, kb.nl, cfg.solver)
     csv_rows = []
     for row in rows:
         csv_rows.append(
@@ -574,8 +594,8 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
         "m": args.m,
         "l_values": l_values,
         "rows_failed": len(rows) - len(good),
-        "monotone_w": all(a > b for a, b in zip(ws, ws[1:])) if len(good) >= 2 else None,
-        "monotone_x": all(a > b for a, b in zip(xs, xs[1:])) if len(good) >= 2 else None,
+        "monotone_w": _strictly_decreasing(ws) if len(good) >= 2 else None,
+        "monotone_x": _strictly_decreasing(xs) if len(good) >= 2 else None,
         "rows": rows,
     }
     _write_json(out / "sweep.json", summary)
@@ -660,14 +680,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args) -> dict:
-    """Map recognized flags onto config paths."""
+    """Map recognized flags onto config paths.
+
+    --k sets domain.cells for spectrum and solve only; on multibump and
+    sweep it names the target torus, and the config domain stays the one
+    a field CSV base is read on.
+    """
     out: dict = {}
-    if getattr(args, "k", None) is not None:
+    if args.command in ("spectrum", "solve") and args.k is not None:
         out["domain.cells"] = args.k
     if getattr(args, "seed", None) is not None:
         out["seed"] = args.seed
     if getattr(args, "ansatz_center", None) is not None:
-        out["ansatz.center"] = [float(c) for c in args.ansatz_center.split(",")]
+        try:
+            out["ansatz.center"] = [float(c) for c in args.ansatz_center.split(",")]
+        except ValueError as e:
+            raise ConfigError(f"--ansatz-center: {e}") from e
     if getattr(args, "ansatz_width", None) is not None:
         out["ansatz.width"] = args.ansatz_width
     if getattr(args, "ansatz_amplitude", None) is not None:

@@ -1,11 +1,13 @@
 """Gluing widely separated copies of a base solution into one solution.
 
-Three phases: correct the raw superposition orthogonally to the joint
-near-kernel, move the kernel coordinates to a critical point of the
-reduced energy, then polish with unconstrained Newton. Separation sweeps
-record how the correction, the kernel coordinates, and the energy defect
-die off as the copies move apart; the superposition diagnostic compares
-the joint reduced energy with the sum of single-bump ones.
+Lyapunov-Schmidt in one loop: at each kernel offset x the superposition
+is corrected orthogonally to the joint near-kernel, and a reduced Newton
+step moves x towards a critical point of the reduced energy; the first
+correction, at x = 0, is the classical phase 1. Unconstrained Newton then
+polishes the result. Separation sweeps record how the correction, the
+kernel coordinates, and the energy defect die off as the copies move
+apart; the superposition diagnostic compares the joint reduced energy
+with the sum of single-bump ones.
 """
 
 from __future__ import annotations
@@ -163,8 +165,7 @@ def joint_correction(
     all in a-coordinates.
     """
     center = prob.glued_a + prob.joint_raw @ x
-    push = prob.kb.hessian_scale
-    w, iters = _projected_newton(prob.S, nl, center, prob.joint_E, w0=w0, push=push)
+    w, iters = _projected_newton(prob.S, nl, center, prob.joint_E, prob.kb.hessian_scale, w0=w0)
     return center + w, w, iters
 
 
@@ -235,50 +236,45 @@ def solve_multibump(
 ) -> MultibumpResult:
     """Glue translated copies of the base into a genuine critical point.
 
-    Phase 1 solves the joint-kernel-projected equation at x = 0; phase 2
-    runs Newton on the reduced coordinates (gradient from pairings,
-    Hessian from reduction.reduced_hessian), staying inside the trust
-    ball; phase 3 polishes with the full unprojected solver and checks
-    the polish stayed put. An empty kernel block skips phase 2.
+    Each iteration corrects the glued point at the current kernel
+    coordinates x orthogonally to the joint kernel block, warm-started
+    from the previous correction. It stops once the reduced gradient
+    X^T grad J is at most REDUCED_TOL, and otherwise takes a reduced
+    Newton step (Hessian from reduction.reduced_hessian) clipped to the
+    trust ball. Iteration 0 corrects at x = 0: that is phase 1, and
+    phase2_iters counts the Newton steps after it. An empty kernel block
+    gives a reduced gradient of size 0 and stops at iteration 0. Phase 3
+    polishes with the full unprojected solver and checks that the polish
+    stayed within the deflation radius.
     """
     if prob.m >= 2 and prob.l_sep < separation_floor:
         raise SeparationTooSmall(
             f"separation {prob.l_sep:g} below floor {separation_floor:g}"
         )
     raw = prob.joint_raw
-
-    def correction(x: NDArray[np.float64], w0: NDArray[np.float64] | None):
+    ball = prob.kb.delta0
+    x = np.zeros(prob.joint_dim)
+    w = None
+    for phase2_iters in range(MAX_REDUCED_ITERS):
         try:
-            return joint_correction(prob, nl, x, w0)[:2]
+            a_full, w, _ = joint_correction(prob, nl, x, w)
         except NoConvergence as err:
             raise NoConvergence(f"phase 1 (projected correction): {err}") from err
-
-    x = np.zeros(prob.joint_dim)
-    a_full, w = correction(x, None)
-
-    phase2_iters = 0
-    if prob.joint_dim:
-        ball = prob.kb.delta0
-        for iteration in range(MAX_REDUCED_ITERS):
-            a_full, w = correction(x, w)
-            G = raw.T @ a_gradient(S, nl, a_full)
-            if float(np.linalg.norm(G)) <= REDUCED_TOL:
-                phase2_iters = iteration
-                break
-            Hred = reduced_hessian(S, nl, a_full, raw, prob.joint_E, prob.kb.hessian_scale)
-            try:
-                step = scipy.linalg.solve(Hred, -G, assume_a="sym")
-            except scipy.linalg.LinAlgError as err:
-                raise NoConvergence(f"phase 2 (reduced Newton): {err}") from err
-            xn = x + step
-            if float(np.linalg.norm(xn)) > ball:
-                xn *= ball / float(np.linalg.norm(xn))
-            x = xn
-        else:
-            raise NoConvergence(
-                f"phase 2 (reduced Newton): no convergence in {MAX_REDUCED_ITERS} iters"
-            )
-        a_full, w = correction(x, w)
+        G = raw.T @ a_gradient(S, nl, a_full)
+        if float(np.linalg.norm(G)) <= REDUCED_TOL:
+            break
+        Hred = reduced_hessian(S, nl, a_full, raw, prob.joint_E, prob.kb.hessian_scale)
+        try:
+            step = scipy.linalg.solve(Hred, -G, assume_a="sym")
+        except scipy.linalg.LinAlgError as err:
+            raise NoConvergence(f"phase 2 (reduced Newton): {err}") from err
+        x = x + step
+        if float(np.linalg.norm(x)) > ball:
+            x *= ball / float(np.linalg.norm(x))
+    else:
+        raise NoConvergence(
+            f"phase 2 (reduced Newton): no convergence in {MAX_REDUCED_ITERS} iters"
+        )
 
     assembled = S.field_from_a(a_full)
     try:
@@ -352,7 +348,6 @@ def superposition_compare(
     kb: KernelBasis,
     centers: list[tuple[int, ...]],
     sample_points: list[NDArray[np.float64]],
-    target_S: SpectralDecomposition | None = None,
     base_cache: dict | None = None,
 ) -> tuple[float, float, list[dict]]:
     """Joint reduced energy of several translates vs the sum of singles.
@@ -365,7 +360,7 @@ def superposition_compare(
     """
     if len(centers) < 1:
         raise ValueError("need at least one center")
-    prob = build_problem(kb, centers, kb.S if target_S is None else target_S)
+    prob = build_problem(kb, centers, kb.S)
     m = prob.m
     l = kb.l
     cache = {} if base_cache is None else base_cache

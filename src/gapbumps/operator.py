@@ -254,13 +254,12 @@ class SpectralDecomposition:
     potential: PeriodicPotential
     eigenvalues: NDArray[np.float64]
     eigenfields: NDArray[np.float64]
-    potential_values: NDArray[np.float64]
     j: int
     gap: tuple[float, float] | None
     weights: NDArray[np.float64] = field(init=False, repr=False)
     signs: NDArray[np.float64] = field(init=False, repr=False)
     def __post_init__(self) -> None:
-        for arr in (self.eigenvalues, self.eigenfields, self.potential_values):
+        for arr in (self.eigenvalues, self.eigenfields):
             arr.setflags(write=False)
         # weighted coordinates: a = weights * c makes (.,.)_k Euclidean
         self.weights = np.sqrt(np.abs(self.eigenvalues))
@@ -331,8 +330,7 @@ def diagonalize(V: PeriodicPotential, domain: TorusDomain) -> SpectralDecomposit
     returned with gap=None.
     """
     k, dim = domain.cells, domain.dim
-    potential_values = V.evaluate(domain)
-    V_cell = _cell_samples(potential_values, domain)
+    V_cell = _cell_samples(V.evaluate(domain), domain)
     fibers = [
         (j, real, *_fiber_eigh(V_cell, j, k, real, eigvals_only=False))
         for j, real in _quasimomenta(domain)
@@ -375,7 +373,6 @@ def diagonalize(V: PeriodicPotential, domain: TorusDomain) -> SpectralDecomposit
         potential=V,
         eigenvalues=vals,
         eigenfields=vecs,
-        potential_values=potential_values,
         j=j,
         gap=gap,
     )
@@ -407,12 +404,6 @@ def project_positive(u: GridField, S: SpectralDecomposition) -> GridField:
     S.require_gap()
     c = _coefficients(u, S) * (S.eigenvalues > 0.0)
     return GridField(S.domain, S.values_from_c(c))
-
-
-def quadratic_form(u: GridField, S: SpectralDecomposition) -> float:
-    """int |grad u|^2 + V u^2, evaluated as sum lambda_i c_i^2."""
-    c = _coefficients(u, S)
-    return float(np.sum(S.eigenvalues * c * c))
 
 
 # -- Floquet-Bloch bands (1-d) --------------------------------------------------
@@ -451,17 +442,19 @@ def band_structure(
     return [(float(vals[:, b].min()), float(vals[:, b].max())) for b in range(bands)]
 
 
-def midgap_shift(
-    amplitude: float, quasimomenta: int = 64, modes: int = 64
-) -> float:
+def midgap_shift(amplitude: float) -> float:
     """Shift s placing 0 at the midpoint of the first gap of A cos(2*pi*x).
 
-    The first two bands of the unshifted profile are computed and the
-    midpoint of the interval between them is returned; V = A cos(2*pi*x) - s
-    then has one full band below zero.
+    The first gap lies between the top of band 1 and the bottom of band 2
+    of the unshifted profile; its midpoint is returned, so that
+    V = A cos(2*pi*x) - s has one full band below zero. Every band edge of
+    a 1-d Hill operator sits at theta = 0 or pi (Reed-Simon IV, XIII.16),
+    so the two 64-mode fibers there suffice. Both thetas are exact in
+    floating point, the same matrices a 64-point quasimomentum scan
+    builds, so the shift equals that scan's bit for bit.
     """
     base = PeriodicPotential(kind="cosine", amplitude=amplitude, shift=0.0)
-    (lo1, hi1), (lo2, hi2) = band_structure(base, 2, quasimomenta, modes)
+    (lo1, hi1), (lo2, hi2) = band_structure(base, 2, 2, 64)
     # touching bands come back separated by eigensolver noise; a sliver
     # below the resolution scale is not a usable gap
     scale = max(1.0, abs(hi1), abs(lo2))
@@ -503,6 +496,4 @@ def norm_equivalence_report(
 
 def orbit_shifts(domain: TorusDomain) -> list[tuple[int, ...]]:
     """All k^N integer translations of the torus, lexicographic order."""
-    from itertools import product
-
     return [tuple(b) for b in product(range(domain.cells), repeat=domain.dim)]

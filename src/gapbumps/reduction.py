@@ -31,6 +31,7 @@ class OutOfBall(ValueError):
 
 
 W_RESIDUAL_TOL = 1e-9
+MAX_W_ITERS = 60
 
 
 @dataclass(frozen=True)
@@ -66,9 +67,6 @@ class KernelBasis:
         return tuple(
             self.S.field_from_a(self.E[:, j]) for j in range(self.E.shape[1])
         )
-
-    def coords_of(self, h: GridField) -> NDArray[np.float64]:
-        return self.E.T @ self.S.a_from_field(h)
 
 
 @dataclass(frozen=True)
@@ -143,20 +141,20 @@ def _projected_newton(
     nl: Nonlinearity,
     a_center: NDArray[np.float64],
     E: NDArray[np.float64],
-    tol: float = W_RESIDUAL_TOL,
-    max_iters: int = 60,
+    push: float,
     eta_ceiling: float | None = None,
-    push: float = 1.0,
     w0: NDArray[np.float64] | None = None,
 ) -> tuple[NDArray[np.float64], int]:
     """Solve P grad J(a_center + w) = 0 for w orthogonal to span(E).
 
-    The linear solve uses _complement_matrix, whose kernel-block
-    eigenvalues sit at `push`; right-hand sides in the complement keep
-    the correction there automatically, and we re-project anyway to
-    stop roundoff drift. Monitors the complement conditioning and
-    aborts once 1/min|eig| exceeds eta_ceiling (set from the first
-    iterate when not given).
+    Newton from w0 (projected) or from 0, until |P grad J| <= W_RESIDUAL_TOL
+    or MAX_W_ITERS iterations. The linear solve uses _complement_matrix,
+    whose kernel-block eigenvalues sit at `push` (the Hessian scale, so
+    they never pass for the smallest complement eigenvalue); right-hand
+    sides in the complement keep the correction there automatically, and
+    we re-project anyway to stop roundoff drift. Monitors the complement
+    conditioning and aborts once 1/min|eig| exceeds eta_ceiling (set from
+    the first iterate when not given).
 
     Returns (w, iterations).
     """
@@ -165,10 +163,10 @@ def _projected_newton(
         return v - E @ (E.T @ v) if E.size else v
 
     w = np.zeros_like(a_center) if w0 is None else project(w0.copy())
-    for iteration in range(max_iters):
+    for iteration in range(MAX_W_ITERS):
         g = a_gradient(S, nl, a_center + w)
         R = project(g)
-        if float(np.linalg.norm(R)) <= tol:
+        if float(np.linalg.norm(R)) <= W_RESIDUAL_TOL:
             return w, iteration
         M = _complement_matrix(a_hessian(S, nl, a_center + w), E, push)
         eigs = np.abs(scipy.linalg.eigvalsh(M))
@@ -182,16 +180,10 @@ def _projected_newton(
             )
         d = scipy.linalg.solve(M, -R, assume_a="sym")
         w = project(w + d)
-    raise NoConvergence(f"projected equation not solved in {max_iters} iterations")
+    raise NoConvergence(f"projected equation not solved in {MAX_W_ITERS} iterations")
 
 
-def solve_w(
-    kb: KernelBasis,
-    h: GridField,
-    w0: GridField | None = None,
-    residual_tol: float = W_RESIDUAL_TOL,
-    max_iters: int = 60,
-) -> ReducedSample:
+def solve_w(kb: KernelBasis, h: GridField) -> ReducedSample:
     """Correction w(h) orthogonal to the kernel block, plus I and dI.
 
     h must lie in the kernel block and inside the delta0 ball. The
@@ -207,17 +199,8 @@ def solve_w(
     if hnorm > kb.delta0:
         raise OutOfBall(f"|||h||| = {hnorm:.4g} exceeds delta0 = {kb.delta0:.4g}")
     a_center = kb.base_a + ha
-    w0_a = kb.S.a_from_field(w0) if w0 is not None else None
     w_a, iters = _projected_newton(
-        kb.S,
-        kb.nl,
-        a_center,
-        kb.E,
-        tol=residual_tol,
-        max_iters=max_iters,
-        eta_ceiling=2.0 * kb.eta,
-        push=kb.hessian_scale,
-        w0=w0_a,
+        kb.S, kb.nl, a_center, kb.E, kb.hessian_scale, eta_ceiling=2.0 * kb.eta
     )
     a_full = a_center + w_a
     I, g = a_value_and_gradient(kb.S, kb.nl, a_full)

@@ -308,7 +308,6 @@ def validate_solution(
     S: SpectralDecomposition,
     nl: Nonlinearity,
     thresholds: tuple[float, float],
-    residual_tol: float = 1e-10,
     rng: np.random.Generator | None = None,
 ) -> dict[str, tuple[bool, float]]:
     """Post-hoc checks on a record: size, level, residual, symmetry.
@@ -326,7 +325,7 @@ def validate_solution(
     checks["norm_floor"] = (norm_k >= eps1, norm_k)
     checks["energy_floor"] = (float(J) >= eps2, float(J))
     res = float(np.linalg.norm(g))
-    checks["residual"] = (res <= residual_tol, res)
+    checks["residual"] = (res <= 1e-10, res)
     k = rec.field.domain.cells
     worst = 0.0
     for _ in range(3):
@@ -344,7 +343,6 @@ def sphere_level(
     r: float,
     samples: int = 64,
     rng: np.random.Generator | None = None,
-    descent_iters: int = 400,
 ) -> float:
     """Estimate inf of J over the radius-r sphere in the positive subspace.
 
@@ -388,7 +386,7 @@ def sphere_level(
     # descent on J is ascent on -J
     neg_J = _climb(
         lambda a: -value(a), descent, to_sphere, best, -best_J,
-        step=0.5, cap=1.0, rise=1e-12, iters=descent_iters,
+        step=0.5, cap=1.0, rise=1e-12, iters=400,
     )
     return float(-neg_J)
 
@@ -405,7 +403,6 @@ def linking_upper_bound(
     rho: float,
     samples: int = 32,
     rng: np.random.Generator | None = None,
-    ascent_iters: int = 400,
 ) -> LinkingBound:
     """Max of J over {y + t*z_k : y negative-subspace, t >= 0, norm <= rho}.
 
@@ -469,7 +466,7 @@ def linking_upper_bound(
     for x in starts[:4]:
         Jc = _climb(
             value, ascent, clip, x, value(x),
-            step=0.5, cap=1.0, rise=1e-14, iters=ascent_iters,
+            step=0.5, cap=1.0, rise=1e-14, iters=400,
         )
         best_val = max(best_val, Jc)
 

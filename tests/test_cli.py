@@ -74,6 +74,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match="line 2"):
             load_config(str(path))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"nonlinearity": {"dealias": "false"}}', "nonlinearity.dealias"),
+            ('{"domain": {"cells": 8.7}}', "domain.cells"),
+            ('{"domain": {"dim": true}}', "domain.dim"),
+            ('{"seed": true}', "seed"),
+            ('{"ansatz": {"width": 0}}', "ansatz.width"),
+            ('{"potential": {"amplitude": 0.0}}', "no gap"),
+        ],
+        ids=["dealias_string", "cells_float", "dim_bool", "seed_bool", "width_zero", "no_gap"],
+    )
+    def test_json_types_and_values_are_strict(self, tmp_path, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load_config(str(path))
+
     def test_flag_overrides_apply(self):
         cfg = load_config(None, {"domain.cells": 4, "seed": 77})
         assert cfg.domain.cells == 4
@@ -169,21 +187,32 @@ class TestCommands:
         assert loaded.hessian_backend == "dense"
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["reduce", "--solution", "{base}", "--tau", "0"],
-            ["multibump", "--base", "{base}", "--centers", "0;4", "--tau", "-1"],
-            ["sweep", "--base", "{base}", "--seps", "8,4"],
-            ["sweep", "--base", "{base}", "--seps", "0,4"],
+            (["reduce", "--solution", "{base}", "--tau", "0"], "--tau"),
+            (["multibump", "--base", "{base}", "--centers", "0;4", "--tau", "-1"], "--tau"),
+            (["sweep", "--base", "{base}", "--seps", "8,4"], "--seps"),
+            (["sweep", "--base", "{base}", "--seps", "0,4"], "--seps"),
+            (["multibump", "--base", "{base}", "--centers", "0;4", "--k", "3"], "--k"),
+            (["solve", "--k", "8", "--ansatz-width", "0"], "ansatz.width"),
+            (["solve", "--ansatz-center", "zero"], "--ansatz-center"),
+            (["bands", "--modes", "16", "--bands", "40"], "--bands"),
+            (["bands", "--quasimomenta", "-1"], "--quasimomenta"),
+            (["--config", "{flat}", "spectrum"], "no gap"),
         ],
-        ids=["reduce_tau_zero", "multibump_tau_negative", "seps_descending", "seps_zero"],
+        ids=[
+            "reduce_tau_zero", "multibump_tau_negative", "seps_descending", "seps_zero",
+            "target_below_base", "ansatz_width_zero", "ansatz_center_text",
+            "bands_above_modes", "quasimomenta_negative", "midgap_without_gap",
+        ],
     )
-    def test_bad_arguments_exit_2(self, outdir, solution_k8, capsys, argv):
-        argv = [a.format(base=solution_k8) for a in argv]
-        flag = argv[-2]
+    def test_bad_arguments_exit_2(self, outdir, tmp_path, solution_k8, capsys, argv, message):
+        flat = tmp_path / "flat.json"
+        flat.write_text('{"potential": {"amplitude": 0.0}}')
+        argv = [a.format(base=solution_k8, flat=flat) for a in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and flag in err
+        assert "config error" in err and message in err
 
     def test_missing_solution_file(self, outdir):
         assert main(["reduce", "--solution", "nowhere.json"]) == 2
@@ -256,8 +285,14 @@ class TestCommands:
             lambda rec: rec["domain"].update(samples_per_cell=12),
             lambda rec: rec.update(values=rec["values"][:-3]),
             lambda rec: rec["domain"].pop("cells"),
+            lambda rec: rec["domain"].update(cells=8.0),
+            lambda rec: rec["nonlinearity"].update(dealias="false"),
+            lambda rec: rec.update(potential=[]),
         ],
-        ids=["samples_per_cell", "short_values", "no_cells"],
+        ids=[
+            "samples_per_cell", "short_values", "no_cells", "float_cells", "dealias_string",
+            "potential_list",
+        ],
     )
     def test_reduce_refuses_a_malformed_record(self, outdir, tmp_path, capsys, edit):
         assert main(["solve", "--k", "8", "--seed", "7"]) == 0
@@ -287,6 +322,19 @@ class TestCommands:
         assert summary["rows_failed"] == 1
         assert "failed" in summary["rows"][1]
         assert summary["monotone_w"] is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["multibump", "--centers", "0;16"], ["sweep", "--m", "2", "--seps", "16"]],
+        ids=["multibump", "sweep"],
+    )
+    def test_k_names_the_target_torus_for_a_csv_base(self, outdir, solution_k8, argv):
+        # the CSV base is read on the 8-cell config domain, glued on 32 cells
+        base = solution_k8.replace(".json", ".csv")
+        assert main([*argv, "--base", base, "--k", "32"]) == 0
+        result = json.loads((outdir / f"{argv[0]}.json").read_text())
+        row = result["rows"][0] if "rows" in result else result
+        assert row["residual"] <= 1e-8
 
     def test_colliding_centers_exit_numerically(self, outdir):
         assert main(["solve", "--k", "8", "--seed", "7"]) == 0

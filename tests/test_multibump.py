@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gapbumps import presets
 from gapbumps.functional import evaluate_J
 from gapbumps.multibump import (
     CentersCollide,
@@ -12,8 +13,10 @@ from gapbumps.multibump import (
     solve_multibump,
     superpose,
 )
-from gapbumps.solver import NoConvergence, SolverOptions
-from gapbumps.torus import GridField, integrate, l2_norm, translate
+from gapbumps.operator import diagonalize
+from gapbumps.reduction import detect_kernel
+from gapbumps.solver import NoConvergence, SolverOptions, find_critical_point, initial_ansatz
+from gapbumps.torus import GridField, TorusDomain, integrate, l2_norm, translate
 
 
 class TestGeometry:
@@ -57,6 +60,19 @@ class TestSolve:
         assert len(res.bump_energies) == 2
         for e in res.bump_energies:
             assert e == pytest.approx(base8.energy, rel=0.05)
+
+    def test_empty_kernel_block_glues_without_reduced_steps(self, potential, nl):
+        # a threshold below every Hessian eigenvalue leaves the joint block
+        # empty: the reduced gradient has size 0 and the loop stops at once
+        S16 = diagonalize(potential, TorusDomain(1, 16, 16))
+        A = presets.BASE_ANSATZ
+        init = initial_ansatz(A["center"], A["width"], A["amplitude"], S16.domain, S16)
+        kb = detect_kernel(find_critical_point(init, S16, nl), S16, nl, tau=1e-12)
+        assert kb.l == 0
+        res = solve_multibump(build_problem(kb, [(0,), (8,)], S16), S16, nl)
+        assert res.phase2_iters == 0
+        assert res.reduced_coords_norm == 0.0
+        assert res.residual <= 1e-8
 
     def test_translation_equivariance(self, kb8, S8, nl):
         res0 = solve_multibump(build_problem(kb8, [(0,), (4,)], S8), S8, nl)

@@ -219,6 +219,14 @@ class TestBands:
         (_, hi1), (lo2, _) = band_structure(shifted, 2, 32, 32)
         assert hi1 + lo2 == pytest.approx(0.0, abs=1e-6)
 
+    @pytest.mark.parametrize("amplitude", [1.0, 5.0, 12.0, 30.0, 60.0, 120.0])
+    def test_midgap_shift_matches_the_full_quasimomentum_scan(self, amplitude):
+        # band edges sit at theta in {0, pi}: the two-fiber shift equals
+        # the midpoint of a 64-point scan bit for bit
+        raw = PeriodicPotential(amplitude=amplitude)
+        (_, hi1), (lo2, _) = band_structure(raw, 2, 64, 64)
+        assert midgap_shift(amplitude) == 0.5 * (hi1 + lo2)
+
     def test_no_gap_for_the_free_operator(self):
         with pytest.raises(ValueError):
             midgap_shift(0.0)
