@@ -73,8 +73,10 @@ class ConfigError(Exception):
     pass
 
 
-# Canonical config shape. None marks optional fields; unknown keys are
-# rejected so typos fail loudly instead of silently using a default.
+# Canonical config shape. Every field must have the JSON type of its
+# default (an integer also counts as a number); None marks an optional
+# field whose type _TYPES names. Unknown keys are rejected so typos fail
+# loudly instead of silently using a default.
 _DEFAULT_CONFIG: dict = {
     "domain": {"dim": 1, "cells": 8, "samples_per_cell": 16},
     "potential": {
@@ -98,18 +100,56 @@ _DEFAULT_CONFIG: dict = {
 }
 
 
-def _merge(defaults: dict, given: dict, path: str = "") -> dict:
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _list_of(item):
+    return lambda v: isinstance(v, list) and all(map(item, v))
+
+
+# JSON types by field name, else by the type of the field's default
+_TYPES = {
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("an integer", _is_integer),
+    float: ("a number", _is_number),
+    str: ("a string", lambda v: isinstance(v, str)),
+    "samples": ("a list of numbers", _list_of(_is_number)),
+    "center": ("a list of numbers", _list_of(_is_number)),
+    "axes": ("a list of integers", _list_of(_is_integer)),
+    "shift": ("a number or 'auto-midgap'", lambda v: v == "auto-midgap" or _is_number(v)),
+}
+# object fields that default to null, merged over these defaults when given
+_OBJECT_FIELDS = {"h": asdict(PeriodicPotential())}
+
+
+def _merge(defaults: dict, given, path: str, required=()) -> dict:
+    """`given` over `defaults`, each field type-checked; `required` keys must be given."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"config field {path!r} must be an object")
+    for key in required:
+        if key not in given:
+            raise ConfigError(f"missing config field '{path}.{key}'")
     out = copy.deepcopy(defaults)
     for key, value in given.items():
         where = f"{path}.{key}" if path else key
         if key not in defaults:
             raise ConfigError(f"unknown config field {where!r}")
-        if isinstance(defaults[key], dict) and defaults[key] is not None:
-            if not isinstance(value, dict):
-                raise ConfigError(f"config field {where!r} must be an object")
-            out[key] = _merge(defaults[key], value, where)
+        default = defaults[key]
+        nested = default if isinstance(default, dict) else _OBJECT_FIELDS.get(key)
+        if value is None and default is None:
+            pass
+        elif nested is not None:
+            value = _merge(nested, value, where)
         else:
-            out[key] = value
+            name, valid = _TYPES.get(key) or _TYPES[type(default)]
+            if not valid(value):
+                raise ConfigError(f"config field {where!r} must be {name}, got {value!r}")
+        out[key] = value
     return out
 
 
@@ -139,50 +179,44 @@ class RunConfig:
         return hashlib.sha256(js.encode()).hexdigest()[:16]
 
 
-def _json_int(value, name: str) -> int:
-    """`value` if it is a JSON integer; 8.7, "8" and true are refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def _domain_from_dict(d: dict) -> TorusDomain:
-    keys = ("dim", "cells", "samples_per_cell")
-    return TorusDomain(*(_json_int(d[key], f"domain.{key}") for key in keys))
+    try:
+        return TorusDomain(**d)
+    except ValueError as e:
+        raise ConfigError(f"domain: {e}") from e
 
 
 def _potential_from_dict(d: dict) -> PeriodicPotential:
-    shift = d.get("shift", 0.0)
+    """A checked potential dict (every field present) as a PeriodicPotential."""
+    shift = d["shift"]
     try:
         if shift == "auto-midgap":
-            if d.get("kind", "cosine") != "cosine":
+            if d["kind"] != "cosine":
                 raise ConfigError("potential.shift 'auto-midgap' requires kind 'cosine'")
-            shift = midgap_shift(float(d.get("amplitude", 0.0)))
+            shift = midgap_shift(float(d["amplitude"]))
         return PeriodicPotential(
-            kind=d.get("kind", "cosine"),
-            amplitude=float(d.get("amplitude", 0.0)),
+            kind=d["kind"],
+            amplitude=float(d["amplitude"]),
             shift=float(shift),
-            samples=tuple(d["samples"]) if d.get("samples") else None,
-            axes=tuple(d["axes"]) if d.get("axes") is not None else None,
+            samples=tuple(d["samples"]) if d["samples"] else None,
+            axes=tuple(d["axes"]) if d["axes"] is not None else None,
         )
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise ConfigError(f"potential: {e}") from e
 
 
 def _nonlinearity_from_dict(d: dict) -> Nonlinearity:
-    dealias = d.get("dealias", False)
-    if not isinstance(dealias, bool):
-        raise ConfigError(f"nonlinearity.dealias must be true or false, got {dealias!r}")
+    """A checked nonlinearity dict (every field present) as a Nonlinearity."""
     try:
         return Nonlinearity(
-            p=float(d.get("p", 4.0)),
-            q=float(d.get("q", 3.0)),
-            gamma=float(d.get("gamma", 4.0)),
-            weight=_potential_from_dict(d["h"]) if d.get("h") else None,
-            dealias=dealias,
-            dealias_factor=float(d.get("dealias_factor", 1.5)),
+            p=float(d["p"]),
+            q=float(d["q"]),
+            gamma=float(d["gamma"]),
+            weight=_potential_from_dict(d["h"]) if d["h"] is not None else None,
+            dealias=d["dealias"],
+            dealias_factor=float(d["dealias_factor"]),
         )
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise ConfigError(f"nonlinearity: {e}") from e
 
 
@@ -202,7 +236,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
             ) from e
         if not isinstance(given, dict):
             raise ConfigError(f"{path}: top level must be an object")
-    raw = _merge(_DEFAULT_CONFIG, given)
+    raw = _merge(_DEFAULT_CONFIG, given, "")
     for dotted, value in (overrides or {}).items():
         node = raw
         *parents, leaf = dotted.split(".")
@@ -210,23 +244,18 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
             node = node[p]
         node[leaf] = value
 
-    try:
-        domain = _domain_from_dict(raw["domain"])
-    except ValueError as e:
-        raise ConfigError(f"domain: {e}") from e
+    domain = _domain_from_dict(raw["domain"])
     potential = _potential_from_dict(raw["potential"])
     nl = _nonlinearity_from_dict(raw["nonlinearity"])
     try:
-        solver = SolverOptions(**{k: v for k, v in raw["solver"].items()})
-    except (TypeError, ValueError) as e:
+        solver = SolverOptions(**raw["solver"])
+    except ValueError as e:
         raise ConfigError(f"solver: {e}") from e
-    seed = _json_int(raw["seed"], "seed")
 
     ansatz = dict(raw["ansatz"])
-    width = ansatz["width"]
-    if isinstance(width, bool) or not isinstance(width, (int, float)) or not width > 0:
-        raise ConfigError(f"ansatz.width must be positive, got {width!r}")
-    if ansatz.get("center") is None:
+    if not ansatz["width"] > 0:
+        raise ConfigError(f"ansatz.width must be positive, got {ansatz['width']!r}")
+    if ansatz["center"] is None:
         ansatz["center"] = [0.0] * domain.dim
     if len(ansatz["center"]) != domain.dim:
         raise ConfigError(
@@ -238,7 +267,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         potential=potential,
         nonlinearity=nl,
         solver=solver,
-        seed=seed,
+        seed=raw["seed"],
         ansatz=ansatz,
     )
 
@@ -320,10 +349,19 @@ def _record_from_file(path: str, cfg: RunConfig):
             if key not in d:
                 raise ConfigError(f"{path}: not a solution record (missing {key!r})")
         try:
-            domain = _domain_from_dict(d["domain"])
+            # a record carries every field its writers emit; they omit others at their defaults
+            checked = {
+                key: _merge(_DEFAULT_CONFIG[key], d[key], key, required)
+                for key, required in (
+                    ("domain", _DEFAULT_CONFIG["domain"]),
+                    ("potential", PeriodicPotential().to_dict()),
+                    ("nonlinearity", Nonlinearity().to_dict()),
+                )
+            }
+            domain = _domain_from_dict(checked["domain"])
             field = GridField(domain, np.asarray(d["values"]))
-            V = _potential_from_dict(d["potential"])
-            nl = _nonlinearity_from_dict(d["nonlinearity"])
+            V = _potential_from_dict(checked["potential"])
+            nl = _nonlinearity_from_dict(checked["nonlinearity"])
         except ConfigError as e:
             raise ConfigError(f"{path}: {e}") from e
         except (AttributeError, KeyError, TypeError, ValueError) as e:
@@ -566,6 +604,8 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
         raise ConfigError(f"--seps: {e}") from e
     if min(l_values) < 1 or sorted(l_values) != l_values:
         raise ConfigError(f"--seps must be positive and ascending, got {args.seps}")
+    if args.m < 1:
+        raise ConfigError(f"--m must be at least 1, got {args.m}")
     kb = _kernel_from_file(args.base, cfg, args.tau)
     S = _target_decomposition(args, kb.S)
     rows = separation_sweep(kb, args.m, l_values, S, kb.nl, cfg.solver)

@@ -17,12 +17,15 @@ Nonlinear terms are collocated on the grid by default. The `dealias` flag
 evaluates them on a zero-padded fine grid instead (factor 3/2 by default;
 the cubic terms of p=4 need factor >= 3 for exact quadrature, which the
 degenerate translation fixture uses so its symmetry survives discretely).
-The padded evaluation and its adjoint are an exact transpose pair, so the
-finite-difference identities hold at machine accuracy either way.
+Either grid is one `_EvalGrid`: u reaches the evaluation points through
+an interpolation matrix along each axis and forces return through its
+transpose (collocation: the identity), so the finite-difference
+identities hold at machine accuracy on either grid.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,114 +115,87 @@ def _require_nonnegative(h: NDArray[np.float64]) -> NDArray[np.float64]:
     return h
 
 
-# -- padded (dealiased) evaluation ----------------------------------------------
+# -- evaluation grid of the nonlinear terms ---------------------------------------
 
 
-def _fine_size(n: int, factor: float) -> int:
+def _interpolation_matrix(n: int, factor: float) -> NDArray[np.float64]:
+    """Zero-padded trigonometric interpolation from n to nf >= factor * n
+    equispaced points of a period (nf even), as an nf x n matrix.
+
+    An even n's Nyquist mode is split evenly between +-n/2, so that its
+    interpolant is the real cosine; with nf = n the matrix is the identity.
+    """
     nf = int(np.ceil(n * factor))
-    return nf + (nf % 2)
+    nf += nf % 2
+    spec = np.fft.rfft(np.eye(n), axis=0)
+    if nf > n and n % 2 == 0:
+        spec[n // 2] *= 0.5
+    return np.fft.irfft(spec, nf, axis=0) * (nf / n)
 
 
-def _pad_axis(spec: NDArray[np.complex128], axis: int, nf: int) -> NDArray:
-    """Zero-pad one axis of an fftshift-ed spectrum, splitting the Nyquist mode."""
-    n = spec.shape[axis]
-    shape = list(spec.shape)
-    shape[axis] = nf
-    out = np.zeros(shape, dtype=complex)
-    cf = nf // 2
-
-    def sl(arr, lo, hi):
-        index = [slice(None)] * arr.ndim
-        index[axis] = slice(lo, hi)
-        return tuple(index)
-
-    out[sl(out, cf - n // 2 + 1, cf + n // 2)] = spec[sl(spec, 1, n)]
-    nyq = spec[sl(spec, 0, 1)] * 0.5
-    out[sl(out, cf - n // 2, cf - n // 2 + 1)] = nyq
-    out[sl(out, cf + n // 2, cf + n // 2 + 1)] += nyq
-    return out
+def _along_axes(M: NDArray[np.float64], x: NDArray[np.float64], dim: int) -> NDArray[np.float64]:
+    """M applied along each of the last `dim` (1 or 2) axes of x."""
+    x = x @ M.T
+    return M @ x if dim == 2 else x
 
 
-def _crop_axis(spec: NDArray[np.complex128], axis: int, n: int) -> NDArray:
-    """Adjoint of _pad_axis on an fftshift-ed spectrum."""
-    nf = spec.shape[axis]
-    shape = list(spec.shape)
-    shape[axis] = n
-    out = np.zeros(shape, dtype=complex)
-    cf = nf // 2
+@dataclass(frozen=True, eq=False)
+class _EvalGrid:
+    """The points where the nonlinear terms are evaluated, and their data.
 
-    def sl(arr, lo, hi):
-        index = [slice(None)] * arr.ndim
-        index[axis] = slice(lo, hi)
-        return tuple(index)
+    P (nf x n, the same on every axis) maps grid values to the evaluation
+    points; None stands for the identity of the collocated grid. h and qw
+    are the weight and the quadrature weight there, and fields holds the
+    eigenfields sampled there, one column each.
+    """
 
-    out[sl(out, 1, n)] = spec[sl(spec, cf - n // 2 + 1, cf + n // 2)]
-    out[sl(out, 0, 1)] = 0.5 * (
-        spec[sl(spec, cf - n // 2, cf - n // 2 + 1)]
-        + spec[sl(spec, cf + n // 2, cf + n // 2 + 1)]
-    )
-    return out
+    P: NDArray[np.float64] | None
+    h: NDArray[np.float64] | float
+    qw: float
+    fields: NDArray[np.float64]
+    dim: int
 
+    def samples(self, values: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Grid values (the grid axes last) at the evaluation points."""
+        return values if self.P is None else _along_axes(self.P, values, self.dim)
 
-def _upsample(values: NDArray[np.float64], nf: int) -> NDArray[np.float64]:
-    spec = np.fft.fftshift(np.fft.fftn(values))
-    for ax in range(values.ndim):
-        spec = _pad_axis(spec, ax, nf)
-    scale = (nf / values.shape[0]) ** values.ndim
-    return np.fft.ifftn(np.fft.ifftshift(spec)).real * scale
-
-def _upsample_adjoint(fine: NDArray[np.float64], n: int) -> NDArray[np.float64]:
-    spec = np.fft.fftshift(np.fft.fftn(fine))
-    for ax in range(fine.ndim):
-        spec = _crop_axis(spec, ax, n)
-    return np.fft.ifftn(np.fft.ifftshift(spec)).real
+    def adjoint(self, fine: NDArray[np.float64]) -> NDArray[np.float64]:
+        """The transpose of `samples`."""
+        return fine if self.P is None else _along_axes(self.P.T, fine, self.dim)
 
 
-def _dealias_cache(S: SpectralDecomposition, nl: Nonlinearity) -> dict:
-    """Per-decomposition cache of fine-grid data for padded evaluation."""
-    store = getattr(S, "_dealias_store", None)
-    if store is None:
-        store = {}
-        object.__setattr__(S, "_dealias_store", store)
+# fine grids per decomposition; a grid holds no reference back to its key
+_FINE_GRIDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _eval_grid(S: SpectralDecomposition, nl: Nonlinearity) -> _EvalGrid:
+    """The collocated grid, or the (cached) zero-padded fine grid of `nl.dealias`."""
+    dom = S.domain
+    if not nl.dealias:
+        return _EvalGrid(None, nl.weight_values(dom), dom.spacing**dom.dim, S.eigenfields, dom.dim)
+    grids = _FINE_GRIDS.setdefault(S, {})
     key = (nl.dealias_factor, nl.weight)
-    if key not in store:
-        dom = S.domain
-        n = dom.points_per_axis
-        nf = _fine_size(n, nl.dealias_factor)
-        if nl.weight is None:
-            hfine: NDArray | float = 1.0
-        else:
+    if key not in grids:
+        P = _interpolation_matrix(dom.points_per_axis, nl.dealias_factor)
+        nf = P.shape[0]
+        h: NDArray | float = 1.0
+        if nl.weight is not None:
             coords = -0.5 * dom.cells + dom.cells * np.arange(nf) / nf
             mesh = np.meshgrid(*([coords] * dom.dim), indexing="ij")
-            hfine = _require_nonnegative(nl.weight.evaluate_on(mesh))
-        store[key] = {
-            "nf": nf,
-            "hfine": hfine,
-            "quad_weight": dom.volume / nf**dom.dim,
-            "fine_fields": None,  # lazily built matrix of upsampled eigenfields
-        }
-    return store[key]
-
-
-def _nl_env(S: SpectralDecomposition, nl: Nonlinearity, values: NDArray):
-    """Evaluation environment: (samples of u, weight there, quadrature weight, cache)."""
-    if not nl.dealias:
-        hcoarse = nl.weight_values(S.domain)
-        return values, hcoarse, S.domain.spacing**S.domain.dim, None
-    cache = _dealias_cache(S, nl)
-    return _upsample(values, cache["nf"]), cache["hfine"], cache["quad_weight"], cache
+            h = _require_nonnegative(nl.weight.evaluate_on(mesh))
+        # the transpose of the Fortran-order eigenfield matrix is a C-order view
+        fine = _along_axes(P, S.eigenfields.T.reshape((-1,) + dom.shape), dom.dim)
+        fields = fine.reshape(S.num_modes, -1).T
+        grids[key] = _EvalGrid(P, h, dom.volume / nf**dom.dim, fields, dom.dim)
+    return grids[key]
 
 
 def _nl_integral_and_force(S, nl, values):
     """int F(x, u) and the gradient d/du of it against plain grid values."""
-    samples, h, qw, cache = _nl_env(S, nl, values)
-    Fint = qw * float(np.sum(nl.F(samples, h)))
-    force = nl.f(samples, h)
-    if cache is None:
-        fterm = qw * force
-    else:
-        fterm = qw * _upsample_adjoint(force, S.domain.points_per_axis)
-    return Fint, fterm
+    grid = _eval_grid(S, nl)
+    samples = grid.samples(values)
+    Fint = grid.qw * float(np.sum(nl.F(samples, grid.h)))
+    return Fint, grid.adjoint(grid.qw * nl.f(samples, grid.h))
 
 
 # -- weighted-coordinate calculus (used by solvers) ------------------------------
@@ -239,35 +215,24 @@ def a_gradient(S, nl, a: NDArray[np.float64]) -> NDArray[np.float64]:
     return a_value_and_gradient(S, nl, a)[1]
 
 
-def _fine_fields(S: SpectralDecomposition, cache: dict) -> NDArray[np.float64]:
-    """The eigenfields upsampled to the fine grid, one column each (cached)."""
-    if cache["fine_fields"] is None:
-        fine = np.empty((cache["nf"] ** S.domain.dim, S.num_modes))
-        for i in range(S.num_modes):
-            col = S.eigenfields[:, i].reshape(S.domain.shape)
-            fine[:, i] = _upsample(col, cache["nf"]).reshape(-1)
-        cache["fine_fields"] = fine
-    return cache["fine_fields"]
-
-
 def a_hessian(
     S: SpectralDecomposition, nl: Nonlinearity, a: NDArray[np.float64]
 ) -> NDArray[np.float64]:
     """Dense symmetric Hessian of J in the weighted coordinates.
 
-    The nonlinear block F^T diag(f') F, with F the eigenfields sampled on
-    the evaluation grid, is built as the Gram product G^T G of
-    G = F diag(sqrt f'). That is legitimate because f' = (p-1) h |u|^(p-2)
-    is nonnegative: p >= 3 and h >= 0, which `weight_values` and the
-    fine-grid cache enforce. NumPy evaluates G^T G as a symmetric rank-k
-    update, half the flops of the general product, which fills both
-    triangles from one; dividing by the symmetric outer(weights, weights)
-    keeps the result exactly symmetric.
+    The nonlinear block F^T diag(qw f') F, with F the eigenfields sampled
+    at the evaluation points (`_EvalGrid.fields`, the eigenfields
+    themselves on the collocated grid), is built as the Gram product
+    G^T G of G = F diag(sqrt(qw f')). That is legitimate because
+    f' = (p-1) h |u|^(p-2) is nonnegative: p >= 3 and h >= 0, which
+    `weight_values` and `_eval_grid` enforce. NumPy evaluates G^T G as a
+    symmetric rank-k update, half the flops of the general product, which
+    fills both triangles from one; dividing by the symmetric
+    outer(weights, weights) keeps the result exactly symmetric.
     """
-    values = S.values_from_a(a)
-    samples, h, qw, cache = _nl_env(S, nl, values)
-    fields = S.eigenfields if cache is None else _fine_fields(S, cache)
-    G = fields * np.sqrt(qw * nl.fprime(samples, h)).reshape(-1)[:, None]
+    grid = _eval_grid(S, nl)
+    samples = grid.samples(S.values_from_a(a))
+    G = grid.fields * np.sqrt(grid.qw * nl.fprime(samples, grid.h)).reshape(-1)[:, None]
     A = G.T @ G
     A /= np.outer(S.weights, S.weights)
     np.negative(A, out=A)
@@ -279,16 +244,10 @@ def a_hessvec(
     S: SpectralDecomposition, nl: Nonlinearity, a: NDArray, v: NDArray
 ) -> NDArray[np.float64]:
     """Hessian-vector product in weighted coordinates, no dense assembly."""
-    values = S.values_from_a(a)
-    vvalues = S.values_from_a(v)
-    samples, h, qw, cache = _nl_env(S, nl, values)
-    if cache is None:
-        prod = qw * nl.fprime(samples, h) * vvalues
-    else:
-        vfine = _upsample(vvalues, cache["nf"])
-        prod = qw * _upsample_adjoint(
-            nl.fprime(samples, h) * vfine, S.domain.points_per_axis
-        )
+    grid = _eval_grid(S, nl)
+    samples = grid.samples(S.values_from_a(a))
+    vsamples = grid.samples(S.values_from_a(v))
+    prod = grid.adjoint(grid.qw * nl.fprime(samples, grid.h) * vsamples)
     return S.signs * v - (S.eigenfields.T @ prod.reshape(-1)) / S.weights
 
 
@@ -408,19 +367,19 @@ HessianModel = DenseHessian | LowRankHessian
 def _active_rows(
     S: SpectralDecomposition, nl: Nonlinearity, a: NDArray[np.float64]
 ) -> tuple[NDArray[np.float64], NDArray[np.intp]]:
-    """Each collocation point's weight qw * f', and the points where it
+    """Each evaluation point's weight qw * f', and the points where it
     exceeds eps * the largest weight; the others fall below the rounding
     of the Gram sum G^T G."""
-    samples, h, qw, _ = _nl_env(S, nl, S.values_from_a(a))
-    weight = (qw * nl.fprime(samples, h)).reshape(-1)
+    grid = _eval_grid(S, nl)
+    weight = (grid.qw * nl.fprime(grid.samples(S.values_from_a(a)), grid.h)).reshape(-1)
     return weight, np.flatnonzero(weight > np.finfo(float).eps * weight.max())
 
 
 def _gram_factor(
-    S: SpectralDecomposition, weight: NDArray[np.float64], rows: NDArray[np.intp]
+    S: SpectralDecomposition, nl: Nonlinearity, weight: NDArray, rows: NDArray[np.intp]
 ) -> NDArray[np.float64]:
     """The rows of G, G^T G the nonlinear block of the Hessian in a-coordinates."""
-    G = S.eigenfields[rows] * np.sqrt(weight[rows])[:, None]
+    G = _eval_grid(S, nl).fields[rows] * np.sqrt(weight[rows])[:, None]
     G /= S.weights
     return G
 
@@ -430,17 +389,15 @@ def hessian_model(
 ) -> HessianModel:
     """The Hessian of J at a, with matvec, solve and eigenvalues.
 
-    A fixed rule picks the backend before anything is built: on a
-    collocated grid with r active rows (`_active_rows`), the low-rank one
-    when its invariant subspace, of dimension min(j, r) + min(N - j, r),
-    is at most N/2; otherwise, and always on the dealiased fine grid, the
-    dense one.
+    A fixed rule picks the backend before anything is built: with r
+    active rows (`_active_rows`) on either evaluation grid, the low-rank
+    one when its invariant subspace, of dimension
+    min(j, r) + min(N - j, r), is at most N/2; otherwise the dense one.
     """
-    if not nl.dealias:
-        weight, rows = _active_rows(S, nl, a)
-        n, j, r = S.num_modes, S.j, rows.size
-        if min(j, r) + min(n - j, r) <= n // 2:
-            return LowRankHessian(S.signs, j, _gram_factor(S, weight, rows))
+    weight, rows = _active_rows(S, nl, a)
+    n, j, r = S.num_modes, S.j, rows.size
+    if min(j, r) + min(n - j, r) <= n // 2:
+        return LowRankHessian(S.signs, j, _gram_factor(S, nl, weight, rows))
     return DenseHessian(S, nl, a)
 
 

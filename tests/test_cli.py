@@ -11,6 +11,7 @@ from gapbumps.cli import (
     read_field_csv,
     write_field_csv,
 )
+from gapbumps.operator import PeriodicPotential
 from gapbumps.torus import GridField, TorusDomain
 
 
@@ -83,14 +84,41 @@ class TestConfig:
             ('{"seed": true}', "seed"),
             ('{"ansatz": {"width": 0}}', "ansatz.width"),
             ('{"potential": {"amplitude": 0.0}}', "no gap"),
+            ('{"solver": {"max_iters": 7.9}}', "solver.max_iters"),
+            ('{"nonlinearity": {"h": {"amplitud": 5}}}', "nonlinearity.h.amplitud"),
+            ('{"potential": {"amplitude": "30"}, "nonlinearity": {"p": "4"}}', "potential.amplitude"),
+            ('{"nonlinearity": {"p": "4"}}', "nonlinearity.p"),
+            ('{"potential": {"axes": [0.7]}}', "potential.axes"),
+            ('{"potential": {"samples": [1, "2"]}}', "potential.samples"),
+            ('{"potential": {"shift": "midgap"}}', "potential.shift"),
+            ('{"ansatz": {"amplitude": "6"}}', "ansatz.amplitude"),
+            ('{"ansatz": {"center": ["0"]}}', "ansatz.center"),
+            ('{"nonlinearity": {"h": 1.0}}', "nonlinearity.h"),
         ],
-        ids=["dealias_string", "cells_float", "dim_bool", "seed_bool", "width_zero", "no_gap"],
+        ids=[
+            "dealias_string", "cells_float", "dim_bool", "seed_bool", "width_zero", "no_gap",
+            "max_iters_float", "weight_typo", "amplitude_string", "p_string", "axes_float",
+            "samples_string", "shift_string", "ansatz_amplitude_string", "center_string",
+            "weight_number",
+        ],
     )
     def test_json_types_and_values_are_strict(self, tmp_path, text, message):
         path = tmp_path / "cfg.json"
         path.write_text(text)
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError, match=message.replace(".", r"\.")):
             load_config(str(path))
+        assert main(["--config", str(path), "spectrum"]) == 2
+
+    def test_null_defaults_take_their_types(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(
+            '{"potential": {"amplitude": 30, "axes": [0]}, "ansatz": {"center": [0]},'
+            ' "nonlinearity": {"h": {"amplitude": 0.5, "shift": -2}}}'
+        )
+        cfg = load_config(str(path))
+        assert cfg.potential.axes == (0,) and cfg.ansatz["center"] == [0]
+        assert cfg.nonlinearity.weight == PeriodicPotential(amplitude=0.5, shift=-2.0)
+        assert load_config(None).config_hash == "58b105abd4876707"
 
     def test_flag_overrides_apply(self):
         cfg = load_config(None, {"domain.cells": 4, "seed": 77})
@@ -193,6 +221,8 @@ class TestCommands:
             (["multibump", "--base", "{base}", "--centers", "0;4", "--tau", "-1"], "--tau"),
             (["sweep", "--base", "{base}", "--seps", "8,4"], "--seps"),
             (["sweep", "--base", "{base}", "--seps", "0,4"], "--seps"),
+            (["sweep", "--base", "{base}", "--m", "0", "--seps", "4"], "--m"),
+            (["sweep", "--base", "{base}", "--m", "-2", "--seps", "4"], "--m"),
             (["multibump", "--base", "{base}", "--centers", "0;4", "--k", "3"], "--k"),
             (["solve", "--k", "8", "--ansatz-width", "0"], "ansatz.width"),
             (["solve", "--ansatz-center", "zero"], "--ansatz-center"),
@@ -202,6 +232,7 @@ class TestCommands:
         ],
         ids=[
             "reduce_tau_zero", "multibump_tau_negative", "seps_descending", "seps_zero",
+            "sweep_m_zero", "sweep_m_negative",
             "target_below_base", "ansatz_width_zero", "ansatz_center_text",
             "bands_above_modes", "quasimomenta_negative", "midgap_without_gap",
         ],
@@ -280,28 +311,36 @@ class TestCommands:
         assert flag[0] in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, where",
         [
-            lambda rec: rec["domain"].update(samples_per_cell=12),
-            lambda rec: rec.update(values=rec["values"][:-3]),
-            lambda rec: rec["domain"].pop("cells"),
-            lambda rec: rec["domain"].update(cells=8.0),
-            lambda rec: rec["nonlinearity"].update(dealias="false"),
-            lambda rec: rec.update(potential=[]),
+            (lambda rec: rec["domain"].update(samples_per_cell=12), "samples_per_cell"),
+            (lambda rec: rec.update(values=rec["values"][:-3]), "128 values"),
+            (lambda rec: rec["domain"].pop("cells"), "domain.cells"),
+            (lambda rec: rec["domain"].update(cells=8.0), "domain.cells"),
+            (lambda rec: rec["nonlinearity"].update(dealias="false"), "nonlinearity.dealias"),
+            (lambda rec: rec.update(potential=[]), "potential"),
+            (lambda rec: rec["potential"].pop("shift"), "potential.shift"),
+            (lambda rec: rec["nonlinearity"].pop("p"), "nonlinearity.p"),
+            (lambda rec: rec["domain"].update(walls=0), "domain.walls"),
+            (lambda rec: rec["potential"].update(amplitude="30"), "potential.amplitude"),
+            (lambda rec: rec["nonlinearity"].update(h={"amplitud": 5}), "nonlinearity.h.amplitud"),
+            (lambda rec: rec["nonlinearity"].update(p="4"), "nonlinearity.p"),
         ],
         ids=[
             "samples_per_cell", "short_values", "no_cells", "float_cells", "dealias_string",
-            "potential_list",
+            "potential_list", "no_shift", "no_p", "unknown_domain_field", "amplitude_string",
+            "weight_typo", "p_string",
         ],
     )
-    def test_reduce_refuses_a_malformed_record(self, outdir, tmp_path, capsys, edit):
+    def test_reduce_refuses_a_malformed_record(self, outdir, tmp_path, capsys, edit, where):
         assert main(["solve", "--k", "8", "--seed", "7"]) == 0
         rec = json.loads((outdir / "solution.json").read_text())
         edit(rec)
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(rec))
         assert main(["reduce", "--solution", str(path)]) == 2
-        assert "malformed.json" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "malformed.json" in err and where in err
 
     def test_reduce_accepts_a_field_csv(self, outdir):
         assert main(["solve", "--k", "8", "--seed", "7"]) == 0

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapbumps.functional import (
     Nonlinearity,
-    _fine_fields,
-    _nl_env,
+    _EvalGrid,
+    _eval_grid,
+    _interpolation_matrix,
     a_gradient,
     a_hessian,
     a_hessvec,
@@ -141,9 +144,9 @@ class TestDerivatives:
 
 def _symmetrized_hessian(S, nl, a):
     """a_hessian's earlier formula: diag(signs) - W / outer(w, w), then symmetrized."""
-    samples, h, qw, cache = _nl_env(S, nl, S.values_from_a(a))
-    fields = S.eigenfields if cache is None else _fine_fields(S, cache)
-    G = fields * np.sqrt(qw * nl.fprime(samples, h)).reshape(-1)[:, None]
+    grid = _eval_grid(S, nl)
+    samples = grid.samples(S.values_from_a(a))
+    G = grid.fields * np.sqrt(grid.qw * nl.fprime(samples, grid.h)).reshape(-1)[:, None]
     A = np.diag(S.signs) - (G.T @ G) / np.outer(S.weights, S.weights)
     return 0.5 * (A + A.T)
 
@@ -181,6 +184,63 @@ class TestDealiasing:
         a = rng.standard_normal(S4.num_modes)
         H = a_hessian(S4, nl, a)
         assert np.allclose(H, H.T, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_factor_one_is_collocation(self, S4, degenerate, rng, dim):
+        S = S4 if dim == 1 else degenerate[0]
+        a = rng.standard_normal(S.num_modes) / (1.0 + np.abs(S.eigenvalues)) ** 0.5
+        plain, padded = Nonlinearity(), Nonlinearity(dealias=True, dealias_factor=1.0)
+        J, g = a_value_and_gradient(S, plain, a)
+        Jf, gf = a_value_and_gradient(S, padded, a)
+        assert Jf == pytest.approx(J, rel=1e-12)
+        assert np.linalg.norm(gf - g) <= 1e-12 * np.linalg.norm(g)
+        H = a_hessian(S, plain, a)
+        assert np.linalg.norm(a_hessian(S, padded, a) - H) <= 1e-12 * np.linalg.norm(H)
+
+
+def _grid(n, factor, dim):
+    """A bare evaluation grid with n points per axis; only P and dim matter."""
+    return _EvalGrid(_interpolation_matrix(n, factor), 1.0, 1.0, np.empty((0, 0)), dim)
+
+
+class TestInterpolation:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(4, 40).map(lambda half: 2 * half),
+        factor=st.floats(1.0, 3.0),
+        data=st.data(),
+    )
+    def test_band_limited_and_nyquist_modes_are_reproduced(self, n, factor, data):
+        P = _interpolation_matrix(n, factor)
+        nf = P.shape[0]
+        assert nf >= factor * n and nf % 2 == 0
+        x, y = np.arange(n) / n, np.arange(nf) / nf
+        m = data.draw(st.integers(0, n // 2 - 1), label="mode")
+        phase = data.draw(st.floats(0.0, 2 * np.pi), label="phase")
+        assert np.allclose(P @ np.cos(2 * np.pi * m * x + phase),
+                           np.cos(2 * np.pi * m * y + phase), rtol=0, atol=1e-12)
+        # the Nyquist mode's interpolant is the real cosine
+        assert np.allclose(P @ np.cos(np.pi * n * x), np.cos(np.pi * n * y), rtol=0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(4, 40).map(lambda half: 2 * half),
+        factor=st.floats(1.0, 3.0),
+        dim=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_samples_and_adjoint_are_transposes(self, n, factor, dim, seed):
+        grid = _grid(n, factor, dim)
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((n,) * dim)
+        w = rng.standard_normal((grid.P.shape[0],) * dim)
+        lhs = float(np.sum(grid.samples(u) * w))
+        rhs = float(np.sum(u * grid.adjoint(w)))
+        scale = np.linalg.norm(grid.samples(u)) * np.linalg.norm(w)
+        assert abs(lhs - rhs) <= 1e-13 * scale
+
+    def test_factor_one_is_the_identity(self):
+        assert np.allclose(_interpolation_matrix(24, 1.0), np.eye(24), rtol=0, atol=1e-15)
 
 
 class TestInteractionDefect:

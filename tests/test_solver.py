@@ -202,7 +202,7 @@ def base64(S64, ansatz64, nl):
 
 def _low_rank(S, nl, a):
     """The low-rank backend at a, whatever the backend rule would pick."""
-    return LowRankHessian(S.signs, S.j, _gram_factor(S, *_active_rows(S, nl, a)))
+    return LowRankHessian(S.signs, S.j, _gram_factor(S, nl, *_active_rows(S, nl, a)))
 
 
 def _assert_matches_dense(model, H, signs, rng):
@@ -229,9 +229,11 @@ def _assert_matches_dense(model, H, signs, rng):
 
 
 class TestLowRankHessian:
-    @pytest.mark.parametrize("point", ["ansatz", "solution"])
+    @pytest.mark.parametrize("point", ["ansatz", "solution", "dealiased"])
     def test_matches_dense_on_a_long_torus(self, S64, nl, ansatz64, base64, rng, point):
         field = ansatz64 if point == "ansatz" else base64.field
+        if point == "dealiased":
+            nl = Nonlinearity(dealias=True)
         a = S64.a_from_field(field)
         model = _low_rank(S64, nl, a)
         assert model.subspace_dim <= S64.num_modes // 2
@@ -273,12 +275,16 @@ class TestLowRankHessian:
         assert model.subspace_dim == min(j, r) + min(n - j, r)
         _assert_matches_dense(model, np.diag(signs) - G.T @ G, signs, rng)
 
-    def test_backend_rule(self, S8, nl, base8, S64, base64):
+    def test_backend_rule(self, S8, nl, base8, S64, base64, degenerate):
         assert hessian_model(S8, nl, S8.a_from_field(base8.field)).backend == "dense"
         a = S64.a_from_field(base64.field)
         assert hessian_model(S64, nl, a).backend == "low-rank"
+        # the rule reads r alone on either grid: a localized bump keeps few
+        # fine rows active, the 2-d fixture's solution almost all of them
         dealiased = Nonlinearity(dealias=True)
-        assert hessian_model(S64, dealiased, a).backend == "dense"
+        assert hessian_model(S64, dealiased, a).backend == "low-rank"
+        S2, nl2, rec, _ = degenerate
+        assert hessian_model(S2, nl2, S2.a_from_field(rec.field)).backend == "dense"
 
     def test_long_torus_record(self, S64, base64):
         assert base64.residual <= 1e-12
