@@ -34,12 +34,14 @@ from .functional import Nonlinearity
 from .multibump import (
     CentersCollide,
     GluingUnstable,
+    KernelOverlap,
     SeparationTooSmall,
     build_problem,
     separation_sweep,
     solve_multibump,
 )
 from .operator import (
+    NoCertifiedGap,
     NotInvertible,
     PeriodicPotential,
     band_samples,
@@ -311,18 +313,16 @@ def write_field_csv(path: Path, field: GridField) -> None:
 def read_field_csv(path: Path, domain: TorusDomain) -> GridField:
     with path.open() as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if len(header) != domain.dim + 1:
             raise ConfigError(
                 f"{path}: expected {domain.dim + 1} columns for a {domain.dim}-d field, "
                 f"got {len(header)}"
             )
-        values = [float(row[-1]) for row in reader if row]
-    if len(values) != domain.num_points:
-        raise ConfigError(
-            f"{path}: {len(values)} rows, domain has {domain.num_points} grid points"
-        )
-    return GridField(domain, np.asarray(values))
+        try:
+            return GridField(domain, np.asarray([float(row[-1]) for row in reader if row]))
+        except ValueError as e:
+            raise ConfigError(f"{path}: {e}") from e
 
 
 def _record_from_file(path: str, cfg: RunConfig):
@@ -415,7 +415,10 @@ def _parse_centers(text: str, dim: int) -> list[tuple[int, ...]]:
         part = part.strip()
         if not part:
             continue
-        coords = tuple(int(c) for c in part.split(","))
+        try:
+            coords = tuple(int(c) for c in part.split(","))
+        except ValueError:
+            raise ConfigError(f"--centers: center {part!r} is not a list of integers") from None
         if len(coords) != dim:
             raise ConfigError(
                 f"center {part!r} has {len(coords)} coordinates, domain is {dim}-d"
@@ -520,6 +523,8 @@ def cmd_reduce(args, cfg: RunConfig) -> int:
     if args.stencil < 1:
         raise ConfigError(f"--stencil must be at least 1, got {args.stencil}")
     kb = _kernel_from_file(args.solution, cfg, args.tau)
+    if kb.l == 0:
+        raise ConfigError(f"--tau {args.tau:g} leaves the kernel block empty, nothing to classify")
     radius = args.radius if args.radius is not None else 0.5 * kb.delta0
     if not 0 < radius <= kb.delta0:
         raise ConfigError(f"--radius must lie in (0, delta0 = {kb.delta0:.6g}], got {radius:g}")
@@ -648,7 +653,8 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     out = _outdir()
     report = run_verification(seed=cfg.seed)
     (out / "report.json").write_text(report.to_json())
-    _write_manifest(out, "verify", cfg, ["report.json"], started)
+    phases = {f"{name.removeprefix('check_')}_s": s for name, s in report.seconds.items()}
+    _write_manifest(out, "verify", cfg, ["report.json"], started, phases)
     for entry in report.entries:
         print(f"{'PASS' if entry.passed else 'FAIL'}  {entry.name}")
     if not report.passed:
@@ -745,15 +751,16 @@ def _overrides(args) -> dict:
 
 _NUMERIC_ERRORS = (
     NotInvertible,
+    NoCertifiedGap,
     NoConvergence,
     TrivialCollapse,
     AllKernel,
     OutOfBall,
     CentersCollide,
     SeparationTooSmall,
+    KernelOverlap,
     GluingUnstable,
     np.linalg.LinAlgError,
-    ValueError,
 )
 
 

@@ -274,41 +274,49 @@ class DenseHessian:
         return scipy.linalg.eigvalsh(self.matrix)
 
 
+class Householder:
+    """The Householder QR X = Q R of an N x n matrix, n <= N (Golub & Van
+    Loan, Matrix Computations, 5.1-5.2): Q (N x N) in LAPACK's compact
+    form, R (n x n); no columns give Q = I. `apply` takes the reflectors
+    one at a time, LAPACK's path for a workspace of one row or column of
+    C: O(N n) per vector, O(N^2 n) for an N x N matrix.
+    """
+
+    def __init__(self, X: NDArray[np.float64]) -> None:
+        self.n = X.shape[1]
+        self.raw, self.R = scipy.linalg.qr(X, mode="raw") if self.n else (None, X[:0])
+
+    def apply(self, C: NDArray, trans: str = "N", side: str = "L") -> NDArray[np.float64]:
+        """Q C, Q^T C (trans "T"), C Q or C Q^T (side "R")."""
+        if not self.n:
+            return C
+        work = C.size // C.shape[0] if side == "L" else C.shape[0]
+        return scipy.linalg.lapack.dormqr(side, trans, *self.raw, C, lwork=max(1, work))[0]
+
+
 class _SignBlock:
     """An orthonormal basis Q of one sign block containing its part of range(G^T).
 
     With G_b the block's columns of G (rows x width): the identity when
     the block is no wider than G has rows, nothing when G has no rows,
-    and otherwise the Householder QR G_b^T = Q R, kept in LAPACK's
-    compact form, so that G_b Q = R^T needs no product. Q is applied one
-    vector at a time, for which LAPACK's unblocked path needs a workspace
-    of one entry.
+    and otherwise the Householder QR G_b^T = Q R, so that G_b Q = R^T
+    needs no product.
     """
 
     def __init__(self, Gb: NDArray[np.float64]) -> None:
         rows, self.width = Gb.shape
         self.dim = min(rows, self.width)
-        if 0 < rows < self.width:
-            self.householder, R = scipy.linalg.qr(Gb.T, mode="raw")
-            self.GQ = R.T
-        else:
-            self.householder, self.GQ = None, Gb[:, : self.dim]
+        narrow = rows < self.width
+        self.Q = Householder(Gb.T if narrow else np.zeros((self.width, 0)))
+        self.GQ = self.Q.R.T if narrow else Gb
 
     def coords(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
         """Q^T v."""
-        if self.householder is None:
-            return v[: self.dim]
-        return scipy.linalg.lapack.dormqr("L", "T", *self.householder, v, lwork=1)[0][: self.dim]
+        return self.Q.apply(v, "T")[: self.dim]
 
     def embed(self, z: NDArray[np.float64]) -> NDArray[np.float64]:
         """Q z."""
-        c = np.zeros(self.width)
-        c[: self.dim] = z
-        if self.householder is None:
-            return c
-        return scipy.linalg.lapack.dormqr(
-            "L", "N", *self.householder, c, lwork=1, overwrite_c=1
-        )[0]
+        return self.Q.apply(np.concatenate([z, np.zeros(self.width - self.dim)]))
 
 
 class LowRankHessian:

@@ -42,6 +42,10 @@ class SeparationTooSmall(ValueError):
     """Minimal center separation is under the configured floor."""
 
 
+class KernelOverlap(ValueError):
+    """Translated kernel fields far from orthonormal at separated centers."""
+
+
 class GluingUnstable(RuntimeError):
     """Final polish drifted far from the assembled multibump."""
 
@@ -87,10 +91,10 @@ class MultibumpProblem:
     """A gluing instance: base kernel data, target centers, target space.
 
     glued_a is the superposed base in a-coordinates. joint_raw holds the
-    translated kernel fields as a-columns (the x-coordinate basis,
-    near-orthonormal for separated centers); joint_E is its orthonormal
-    QR basis, the block the correction stays orthogonal to; joint_gram
-    is kept for the orthogonality diagnostic.
+    translated kernel fields as a-columns: the x-coordinate basis,
+    near-orthonormal for separated centers, whose span the correction
+    stays orthogonal to. joint_gram is kept for the orthogonality
+    diagnostic.
     """
 
     kb: KernelBasis
@@ -99,7 +103,6 @@ class MultibumpProblem:
     l_sep: float
     glued_a: NDArray[np.float64]
     joint_raw: NDArray[np.float64]
-    joint_E: NDArray[np.float64]
     joint_gram: NDArray[np.float64]
 
     @property
@@ -140,12 +143,11 @@ def build_problem(
         l_sep=l_sep,
         glued_a=S.a_from_field(glued),
         joint_raw=raw,
-        joint_E=np.linalg.qr(raw)[0] if raw.shape[1] else raw,
         joint_gram=gram,
     )
     if l_sep >= 4 and prob.joint_dim:
         if prob.gram_offdiag > 0.1:
-            raise ValueError(
+            raise KernelOverlap(
                 f"translated kernel fields too far from orthonormal "
                 f"(offdiag {prob.gram_offdiag:.3f}) despite separation {l_sep}"
             )
@@ -165,7 +167,7 @@ def joint_correction(
     all in a-coordinates.
     """
     center = prob.glued_a + prob.joint_raw @ x
-    w, iters = _projected_newton(prob.S, nl, center, prob.joint_E, prob.kb.hessian_scale, w0=w0)
+    w, iters = _projected_newton(prob.S, nl, center, prob.joint_raw, w0=w0)
     return center + w, w, iters
 
 
@@ -263,7 +265,7 @@ def solve_multibump(
         G = raw.T @ a_gradient(S, nl, a_full)
         if float(np.linalg.norm(G)) <= REDUCED_TOL:
             break
-        Hred = reduced_hessian(S, nl, a_full, raw, prob.joint_E, prob.kb.hessian_scale)
+        Hred = reduced_hessian(S, nl, a_full, raw)
         try:
             step = scipy.linalg.solve(Hred, -G, assume_a="sym")
         except scipy.linalg.LinAlgError as err:

@@ -41,6 +41,10 @@ class NotInvertible(Exception):
     """Zero is (numerically) an eigenvalue: not inside a spectral gap."""
 
 
+class NoCertifiedGap(ValueError):
+    """The operation needs a certified spectral gap around 0."""
+
+
 @dataclass(frozen=True)
 class PeriodicPotential:
     """Bounded 1-periodic potential, V(x) = sum_a profile(x_a) - shift.
@@ -98,12 +102,6 @@ class PeriodicPotential:
             if ax in axes:
                 out = out + self.profile(x)
         return out - self.shift
-
-    def bound(self) -> float:
-        """An upper bound for max |V| (hypothesis: V is bounded)."""
-        if self.kind == "cosine":
-            return abs(self.amplitude) * 2 + abs(self.shift)
-        return float(np.max(np.abs(self.samples)) * 2 + abs(self.shift))
 
     def to_dict(self) -> dict:
         d: dict = {"kind": self.kind, "amplitude": self.amplitude, "shift": self.shift}
@@ -271,14 +269,12 @@ class SpectralDecomposition:
 
     @property
     def alpha(self) -> float:
-        if self.gap is None:
-            raise ValueError("no certified gap")
+        self.require_gap()
         return self.gap[0]
 
     @property
     def beta(self) -> float:
-        if self.gap is None:
-            raise ValueError("no certified gap")
+        self.require_gap()
         return self.gap[1]
 
     @property
@@ -290,7 +286,7 @@ class SpectralDecomposition:
 
     def require_gap(self) -> None:
         if self.gap is None:
-            raise ValueError("operation requires a certified spectral gap around 0")
+            raise NoCertifiedGap("operation requires a certified spectral gap around 0")
 
     # -- coefficients c and weighted a-coordinates a = weights * c --------------
     def c_from_values(self, values: NDArray[np.float64]) -> NDArray[np.float64]:

@@ -2,10 +2,12 @@
 
 Splits the space at a base critical point into a low-dimensional
 near-kernel of the Hessian and its orthogonal complement, solves the
-complement equation by projected Newton, and studies the resulting
-reduced energy: its gradient, its analytic Hessian and its Morse data at
-the origin. Translated copies of the kernel fields span the joint block
-of a multibump problem.
+complement equation by Newton in complement coordinates, and studies the
+resulting reduced energy: its gradient, its analytic Hessian (a Schur
+complement of Q^T H Q) and its Morse data at the origin. A kernel block
+is one frame, the Householder QR of its columns, whose Q = [Q1 Q2]
+gives both the block and the complement coordinates. Translated copies
+of the kernel fields span the joint block of a multibump problem.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
-from .functional import Nonlinearity, a_gradient, a_hessian, a_value_and_gradient
+from .functional import Householder, Nonlinearity, a_gradient, a_hessian, a_value_and_gradient
 from .operator import SpectralDecomposition
 from .solver import KERNEL_TAU, NoConvergence, SolutionRecord, kernel_split
 from .torus import GridField, embed_with_cutoff, translate
@@ -61,12 +63,6 @@ class KernelBasis:
     @property
     def delta0(self) -> float:
         return 0.3 / self.eta
-
-    @property
-    def fields(self) -> tuple[GridField, ...]:
-        return tuple(
-            self.S.field_from_a(self.E[:, j]) for j in range(self.E.shape[1])
-        )
 
 
 @dataclass(frozen=True)
@@ -120,56 +116,55 @@ def kernel_combination(kb: KernelBasis, x: NDArray[np.float64]) -> GridField:
     return kb.S.field_from_a(kb.E @ x)
 
 
-def _complement_matrix(
-    H: NDArray[np.float64], E: NDArray[np.float64], push: float
-) -> NDArray[np.float64]:
-    """PHP + push*E E^T with P = 1 - E E^T, symmetrized.
-
-    The complement block is PHP; the kernel block is lifted to `push`,
-    so the matrix is invertible and its inverse acts as (PHP)^-1 on the
-    complement.
+class _Frame(Householder):
+    """The kernel block's frame: Q = [Q1 Q2] of the Householder QR
+    X = Q1 R of its l columns, so Q2 is an orthonormal basis of the
+    complement. An empty block is the identity frame.
     """
-    if not E.size:
-        return H
-    HE = H @ E
-    M = H - HE @ E.T - E @ HE.T + E @ (E.T @ HE) @ E.T + push * (E @ E.T)
-    return 0.5 * (M + M.T)
+
+    def coords(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Q2^T v."""
+        return self.apply(v, "T")[self.n :]
+
+    def embed(self, z: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Q2 z."""
+        return self.apply(np.concatenate([np.zeros(self.n), z]))
+
+    def sandwich(self, H: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Q^T H Q, symmetrized."""
+        T = self.apply(self.apply(H, "T"), side="R")
+        return 0.5 * (T + T.T)
 
 
 def _projected_newton(
     S: SpectralDecomposition,
     nl: Nonlinearity,
     a_center: NDArray[np.float64],
-    E: NDArray[np.float64],
-    push: float,
+    X: NDArray[np.float64],
     eta_ceiling: float | None = None,
     w0: NDArray[np.float64] | None = None,
 ) -> tuple[NDArray[np.float64], int]:
-    """Solve P grad J(a_center + w) = 0 for w orthogonal to span(E).
+    """Solve P grad J(a_center + w) = 0 for w orthogonal to span(X).
 
-    Newton from w0 (projected) or from 0, until |P grad J| <= W_RESIDUAL_TOL
-    or MAX_W_ITERS iterations. The linear solve uses _complement_matrix,
-    whose kernel-block eigenvalues sit at `push` (the Hessian scale, so
-    they never pass for the smallest complement eigenvalue); right-hand
-    sides in the complement keep the correction there automatically, and
-    we re-project anyway to stop roundoff drift. Monitors the complement
-    conditioning and aborts once 1/min|eig| exceeds eta_ceiling (set from
-    the first iterate when not given).
+    Newton on the complement coordinates z = Q2^T w of X's frame, from
+    those of w0 or from 0, until |Q2^T grad J| <= W_RESIDUAL_TOL or
+    MAX_W_ITERS iterations. Each step solves with the complement block
+    C = (Q^T H Q)[l:, l:], so w = Q2 z never leaves the complement.
+    Monitors C's conditioning and aborts once 1/min|eig C| exceeds
+    eta_ceiling (set from the first iterate when not given).
 
     Returns (w, iterations).
     """
-
-    def project(v: NDArray[np.float64]) -> NDArray[np.float64]:
-        return v - E @ (E.T @ v) if E.size else v
-
-    w = np.zeros_like(a_center) if w0 is None else project(w0.copy())
+    frame = _Frame(X)
+    l = frame.n
+    z = np.zeros(a_center.size - l) if w0 is None else frame.coords(w0)
     for iteration in range(MAX_W_ITERS):
-        g = a_gradient(S, nl, a_center + w)
-        R = project(g)
+        w = frame.embed(z)
+        R = frame.coords(a_gradient(S, nl, a_center + w))
         if float(np.linalg.norm(R)) <= W_RESIDUAL_TOL:
             return w, iteration
-        M = _complement_matrix(a_hessian(S, nl, a_center + w), E, push)
-        eigs = np.abs(scipy.linalg.eigvalsh(M))
+        C = frame.sandwich(a_hessian(S, nl, a_center + w))[l:, l:]
+        eigs = np.abs(scipy.linalg.eigvalsh(C))
         eta_now = 1.0 / float(eigs.min())
         if eta_ceiling is None:
             eta_ceiling = 2.0 * eta_now
@@ -178,8 +173,7 @@ def _projected_newton(
                 f"complement block degenerating: 1/min|eig| = {eta_now:.3e} "
                 f"exceeds ceiling {eta_ceiling:.3e}"
             )
-        d = scipy.linalg.solve(M, -R, assume_a="sym")
-        w = project(w + d)
+        z = z + scipy.linalg.solve(C, -R, assume_a="sym")
     raise NoConvergence(f"projected equation not solved in {MAX_W_ITERS} iterations")
 
 
@@ -199,9 +193,7 @@ def solve_w(kb: KernelBasis, h: GridField) -> ReducedSample:
     if hnorm > kb.delta0:
         raise OutOfBall(f"|||h||| = {hnorm:.4g} exceeds delta0 = {kb.delta0:.4g}")
     a_center = kb.base_a + ha
-    w_a, iters = _projected_newton(
-        kb.S, kb.nl, a_center, kb.E, kb.hessian_scale, eta_ceiling=2.0 * kb.eta
-    )
+    w_a, iters = _projected_newton(kb.S, kb.nl, a_center, kb.E, eta_ceiling=2.0 * kb.eta)
     a_full = a_center + w_a
     I, g = a_value_and_gradient(kb.S, kb.nl, a_full)
     return ReducedSample(
@@ -219,24 +211,20 @@ def reduced_hessian(
     nl: Nonlinearity,
     a: NDArray[np.float64],
     X: NDArray[np.float64],
-    E: NDArray[np.float64],
-    push: float,
 ) -> NDArray[np.float64]:
     """Hessian of x -> J(a + Xx + w(x)) at x = 0, w solving P grad J = 0.
 
-    P = 1 - E E^T projects off the orthonormal columns of E, and `a`
-    must already solve the projected equation (w(0) = 0). The reduced
-    gradient is X^T grad J, so its derivative is X^T H (X + w'), and
-    differentiating the projected equation gives w' = -(PHP)^-1 PHX: the
-    result is the Schur complement X^T H X - B^T (PHP)^-1 B with B = PHX.
-    (PHP)^-1 acts through _complement_matrix, whose kernel block `push`
-    never meets B.
+    P projects off span(X), and `a` must already solve the projected
+    equation (w(0) = 0). The reduced gradient is X^T grad J, so its
+    derivative is X^T H (X + w'), and differentiating the projected
+    equation gives w' = -(PHP)^-1 PHX. In X's frame, X = Q1 R and
+    T = Q^T H Q, that is the Schur complement R^T (T11 - T12 T22^-1 T21) R.
     """
-    H = a_hessian(S, nl, a)
-    HX = H @ X
-    B = HX - E @ (E.T @ HX)
-    M = _complement_matrix(H, E, push)
-    Hred = X.T @ HX - B.T @ scipy.linalg.solve(M, B, assume_a="sym")
+    frame = _Frame(X)
+    l, R = frame.n, frame.R
+    T = frame.sandwich(a_hessian(S, nl, a))
+    schur = T[:l, :l] - T[:l, l:] @ scipy.linalg.solve(T[l:, l:], T[l:, :l], assume_a="sym")
+    Hred = R.T @ schur @ R
     return 0.5 * (Hred + Hred.T)
 
 
@@ -255,7 +243,7 @@ def classify_origin(kb: KernelBasis) -> OriginClassification:
     if kb.l == 0:
         raise ValueError("kernel block is empty, nothing to classify")
     w = kb.S.a_from_field(solve_w(kb, GridField.zeros(kb.S.domain)).w)
-    Hred = reduced_hessian(kb.S, kb.nl, kb.base_a + w, kb.E, kb.E, kb.hessian_scale)
+    Hred = reduced_hessian(kb.S, kb.nl, kb.base_a + w, kb.E)
     eigs = scipy.linalg.eigvalsh(Hred)
     # degeneracy is judged against the full Hessian's spectral radius;
     # the reduced matrix's own max would make a flat profile look sharp

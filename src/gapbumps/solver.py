@@ -239,6 +239,8 @@ def find_critical_point(
         g = a_gradient(S, nl, a)
         r = float(np.linalg.norm(g))
         history.append(r)
+        if not np.isfinite(r):
+            raise NoConvergence(f"residual not finite at step {iteration}")
         if float(np.linalg.norm(a)) < opts.collapse_norm:
             raise TrivialCollapse(
                 f"iterate norm fell below {opts.collapse_norm:g} at step {iteration}"

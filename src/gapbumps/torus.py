@@ -118,26 +118,6 @@ class GridField:
     def flat(self) -> NDArray[np.float64]:
         return self.values.reshape(-1)
 
-    def _require_compatible(self, other: "GridField") -> None:
-        if not self.domain.compatible(other.domain):
-            raise ValueError("fields live on incompatible domains")
-
-    def __add__(self, other: "GridField") -> "GridField":
-        self._require_compatible(other)
-        return GridField(self.domain, self.values + other.values)
-
-    def __sub__(self, other: "GridField") -> "GridField":
-        self._require_compatible(other)
-        return GridField(self.domain, self.values - other.values)
-
-    def __mul__(self, scalar: float) -> "GridField":
-        return GridField(self.domain, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "GridField":
-        return GridField(self.domain, -self.values)
-
 
 def integrate(f: GridField) -> float:
     """Integral over Q_k: equal-weight periodic trapezoidal rule."""
@@ -145,7 +125,8 @@ def integrate(f: GridField) -> float:
 
 
 def l2_inner(f: GridField, g: GridField) -> float:
-    f._require_compatible(g)
+    if not f.domain.compatible(g.domain):
+        raise ValueError("fields live on incompatible domains")
     return float(f.domain.spacing**f.domain.dim * np.vdot(f.values, g.values).real)
 
 

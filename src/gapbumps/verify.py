@@ -9,6 +9,7 @@ the same seed reproduces the report byte for byte.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,8 +65,13 @@ class CheckEntry:
 
 @dataclass
 class LemmaReport:
+    """Check entries in report order. `seconds` (each check's wall time)
+    and `producer` (each entry's check) stay out of the JSON."""
+
     seed: int
     entries: list[CheckEntry] = field(default_factory=list)
+    seconds: dict[str, float] = field(default_factory=dict, compare=False)
+    producer: dict[str, str] = field(default_factory=dict, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -590,9 +596,14 @@ class VerificationSession:
         )
 
     def run_all(self) -> LemmaReport:
+        """Every check once, each timed on the wall clock."""
         report = LemmaReport(seed=self.seed)
         for check in self.checks:
-            report.entries.extend(check())
+            started = time.monotonic()
+            entries = check()
+            report.seconds[check.__name__] = time.monotonic() - started
+            report.producer.update((e.name, check.__name__) for e in entries)
+            report.entries.extend(entries)
         return report
 
 
@@ -601,6 +612,7 @@ def run_verification(seed: int = 0, determinism: bool = True) -> LemmaReport:
     report = VerificationSession(seed).run_all()
     if determinism:
         second = VerificationSession(seed).run_all()
+        report.seconds["determinism"] = sum(second.seconds.values())
         identical = report.to_json() == second.to_json()
         report.entries.append(
             CheckEntry(

@@ -1,17 +1,15 @@
 """Acceptance gate: one test per headline criterion.
 
 Every criterion maps to named entries of the verification report; the
-fixture times each check so the runtime budgets are enforced alongside
+report times each check, so the runtime budgets are enforced alongside
 the numerical outcome. A criterion's runtime is the wall time of the
 checks that produce its entries, each check counted once. Test names
 double as the pass/fail lines of the acceptance run.
 """
 
-import time
-
 import pytest
 
-from gapbumps.verify import LemmaReport, VerificationSession, run_verification
+from gapbumps.verify import VerificationSession, run_verification
 
 BUDGETS_S = {
     1: 10.0,
@@ -30,29 +28,15 @@ BUDGETS_S = {
 
 @pytest.fixture(scope="module")
 def report():
-    """Entries by name, the check that produced each, each check's wall time,
-    and the entries collected into one report."""
-    session = VerificationSession(seed=0)
-    entries = {}
-    producers = {}
-    durations = {}
-    lemma = LemmaReport(seed=0)
-    for check in session.checks:
-        t0 = time.monotonic()
-        got = check()
-        durations[check.__name__] = time.monotonic() - t0
-        lemma.entries.extend(got)
-        for entry in got:
-            entries[entry.name] = entry
-            producers[entry.name] = check.__name__
-    return entries, producers, durations, lemma
+    """One suite run: its entries, each check's wall time and producer."""
+    return VerificationSession(seed=0).run_all()
 
 
 def _criterion(report, number, names):
-    entries, producers, durations, _ = report
+    entries = {e.name: e for e in report.entries}
     picked = [entries[n] for n in names]
     ok = all(e.passed for e in picked)
-    spent = sum(durations[c] for c in {producers[n] for n in names})
+    spent = sum(report.seconds[c] for c in {report.producer[n] for n in names})
     label = "PASS" if ok else "FAIL"
     print(f"criterion {number:2d}: {label}  ({', '.join(names)}; {spent:.1f}s)")
     for e in picked:
@@ -110,9 +94,8 @@ def test_criterion_11_multiplicity_witness(report):
 
 def test_criterion_12_determinism(report):
     # a fresh session must reproduce the fixture's suite run byte for byte
-    lemma = report[3]
     fresh = run_verification(seed=0, determinism=False)
-    identical = fresh.to_json() == lemma.to_json()
+    identical = fresh.to_json() == report.to_json()
     label = "PASS" if identical and fresh.passed else "FAIL"
     print(f"criterion 12: {label}  (determinism)")
     assert identical
@@ -120,6 +103,5 @@ def test_criterion_12_determinism(report):
 
 
 def test_every_report_entry_passes(report):
-    entries, _, _, _ = report
-    failing = [n for n, e in entries.items() if not e.passed]
+    failing = [e.name for e in report.entries if not e.passed]
     assert not failing, failing

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from gapbumps import cli
 from gapbumps.cli import (
+    _NUMERIC_ERRORS,
     ConfigError,
     _record_from_file,
     load_config,
@@ -13,6 +15,7 @@ from gapbumps.cli import (
 )
 from gapbumps.operator import PeriodicPotential
 from gapbumps.torus import GridField, TorusDomain
+from gapbumps.verify import LemmaReport
 
 
 @pytest.fixture()
@@ -229,12 +232,16 @@ class TestCommands:
             (["bands", "--modes", "16", "--bands", "40"], "--bands"),
             (["bands", "--quasimomenta", "-1"], "--quasimomenta"),
             (["--config", "{flat}", "spectrum"], "no gap"),
+            (["multibump", "--base", "{base}", "--centers", "0;x"], "--centers"),
+            (["multibump", "--base", "{base}", "--centers", "0;4.5"], "--centers"),
+            (["reduce", "--solution", "{base}", "--tau", "1e-14"], "--tau"),
         ],
         ids=[
             "reduce_tau_zero", "multibump_tau_negative", "seps_descending", "seps_zero",
             "sweep_m_zero", "sweep_m_negative",
             "target_below_base", "ansatz_width_zero", "ansatz_center_text",
             "bands_above_modes", "quasimomenta_negative", "midgap_without_gap",
+            "center_text", "center_fraction", "reduce_empty_block",
         ],
     )
     def test_bad_arguments_exit_2(self, outdir, tmp_path, solution_k8, capsys, argv, message):
@@ -244,6 +251,34 @@ class TestCommands:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "config error" in err and message in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "expected 2 columns"), ("x1,value\n0,abc\n", "abc"),
+         ("x1,value\n" + "0,nan\n" * 128, "finite")],
+        ids=["empty", "text_value", "nan_values"],
+    )
+    def test_malformed_field_csv_exits_2(self, outdir, tmp_path, capsys, text, message):
+        path = tmp_path / "field.csv"
+        path.write_text(text)
+        assert main(["reduce", "--solution", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+
+    def test_numeric_errors_have_their_own_types(self, outdir, capsys):
+        assert not any(issubclass(ValueError, t) for t in _NUMERIC_ERRORS)
+        # an overflowing ansatz ends Newton at once instead of reaching LAPACK
+        with np.errstate(all="ignore"):
+            assert main(["solve", "--k", "8", "--ansatz-amplitude", "1e150"]) == 3
+        assert "NoConvergence: residual not finite" in capsys.readouterr().err
+
+    def test_verify_manifest_times_each_check(self, outdir, monkeypatch):
+        report = LemmaReport(0, seconds={"check_spectral_gap": 0.25, "determinism": 0.5})
+        monkeypatch.setattr(cli, "run_verification", lambda seed: report)
+        assert main(["verify"]) == 0
+        timings = json.loads((outdir / "manifest.json").read_text())["timings"]
+        assert (timings["spectral_gap_s"], timings["determinism_s"]) == (0.25, 0.5)
+        assert "seconds" not in json.loads((outdir / "report.json").read_text())
 
     def test_missing_solution_file(self, outdir):
         assert main(["reduce", "--solution", "nowhere.json"]) == 2

@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from gapbumps import presets
 
+from gapbumps.functional import Nonlinearity, evaluate_J
 from gapbumps.operator import (
+    NoCertifiedGap,
     NotInvertible,
     PeriodicPotential,
     band_structure,
@@ -107,6 +111,14 @@ class TestDecomposition:
         lo = min(S4.alpha, S4.beta)
         assert lo > 1.0
         assert np.abs(S4.eigenvalues).min() >= lo - 1e-12
+
+    def test_uncertified_gap_has_its_own_error(self, S4):
+        # an uncertified S is a numeric outcome, not a bad argument
+        S = dataclasses.replace(S4, gap=None)
+        with pytest.raises(NoCertifiedGap):
+            S.alpha
+        with pytest.raises(NoCertifiedGap):
+            evaluate_J(GridField.zeros(S.domain), S, Nonlinearity())
 
     def test_a_coordinates_round_trip(self, S4, rng):
         a = rng.standard_normal(S4.num_modes)

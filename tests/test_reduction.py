@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from gapbumps import presets
-from gapbumps.multibump import superposition_compare
+from gapbumps.functional import a_hessian
+from gapbumps.multibump import build_problem, superposition_compare
 from gapbumps.reduction import (
     AllKernel,
     OutOfBall,
+    _Frame,
     classify_origin,
     detect_kernel,
     joint_kernel_matrix,
@@ -15,6 +17,7 @@ from gapbumps.reduction import (
     reduced_hessian,
     solve_w,
 )
+from gapbumps.solver import NoConvergence
 from gapbumps.torus import GridField, spectral_gradient
 
 
@@ -73,6 +76,12 @@ class TestCorrection:
         s = solve_w(kb8, kernel_combination(kb8, np.array([0.4 * kb8.delta0])))
         overlap = kb8.E.T @ kb8.S.a_from_field(s.w)
         assert np.abs(overlap).max() <= 1e-10
+
+    def test_degenerating_complement_block_aborts(self, kb8):
+        # a ceiling of 2 eta / 10 lies under the complement's 1/min|eig|
+        kb = dataclasses.replace(kb8, eta=kb8.eta / 10)
+        with pytest.raises(NoConvergence, match="complement block degenerating"):
+            solve_w(kb, kernel_combination(kb8, np.array([0.4 * kb8.delta0])))
 
     def test_offset_outside_the_ball_rejected(self, kb8):
         with pytest.raises(OutOfBall):
@@ -136,9 +145,7 @@ class TestTwoDirectionBlock:
         ) / (4.0 * step**2)
         s = solve_w(kb2dir, kernel_combination(kb2dir, x0))
         a = kb2dir.base_a + kb2dir.E @ x0 + kb2dir.S.a_from_field(s.w)
-        H = reduced_hessian(
-            kb2dir.S, kb2dir.nl, a, kb2dir.E, kb2dir.E, kb2dir.hessian_scale
-        )
+        H = reduced_hessian(kb2dir.S, kb2dir.nl, a, kb2dir.E)
         assert np.abs(H - fd).max() <= 1e-5 * np.abs(fd).max()
 
     def test_classification_matches_the_hessian_signs(self, kb2dir):
@@ -146,6 +153,66 @@ class TestTwoDirectionBlock:
         cls = classify_origin(kb2dir)
         assert cls.morse_index == 1
         assert not cls.degenerate_flag
+
+
+def _oracle_complement(H, E, push):
+    """PHP + push E E^T with P = 1 - E E^T: the complement block with the
+    kernel block lifted to `push`, as a dense N x N matrix."""
+    HE = H @ E
+    M = H - HE @ E.T - E @ HE.T + E @ (E.T @ HE) @ E.T + push * (E @ E.T)
+    return 0.5 * (M + M.T)
+
+
+@pytest.fixture(scope="module", params=["kb2dir", "two_bumps_k8"])
+def block(request, kb2dir, kb8, S8):
+    """(S, nl, a, X) with X the block's columns: kb2dir's orthonormal
+    E, or the joint block of two bumps at k = 8, which is not."""
+    if request.param == "kb2dir":
+        return kb2dir.S, kb2dir.nl, kb2dir.base_a, kb2dir.E
+    prob = build_problem(kb8, [(0,), (4,)], S8)
+    assert prob.gram_offdiag > 1e-6
+    return S8, kb8.nl, prob.glued_a, prob.joint_raw
+
+
+class TestFrame:
+    def test_coordinates_span_the_complement(self, block, rng):
+        _, _, a, X = block
+        frame, l = _Frame(X), X.shape[1]
+        z = rng.standard_normal(a.size - l)
+        v = rng.standard_normal(a.size)
+        assert np.abs(X.T @ frame.embed(z)).max() <= 1e-12 * np.abs(X).max()
+        assert np.allclose(frame.coords(frame.embed(z)), z, atol=1e-13)
+        assert np.allclose(frame.R.T @ frame.R, X.T @ X, atol=1e-13)
+        assert np.linalg.norm(frame.coords(v)) <= np.linalg.norm(v)
+
+    def test_empty_block_is_the_identity_frame(self, rng):
+        frame = _Frame(np.zeros((6, 0)))
+        v = rng.standard_normal(6)
+        H = rng.standard_normal((6, 6))
+        assert np.array_equal(frame.coords(v), v)
+        assert np.array_equal(frame.embed(v), v)
+        assert np.array_equal(frame.sandwich(H + H.T), H + H.T)
+
+    def test_complement_eigenvalues_match_the_lifted_oracle(self, block):
+        S, nl, a, X = block
+        H = a_hessian(S, nl, a)
+        l = X.shape[1]
+        push = 10.0 * float(np.abs(np.linalg.eigvalsh(H)).max())
+        oracle = np.linalg.eigvalsh(_oracle_complement(H, np.linalg.qr(X)[0], push))
+        assert np.allclose(oracle[-l:], push, rtol=1e-10)
+        eigs = np.linalg.eigvalsh(_Frame(X).sandwich(H)[l:, l:])
+        assert np.abs(eigs - oracle[:-l]).max() <= 1e-10 * np.abs(oracle[:-l]).min()
+
+    def test_reduced_hessian_matches_the_lifted_oracle(self, block):
+        S, nl, a, X = block
+        H = a_hessian(S, nl, a)
+        E = np.linalg.qr(X)[0]
+        HX = H @ X
+        B = HX - E @ (E.T @ HX)
+        M = _oracle_complement(H, E, float(np.abs(np.linalg.eigvalsh(H)).max()))
+        oracle = X.T @ HX - B.T @ np.linalg.solve(M, B)
+        got = reduced_hessian(S, nl, a, X)
+        assert np.abs(got - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
 
 class TestClassification:
