@@ -246,6 +246,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
             node = node[p]
         node[leaf] = value
 
+    if raw["seed"] < 0:
+        raise ConfigError(f"seed must be non-negative, got {raw['seed']}")
     domain = _domain_from_dict(raw["domain"])
     potential = _potential_from_dict(raw["potential"])
     nl = _nonlinearity_from_dict(raw["nonlinearity"])
@@ -512,8 +514,8 @@ def cmd_solve(args, cfg: RunConfig) -> int:
 
 def _kernel_from_file(path: str, cfg: RunConfig, tau: float) -> KernelBasis:
     """Kernel basis of the solution stored at `path`, split at --tau."""
-    if not tau > 0:
-        raise ConfigError(f"--tau must be positive, got {tau:g}")
+    if not 0 < tau < np.inf:
+        raise ConfigError(f"--tau must be positive and finite, got {tau:g}")
     return detect_kernel(*_record_from_file(path, cfg), tau=tau)
 
 
@@ -575,8 +577,11 @@ def cmd_multibump(args, cfg: RunConfig) -> int:
     kb = _kernel_from_file(args.base, cfg, args.tau)
     S = _target_decomposition(args, kb.S)
     centers = _parse_centers(args.centers, kb.S.domain.dim)
-    prob = build_problem(kb, centers, S)
-    res = solve_multibump(prob, S, kb.nl, cfg.solver)
+    try:
+        prob = build_problem(kb, centers, S)
+        res = solve_multibump(prob, S, kb.nl, cfg.solver)
+    except (CentersCollide, SeparationTooSmall) as e:
+        raise ConfigError(f"--centers: {e}") from e
     _write_json(
         out / "multibump.json",
         {
@@ -756,8 +761,6 @@ _NUMERIC_ERRORS = (
     TrivialCollapse,
     AllKernel,
     OutOfBall,
-    CentersCollide,
-    SeparationTooSmall,
     KernelOverlap,
     GluingUnstable,
     np.linalg.LinAlgError,

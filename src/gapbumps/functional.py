@@ -6,12 +6,13 @@ eigencoefficients of the operator decomposition: in the weighted a-basis
 the quadratic part is D = diag(sign lambda) and the gradient is the plain
 Euclidean representative, so Newton systems need no mass matrix.
 
-The Hessian there is D - G^T G, one row of G per evaluation point. Where
-the solution is a localized bump most rows carry a negligible weight f',
-and `hessian_model` then solves and diagonalizes the Hessian through the
-H-invariant subspace that the active rows span (a Rayleigh-Ritz matrix of
-that dimension, exact to rounding); otherwise it wraps the dense
-`a_hessian`.
+The Hessian there is D - G^T G, one row of G per evaluation point.
+`hessian_model` is its one representation for Newton, the kernel split
+and the gluing: an H-invariant subspace U that contains the active rows
+of G and any block X the caller names, the Rayleigh-Ritz matrix
+K = U^T H U on it (exact to rounding) and D = +-1 off it. Where the
+solution is a localized bump most rows carry a negligible weight f' and
+U is small; otherwise U = I and K is the dense `a_hessian`.
 
 Nonlinear terms are collocated on the grid by default. The `dealias` flag
 evaluates them on a zero-padded fine grid instead (factor 3/2 by default;
@@ -36,14 +37,8 @@ from .operator import PeriodicPotential, SpectralDecomposition
 from .torus import GridField
 
 __all__ = [
-    "DenseHessian",
     "HessianModel",
-    "LowRankHessian",
     "Nonlinearity",
-    "evaluate_J",
-    "gradient",
-    "hessvec",
-    "hessian_matrix",
     "hessian_model",
     "interaction_defect",
 ]
@@ -251,29 +246,6 @@ def a_hessvec(
     return S.signs * v - (S.eigenfields.T @ prod.reshape(-1)) / S.weights
 
 
-class DenseHessian:
-    """The Hessian as the dense N x N matrix of `a_hessian`."""
-
-    backend = "dense"
-
-    def __init__(self, S: SpectralDecomposition, nl: Nonlinearity, a: NDArray) -> None:
-        self.signs = S.signs
-        self.matrix = a_hessian(S, nl, a)
-        self.subspace_dim = S.num_modes
-
-    def matvec(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
-        return self.matrix @ v
-
-    def solve(self, rhs: NDArray[np.float64], mu: float) -> NDArray[np.float64]:
-        """d with (H + mu * diag(sign lambda)) d = rhs."""
-        M = self.matrix.copy()
-        M[np.diag_indices_from(M)] += mu * self.signs
-        return scipy.linalg.solve(M, rhs, assume_a="sym")
-
-    def eigenvalues(self) -> NDArray[np.float64]:
-        return scipy.linalg.eigvalsh(self.matrix)
-
-
 class Householder:
     """The Householder QR X = Q R of an N x n matrix, n <= N (Golub & Van
     Loan, Matrix Computations, 5.1-5.2): Q (N x N) in LAPACK's compact
@@ -295,81 +267,90 @@ class Householder:
 
 
 class _SignBlock:
-    """An orthonormal basis Q of one sign block containing its part of range(G^T).
-
-    With G_b the block's columns of G (rows x width): the identity when
-    the block is no wider than G has rows, nothing when G has no rows,
-    and otherwise the Householder QR G_b^T = Q R, so that G_b Q = R^T
-    needs no product.
+    """An orthonormal basis Q of one sign block whose first `dim` columns
+    contain those of C, the block's part of [G^T X] (width x c): the
+    identity when c >= width or C is None (the dense model), otherwise
+    the Householder QR C = Q R, so that Q^T C = R (QC) needs no product.
     """
 
-    def __init__(self, Gb: NDArray[np.float64]) -> None:
-        rows, self.width = Gb.shape
-        self.dim = min(rows, self.width)
-        narrow = rows < self.width
-        self.Q = Householder(Gb.T if narrow else np.zeros((self.width, 0)))
-        self.GQ = self.Q.R.T if narrow else Gb
+    def __init__(self, width: int, C: NDArray[np.float64] | None) -> None:
+        self.width = width
+        narrow = C is not None and C.shape[1] < width
+        self.Q = Householder(C if narrow else np.zeros((width, 0)))
+        self.dim = self.Q.n if narrow else width
+        self.QC = self.Q.R if narrow else C
 
     def coords(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Q^T v."""
+        """Q^T v, first dim rows."""
         return self.Q.apply(v, "T")[: self.dim]
 
     def embed(self, z: NDArray[np.float64]) -> NDArray[np.float64]:
         """Q z."""
-        return self.Q.apply(np.concatenate([z, np.zeros(self.width - self.dim)]))
+        return self.Q.apply(np.concatenate([z, np.zeros((self.width - self.dim,) + z.shape[1:])]))
 
 
-class LowRankHessian:
-    """H = D - G^T G through the H-invariant subspace spanned by range(G^T).
+class HessianModel:
+    """H = D - G^T G through an H-invariant subspace U that contains span X.
 
     D = diag(sign lambda) keeps the negative block (the first j
     coordinates) and the positive block apart, so orthonormalizing each
-    block's part of G^T on its own gives U = blockdiag(Q-, Q+) with
-    range(G^T) inside span U. That span is H-invariant and H = D on its
-    complement; K = U^T H U = blockdiag(-I, I) - (GU)^T (GU) carries every
-    other eigenvalue and the whole solve. Only orthogonal transforms and
-    one m x m symmetric matrix are involved, m = columns of U.
+    block's part of [G^T X] (G r x N) on its own gives U = blockdiag(Q-,
+    Q+) with range(G^T) and span X inside span U: an H-invariant span,
+    with H = D = +-1 on its complement. Only orthogonal transforms and
+    the m x m matrix K = U^T H U (Rayleigh-Ritz, exact to rounding) are
+    involved, m = subspace_dim. Without G, U = I and K is the dense
+    Hessian itself. UX = U^T X.
     """
 
-    backend = "low-rank"
-
-    def __init__(self, signs: NDArray[np.float64], j: int, G: NDArray[np.float64]) -> None:
-        self.signs, self.j, self.G = signs, j, G
-        self.neg, self.pos = _SignBlock(G[:, :j]), _SignBlock(G[:, j:])
+    def __init__(
+        self, signs: NDArray, j: int, X: NDArray, G: NDArray | None = None, K: NDArray | None = None
+    ) -> None:
+        # [G^T X] as a Fortran-order view (of G alone without X): QR copies it cheaply
+        C = None if G is None else (np.concatenate([G, X.T]) if X.shape[1] else G).T
+        self.neg = _SignBlock(j, C[:j] if C is not None else None)
+        self.pos = _SignBlock(signs.size - j, C[j:] if C is not None else None)
+        self.K_signs = np.repeat([-1.0, 1.0], [self.neg.dim, self.pos.dim])
+        if G is not None:
+            r = G.shape[0]
+            GU = np.hstack([self.neg.QC[:, :r].T, self.pos.QC[:, :r].T])
+            K = -(GU.T @ GU)
+            K[np.diag_indices_from(K)] += self.K_signs
+        self.signs, self.K, self.backend = signs, K, "dense" if G is None else "low-rank"
         self.subspace_dim = self.neg.dim + self.pos.dim
-        self.K_signs = np.concatenate([-np.ones(self.neg.dim), np.ones(self.pos.dim)])
-        GU = np.hstack([self.neg.GQ, self.pos.GQ])
-        self.K = -(GU.T @ GU)
-        self.K[np.diag_indices_from(self.K)] += self.K_signs
+        # the eigenvalues of H off span U, negative block first
+        self.off_signs = np.repeat([-1.0, 1.0], [j - self.neg.dim, signs.size - j - self.pos.dim])
+        self.UX = self.coords(X)
 
-    def _coords(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
-        return np.concatenate([self.neg.coords(v[: self.j]), self.pos.coords(v[self.j :])])
+    def coords(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
+        """U^T v."""
+        j = self.neg.width
+        return np.concatenate([self.neg.coords(v[:j]), self.pos.coords(v[j:])])
 
-    def _embed(self, z: NDArray[np.float64]) -> NDArray[np.float64]:
+    def embed(self, z: NDArray[np.float64]) -> NDArray[np.float64]:
+        """U z."""
         m = self.neg.dim
         return np.concatenate([self.neg.embed(z[:m]), self.pos.embed(z[m:])])
 
+    def complement(self) -> NDArray[np.float64]:
+        """An orthonormal basis of the complement of span U, ordered as
+        off_signs: each block's Householder columns past its dim."""
+        return scipy.linalg.block_diag(*(
+            b.Q.apply(np.eye(b.width, b.width - b.dim, -b.dim)) for b in (self.neg, self.pos)
+        ))
+
     def matvec(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
-        return self.signs * v - self.G.T @ (self.G @ v)
+        y = self.coords(v)
+        return self.embed(self.K @ y) + self.signs * (v - self.embed(y))
 
     def solve(self, rhs: NDArray[np.float64], mu: float) -> NDArray[np.float64]:
         """d with (H + mu * diag(sign lambda)) d = rhs; off span U that is (1+mu) D."""
-        y = self._coords(rhs)
-        M = self.K.copy()
-        M[np.diag_indices_from(M)] += mu * self.K_signs
-        z = scipy.linalg.solve(M, y, assume_a="sym")
-        return self._embed(z) + self.signs * (rhs - self._embed(y)) / (1.0 + mu)
+        y = self.coords(rhs)
+        z = scipy.linalg.solve(self.K + np.diag(mu * self.K_signs), y, assume_a="sym")
+        return self.embed(z) + self.signs * (rhs - self.embed(y)) / (1.0 + mu)
 
     def eigenvalues(self) -> NDArray[np.float64]:
-        """All N eigenvalues, ascending: K's, and -1 / +1 off span U."""
-        return np.sort(np.concatenate([
-            scipy.linalg.eigvalsh(self.K),
-            -np.ones(self.neg.width - self.neg.dim),
-            np.ones(self.pos.width - self.pos.dim),
-        ]))
-
-
-HessianModel = DenseHessian | LowRankHessian
+        """All N eigenvalues, ascending: K's, and the off_signs."""
+        return np.sort(np.concatenate([scipy.linalg.eigvalsh(self.K), self.off_signs]))
 
 
 def _active_rows(
@@ -393,55 +374,28 @@ def _gram_factor(
 
 
 def hessian_model(
-    S: SpectralDecomposition, nl: Nonlinearity, a: NDArray[np.float64]
+    S: SpectralDecomposition,
+    nl: Nonlinearity,
+    a: NDArray[np.float64],
+    X: NDArray[np.float64] | None = None,
 ) -> HessianModel:
-    """The Hessian of J at a, with matvec, solve and eigenvalues.
+    """The Hessian of J at a, its subspace U containing X (N x l, default none).
 
-    A fixed rule picks the backend before anything is built: with r
-    active rows (`_active_rows`) on either evaluation grid, the low-rank
-    one when its invariant subspace, of dimension
-    min(j, r) + min(N - j, r), is at most N/2; otherwise the dense one.
+    A fixed rule picks U before anything is built: with r active rows
+    (`_active_rows`) on either evaluation grid, the Householder blocks of
+    [G^T X] when min(j, r+l) + min(N - j, r+l) <= N/2; otherwise U = I
+    and K is the dense `a_hessian`.
     """
+    n, j = S.num_modes, S.j
+    X = np.zeros((n, 0)) if X is None else X
     weight, rows = _active_rows(S, nl, a)
-    n, j, r = S.num_modes, S.j, rows.size
-    if min(j, r) + min(n - j, r) <= n // 2:
-        return LowRankHessian(S.signs, j, _gram_factor(S, nl, weight, rows))
-    return DenseHessian(S, nl, a)
+    c = rows.size + X.shape[1]
+    if min(j, c) + min(n - j, c) > n // 2:
+        return HessianModel(S.signs, j, X, K=a_hessian(S, nl, a))
+    return HessianModel(S.signs, j, X, G=_gram_factor(S, nl, weight, rows))
 
 
-# -- public field-level operations ------------------------------------------------
-
-
-def evaluate_J(u: GridField, S: SpectralDecomposition, nl: Nonlinearity) -> float:
-    """J(u) = 1/2 ||T u||_k^2 - 1/2 ||P u||_k^2 - int F(x, u)."""
-    S.require_gap()
-    a = S.a_from_field(u)
-    values = S.values_from_a(a)
-    Fint, _ = _nl_integral_and_force(S, nl, values)
-    return 0.5 * float(np.dot(S.signs * a, a)) - Fint
-
-
-def gradient(u: GridField, S: SpectralDecomposition, nl: Nonlinearity) -> GridField:
-    """Riesz representative of dJ(u) in (.,.)_k, returned as a field."""
-    S.require_gap()
-    g = a_gradient(S, nl, S.a_from_field(u))
-    return S.field_from_a(g)
-
-
-def hessvec(
-    u: GridField, v: GridField, S: SpectralDecomposition, nl: Nonlinearity
-) -> GridField:
-    """Second derivative of J at u applied to v, in the (.,.)_k metric."""
-    S.require_gap()
-    hv = a_hessvec(S, nl, S.a_from_field(u), S.a_from_field(v))
-    return S.field_from_a(hv)
-
-
-def hessian_matrix(
-    u: GridField, S: SpectralDecomposition, nl: Nonlinearity
-) -> NDArray[np.float64]:
-    S.require_gap()
-    return a_hessian(S, nl, S.a_from_field(u))
+# -- field-level diagnostics ---------------------------------------------------
 
 
 def interaction_defect(

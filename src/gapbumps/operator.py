@@ -374,31 +374,12 @@ def diagonalize(V: PeriodicPotential, domain: TorusDomain) -> SpectralDecomposit
     )
 
 
-def energy_inner(u: GridField, v: GridField, S: SpectralDecomposition) -> float:
-    return float(np.dot(S.a_from_field(u), S.a_from_field(v)))
-
-
-def energy_norm(u: GridField, S: SpectralDecomposition) -> float:
-    return float(np.linalg.norm(S.a_from_field(u)))
-
-
-def _coefficients(u: GridField, S: SpectralDecomposition) -> NDArray[np.float64]:
-    if not u.domain.compatible(S.domain):
-        raise ValueError("field and decomposition domains differ")
-    return S.c_from_values(u.values)
-
-
-def project_negative(u: GridField, S: SpectralDecomposition) -> GridField:
-    """P_k u: the component spanned by eigenfields with lambda_i < 0."""
-    S.require_gap()
-    c = _coefficients(u, S) * (S.eigenvalues < 0.0)
-    return GridField(S.domain, S.values_from_c(c))
-
-
 def project_positive(u: GridField, S: SpectralDecomposition) -> GridField:
     """T_k u: the component spanned by eigenfields with lambda_i > 0."""
     S.require_gap()
-    c = _coefficients(u, S) * (S.eigenvalues > 0.0)
+    if not u.domain.compatible(S.domain):
+        raise ValueError("field and decomposition domains differ")
+    c = S.c_from_values(u.values) * (S.eigenvalues > 0.0)
     return GridField(S.domain, S.values_from_c(c))
 
 

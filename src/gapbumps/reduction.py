@@ -1,13 +1,13 @@
 """Finite-dimensional reduction at a converged solution.
 
-Splits the space at a base critical point into a low-dimensional
-near-kernel of the Hessian and its orthogonal complement, solves the
-complement equation by Newton in complement coordinates, and studies the
-resulting reduced energy: its gradient, its analytic Hessian (a Schur
-complement of Q^T H Q) and its Morse data at the origin. A kernel block
-is one frame, the Householder QR of its columns, whose Q = [Q1 Q2]
-gives both the block and the complement coordinates. Translated copies
-of the kernel fields span the joint block of a multibump problem.
+Splits the space at a base critical point into a near-kernel of the
+Hessian and its complement, solves the complement equation by Newton,
+and studies the reduced energy: its gradient, its analytic Hessian (a
+Schur complement) and its Morse data at the origin. Every Hessian is a
+`hessian_model` whose invariant subspace U contains the kernel block X,
+so all of it happens in K = U^T H U and X's frame (the Householder QR
+of U^T X, Q = [Q1 Q2]), while off span U the Hessian is D = +-1.
+Translated kernel fields span the joint block of a multibump problem.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
-from .functional import Householder, Nonlinearity, a_gradient, a_hessian, a_value_and_gradient
+from .functional import Householder, Nonlinearity, a_gradient, a_value_and_gradient, hessian_model
 from .operator import SpectralDecomposition
 from .solver import KERNEL_TAU, NoConvergence, SolutionRecord, kernel_split
 from .torus import GridField, embed_with_cutoff, translate
@@ -83,20 +83,24 @@ def detect_kernel(
 ) -> KernelBasis:
     """Diagonalize the Hessian at `rec`, split off |mu| < tau * scale.
 
-    tau is relative to the spectral radius of the Hessian. Everything
-    selected goes into the kernel block Lambda; eta comes from the
-    smallest surviving |mu|.
+    tau is relative to the spectral radius of the spectrum: K's Ritz
+    values and the +-1 off span U. The selected vectors (U z, and the
+    complement of U once tau * scale > 1) make the kernel block Lambda;
+    eta comes from the smallest surviving |mu|.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     a = S.a_from_field(rec.field)
-    H = a_hessian(S, nl, a)
-    mu, vecs = scipy.linalg.eigh(H)
+    H = hessian_model(S, nl, a)
+    ritz, Z = scipy.linalg.eigh(H.K)
+    mu = np.concatenate([ritz, H.off_signs])
     near, scale = kernel_split(mu, tau)
     if near.all():
         raise AllKernel(f"all {mu.size} directions below tau*scale = {tau * scale:g}")
     excluded_min = float(np.abs(mu[~near]).min())
-    E = vecs[:, near].copy()
+    E = H.embed(Z[:, near[: ritz.size]])
+    if near[ritz.size :].any():
+        E = np.hstack([E, H.complement()])
     return KernelBasis(
         base=rec,
         S=S,
@@ -146,25 +150,26 @@ def _projected_newton(
 ) -> tuple[NDArray[np.float64], int]:
     """Solve P grad J(a_center + w) = 0 for w orthogonal to span(X).
 
-    Newton on the complement coordinates z = Q2^T w of X's frame, from
+    Newton on the complement coordinates z of X's frame in N-space, from
     those of w0 or from 0, until |Q2^T grad J| <= W_RESIDUAL_TOL or
-    MAX_W_ITERS iterations. Each step solves with the complement block
-    C = (Q^T H Q)[l:, l:], so w = Q2 z never leaves the complement.
-    Monitors C's conditioning and aborts once 1/min|eig C| exceeds
-    eta_ceiling (set from the first iterate when not given).
+    MAX_W_ITERS iterations. Each step solves with C = (Q^T K Q)[l:, l:]
+    inside K and takes -D g off span U. Monitors C's eigenvalues and the
+    +-1 off span U, and aborts once 1/min|eig| exceeds eta_ceiling (set
+    from the first iterate when not given).
 
     Returns (w, iterations).
     """
     frame = _Frame(X)
-    l = frame.n
-    z = np.zeros(a_center.size - l) if w0 is None else frame.coords(w0)
+    z = np.zeros(a_center.size - frame.n) if w0 is None else frame.coords(w0)
     for iteration in range(MAX_W_ITERS):
         w = frame.embed(z)
-        R = frame.coords(a_gradient(S, nl, a_center + w))
-        if float(np.linalg.norm(R)) <= W_RESIDUAL_TOL:
+        g = a_gradient(S, nl, a_center + w)
+        if float(np.linalg.norm(frame.coords(g))) <= W_RESIDUAL_TOL:
             return w, iteration
-        C = frame.sandwich(a_hessian(S, nl, a_center + w))[l:, l:]
-        eigs = np.abs(scipy.linalg.eigvalsh(C))
+        H = hessian_model(S, nl, a_center + w, X)
+        inner = _Frame(H.UX)
+        C = inner.sandwich(H.K)[inner.n :, inner.n :]
+        eigs = np.abs(np.concatenate([scipy.linalg.eigvalsh(C), H.off_signs]))
         eta_now = 1.0 / float(eigs.min())
         if eta_ceiling is None:
             eta_ceiling = 2.0 * eta_now
@@ -173,7 +178,10 @@ def _projected_newton(
                 f"complement block degenerating: 1/min|eig| = {eta_now:.3e} "
                 f"exceeds ceiling {eta_ceiling:.3e}"
             )
-        z = z + scipy.linalg.solve(C, -R, assume_a="sym")
+        gU = H.coords(g)
+        dz = scipy.linalg.solve(C, -inner.coords(gU), assume_a="sym")
+        z = z + frame.coords(H.embed(inner.embed(dz)) - H.signs * (g - H.embed(gU)))
+        del H  # the next model is built without this one's K alive
     raise NoConvergence(f"projected equation not solved in {MAX_W_ITERS} iterations")
 
 
@@ -217,12 +225,14 @@ def reduced_hessian(
     P projects off span(X), and `a` must already solve the projected
     equation (w(0) = 0). The reduced gradient is X^T grad J, so its
     derivative is X^T H (X + w'), and differentiating the projected
-    equation gives w' = -(PHP)^-1 PHX. In X's frame, X = Q1 R and
-    T = Q^T H Q, that is the Schur complement R^T (T11 - T12 T22^-1 T21) R.
+    equation gives w' = -(PHP)^-1 PHX; off span U, H does not couple to
+    X. In the frame U^T X = Q1 R and T = Q^T K Q, that is the Schur
+    complement R^T (T11 - T12 T22^-1 T21) R.
     """
-    frame = _Frame(X)
+    H = hessian_model(S, nl, a, X)
+    frame = _Frame(H.UX)
     l, R = frame.n, frame.R
-    T = frame.sandwich(a_hessian(S, nl, a))
+    T = frame.sandwich(H.K)
     schur = T[:l, :l] - T[:l, l:] @ scipy.linalg.solve(T[l:, l:], T[l:, :l], assume_a="sym")
     Hred = R.T @ schur @ R
     return 0.5 * (Hred + Hred.T)

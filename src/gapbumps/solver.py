@@ -71,9 +71,9 @@ class SolutionRecord:
     negative_hessian_count counts eigenvalues below -tau*scale of the
     Hessian at the solution and kernel_dim_estimate those within
     tau*scale of zero, tau = 1e-4; the same relative threshold the
-    reduction uses, so the two views agree. hessian_backend names the
-    Hessian model those counts came from ("dense" or "low-rank") and
-    hessian_subspace_dim the order of the matrix it diagonalized.
+    reduction uses, so the two views agree. hessian_backend says whether
+    the Hessian model's subspace was the whole space ("dense") or not
+    ("low-rank"), and hessian_subspace_dim is the order of its matrix K.
 
     Newton's own account, one entry per iteration: residual_history the
     gradient norm before each step (and at the end), step_history the

@@ -46,6 +46,22 @@ def base8(S8, nl):
 
 
 @pytest.fixture(scope="session")
+def S64(potential):
+    return diagonalize(potential, TorusDomain(1, 64, 16))
+
+
+@pytest.fixture(scope="session")
+def ansatz64(S64):
+    A = presets.BASE_ANSATZ
+    return initial_ansatz(A["center"], A["width"], A["amplitude"], S64.domain, S64)
+
+
+@pytest.fixture(scope="session")
+def base64(S64, ansatz64, nl):
+    return find_critical_point(ansatz64, S64, nl)
+
+
+@pytest.fixture(scope="session")
 def kb8(base8, S8, nl):
     return detect_kernel(base8, S8, nl, tau=presets.TAU_FORCED)
 

@@ -235,6 +235,12 @@ class TestCommands:
             (["multibump", "--base", "{base}", "--centers", "0;x"], "--centers"),
             (["multibump", "--base", "{base}", "--centers", "0;4.5"], "--centers"),
             (["reduce", "--solution", "{base}", "--tau", "1e-14"], "--tau"),
+            (["reduce", "--solution", "{base}", "--tau", "inf"], "--tau"),
+            (["solve", "--k", "8", "--seed", "-1"], "seed"),
+            (["verify", "--seed", "-1"], "seed"),
+            (["--config", "{negseed}", "solve", "--k", "8"], "seed"),
+            (["multibump", "--base", "{base}", "--k", "32", "--centers", "0;32"], "--centers"),
+            (["multibump", "--base", "{base}", "--centers", "0;2"], "--centers"),
         ],
         ids=[
             "reduce_tau_zero", "multibump_tau_negative", "seps_descending", "seps_zero",
@@ -242,12 +248,16 @@ class TestCommands:
             "target_below_base", "ansatz_width_zero", "ansatz_center_text",
             "bands_above_modes", "quasimomenta_negative", "midgap_without_gap",
             "center_text", "center_fraction", "reduce_empty_block",
+            "reduce_tau_inf", "solve_seed_negative", "verify_seed_negative",
+            "config_seed_negative", "centers_collide", "centers_below_floor",
         ],
     )
     def test_bad_arguments_exit_2(self, outdir, tmp_path, solution_k8, capsys, argv, message):
         flat = tmp_path / "flat.json"
         flat.write_text('{"potential": {"amplitude": 0.0}}')
-        argv = [a.format(base=solution_k8, flat=flat) for a in argv]
+        negseed = tmp_path / "negseed.json"
+        negseed.write_text('{"seed": -1}')
+        argv = [a.format(base=solution_k8, flat=flat, negseed=negseed) for a in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "config error" in err and message in err
@@ -409,10 +419,3 @@ class TestCommands:
         result = json.loads((outdir / f"{argv[0]}.json").read_text())
         row = result["rows"][0] if "rows" in result else result
         assert row["residual"] <= 1e-8
-
-    def test_colliding_centers_exit_numerically(self, outdir):
-        assert main(["solve", "--k", "8", "--seed", "7"]) == 0
-        rc = main(
-            ["multibump", "--base", str(outdir / "solution.json"), "--centers", "0;8"]
-        )
-        assert rc == 3

@@ -12,9 +12,6 @@ from gapbumps.functional import (
     a_hessian,
     a_hessvec,
     a_value_and_gradient,
-    evaluate_J,
-    gradient,
-    hessian_matrix,
     interaction_defect,
 )
 from gapbumps import presets
@@ -51,7 +48,7 @@ class TestHypotheses:
             Nonlinearity(weight=h).weight_values(domain)
         S = diagonalize(V, domain)
         with pytest.raises(ValueError, match="nonnegative"):
-            evaluate_J(GridField.zeros(domain), S, Nonlinearity(weight=h, dealias=True))
+            a_value_and_gradient(S, Nonlinearity(weight=h, dealias=True), np.zeros(S.num_modes))
 
     def test_dealias_factor_floor(self):
         with pytest.raises(ValueError):
@@ -60,12 +57,12 @@ class TestHypotheses:
 
 class TestValueAndSymmetry:
     def test_zero_field_has_zero_energy(self, S4, nl):
-        assert evaluate_J(GridField.zeros(S4.domain), S4, nl) == 0.0
+        assert a_value_and_gradient(S4, nl, np.zeros(S4.num_modes))[0] == 0.0
 
     def test_even_nonlinearity_makes_J_even(self, S4, nl, rng):
-        u = S4.field_from_a(rng.standard_normal(S4.num_modes))
-        minus = GridField(S4.domain, -u.values)
-        assert evaluate_J(minus, S4, nl) == pytest.approx(evaluate_J(u, S4, nl), rel=1e-12)
+        a = rng.standard_normal(S4.num_modes)
+        J = a_value_and_gradient(S4, nl, a)[0]
+        assert a_value_and_gradient(S4, nl, -a)[0] == pytest.approx(J, rel=1e-12)
 
     def test_gradient_is_odd(self, S4, nl, rng):
         a = rng.standard_normal(S4.num_modes)
@@ -83,10 +80,10 @@ class TestValueAndSymmetry:
     def test_energy_is_translation_invariant(self, S8, nl, rng):
         a = rng.standard_normal(S8.num_modes) / (1 + np.abs(S8.eigenvalues))
         u = S8.field_from_a(a)
+        J = a_value_and_gradient(S8, nl, a)[0]
         for b in ((1,), (5,)):
-            assert evaluate_J(translate(u, b), S8, nl) == pytest.approx(
-                evaluate_J(u, S8, nl), rel=1e-10, abs=1e-12
-            )
+            Jb = a_value_and_gradient(S8, nl, S8.a_from_field(translate(u, b)))[0]
+            assert Jb == pytest.approx(J, rel=1e-10, abs=1e-12)
 
 
 class TestDerivatives:
@@ -125,10 +122,14 @@ class TestDerivatives:
         assert np.allclose(H, np.diag(S4.signs), atol=1e-12)
 
     def test_field_level_gradient_agrees(self, S4, nl, rng):
-        a = rng.standard_normal(S4.num_modes)
-        u = S4.field_from_a(a)
-        g_field = gradient(u, S4, nl)
-        assert np.allclose(S4.a_from_field(g_field), a_gradient(S4, nl, a), atol=1e-9)
+        # (grad J(u), v)_k = B(u, v) - int f(u) v, with B the quadratic
+        # form and the integral collocated on the grid
+        a, v = rng.standard_normal(S4.num_modes), rng.standard_normal(S4.num_modes)
+        u, vf = S4.field_from_a(a), S4.field_from_a(v)
+        quad = float(S4.signs @ (a * v))
+        nonlinear = S4.domain.spacing * float(np.sum(nl.f(u.values, 1.0) * vf.values))
+        got = float(a_gradient(S4, nl, a) @ v)
+        assert got == pytest.approx(quad - nonlinear, rel=1e-9)
 
     def test_weighted_nonlinearity_fd(self, S4, rng):
         # h(x) = 2 + 0.5 cos(2 pi x), strictly positive
@@ -175,8 +176,9 @@ class TestDealiasing:
         domain = S4.domain
         x = domain.meshgrid()[0]
         u = GridField(domain, 1.3 * np.cos(2 * np.pi * x / 4) + 0.7 * np.sin(2 * np.pi * x))
-        plain = evaluate_J(u, S4, Nonlinearity())
-        padded = evaluate_J(u, S4, Nonlinearity(dealias=True, dealias_factor=3.0))
+        a = S4.a_from_field(u)
+        plain = a_value_and_gradient(S4, Nonlinearity(), a)[0]
+        padded = a_value_and_gradient(S4, Nonlinearity(dealias=True, dealias_factor=3.0), a)[0]
         assert plain == pytest.approx(padded, rel=1e-12)
 
     def test_hessian_stays_symmetric_under_padding(self, S4, rng):

@@ -2,14 +2,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from gapbumps import presets
-from gapbumps.functional import a_hessian
+from gapbumps import presets, reduction
+from gapbumps.functional import a_gradient, a_hessian, hessian_model
 from gapbumps.multibump import build_problem, superposition_compare
 from gapbumps.reduction import (
     AllKernel,
     OutOfBall,
     _Frame,
+    _projected_newton,
     classify_origin,
     detect_kernel,
     joint_kernel_matrix,
@@ -17,8 +19,8 @@ from gapbumps.reduction import (
     reduced_hessian,
     solve_w,
 )
-from gapbumps.solver import NoConvergence
-from gapbumps.torus import GridField, spectral_gradient
+from gapbumps.solver import NoConvergence, kernel_split
+from gapbumps.torus import GridField, spectral_gradient, translate
 
 
 class TestDetection:
@@ -266,3 +268,110 @@ class TestSuperposition:
         assert set(rows[0]) >= {"value_gap", "gradient_gap"}
         assert c0_far < c0_near
         assert c1_far < c1_near
+
+
+# -- dense N x N formulas, the oracles of the model-based reduction ----------------
+
+
+def _dense_kernel(rec, S, nl, tau):
+    """(E, eta, scale) of the kernel split from eigh of the dense Hessian."""
+    mu, vecs = scipy.linalg.eigh(a_hessian(S, nl, S.a_from_field(rec.field)))
+    near, scale = kernel_split(mu, tau)
+    return vecs[:, near], 1.0 / float(np.abs(mu[~near]).min()), scale
+
+
+def _dense_reduced_hessian(S, nl, a, X):
+    """The Schur complement of Q^T H Q in X's frame, H the dense Hessian."""
+    frame = _Frame(X)
+    l, R = frame.n, frame.R
+    T = frame.sandwich(a_hessian(S, nl, a))
+    schur = T[:l, :l] - T[:l, l:] @ np.linalg.solve(T[l:, l:], T[l:, :l])
+    return R.T @ schur @ R
+
+
+def _dense_complement_step(S, nl, a, X):
+    """One Newton step from a orthogonal to X, with the dense complement block."""
+    frame = _Frame(X)
+    C = frame.sandwich(a_hessian(S, nl, a))[frame.n :, frame.n :]
+    return frame.embed(np.linalg.solve(C, -frame.coords(a_gradient(S, nl, a))))
+
+
+def _sin_largest_angle(A, B):
+    """sin of the largest principal angle between the spans of orthonormal A and B."""
+    return float(np.linalg.norm(B - A @ (A.T @ B), 2))
+
+
+@pytest.fixture(scope="module")
+def kb64(base64, S64, nl):
+    return detect_kernel(base64, S64, nl, tau=presets.TAU_FORCED)
+
+
+class TestCompressedModel:
+    """At 1-d k = 64 the Hessian model's subspace U is compressed
+    (m <= N/2); every reduction step is checked against the dense matrix."""
+
+    def test_kernel_split_matches_dense_eigh(self, kb64, base64, S64, nl):
+        assert hessian_model(S64, nl, kb64.base_a).backend == "low-rank"
+        E, eta, scale = _dense_kernel(base64, S64, nl, presets.TAU_FORCED)
+        assert kb64.l == E.shape[1] == 1
+        assert kb64.eta == pytest.approx(eta, rel=1e-12)
+        assert kb64.hessian_scale == pytest.approx(scale, rel=1e-12)
+        assert _sin_largest_angle(E, kb64.E) <= 1e-12
+
+    def test_unit_bulk_joins_the_block(self, base64, S64, nl):
+        # tau * scale = 0.5 * 2.8 > 1 puts the +-1 eigenvalues off span U
+        # under the threshold: the block takes the complement of U whole
+        kb = detect_kernel(base64, S64, nl, tau=0.5)
+        E, eta, scale = _dense_kernel(base64, S64, nl, 0.5)
+        assert kb.l == E.shape[1] > S64.num_modes // 2
+        assert kb.eta == pytest.approx(eta, rel=1e-12)
+        assert kb.hessian_scale == pytest.approx(scale, rel=1e-12)
+        assert np.abs(kb.E.T @ kb.E - np.eye(kb.l)).max() <= 1e-12
+        assert _sin_largest_angle(E, kb.E) <= 1e-10
+
+    def test_reduced_hessian_matches_the_dense_schur_complement(self, kb64):
+        # a non-orthonormal two-column block at a point off the base
+        S, nl = kb64.S, kb64.nl
+        shifted = S.a_from_field(translate(kb64.S.field_from_a(kb64.E[:, 0]), (1,)))
+        X = np.column_stack([kb64.E[:, 0], shifted])
+        a = kb64.base_a + 0.3 * kb64.delta0 * kb64.E[:, 0]
+        assert hessian_model(S, nl, a, X).backend == "low-rank"
+        oracle = _dense_reduced_hessian(S, nl, a, X)
+        got = reduced_hessian(S, nl, a, X)
+        assert np.abs(got - oracle).max() <= 1e-10 * np.abs(oracle).max()
+
+    def test_projected_newton_step_matches_the_dense_solve(self, kb64, monkeypatch):
+        S, nl, X = kb64.S, kb64.nl, kb64.E
+        a = kb64.base_a + 0.3 * kb64.delta0 * X[:, 0]
+        assert hessian_model(S, nl, a, X).backend == "low-rank"
+        calls = []
+
+        def gradient_once(S, nl, a):
+            # the second residual test reads zero, so one step is returned
+            calls.append(a)
+            g = a_gradient(S, nl, a)
+            return g if len(calls) == 1 else 0.0 * g
+
+        monkeypatch.setattr(reduction, "a_gradient", gradient_once)
+        w, iters = _projected_newton(S, nl, a, X)
+        assert iters == 1
+        oracle = _dense_complement_step(S, nl, a, X)
+        assert np.linalg.norm(w - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    def test_no_matrix_beyond_half_the_modes(self, base64, S64, nl, monkeypatch):
+        orders = []
+
+        def recording(fn):
+            def wrapped(A, *args, **kwargs):
+                orders.append(A.shape[0])
+                return fn(A, *args, **kwargs)
+
+            return wrapped
+
+        for name in ("eigh", "eigvalsh", "solve"):
+            monkeypatch.setattr(reduction.scipy.linalg, name, recording(getattr(scipy.linalg, name)))
+        kb = detect_kernel(base64, S64, nl, tau=presets.TAU_FORCED)
+        classify_origin(kb)
+        s = solve_w(kb, kernel_combination(kb, np.array([0.3 * kb.delta0])))
+        assert s.newton_iters >= 1
+        assert orders and max(orders) <= S64.num_modes // 2
