@@ -19,6 +19,7 @@ import copy
 import csv
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -103,7 +104,8 @@ _DEFAULT_CONFIG: dict = {
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite number: JSON and float flags also parse NaN and Infinity."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _is_integer(value) -> bool:
@@ -238,13 +240,15 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
             ) from e
         if not isinstance(given, dict):
             raise ConfigError(f"{path}: top level must be an object")
-    raw = _merge(_DEFAULT_CONFIG, given, "")
+    # flags join the file's fields, so both pass the one schema check
     for dotted, value in (overrides or {}).items():
-        node = raw
         *parents, leaf = dotted.split(".")
+        node = given
         for p in parents:
-            node = node[p]
-        node[leaf] = value
+            node = node.setdefault(p, {}) if isinstance(node, dict) else node
+        if isinstance(node, dict):  # otherwise _merge refuses the file's value
+            node[leaf] = value
+    raw = _merge(_DEFAULT_CONFIG, given, "")
 
     if raw["seed"] < 0:
         raise ConfigError(f"seed must be non-negative, got {raw['seed']}")

@@ -246,47 +246,37 @@ def a_hessvec(
     return S.signs * v - (S.eigenfields.T @ prod.reshape(-1)) / S.weights
 
 
-class Householder:
-    """The Householder QR X = Q R of an N x n matrix, n <= N (Golub & Van
-    Loan, Matrix Computations, 5.1-5.2): Q (N x N) in LAPACK's compact
-    form, R (n x n); no columns give Q = I. `apply` takes the reflectors
-    one at a time, LAPACK's path for a workspace of one row or column of
-    C: O(N n) per vector, O(N^2 n) for an N x N matrix.
-    """
-
-    def __init__(self, X: NDArray[np.float64]) -> None:
-        self.n = X.shape[1]
-        self.raw, self.R = scipy.linalg.qr(X, mode="raw") if self.n else (None, X[:0])
-
-    def apply(self, C: NDArray, trans: str = "N", side: str = "L") -> NDArray[np.float64]:
-        """Q C, Q^T C (trans "T"), C Q or C Q^T (side "R")."""
-        if not self.n:
-            return C
-        work = C.size // C.shape[0] if side == "L" else C.shape[0]
-        return scipy.linalg.lapack.dormqr(side, trans, *self.raw, C, lwork=max(1, work))[0]
-
-
 class _SignBlock:
     """An orthonormal basis Q of one sign block whose first `dim` columns
     contain those of C, the block's part of [G^T X] (width x c): the
     identity when c >= width or C is None (the dense model), otherwise
-    the Householder QR C = Q R, so that Q^T C = R (QC) needs no product.
+    the Householder QR C = Q R (Golub & Van Loan, Matrix Computations,
+    5.1-5.2), so that Q^T C = R (QC) needs no product. Q stays in
+    LAPACK's compact form and `apply` takes its reflectors one at a time:
+    O(width c) per vector. No columns give Q = I.
     """
 
     def __init__(self, width: int, C: NDArray[np.float64] | None) -> None:
         self.width = width
-        narrow = C is not None and C.shape[1] < width
-        self.Q = Householder(C if narrow else np.zeros((width, 0)))
-        self.dim = self.Q.n if narrow else width
-        self.QC = self.Q.R if narrow else C
+        self.raw, self.QC, self.dim = None, C, width
+        if C is not None and C.shape[1] < width:
+            self.dim = C.shape[1]
+            self.raw, self.QC = scipy.linalg.qr(C, mode="raw") if self.dim else (None, C[:0])
+
+    def apply(self, v: NDArray[np.float64], trans: str = "N") -> NDArray[np.float64]:
+        """Q v, or Q^T v (trans "T")."""
+        if self.raw is None:
+            return v
+        work = v.size // v.shape[0]
+        return scipy.linalg.lapack.dormqr("L", trans, *self.raw, v, lwork=max(1, work))[0]
 
     def coords(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
         """Q^T v, first dim rows."""
-        return self.Q.apply(v, "T")[: self.dim]
+        return self.apply(v, "T")[: self.dim]
 
     def embed(self, z: NDArray[np.float64]) -> NDArray[np.float64]:
         """Q z."""
-        return self.Q.apply(np.concatenate([z, np.zeros((self.width - self.dim,) + z.shape[1:])]))
+        return self.apply(np.concatenate([z, np.zeros((self.width - self.dim,) + z.shape[1:])]))
 
 
 class HessianModel:
@@ -335,7 +325,7 @@ class HessianModel:
         """An orthonormal basis of the complement of span U, ordered as
         off_signs: each block's Householder columns past its dim."""
         return scipy.linalg.block_diag(*(
-            b.Q.apply(np.eye(b.width, b.width - b.dim, -b.dim)) for b in (self.neg, self.pos)
+            b.apply(np.eye(b.width, b.width - b.dim, -b.dim)) for b in (self.neg, self.pos)
         ))
 
     def matvec(self, v: NDArray[np.float64]) -> NDArray[np.float64]:

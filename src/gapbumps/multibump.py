@@ -167,7 +167,7 @@ def joint_correction(
     all in a-coordinates.
     """
     center = prob.glued_a + prob.joint_raw @ x
-    w, iters = _projected_newton(prob.S, nl, center, prob.joint_raw, w0=w0)
+    w, iters = _projected_newton(prob.S, nl, center, prob.joint_raw, 2.0 * prob.kb.eta, w0)
     return center + w, w, iters
 
 

@@ -11,14 +11,12 @@ the real and imaginary parts of its Bloch waves. The cost is
 O(k^dim * M^(3*dim)) for the fibers plus O(N^2) to write the N x N
 eigenfield matrix, instead of O(N^3) for a dense eigensolve.
 
-The spectral gap around zero is certified from the eigenvalues, and the
-energy inner product (u, v)_k = sum |lambda_i| c_i d_i built from the
-eigencoefficients drives all downstream Newton/reduction algebra.
-
-Fields are expanded as c_i = <u, phi_i>_L2 against the L2-orthonormal
-eigenfields (SpectralDecomposition.c_from_values). Solvers work in the
-weighted coordinates a_i = sqrt(|lambda_i|) c_i, in which (., .)_k is plain
-Euclidean; the spectral projections and the quadratic form stay in c.
+The spectral gap around zero is certified from the eigenvalues. A field
+is represented by its weighted coordinates a_i = sqrt(|lambda_i|)
+<u, phi_i>_L2 against the L2-orthonormal eigenfields
+(SpectralDecomposition.a_from_values), in which the energy inner product
+(u, v)_k = sum |lambda_i| <u, phi_i> <v, phi_i> that drives all
+downstream Newton/reduction algebra is plain Euclidean.
 """
 
 from __future__ import annotations
@@ -259,7 +257,7 @@ class SpectralDecomposition:
     def __post_init__(self) -> None:
         for arr in (self.eigenvalues, self.eigenfields):
             arr.setflags(write=False)
-        # weighted coordinates: a = weights * c makes (.,.)_k Euclidean
+        # weighted coordinates: a = weights * <u, phi>_L2 makes (.,.)_k Euclidean
         self.weights = np.sqrt(np.abs(self.eigenvalues))
         self.signs = np.sign(self.eigenvalues)
 
@@ -288,22 +286,16 @@ class SpectralDecomposition:
         if self.gap is None:
             raise NoCertifiedGap("operation requires a certified spectral gap around 0")
 
-    # -- coefficients c and weighted a-coordinates a = weights * c --------------
-    def c_from_values(self, values: NDArray[np.float64]) -> NDArray[np.float64]:
-        quad_weight = self.domain.spacing**self.domain.dim
-        return quad_weight * (self.eigenfields.T @ values.reshape(-1))
-
-    def values_from_c(self, c: NDArray[np.float64]) -> NDArray[np.float64]:
-        return (self.eigenfields @ c).reshape(self.domain.shape)
-
+    # -- weighted a-coordinates a_i = sqrt(|lambda_i|) <u, phi_i>_L2 -------------
     def a_from_values(self, values: NDArray[np.float64]) -> NDArray[np.float64]:
-        return self.weights * self.c_from_values(values)
+        quad_weight = self.domain.spacing**self.domain.dim
+        return self.weights * (quad_weight * (self.eigenfields.T @ values.reshape(-1)))
 
     def a_from_field(self, u: GridField) -> NDArray[np.float64]:
         return self.a_from_values(u.values)
 
     def values_from_a(self, a: NDArray[np.float64]) -> NDArray[np.float64]:
-        return self.values_from_c(a / self.weights)
+        return (self.eigenfields @ (a / self.weights)).reshape(self.domain.shape)
 
     def field_from_a(self, a: NDArray[np.float64]) -> GridField:
         return GridField(self.domain, self.values_from_a(a))
@@ -379,8 +371,7 @@ def project_positive(u: GridField, S: SpectralDecomposition) -> GridField:
     S.require_gap()
     if not u.domain.compatible(S.domain):
         raise ValueError("field and decomposition domains differ")
-    c = S.c_from_values(u.values) * (S.eigenvalues > 0.0)
-    return GridField(S.domain, S.values_from_c(c))
+    return S.field_from_a(S.a_from_values(u.values) * (S.eigenvalues > 0.0))
 
 
 # -- Floquet-Bloch bands (1-d) --------------------------------------------------
@@ -460,12 +451,11 @@ def norm_equivalence_report(
     decay = 1.0 / (1.0 + np.abs(S.eigenvalues))
     for trial in range(n + trials):
         if trial < n:
-            c = np.zeros(n)
-            c[trial] = 1.0
+            a = np.zeros(n)
+            a[trial] = S.weights[trial]
         else:
-            c = rng.standard_normal(n) * decay
-        u = GridField(S.domain, S.values_from_c(c))
-        ratio = float(np.linalg.norm(S.weights * c)) / h1_norm(u)
+            a = S.weights * (rng.standard_normal(n) * decay)
+        ratio = float(np.linalg.norm(a)) / h1_norm(S.field_from_a(a))
         lo = min(lo, ratio)
         hi = max(hi, ratio)
     return float(lo), float(hi)

@@ -5,8 +5,8 @@ Hessian and its complement, solves the complement equation by Newton,
 and studies the reduced energy: its gradient, its analytic Hessian (a
 Schur complement) and its Morse data at the origin. Every Hessian is a
 `hessian_model` whose invariant subspace U contains the kernel block X,
-so all of it happens in K = U^T H U and X's frame (the Householder QR
-of U^T X, Q = [Q1 Q2]), while off span U the Hessian is D = +-1.
+so all of it is solves and LDL^T inertia counts with K = U^T H U bordered
+by B = U^T X, [[K, B], [B^T, 0]], while off span U the Hessian is D = +-1.
 Translated kernel fields span the joint block of a multibump problem.
 """
 
@@ -18,7 +18,9 @@ import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
-from .functional import Householder, Nonlinearity, a_gradient, a_value_and_gradient, hessian_model
+from .functional import (
+    HessianModel, Nonlinearity, a_gradient, a_value_and_gradient, hessian_model,
+)
 from .operator import SpectralDecomposition
 from .solver import KERNEL_TAU, NoConvergence, SolutionRecord, kernel_split
 from .torus import GridField, embed_with_cutoff, translate
@@ -120,24 +122,42 @@ def kernel_combination(kb: KernelBasis, x: NDArray[np.float64]) -> GridField:
     return kb.S.field_from_a(kb.E @ x)
 
 
-class _Frame(Householder):
-    """The kernel block's frame: Q = [Q1 Q2] of the Householder QR
-    X = Q1 R of its l columns, so Q2 is an orthonormal basis of the
-    complement. An empty block is the identity frame.
+def _bordered(K: NDArray, B: NDArray, shift: float = 0.0) -> NDArray[np.float64]:
+    """[[K + shift I, B], [B^T, 0]]."""
+    l = B.shape[1]
+    return np.block([[K + shift * np.eye(K.shape[0]), B], [B.T, np.zeros((l, l))]])
+
+
+def _negative_count(A: NDArray[np.float64]) -> int:
+    """The number of negative eigenvalues of the symmetric matrix A.
+
+    By Sylvester's law of inertia it is that of D in the Bunch-Kaufman
+    factorization A = L D L^T (LAPACK dsytrf, which overwrites A): one per
+    negative 1 x 1 pivot, and one per 2 x 2 pivot, whose determinant
+    Bunch-Kaufman pivoting keeps negative. A 2 x 2 pivot marks both of
+    its rows with a negative ipiv.
     """
+    # the blocked code's workspace: the default n runs unblocked, 2x slower at n = 512
+    lwork = int(scipy.linalg.lapack.dsytrf_lwork(A.shape[0], lower=1)[0])
+    ldu, ipiv, _ = scipy.linalg.lapack.dsytrf(A, lower=1, lwork=lwork, overwrite_a=1)
+    one_by_one = ldu.diagonal()[ipiv > 0]
+    return int(np.count_nonzero(one_by_one < 0.0) + np.count_nonzero(ipiv < 0) // 2)
 
-    def coords(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Q2^T v."""
-        return self.apply(v, "T")[self.n :]
 
-    def embed(self, z: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Q2 z."""
-        return self.apply(np.concatenate([np.zeros(self.n), z]))
+def _complement_degenerates(H: HessianModel, ceiling: float) -> bool:
+    """Whether 1/min|eig| of the complement block exceeds `ceiling`.
 
-    def sandwich(self, H: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Q^T H Q, symmetrized."""
-        T = self.apply(self.apply(H, "T"), side="R")
-        return 0.5 * (T + T.T)
+    With B = U^T X of full column rank l, the bordered matrix
+    [[K - s I, B], [B^T, 0]] has exactly l more negative eigenvalues than
+    C - s I, C the complement block inside U (Sylvester's law of inertia;
+    Gould 1985). So C has an eigenvalue in (-s, s), s = 1/ceiling, exactly
+    when the count drops from shift -s to shift +s. Off span U the
+    eigenvalues are +-1.
+    """
+    if H.off_signs.size and ceiling < 1.0:
+        return True
+    s = 1.0 / ceiling
+    return _negative_count(_bordered(H.K, H.UX, -s)) > _negative_count(_bordered(H.K, H.UX, s))
 
 
 def _projected_newton(
@@ -145,42 +165,35 @@ def _projected_newton(
     nl: Nonlinearity,
     a_center: NDArray[np.float64],
     X: NDArray[np.float64],
-    eta_ceiling: float | None = None,
+    eta_ceiling: float,
     w0: NDArray[np.float64] | None = None,
 ) -> tuple[NDArray[np.float64], int]:
     """Solve P grad J(a_center + w) = 0 for w orthogonal to span(X).
 
-    Newton on the complement coordinates z of X's frame in N-space, from
-    those of w0 or from 0, until |Q2^T grad J| <= W_RESIDUAL_TOL or
-    MAX_W_ITERS iterations. Each step solves with C = (Q^T K Q)[l:, l:]
-    inside K and takes -D g off span U. Monitors C's eigenvalues and the
-    +-1 off span U, and aborts once 1/min|eig| exceeds eta_ceiling (set
-    from the first iterate when not given).
+    Newton on w, from w0 (orthogonal to X) or from 0, until
+    |g - Q1 Q1^T g| <= W_RESIDUAL_TOL, X = Q1 R, or MAX_W_ITERS
+    iterations. Inside U each step solves the bordered system
+    [[K, B], [B^T, 0]] [y; lambda] = [-U^T g; 0], B = U^T X, so U y is
+    orthogonal to X; off span U it takes -D g. Aborts once the complement
+    block's 1/min|eig| exceeds eta_ceiling (`_complement_degenerates`).
 
     Returns (w, iterations).
     """
-    frame = _Frame(X)
-    z = np.zeros(a_center.size - frame.n) if w0 is None else frame.coords(w0)
+    Q1 = np.linalg.qr(X)[0]
+    w = np.zeros_like(a_center) if w0 is None else w0
     for iteration in range(MAX_W_ITERS):
-        w = frame.embed(z)
         g = a_gradient(S, nl, a_center + w)
-        if float(np.linalg.norm(frame.coords(g))) <= W_RESIDUAL_TOL:
+        if float(np.linalg.norm(g - Q1 @ (Q1.T @ g))) <= W_RESIDUAL_TOL:
             return w, iteration
         H = hessian_model(S, nl, a_center + w, X)
-        inner = _Frame(H.UX)
-        C = inner.sandwich(H.K)[inner.n :, inner.n :]
-        eigs = np.abs(np.concatenate([scipy.linalg.eigvalsh(C), H.off_signs]))
-        eta_now = 1.0 / float(eigs.min())
-        if eta_ceiling is None:
-            eta_ceiling = 2.0 * eta_now
-        if eta_now > eta_ceiling:
+        if _complement_degenerates(H, eta_ceiling):
             raise NoConvergence(
-                f"complement block degenerating: 1/min|eig| = {eta_now:.3e} "
-                f"exceeds ceiling {eta_ceiling:.3e}"
+                f"complement block degenerating: 1/min|eig| exceeds ceiling {eta_ceiling:.3e}"
             )
         gU = H.coords(g)
-        dz = scipy.linalg.solve(C, -inner.coords(gU), assume_a="sym")
-        z = z + frame.coords(H.embed(inner.embed(dz)) - H.signs * (g - H.embed(gU)))
+        rhs = np.concatenate([-gU, np.zeros(X.shape[1])])
+        y = scipy.linalg.solve(_bordered(H.K, H.UX), rhs, assume_a="sym")[: gU.size]
+        w = w + H.embed(y) - H.signs * (g - H.embed(gU))
         del H  # the next model is built without this one's K alive
     raise NoConvergence(f"projected equation not solved in {MAX_W_ITERS} iterations")
 
@@ -201,7 +214,7 @@ def solve_w(kb: KernelBasis, h: GridField) -> ReducedSample:
     if hnorm > kb.delta0:
         raise OutOfBall(f"|||h||| = {hnorm:.4g} exceeds delta0 = {kb.delta0:.4g}")
     a_center = kb.base_a + ha
-    w_a, iters = _projected_newton(kb.S, kb.nl, a_center, kb.E, eta_ceiling=2.0 * kb.eta)
+    w_a, iters = _projected_newton(kb.S, kb.nl, a_center, kb.E, 2.0 * kb.eta)
     a_full = a_center + w_a
     I, g = a_value_and_gradient(kb.S, kb.nl, a_full)
     return ReducedSample(
@@ -226,15 +239,17 @@ def reduced_hessian(
     equation (w(0) = 0). The reduced gradient is X^T grad J, so its
     derivative is X^T H (X + w'), and differentiating the projected
     equation gives w' = -(PHP)^-1 PHX; off span U, H does not couple to
-    X. In the frame U^T X = Q1 R and T = Q^T K Q, that is the Schur
-    complement R^T (T11 - T12 T22^-1 T21) R.
+    X. Inside U, with B = U^T X, the bordered system
+    [[K, B], [B^T, 0]] [Y; Lambda] = [-K B; 0] gives Y = U^T w', so the
+    reduced Hessian is the Schur complement B^T K (B + Y).
     """
     H = hessian_model(S, nl, a, X)
-    frame = _Frame(H.UX)
-    l, R = frame.n, frame.R
-    T = frame.sandwich(H.K)
-    schur = T[:l, :l] - T[:l, l:] @ scipy.linalg.solve(T[l:, l:], T[l:, :l], assume_a="sym")
-    Hred = R.T @ schur @ R
+    B = H.UX
+    m, l = B.shape
+    KB = H.K @ B
+    rhs = np.vstack([-KB, np.zeros((l, l))])
+    Y = scipy.linalg.solve(_bordered(H.K, B), rhs, assume_a="sym")[:m]
+    Hred = KB.T @ (B + Y)
     return 0.5 * (Hred + Hred.T)
 
 

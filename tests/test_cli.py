@@ -97,12 +97,14 @@ class TestConfig:
             ('{"ansatz": {"amplitude": "6"}}', "ansatz.amplitude"),
             ('{"ansatz": {"center": ["0"]}}', "ansatz.center"),
             ('{"nonlinearity": {"h": 1.0}}', "nonlinearity.h"),
+            ('{"ansatz": {"amplitude": Infinity}}', "ansatz.amplitude"),
+            ('{"ansatz": {"center": [NaN]}}', "ansatz.center"),
         ],
         ids=[
             "dealias_string", "cells_float", "dim_bool", "seed_bool", "width_zero", "no_gap",
             "max_iters_float", "weight_typo", "amplitude_string", "p_string", "axes_float",
             "samples_string", "shift_string", "ansatz_amplitude_string", "center_string",
-            "weight_number",
+            "weight_number", "amplitude_infinity", "center_nan",
         ],
     )
     def test_json_types_and_values_are_strict(self, tmp_path, text, message):
@@ -241,6 +243,10 @@ class TestCommands:
             (["--config", "{negseed}", "solve", "--k", "8"], "seed"),
             (["multibump", "--base", "{base}", "--k", "32", "--centers", "0;32"], "--centers"),
             (["multibump", "--base", "{base}", "--centers", "0;2"], "--centers"),
+            (["solve", "--ansatz-center", "nan"], "ansatz.center"),
+            (["solve", "--ansatz-amplitude", "inf"], "ansatz.amplitude"),
+            (["--config", "{nonfinite}", "solve", "--k", "8"], "ansatz.amplitude"),
+            (["--config", "{flat_domain}", "spectrum", "--k", "8"], "domain"),
         ],
         ids=[
             "reduce_tau_zero", "multibump_tau_negative", "seps_descending", "seps_zero",
@@ -250,6 +256,7 @@ class TestCommands:
             "center_text", "center_fraction", "reduce_empty_block",
             "reduce_tau_inf", "solve_seed_negative", "verify_seed_negative",
             "config_seed_negative", "centers_collide", "centers_below_floor",
+            "ansatz_center_nan", "ansatz_amplitude_inf", "config_infinity", "flag_into_number",
         ],
     )
     def test_bad_arguments_exit_2(self, outdir, tmp_path, solution_k8, capsys, argv, message):
@@ -257,7 +264,12 @@ class TestCommands:
         flat.write_text('{"potential": {"amplitude": 0.0}}')
         negseed = tmp_path / "negseed.json"
         negseed.write_text('{"seed": -1}')
-        argv = [a.format(base=solution_k8, flat=flat, negseed=negseed) for a in argv]
+        nonfinite = tmp_path / "nonfinite.json"
+        nonfinite.write_text('{"ansatz": {"amplitude": Infinity}}')
+        flat_domain = tmp_path / "flat_domain.json"
+        flat_domain.write_text('{"domain": 8}')
+        files = dict(flat=flat, negseed=negseed, nonfinite=nonfinite, flat_domain=flat_domain)
+        argv = [a.format(base=solution_k8, **files) for a in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "config error" in err and message in err

@@ -122,9 +122,9 @@ class TestDecomposition:
         assert np.allclose(back, a, atol=1e-9)
 
     def test_energy_norm_is_euclidean_in_a(self, S4, rng):
-        # |||u|||^2 = sum |lambda_i| c_i^2 is the Euclidean norm of a
+        # |||u|||^2 = sum |lambda_i| <u, phi_i>_L2^2 is the Euclidean norm of a
         u = S4.field_from_a(rng.standard_normal(S4.num_modes))
-        c = S4.c_from_values(u.values)
+        c = np.array([l2_inner(u, S4.eigenfield(i)) for i in range(S4.num_modes)])
         assert float(np.linalg.norm(S4.a_from_field(u))) ** 2 == pytest.approx(
             float(np.abs(S4.eigenvalues) @ (c * c)), rel=1e-10
         )

@@ -3,14 +3,18 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gapbumps import presets, reduction
-from gapbumps.functional import a_gradient, a_hessian, hessian_model
+from gapbumps.functional import HessianModel, a_gradient, a_hessian, hessian_model
 from gapbumps.multibump import build_problem, superposition_compare
 from gapbumps.reduction import (
     AllKernel,
     OutOfBall,
-    _Frame,
+    _bordered,
+    _complement_degenerates,
+    _negative_count,
     _projected_newton,
     classify_origin,
     detect_kernel,
@@ -176,34 +180,56 @@ def block(request, kb2dir, kb8, S8):
     return S8, kb8.nl, prob.glued_a, prob.joint_raw
 
 
-class TestFrame:
-    def test_coordinates_span_the_complement(self, block, rng):
-        _, _, a, X = block
-        frame, l = _Frame(X), X.shape[1]
-        z = rng.standard_normal(a.size - l)
-        v = rng.standard_normal(a.size)
-        assert np.abs(X.T @ frame.embed(z)).max() <= 1e-12 * np.abs(X).max()
-        assert np.allclose(frame.coords(frame.embed(z)), z, atol=1e-13)
-        assert np.allclose(frame.R.T @ frame.R, X.T @ X, atol=1e-13)
-        assert np.linalg.norm(frame.coords(v)) <= np.linalg.norm(v)
+def _first_step(S, nl, a, X, ceiling, monkeypatch):
+    """The first Newton step of _projected_newton from w = 0."""
+    calls = []
 
-    def test_empty_block_is_the_identity_frame(self, rng):
-        frame = _Frame(np.zeros((6, 0)))
-        v = rng.standard_normal(6)
-        H = rng.standard_normal((6, 6))
-        assert np.array_equal(frame.coords(v), v)
-        assert np.array_equal(frame.embed(v), v)
-        assert np.array_equal(frame.sandwich(H + H.T), H + H.T)
+    def gradient_once(S, nl, a):
+        # the second residual test reads zero, so one step is returned
+        calls.append(a)
+        g = a_gradient(S, nl, a)
+        return g if len(calls) == 1 else 0.0 * g
+
+    monkeypatch.setattr(reduction, "a_gradient", gradient_once)
+    w, iters = _projected_newton(S, nl, a, X, ceiling)
+    assert iters == 1
+    return w
+
+
+class TestFrame:
+    """The kernel block X and its complement, reached through the bordered
+    matrix [[K, B], [B^T, 0]], B = U^T X, against the lifted dense oracle."""
 
     def test_complement_eigenvalues_match_the_lifted_oracle(self, block):
+        # the bordered inertia counts the complement block's eigenvalues in
+        # (-s, s) as the oracle's spectrum without the push does, and the
+        # monitor trips exactly when the ceiling falls under 1/min|eig|
         S, nl, a, X = block
         H = a_hessian(S, nl, a)
         l = X.shape[1]
         push = 10.0 * float(np.abs(np.linalg.eigvalsh(H)).max())
         oracle = np.linalg.eigvalsh(_oracle_complement(H, np.linalg.qr(X)[0], push))
         assert np.allclose(oracle[-l:], push, rtol=1e-10)
-        eigs = np.linalg.eigvalsh(_Frame(X).sandwich(H)[l:, l:])
-        assert np.abs(eigs - oracle[:-l]).max() <= 1e-10 * np.abs(oracle[:-l]).min()
+        mags = np.sort(np.abs(oracle[:-l]))
+        model = hessian_model(S, nl, a, X)
+        gaps = np.flatnonzero(mags[1:] > (1.0 + 1e-6) * mags[:-1])
+        for s in np.sqrt(mags[gaps] * mags[gaps + 1])[:: max(1, gaps.size // 10)]:
+            counted = _negative_count(_bordered(model.K, model.UX, -s)) - _negative_count(
+                _bordered(model.K, model.UX, s)
+            )
+            off_u = model.off_signs.size if s > 1.0 else 0  # the +-1 outside K
+            assert counted == np.count_nonzero(mags < s) - off_u
+        eta = 1.0 / mags[0]
+        assert _complement_degenerates(model, eta * (1.0 - 1e-6))
+        assert not _complement_degenerates(model, eta * (1.0 + 1e-6))
+
+    def test_unit_eigenvalues_off_u_trip_a_ceiling_below_one(self):
+        # H = I - G^T G on R^4: U = span(e1, e2), +1 on e0 and e3 off it;
+        # inside U the complement of X = e2 holds only 1 - 9 = -8
+        model = HessianModel(np.ones(4), 0, np.eye(4)[:, [2]], G=np.array([[0.0, 3.0, 0.0, 0.0]]))
+        assert model.off_signs.size == 2 and np.allclose(np.sort(np.diag(model.K)), [-8.0, 1.0])
+        assert _complement_degenerates(model, 0.5)  # 1/min|eig| = 1 > 0.5
+        assert not _complement_degenerates(model, 1.5)
 
     def test_reduced_hessian_matches_the_lifted_oracle(self, block):
         S, nl, a, X = block
@@ -215,6 +241,50 @@ class TestFrame:
         oracle = X.T @ HX - B.T @ np.linalg.solve(M, B)
         got = reduced_hessian(S, nl, a, X)
         assert np.abs(got - oracle).max() <= 1e-10 * np.abs(oracle).max()
+
+    def test_newton_step_matches_the_lifted_oracle(self, block, monkeypatch):
+        S, nl, a, X = block
+        a = a + 0.05 * X[:, 0] / np.linalg.norm(X[:, 0])  # off the base's zero residual
+        H = a_hessian(S, nl, a)
+        E = np.linalg.qr(X)[0]
+        g = a_gradient(S, nl, a)
+        M = _oracle_complement(H, E, float(np.abs(np.linalg.eigvalsh(H)).max()))
+        oracle = -np.linalg.solve(M, g - E @ (E.T @ g))
+        got = _first_step(S, nl, a, X, 1e6, monkeypatch)
+        assert np.linalg.norm(got - oracle) <= 1e-10 * np.linalg.norm(oracle)
+        assert np.abs(X.T @ got).max() <= 1e-12 * np.linalg.norm(got) * np.abs(X).max()
+
+
+def _symmetric(entries, n, zeros):
+    """The symmetric n x n matrix of `entries` (its lower triangle, by
+    rows), with its first `zeros` diagonal entries set to zero."""
+    A = np.zeros((n, n))
+    A[np.tril_indices(n)] = entries
+    A = A + np.tril(A, -1).T
+    A[np.arange(zeros), np.arange(zeros)] = 0.0
+    return A
+
+
+class TestNegativeCount:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 9))
+    def test_matches_the_eigenvalue_signs(self, data, n):
+        entries = data.draw(st.lists(
+            st.floats(-10.0, 10.0, allow_nan=False), min_size=n * (n + 1) // 2,
+            max_size=n * (n + 1) // 2,
+        ), label="entries")
+        A = _symmetric(entries, n, data.draw(st.integers(0, n), label="zeros"))
+        eigs = np.linalg.eigvalsh(A)
+        # a zero eigenvalue's sign is rounding; the count is exact elsewhere
+        assume(np.abs(eigs).min() > 1e-8 * max(1.0, np.abs(eigs).max()))
+        assert _negative_count(A.copy()) == int((eigs < 0).sum())
+
+    def test_two_by_two_pivots_count_one_negative_each(self):
+        # a zero diagonal forces Bunch-Kaufman onto a 2 x 2 pivot
+        A = _symmetric([0.0, 3.0, 0.0, 1.0, 2.0, -5.0], 3, 2)
+        _, ipiv, _ = scipy.linalg.lapack.dsytrf(A, lower=1)
+        assert (ipiv < 0).sum() == 2
+        assert _negative_count(A.copy()) == int((np.linalg.eigvalsh(A) < 0).sum()) == 2
 
 
 class TestClassification:
@@ -281,19 +351,21 @@ def _dense_kernel(rec, S, nl, tau):
 
 
 def _dense_reduced_hessian(S, nl, a, X):
-    """The Schur complement of Q^T H Q in X's frame, H the dense Hessian."""
-    frame = _Frame(X)
-    l, R = frame.n, frame.R
-    T = frame.sandwich(a_hessian(S, nl, a))
+    """The Schur complement of Q^T H Q in X's frame X = Q1 R, Q = [Q1 Q2],
+    H the dense Hessian."""
+    Q, R = np.linalg.qr(X, mode="complete")
+    l = X.shape[1]
+    R = R[:l]
+    T = Q.T @ a_hessian(S, nl, a) @ Q
     schur = T[:l, :l] - T[:l, l:] @ np.linalg.solve(T[l:, l:], T[l:, :l])
     return R.T @ schur @ R
 
 
 def _dense_complement_step(S, nl, a, X):
     """One Newton step from a orthogonal to X, with the dense complement block."""
-    frame = _Frame(X)
-    C = frame.sandwich(a_hessian(S, nl, a))[frame.n :, frame.n :]
-    return frame.embed(np.linalg.solve(C, -frame.coords(a_gradient(S, nl, a))))
+    Q2 = np.linalg.qr(X, mode="complete")[0][:, X.shape[1] :]
+    C = Q2.T @ a_hessian(S, nl, a) @ Q2
+    return Q2 @ np.linalg.solve(C, -Q2.T @ a_gradient(S, nl, a))
 
 
 def _sin_largest_angle(A, B):
@@ -344,34 +416,29 @@ class TestCompressedModel:
         S, nl, X = kb64.S, kb64.nl, kb64.E
         a = kb64.base_a + 0.3 * kb64.delta0 * X[:, 0]
         assert hessian_model(S, nl, a, X).backend == "low-rank"
-        calls = []
-
-        def gradient_once(S, nl, a):
-            # the second residual test reads zero, so one step is returned
-            calls.append(a)
-            g = a_gradient(S, nl, a)
-            return g if len(calls) == 1 else 0.0 * g
-
-        monkeypatch.setattr(reduction, "a_gradient", gradient_once)
-        w, iters = _projected_newton(S, nl, a, X)
-        assert iters == 1
+        w = _first_step(S, nl, a, X, 2.0 * kb64.eta, monkeypatch)
         oracle = _dense_complement_step(S, nl, a, X)
         assert np.linalg.norm(w - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
     def test_no_matrix_beyond_half_the_modes(self, base64, S64, nl, monkeypatch):
-        orders = []
+        orders = {}
 
-        def recording(fn):
+        def recording(owner, name):
+            fn = getattr(owner, name)
+
             def wrapped(A, *args, **kwargs):
-                orders.append(A.shape[0])
+                orders.setdefault(name, []).append(A.shape[0])
                 return fn(A, *args, **kwargs)
 
-            return wrapped
+            monkeypatch.setattr(owner, name, wrapped)
 
         for name in ("eigh", "eigvalsh", "solve"):
-            monkeypatch.setattr(reduction.scipy.linalg, name, recording(getattr(scipy.linalg, name)))
+            recording(reduction.scipy.linalg, name)
+        recording(reduction.scipy.linalg.lapack, "dsytrf")  # the LDL^T of the eta monitor
         kb = detect_kernel(base64, S64, nl, tau=presets.TAU_FORCED)
         classify_origin(kb)
         s = solve_w(kb, kernel_combination(kb, np.array([0.3 * kb.delta0])))
         assert s.newton_iters >= 1
-        assert orders and max(orders) <= S64.num_modes // 2
+        assert {"eigh", "solve", "dsytrf"} <= orders.keys()
+        # a bordered matrix adds the block's l columns to the model's m <= N/2
+        assert max(max(o) for o in orders.values()) <= S64.num_modes // 2 + kb.l

@@ -49,7 +49,7 @@ class TestOptions:
 class TestAnsatz:
     def test_lives_in_the_positive_subspace(self, S8):
         u = initial_ansatz((0.0,), 0.5, 6.0, S8.domain, S8)
-        assert np.linalg.norm(S8.c_from_values(u.values)[S8.signs < 0]) < 1e-12
+        assert np.linalg.norm(S8.a_from_field(u)[S8.signs < 0]) < 1e-12
         assert l2_norm(u) > 0
 
     def test_centering_wraps(self, S8):
