@@ -66,6 +66,7 @@ from .solver import (
     _make_record,
     draw_ansatz,
     find_critical_point,
+    hessian_census,
     initial_ansatz,
 )
 from .torus import GridField, TorusDomain
@@ -491,9 +492,11 @@ def cmd_solve(args, cfg: RunConfig) -> int:
     center = tuple(float(c) for c in cfg.ansatz["center"])
     width = float(cfg.ansatz["width"])
     amplitude = float(cfg.ansatz["amplitude"])
+    if args.tries < 1:
+        raise ConfigError(f"--tries must be at least 1, got {args.tries}")
     last_error: Exception | None = None
     rec = None
-    for attempt in range(max(1, args.tries)):
+    for attempt in range(args.tries):
         try:
             init = initial_ansatz(center, width, amplitude, cfg.domain, S)
             rec = find_critical_point(init, S, cfg.nonlinearity, cfg.solver)
@@ -505,8 +508,9 @@ def cmd_solve(args, cfg: RunConfig) -> int:
     if rec is None:
         assert last_error is not None
         raise last_error
+    census = hessian_census(S, cfg.nonlinearity, S.a_from_field(rec.field))
     phases = {"diagonalize_s": diagonalized - started, "newton_s": time.monotonic() - diagonalized}
-    _write_json(out / "solution.json", rec.to_dict())
+    _write_json(out / "solution.json", rec.to_dict() | census)
     write_field_csv(out / "solution.csv", rec.field)
     _write_manifest(out, "solve", cfg, ["solution.json", "solution.csv"], started, phases)
     print(
@@ -661,7 +665,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     started = time.monotonic()
     out = _outdir()
     report = run_verification(seed=cfg.seed)
-    (out / "report.json").write_text(report.to_json())
+    _write_json(out / "report.json", report.to_dict())
     phases = {f"{name.removeprefix('check_')}_s": s for name, s in report.seconds.items()}
     _write_manifest(out, "verify", cfg, ["report.json"], started, phases)
     for entry in report.entries:

@@ -66,34 +66,24 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class SolutionRecord:
-    """A converged critical point plus the diagnostics tests key on.
+    """A converged critical point and Newton's own account of the run.
 
-    negative_hessian_count counts eigenvalues below -tau*scale of the
-    Hessian at the solution and kernel_dim_estimate those within
-    tau*scale of zero, tau = 1e-4; the same relative threshold the
-    reduction uses, so the two views agree. hessian_backend says whether
-    the Hessian model's subspace was the whole space ("dense") or not
-    ("low-rank"), and hessian_subspace_dim is the order of its matrix K.
-
-    Newton's own account, one entry per iteration: residual_history the
-    gradient norm before each step (and at the end), step_history the
-    accepted line-search step, mu_history the Tikhonov mu of the Newton
-    direction, or None where steepest descent on the merit was taken.
-    A record rebuilt from a stored field has empty histories.
+    One entry per iteration: residual_history the gradient norm before
+    each step (and at the end), step_history the accepted line-search
+    step, mu_history the Tikhonov mu of the Newton direction, or None
+    where steepest descent on the merit was taken. A record rebuilt from
+    a stored field has empty histories. Morse data is not Newton's to
+    keep: `hessian_census` computes it on request.
     """
 
     field: GridField
     energy: float
     residual: float
     norm_k: float
-    negative_hessian_count: int
-    kernel_dim_estimate: int
     iterations: int
     residual_history: tuple[float, ...]
     step_history: tuple[float, ...]
     mu_history: tuple[float | None, ...]
-    hessian_backend: str
-    hessian_subspace_dim: int
     domain_fingerprint: dict
     potential_fingerprint: dict
     nonlinearity_fingerprint: dict
@@ -103,14 +93,10 @@ class SolutionRecord:
             "energy": self.energy,
             "residual": self.residual,
             "norm_k": self.norm_k,
-            "negative_hessian_count": self.negative_hessian_count,
-            "kernel_dim_estimate": self.kernel_dim_estimate,
             "iterations": self.iterations,
             "residual_history": list(self.residual_history),
             "step_history": list(self.step_history),
             "mu_history": list(self.mu_history),
-            "hessian_backend": self.hessian_backend,
-            "hessian_subspace_dim": self.hessian_subspace_dim,
             "domain": self.domain_fingerprint,
             "potential": self.potential_fingerprint,
             "nonlinearity": self.nonlinearity_fingerprint,
@@ -199,18 +185,31 @@ def kernel_split(
 ) -> tuple[NDArray[np.bool_], float]:
     """Mask of Hessian eigenvalues with |mu| < tau * scale, and the scale.
 
-    scale is the spectral radius max |mu|; the record's counts and the
+    scale is the spectral radius max |mu|; `hessian_census` and the
     reduction's kernel block both split the spectrum here.
     """
     scale = float(np.abs(mu).max())
     return np.abs(mu) < tau * scale, scale
 
 
-def _hessian_counts(H: HessianModel) -> tuple[int, int]:
+def hessian_census(S: SpectralDecomposition, nl: Nonlinearity, a: NDArray[np.float64]) -> dict:
+    """Morse data of the Hessian at a, from one model and one eigvalsh.
+
+    negative_hessian_count counts eigenvalues below -tau*scale and
+    kernel_dim_estimate those within tau*scale of zero, tau = KERNEL_TAU:
+    the split the reduction uses, so the two views agree. hessian_backend
+    says whether the model's subspace was the whole space ("dense") or
+    not ("low-rank"), and hessian_subspace_dim is the order of its K.
+    """
+    H = hessian_model(S, nl, a)
     mu = H.eigenvalues()
     near, _ = kernel_split(mu)
-    negative = (mu < 0) & ~near
-    return int(negative.sum()), int(near.sum())
+    return {
+        "negative_hessian_count": int(((mu < 0) & ~near).sum()),
+        "kernel_dim_estimate": int(near.sum()),
+        "hessian_backend": H.backend,
+        "hessian_subspace_dim": H.subspace_dim,
+    }
 
 
 def find_critical_point(
@@ -283,22 +282,16 @@ def _make_record(
     mus: Sequence[float | None] = (),
 ) -> SolutionRecord:
     J, g = a_value_and_gradient(S, nl, a)
-    H = hessian_model(S, nl, a)
-    neg, near = _hessian_counts(H)
     dom_fp, pot_fp, nl_fp = _fingerprints(S, nl)
     return SolutionRecord(
         field=S.field_from_a(a),
         energy=float(J),
         residual=float(np.linalg.norm(g)),
         norm_k=float(np.linalg.norm(a)),
-        negative_hessian_count=neg,
-        kernel_dim_estimate=near,
         iterations=iterations,
         residual_history=tuple(history),
         step_history=tuple(steps),
         mu_history=tuple(mus),
-        hessian_backend=H.backend,
-        hessian_subspace_dim=H.subspace_dim,
         domain_fingerprint=dom_fp,
         potential_fingerprint=pot_fp,
         nonlinearity_fingerprint=nl_fp,

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gapbumps import cli
+from gapbumps import cli, verify
 from gapbumps.cli import (
     _NUMERIC_ERRORS,
     ConfigError,
@@ -14,8 +14,9 @@ from gapbumps.cli import (
     write_field_csv,
 )
 from gapbumps.operator import PeriodicPotential
+from gapbumps.solver import hessian_census
 from gapbumps.torus import GridField, TorusDomain
-from gapbumps.verify import LemmaReport
+from gapbumps.verify import LemmaReport, VerificationSession
 
 
 @pytest.fixture()
@@ -213,11 +214,23 @@ class TestCommands:
         rec = json.loads(open(solution_k8).read())
         assert len(rec["step_history"]) == len(rec["mu_history"]) == rec["iterations"]
         assert (rec["hessian_backend"], rec["hessian_subspace_dim"]) == ("dense", 128)
-        loaded, _, _ = _record_from_file(solution_k8, load_config(None))
+        loaded, S, nl = _record_from_file(solution_k8, load_config(None))
         assert loaded.iterations == 0
         assert loaded.residual_history == ()
         assert loaded.step_history == () and loaded.mu_history == ()
-        assert loaded.hessian_backend == "dense"
+        assert hessian_census(S, nl, S.a_from_field(loaded.field))["hessian_backend"] == "dense"
+
+    @pytest.mark.parametrize(
+        "k, census",
+        [(8, (10, 0, "dense", 128)), (64, (66, 0, "low-rank", 347))],
+        ids=["k8", "k64"],
+    )
+    def test_solution_census_is_that_of_its_field(self, outdir, k, census):
+        assert main(["solve", "--k", str(k)]) == 0
+        rec = json.loads((outdir / "solution.json").read_text())
+        loaded, S, nl = _record_from_file(str(outdir / "solution.json"), load_config(None))
+        expected = hessian_census(S, nl, S.a_from_field(loaded.field))
+        assert tuple(rec[key] for key in expected) == tuple(expected.values()) == census
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -247,6 +260,8 @@ class TestCommands:
             (["solve", "--ansatz-amplitude", "inf"], "ansatz.amplitude"),
             (["--config", "{nonfinite}", "solve", "--k", "8"], "ansatz.amplitude"),
             (["--config", "{flat_domain}", "spectrum", "--k", "8"], "domain"),
+            (["solve", "--k", "8", "--tries", "0"], "--tries"),
+            (["solve", "--k", "8", "--tries", "-3"], "--tries"),
         ],
         ids=[
             "reduce_tau_zero", "multibump_tau_negative", "seps_descending", "seps_zero",
@@ -257,6 +272,7 @@ class TestCommands:
             "reduce_tau_inf", "solve_seed_negative", "verify_seed_negative",
             "config_seed_negative", "centers_collide", "centers_below_floor",
             "ansatz_center_nan", "ansatz_amplitude_inf", "config_infinity", "flag_into_number",
+            "tries_zero", "tries_negative",
         ],
     )
     def test_bad_arguments_exit_2(self, outdir, tmp_path, solution_k8, capsys, argv, message):
@@ -301,6 +317,24 @@ class TestCommands:
         timings = json.loads((outdir / "manifest.json").read_text())["timings"]
         assert (timings["spectral_gap_s"], timings["determinism_s"]) == (0.25, 0.5)
         assert "seconds" not in json.loads((outdir / "report.json").read_text())
+
+    def test_failed_sweep_row_keeps_the_report_strict(self, outdir, monkeypatch):
+        def one_failed_row(kb, m, l_values, S, nl, opts=None):
+            return [{"l_sep": 4.0, "centers": [(0,), (4,)], "failed": "NoConvergence: stub"}]
+
+        def multibump_only(seed):
+            report = LemmaReport(seed)
+            report.entries.extend(VerificationSession(seed).check_multibump())
+            return report
+
+        monkeypatch.setattr(verify, "separation_sweep", one_failed_row)
+        monkeypatch.setattr(cli, "run_verification", multibump_only)
+        assert main(["verify"]) == 4
+        text = (outdir / "report.json").read_text()
+        entries = json.loads(text, parse_constant=_reject_constant)["entries"]
+        decay = next(e for e in entries if e["name"] == "multibump_decay")
+        assert not decay["passed"]
+        assert decay["measured"]["w_norms"] == decay["measured"]["x_norms"] == [None]
 
     def test_missing_solution_file(self, outdir):
         assert main(["reduce", "--solution", "nowhere.json"]) == 2

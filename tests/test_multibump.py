@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from gapbumps import presets
+from gapbumps import cli, presets
 from gapbumps.functional import a_value_and_gradient
 from gapbumps.multibump import (
     CentersCollide,
@@ -126,3 +129,38 @@ class TestErrorPaths:
         prob = build_problem(kb8, [(0,), (4,)], S8)
         with pytest.raises(GluingUnstable):
             solve_multibump(prob, S8, nl, SolverOptions(deflation_radius=1e-15))
+
+
+def test_newton_callers_diagonalize_no_hessian(tmp_path, potential, nl, monkeypatch):
+    # Morse data is taken by `solve` alone: Newton, a loaded record and
+    # the gluing's polish each certify by residual, not by a spectrum
+    S = diagonalize(potential, TorusDomain(1, 32, 16))
+    A = presets.BASE_ANSATZ
+    init = initial_ansatz(A["center"], A["width"], A["amplitude"], S.domain, S)
+    base = find_critical_point(init, S, nl)
+    kb = detect_kernel(base, S, nl, tau=presets.TAU_FORCED)
+    path = tmp_path / "base.json"
+    cli._write_json(path, base.to_dict())
+    cfg = cli.load_config(None)  # resolves the mid-gap shift from band spectra
+    # diagonalize eigensolves Bloch fibers, not a Hessian: hand it S instead
+    monkeypatch.setattr(cli, "diagonalize", lambda V, domain: S)
+
+    calls, bindings = [], []
+    originals = (scipy.linalg.eigh, scipy.linalg.eigvalsh)
+    modules = [m for n, m in list(sys.modules.items()) if n.startswith("gapbumps")]
+    for owner in [scipy.linalg, *modules]:
+        for name in ("eigh", "eigvalsh"):
+            fn = getattr(owner, name, None)
+            if fn in originals:
+                def wrapped(A, *args, _fn=fn, _name=name, **kwargs):
+                    calls.append((_name, A.shape[0]))
+                    return _fn(A, *args, **kwargs)
+
+                monkeypatch.setattr(owner, name, wrapped)
+                bindings.append(f"{owner.__name__}.{name}")
+    assert {"scipy.linalg.eigh", "scipy.linalg.eigvalsh", "gapbumps.operator.eigh"} <= set(bindings)
+    rec = find_critical_point(init, S, nl)
+    loaded, _, _ = cli._record_from_file(str(path), cfg)
+    res = solve_multibump(build_problem(kb, [(0,), (16,)], S), S, nl)
+    assert rec.residual <= 1e-10 and loaded.residual <= 1e-10 and res.residual <= 1e-8
+    assert calls == []
