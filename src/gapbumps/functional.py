@@ -8,11 +8,14 @@ Euclidean representative, so Newton systems need no mass matrix.
 
 The Hessian there is D - G^T G, one row of G per evaluation point.
 `hessian_model` is its one representation for Newton, the kernel split
-and the gluing: an H-invariant subspace U that contains the active rows
-of G and any block X the caller names, the Rayleigh-Ritz matrix
-K = U^T H U on it (exact to rounding) and D = +-1 off it. Where the
-solution is a localized bump most rows carry a negligible weight f' and
-U is small; otherwise U = I and K is the dense `a_hessian`.
+and the gluing. Where the solution is a localized bump most rows carry
+a negligible weight f', and G keeps the r active ones: Newton solves
+through the r x r capacitance G D G^T and builds nothing else. The
+census, the kernel split, the reduction and the gluing also need an
+H-invariant subspace U that contains the active rows of G and any block
+X the caller names, the Rayleigh-Ritz matrix K = U^T H U on it (exact
+to rounding) and D = +-1 off it; the model builds that frame on first
+use. Otherwise U = I and K is the dense `a_hessian`.
 
 Nonlinear terms are collocated on the grid by default. The `dealias` flag
 evaluates them on a zero-padded fine grid instead (factor 3/2 by default;
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -280,14 +284,22 @@ class _SignBlock:
 
 
 class HessianModel:
-    """H = D - G^T G through an H-invariant subspace U that contains span X.
+    """H = D - G^T G, D = diag(sign lambda), and an H-invariant subspace U
+    that contains span X.
 
-    D = diag(sign lambda) keeps the negative block (the first j
-    coordinates) and the positive block apart, so orthonormalizing each
-    block's part of [G^T X] (G r x N) on its own gives U = blockdiag(Q-,
-    Q+) with range(G^T) and span X inside span U: an H-invariant span,
-    with H = D = +-1 on its complement. Only orthogonal transforms and
-    the m x m matrix K = U^T H U (Rayleigh-Ritz, exact to rounding) are
+    Newton needs only `solve` and `matvec`. With G (r x N, one row per
+    active evaluation point) they go through the r x r capacitance
+    (1+mu) I - G D G^T by the Sherman-Morrison-Woodbury identity (Hager,
+    Updating the inverse of a matrix, SIAM Review 31, 1989); by the
+    matrix determinant lemma H + mu D is singular exactly when it is.
+
+    The frame is built on first use, for the census, the kernel split,
+    the reduction and the gluing. D keeps the negative block (the first
+    j coordinates) and the positive block apart, so orthonormalizing each
+    block's part of [G^T X] on its own gives U = blockdiag(Q-, Q+) with
+    range(G^T) and span X inside span U: an H-invariant span, with
+    H = D = +-1 on its complement. Only orthogonal transforms and the
+    m x m matrix K = U^T H U (Rayleigh-Ritz, exact to rounding) are
     involved, m = subspace_dim. Without G, U = I and K is the dense
     Hessian itself. UX = U^T X.
     """
@@ -295,25 +307,60 @@ class HessianModel:
     def __init__(
         self, signs: NDArray, j: int, X: NDArray, G: NDArray | None = None, K: NDArray | None = None
     ) -> None:
-        # [G^T X] as a Fortran-order view (of G alone without X): QR copies it cheaply
-        C = None if G is None else (np.concatenate([G, X.T]) if X.shape[1] else G).T
-        self.neg = _SignBlock(j, C[:j] if C is not None else None)
-        self.pos = _SignBlock(signs.size - j, C[j:] if C is not None else None)
-        self.K_signs = np.repeat([-1.0, 1.0], [self.neg.dim, self.pos.dim])
-        if G is not None:
-            r = G.shape[0]
-            GU = np.hstack([self.neg.QC[:, :r].T, self.pos.QC[:, :r].T])
-            K = -(GU.T @ GU)
-            K[np.diag_indices_from(K)] += self.K_signs
-        self.signs, self.K, self.backend = signs, K, "dense" if G is None else "low-rank"
-        self.subspace_dim = self.neg.dim + self.pos.dim
-        # the eigenvalues of H off span U, negative block first
-        self.off_signs = np.repeat([-1.0, 1.0], [j - self.neg.dim, signs.size - j - self.pos.dim])
-        self.UX = self.coords(X)
+        self.signs, self.j, self.X, self.G = signs, j, X, G
+        self.backend = "dense" if G is None else "low-rank"
+        if G is None:
+            self.K = K
+
+    @cached_property
+    def _C(self) -> NDArray[np.float64] | None:
+        """[G^T X] as a Fortran-order view (of G alone without X): QR copies it cheaply."""
+        if self.G is None:
+            return None
+        return (np.concatenate([self.G, self.X.T]) if self.X.shape[1] else self.G).T
+
+    @cached_property
+    def neg(self) -> _SignBlock:
+        return _SignBlock(self.j, None if self._C is None else self._C[: self.j])
+
+    @cached_property
+    def pos(self) -> _SignBlock:
+        return _SignBlock(self.signs.size - self.j, None if self._C is None else self._C[self.j :])
+
+    @cached_property
+    def K(self) -> NDArray[np.float64]:
+        r = self.G.shape[0]
+        GU = np.hstack([self.neg.QC[:, :r].T, self.pos.QC[:, :r].T])
+        K = -(GU.T @ GU)
+        K[np.diag_indices_from(K)] += np.repeat([-1.0, 1.0], [self.neg.dim, self.pos.dim])
+        return K
+
+    @cached_property
+    def subspace_dim(self) -> int:
+        return self.neg.dim + self.pos.dim
+
+    @cached_property
+    def off_signs(self) -> NDArray[np.float64]:
+        """The eigenvalues of H off span U, negative block first."""
+        neg, pos = self.neg, self.pos
+        return np.repeat([-1.0, 1.0], [neg.width - neg.dim, pos.width - pos.dim])
+
+    @cached_property
+    def UX(self) -> NDArray[np.float64]:
+        return self.coords(self.X)
+
+    @cached_property
+    def _gdg(self) -> NDArray[np.float64]:
+        """G D G^T, as the symmetric rank-k updates G G^T - 2 G- G-^T;
+        the capacitance is (1+mu) I minus it."""
+        neg = self.G[:, : self.j]
+        P = self.G @ self.G.T
+        P -= 2.0 * (neg @ neg.T)
+        return P
 
     def coords(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
         """U^T v."""
-        j = self.neg.width
+        j = self.j
         return np.concatenate([self.neg.coords(v[:j]), self.pos.coords(v[j:])])
 
     def embed(self, z: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -329,14 +376,22 @@ class HessianModel:
         ))
 
     def matvec(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
-        y = self.coords(v)
-        return self.embed(self.K @ y) + self.signs * (v - self.embed(y))
+        if self.G is None:
+            return self.K @ v
+        return self.signs * v - self.G.T @ (self.G @ v)
 
     def solve(self, rhs: NDArray[np.float64], mu: float) -> NDArray[np.float64]:
-        """d with (H + mu * diag(sign lambda)) d = rhs; off span U that is (1+mu) D."""
-        y = self.coords(rhs)
-        z = scipy.linalg.solve(self.K + np.diag(mu * self.K_signs), y, assume_a="sym")
-        return self.embed(z) + self.signs * (rhs - self.embed(y)) / (1.0 + mu)
+        """d with (H + mu D) d = rhs.
+
+        With G, d = D (rhs + G^T y) / (1+mu), y solving
+        ((1+mu) I - G D G^T) y = G D rhs.
+        """
+        if self.G is None:
+            return scipy.linalg.solve(self.K + np.diag(mu * self.signs), rhs, assume_a="sym")
+        cap = -self._gdg
+        cap[np.diag_indices_from(cap)] += 1.0 + mu
+        y = scipy.linalg.solve(cap, self.G @ (self.signs * rhs), assume_a="sym")
+        return self.signs * (rhs + self.G.T @ y) / (1.0 + mu)
 
     def eigenvalues(self) -> NDArray[np.float64]:
         """All N eigenvalues, ascending: K's, and the off_signs."""
@@ -358,7 +413,8 @@ def _gram_factor(
     S: SpectralDecomposition, nl: Nonlinearity, weight: NDArray, rows: NDArray[np.intp]
 ) -> NDArray[np.float64]:
     """The rows of G, G^T G the nonlinear block of the Hessian in a-coordinates."""
-    G = _eval_grid(S, nl).fields[rows] * np.sqrt(weight[rows])[:, None]
+    G = _eval_grid(S, nl).fields[rows]
+    G *= np.sqrt(weight[rows])[:, None]
     G /= S.weights
     return G
 
@@ -373,8 +429,8 @@ def hessian_model(
 
     A fixed rule picks U before anything is built: with r active rows
     (`_active_rows`) on either evaluation grid, the Householder blocks of
-    [G^T X] when min(j, r+l) + min(N - j, r+l) <= N/2; otherwise U = I
-    and K is the dense `a_hessian`.
+    [G^T X], factored on first use, when min(j, r+l) + min(N - j, r+l)
+    <= N/2; otherwise U = I and K is the dense `a_hessian`.
     """
     n, j = S.num_modes, S.j
     X = np.zeros((n, 0)) if X is None else X

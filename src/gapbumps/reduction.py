@@ -122,10 +122,18 @@ def kernel_combination(kb: KernelBasis, x: NDArray[np.float64]) -> GridField:
     return kb.S.field_from_a(kb.E @ x)
 
 
-def _bordered(K: NDArray, B: NDArray, shift: float = 0.0) -> NDArray[np.float64]:
-    """[[K + shift I, B], [B^T, 0]]."""
+def _bordered(K: NDArray, B: NDArray) -> NDArray[np.float64]:
+    """[[K, B], [B^T, 0]]."""
     l = B.shape[1]
-    return np.block([[K + shift * np.eye(K.shape[0]), B], [B.T, np.zeros((l, l))]])
+    return np.block([[K, B], [B.T, np.zeros((l, l))]])
+
+
+def _shifted(A: NDArray[np.float64], m: int, shift: float) -> NDArray[np.float64]:
+    """A Fortran-order copy of A, `shift` added to its leading m diagonal
+    entries: the bordered matrix of K + shift I, ready for dsytrf in place."""
+    A = A.copy(order="F")
+    A[np.diag_indices(m)] += shift
+    return A
 
 
 def _negative_count(A: NDArray[np.float64]) -> int:
@@ -144,20 +152,21 @@ def _negative_count(A: NDArray[np.float64]) -> int:
     return int(np.count_nonzero(one_by_one < 0.0) + np.count_nonzero(ipiv < 0) // 2)
 
 
-def _complement_degenerates(H: HessianModel, ceiling: float) -> bool:
+def _complement_degenerates(H: HessianModel, A: NDArray[np.float64], ceiling: float) -> bool:
     """Whether 1/min|eig| of the complement block exceeds `ceiling`.
 
-    With B = U^T X of full column rank l, the bordered matrix
-    [[K - s I, B], [B^T, 0]] has exactly l more negative eigenvalues than
-    C - s I, C the complement block inside U (Sylvester's law of inertia;
-    Gould 1985). So C has an eigenvalue in (-s, s), s = 1/ceiling, exactly
-    when the count drops from shift -s to shift +s. Off span U the
-    eigenvalues are +-1.
+    A = [[K, B], [B^T, 0]] is H's bordered matrix, B = U^T X. With B of
+    full column rank l, [[K - s I, B], [B^T, 0]] has exactly l more
+    negative eigenvalues than C - s I, C the complement block inside U
+    (Sylvester's law of inertia; Gould 1985). So C has an eigenvalue in
+    (-s, s), s = 1/ceiling, exactly when the count drops from shift -s to
+    shift +s. Off span U the eigenvalues are +-1.
     """
     if H.off_signs.size and ceiling < 1.0:
         return True
     s = 1.0 / ceiling
-    return _negative_count(_bordered(H.K, H.UX, -s)) > _negative_count(_bordered(H.K, H.UX, s))
+    m = H.subspace_dim
+    return _negative_count(_shifted(A, m, -s)) > _negative_count(_shifted(A, m, s))
 
 
 def _projected_newton(
@@ -186,15 +195,16 @@ def _projected_newton(
         if float(np.linalg.norm(g - Q1 @ (Q1.T @ g))) <= W_RESIDUAL_TOL:
             return w, iteration
         H = hessian_model(S, nl, a_center + w, X)
-        if _complement_degenerates(H, eta_ceiling):
+        A = _bordered(H.K, H.UX)
+        if _complement_degenerates(H, A, eta_ceiling):
             raise NoConvergence(
                 f"complement block degenerating: 1/min|eig| exceeds ceiling {eta_ceiling:.3e}"
             )
         gU = H.coords(g)
         rhs = np.concatenate([-gU, np.zeros(X.shape[1])])
-        y = scipy.linalg.solve(_bordered(H.K, H.UX), rhs, assume_a="sym")[: gU.size]
+        y = scipy.linalg.solve(A, rhs, assume_a="sym")[: gU.size]
         w = w + H.embed(y) - H.signs * (g - H.embed(gU))
-        del H  # the next model is built without this one's K alive
+        del H, A  # the next model is built without this one's K alive
     raise NoConvergence(f"projected equation not solved in {MAX_W_ITERS} iterations")
 
 

@@ -221,8 +221,9 @@ def find_critical_point(
     """Damped Newton for grad J = 0 from `init`.
 
     The step solves (H + mu*diag(sign lambda)) d = -g through
-    `hessian_model`: on the invariant subspace of the active rows when
-    the bump is localized, densely otherwise. The line search backtracks
+    `hessian_model`: by the r x r capacitance of the r active rows when
+    the bump is localized, with no invariant subspace built, densely
+    otherwise. The line search backtracks
     on the merit 0.5*|g|^2 and falls back to steepest descent for that
     merit whenever the Newton direction is not a descent direction.
     Iterates sliding under ``opts.collapse_norm`` abort with

@@ -16,6 +16,7 @@ from gapbumps.reduction import (
     _complement_degenerates,
     _negative_count,
     _projected_newton,
+    _shifted,
     classify_origin,
     detect_kernel,
     joint_kernel_matrix,
@@ -212,24 +213,24 @@ class TestFrame:
         assert np.allclose(oracle[-l:], push, rtol=1e-10)
         mags = np.sort(np.abs(oracle[:-l]))
         model = hessian_model(S, nl, a, X)
+        A, m = _bordered(model.K, model.UX), model.subspace_dim
         gaps = np.flatnonzero(mags[1:] > (1.0 + 1e-6) * mags[:-1])
         for s in np.sqrt(mags[gaps] * mags[gaps + 1])[:: max(1, gaps.size // 10)]:
-            counted = _negative_count(_bordered(model.K, model.UX, -s)) - _negative_count(
-                _bordered(model.K, model.UX, s)
-            )
+            counted = _negative_count(_shifted(A, m, -s)) - _negative_count(_shifted(A, m, s))
             off_u = model.off_signs.size if s > 1.0 else 0  # the +-1 outside K
             assert counted == np.count_nonzero(mags < s) - off_u
         eta = 1.0 / mags[0]
-        assert _complement_degenerates(model, eta * (1.0 - 1e-6))
-        assert not _complement_degenerates(model, eta * (1.0 + 1e-6))
+        assert _complement_degenerates(model, A, eta * (1.0 - 1e-6))
+        assert not _complement_degenerates(model, A, eta * (1.0 + 1e-6))
 
     def test_unit_eigenvalues_off_u_trip_a_ceiling_below_one(self):
         # H = I - G^T G on R^4: U = span(e1, e2), +1 on e0 and e3 off it;
         # inside U the complement of X = e2 holds only 1 - 9 = -8
         model = HessianModel(np.ones(4), 0, np.eye(4)[:, [2]], G=np.array([[0.0, 3.0, 0.0, 0.0]]))
         assert model.off_signs.size == 2 and np.allclose(np.sort(np.diag(model.K)), [-8.0, 1.0])
-        assert _complement_degenerates(model, 0.5)  # 1/min|eig| = 1 > 0.5
-        assert not _complement_degenerates(model, 1.5)
+        A = _bordered(model.K, model.UX)
+        assert _complement_degenerates(model, A, 0.5)  # 1/min|eig| = 1 > 0.5
+        assert not _complement_degenerates(model, A, 1.5)
 
     def test_reduced_hessian_matches_the_lifted_oracle(self, block):
         S, nl, a, X = block

@@ -17,6 +17,7 @@ from gapbumps.solver import (
     NoConvergence,
     SolverOptions,
     TrivialCollapse,
+    _newton_direction,
     deflated_search,
     find_critical_point,
     hessian_census,
@@ -274,6 +275,47 @@ class TestLowRankHessian:
         assert hessian_model(S64, dealiased, a).backend == "low-rank"
         S2, nl2, rec, _ = degenerate
         assert hessian_model(S2, nl2, S2.a_from_field(rec.field)).backend == "dense"
+
+    def test_newton_builds_no_frame(self, S64, nl, ansatz64, monkeypatch):
+        # Newton solves through the capacitance and never factors [G^T];
+        # the census builds the frame once, its negative and positive block
+        from gapbumps import functional
+
+        qrs, blocks = [], []
+        real_qr, real_block = scipy.linalg.qr, functional._SignBlock
+
+        def qr(*args, **kwargs):
+            qrs.append(args[0].shape)
+            return real_qr(*args, **kwargs)
+
+        class CountedBlock(real_block):
+            def __init__(self, width, C):
+                blocks.append(width)
+                super().__init__(width, C)
+
+        monkeypatch.setattr(scipy.linalg, "qr", qr)
+        monkeypatch.setattr(functional, "_SignBlock", CountedBlock)
+        rec = find_critical_point(ansatz64, S64, nl)
+        assert rec.iterations == 6
+        assert not qrs and not blocks
+        census = hessian_census(S64, nl, S64.a_from_field(rec.field))
+        assert len(blocks) == 2 and qrs
+        assert tuple(census.values()) == (66, 0, "low-rank", 347)
+
+    def test_ridge_escalates_past_a_singular_capacitance(self, rng):
+        # H = I - G^T G on R^4: at mu = 0.5625 the capacitance
+        # 1.5625 - 1.25^2 is exactly 0, so H + mu D is singular and the
+        # ridge grows tenfold
+        G = np.array([[1.25, 0.0, 0.0, 0.0]])
+        signs = np.ones(4)
+        model = HessianModel(signs, 0, np.zeros((4, 0)), G=G)
+        g = rng.standard_normal(4)
+        d, mu = _newton_direction(model, g, SolverOptions(tikhonov=0.5625, tikhonov_cap=10.0))
+        assert mu == 5.625
+        ridged = (1.0 + mu) * np.diag(signs) - G.T @ G
+        eps = np.finfo(float).eps
+        backward = np.linalg.norm(ridged @ d + g)
+        assert backward <= 4 * eps * np.linalg.norm(ridged, 2) * np.linalg.norm(d)
 
     def test_long_torus_record(self, S64, nl, base64):
         assert base64.residual <= 1e-12
