@@ -11,11 +11,14 @@ The Hessian there is D - G^T G, one row of G per evaluation point.
 and the gluing. Where the solution is a localized bump most rows carry
 a negligible weight f', and G keeps the r active ones: Newton solves
 through the r x r capacitance G D G^T and builds nothing else. The
-census, the kernel split, the reduction and the gluing also need an
-H-invariant subspace U that contains the active rows of G and any block
-X the caller names, the Rayleigh-Ritz matrix K = U^T H U on it (exact
-to rounding) and D = +-1 off it; the model builds that frame on first
-use. Otherwise U = I and K is the dense `a_hessian`.
+census and the kernel split also need an H-invariant subspace U that
+contains the active rows of G and any block X the caller names, the
+Rayleigh-Ritz matrix K = U^T H U on it (exact to rounding) and D = +-1
+off it; the model builds that frame on first use. Otherwise U = I and K
+is the dense `a_hessian`. The reduction and the gluing reach the
+complement of span X through the model's bordered matrix
+[[K, U^T X], [X^T U, 0]] alone: its Newton step, its LDL^T inertia
+monitor and its Schur complement, the reduced Hessian.
 
 Nonlinear terms are collocated on the grid by default. The `dealias` flag
 evaluates them on a zero-padded fine grid instead (factor 3/2 by default;
@@ -301,7 +304,10 @@ class HessianModel:
     H = D = +-1 on its complement. Only orthogonal transforms and the
     m x m matrix K = U^T H U (Rayleigh-Ritz, exact to rounding) are
     involved, m = subspace_dim. Without G, U = I and K is the dense
-    Hessian itself. UX = U^T X.
+    Hessian itself. UX = U^T X. `projected_step`, `complement_degenerates`
+    and `reduced_hessian` work on the complement of span X through the
+    bordered (KKT) matrix [[K, B], [B^T, 0]], B = UX (Nocedal & Wright,
+    Numerical Optimization, ch. 16).
     """
 
     def __init__(
@@ -396,6 +402,72 @@ class HessianModel:
     def eigenvalues(self) -> NDArray[np.float64]:
         """All N eigenvalues, ascending: K's, and the off_signs."""
         return np.sort(np.concatenate([scipy.linalg.eigvalsh(self.K), self.off_signs]))
+
+    @cached_property
+    def bordered(self) -> NDArray[np.float64]:
+        """[[K, B], [B^T, 0]], B = UX: the complement of span X inside U."""
+        B, l = self.UX, self.X.shape[1]
+        return np.block([[self.K, B], [B.T, np.zeros((l, l))]])
+
+    def projected_step(self, w: NDArray[np.float64], g: NDArray[np.float64]) -> NDArray[np.float64]:
+        """w plus the Newton step for the gradient g orthogonal to X.
+
+        Inside U, [[K, B], [B^T, 0]] [y; lambda] = [-U^T g; 0] makes U y
+        orthogonal to X; off span U, H = D takes -D g.
+        """
+        gU = self.coords(g)
+        rhs = np.concatenate([-gU, np.zeros(self.X.shape[1])])
+        y = scipy.linalg.solve(self.bordered, rhs, assume_a="sym")[: gU.size]
+        return w + self.embed(y) - self.signs * (g - self.embed(gU))
+
+    def complement_degenerates(self, ceiling: float) -> bool:
+        """Whether 1/min|eig| of H on the complement of span X exceeds `ceiling`.
+
+        With B of full column rank l, [[K - s I, B], [B^T, 0]] has exactly
+        l more negative eigenvalues than C - s I, C the complement block
+        inside U (Sylvester's law of inertia; Gould 1985). So C has an
+        eigenvalue in (-s, s), s = 1/ceiling, exactly when the count drops
+        from shift -s to shift +s. Off span U the eigenvalues are +-1.
+        """
+        if self.off_signs.size and ceiling < 1.0:
+            return True
+        s, m = 1.0 / ceiling, self.subspace_dim
+        return _negative_count(self.bordered, -s, m) > _negative_count(self.bordered, s, m)
+
+    def reduced_hessian(self) -> NDArray[np.float64]:
+        """The Hessian of x -> J(a + Xx + w(x)) at x = 0, w solving P grad J = 0
+        (P projects off span X; the model's point a must have w(0) = 0).
+
+        It is X^T H (X + w'), and the projected equation gives
+        w' = -(PHP)^-1 PHX; off span U, H does not couple to X. Inside U,
+        [[K, B], [B^T, 0]] [Y; Lambda] = [-K B; 0] gives Y = U^T w', so it is
+        the Schur complement B^T K (B + Y), symmetrized.
+        """
+        B, l = self.UX, self.X.shape[1]
+        KB = self.K @ B
+        rhs = np.vstack([-KB, np.zeros((l, l))])
+        Y = scipy.linalg.solve(self.bordered, rhs, assume_a="sym")[: self.subspace_dim]
+        Hred = KB.T @ (B + Y)
+        return 0.5 * (Hred + Hred.T)
+
+
+def _negative_count(A: NDArray[np.float64], shift: float, m: int) -> int:
+    """The number of negative eigenvalues of the symmetric matrix A with
+    `shift` added to its leading m diagonal entries.
+
+    By Sylvester's law of inertia it is that of D in the Bunch-Kaufman
+    factorization L D L^T (LAPACK dsytrf, on a Fortran-order copy): one per
+    negative 1 x 1 pivot, and one per 2 x 2 pivot, whose determinant
+    Bunch-Kaufman pivoting keeps negative. A 2 x 2 pivot marks both of
+    its rows with a negative ipiv.
+    """
+    A = A.copy(order="F")
+    A[np.diag_indices(m)] += shift
+    # the blocked code's workspace: the default n runs unblocked, 2x slower at n = 512
+    lwork = int(scipy.linalg.lapack.dsytrf_lwork(A.shape[0], lower=1)[0])
+    ldu, ipiv, _ = scipy.linalg.lapack.dsytrf(A, lower=1, lwork=lwork, overwrite_a=1)
+    one_by_one = ldu.diagonal()[ipiv > 0]
+    return int(np.count_nonzero(one_by_one < 0.0) + np.count_nonzero(ipiv < 0) // 2)
 
 
 def _active_rows(

@@ -18,20 +18,19 @@ import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
-from .functional import Nonlinearity, a_gradient, a_value_and_gradient
+from .functional import Nonlinearity, a_gradient, a_value_and_gradient, hessian_model
 from .operator import SpectralDecomposition
 from .reduction import (
-    KernelBasis, _projected_newton, joint_kernel_matrix, kernel_combination,
-    reduced_hessian, solve_w,
+    KernelBasis, _embed_field, _projected_newton, joint_kernel_matrix, kernel_combination, solve_w,
 )
 from .solver import NoConvergence, SolverOptions, find_critical_point
-from .torus import (
-    GridField, TorusDomain, embed_with_cutoff, min_image, spectral_gradient, translate
-)
+from .torus import GridField, TorusDomain, min_image, spectral_gradient, translate
 
 # phase 2 (reduced Newton) stops once |X^T grad J| falls to this
 REDUCED_TOL = 1e-9
 MAX_REDUCED_ITERS = 30
+# the gluing refuses closer centers, and needs a near-orthonormal joint block from here
+SEPARATION_FLOOR = 4.0
 
 
 class CentersCollide(ValueError):
@@ -78,7 +77,7 @@ def superpose(
         if key in seen:
             raise CentersCollide(f"center {b} duplicates another modulo {domain.cells}")
         seen.add(key)
-    f = base if base.domain.compatible(domain) else embed_with_cutoff(base, domain)
+    f = _embed_field(base, domain)
     total = np.zeros(domain.shape)
     for b in centers:
         # translate(f, -b) = f(. - b): the copy sits at b
@@ -93,8 +92,7 @@ class MultibumpProblem:
     glued_a is the superposed base in a-coordinates. joint_raw holds the
     translated kernel fields as a-columns: the x-coordinate basis,
     near-orthonormal for separated centers, whose span the correction
-    stays orthogonal to. joint_gram is kept for the orthogonality
-    diagnostic.
+    stays orthogonal to.
     """
 
     kb: KernelBasis
@@ -103,7 +101,6 @@ class MultibumpProblem:
     l_sep: float
     glued_a: NDArray[np.float64]
     joint_raw: NDArray[np.float64]
-    joint_gram: NDArray[np.float64]
 
     @property
     def m(self) -> int:
@@ -115,9 +112,11 @@ class MultibumpProblem:
 
     @property
     def gram_offdiag(self) -> float:
-        if not self.joint_gram.size:
+        """The largest entry of X^T X - I, X = joint_raw."""
+        if not self.joint_dim:
             return 0.0
-        return float(np.abs(self.joint_gram - np.eye(self.joint_gram.shape[0])).max())
+        gram = self.joint_raw.T @ self.joint_raw
+        return float(np.abs(gram - np.eye(self.joint_dim)).max())
 
 
 def build_problem(
@@ -128,14 +127,14 @@ def build_problem(
     """Glue translated copies of kb's base at `centers` on the torus of S.
 
     Refuses colliding centers, and translated kernel fields far from
-    orthonormal although the centers sit at least 4 cells apart.
+    orthonormal although the centers sit SEPARATION_FLOOR cells apart.
     """
     for b in centers:
         if len(b) != S.domain.dim:
             raise ValueError(f"center {b} has wrong dimension")
     glued = superpose(kb.base.field, centers, S.domain)
     l_sep = periodic_separation(centers, S.domain.cells)
-    raw, gram = joint_kernel_matrix(kb, centers, S)
+    raw = joint_kernel_matrix(kb, centers, S)
     prob = MultibumpProblem(
         kb=kb,
         centers=tuple(tuple(int(c) for c in b) for b in centers),
@@ -143,32 +142,14 @@ def build_problem(
         l_sep=l_sep,
         glued_a=S.a_from_field(glued),
         joint_raw=raw,
-        joint_gram=gram,
     )
-    if l_sep >= 4 and prob.joint_dim:
+    if l_sep >= SEPARATION_FLOOR and prob.joint_dim:
         if prob.gram_offdiag > 0.1:
             raise KernelOverlap(
                 f"translated kernel fields too far from orthonormal "
                 f"(offdiag {prob.gram_offdiag:.3f}) despite separation {l_sep}"
             )
     return prob
-
-
-def joint_correction(
-    prob: MultibumpProblem,
-    nl: Nonlinearity,
-    x: NDArray[np.float64],
-    w0: NDArray[np.float64] | None = None,
-) -> tuple[NDArray[np.float64], NDArray[np.float64], int]:
-    """Correct glued_a + joint_raw x orthogonally to the joint kernel block.
-
-    Solves the projected equation to W_RESIDUAL_TOL, warm-started from w0.
-    Returns (the corrected point, the correction w, Newton iterations),
-    all in a-coordinates.
-    """
-    center = prob.glued_a + prob.joint_raw @ x
-    w, iters = _projected_newton(prob.S, nl, center, prob.joint_raw, 2.0 * prob.kb.eta, w0)
-    return center + w, w, iters
 
 
 @dataclass(frozen=True)
@@ -234,7 +215,6 @@ def solve_multibump(
     S: SpectralDecomposition,
     nl: Nonlinearity,
     opts: SolverOptions = SolverOptions(),
-    separation_floor: float = 4.0,
 ) -> MultibumpResult:
     """Glue translated copies of the base into a genuine critical point.
 
@@ -242,30 +222,32 @@ def solve_multibump(
     coordinates x orthogonally to the joint kernel block, warm-started
     from the previous correction. It stops once the reduced gradient
     X^T grad J is at most REDUCED_TOL, and otherwise takes a reduced
-    Newton step (Hessian from reduction.reduced_hessian) clipped to the
+    Newton step (the Hessian model's `reduced_hessian`) clipped to the
     trust ball. Iteration 0 corrects at x = 0: that is phase 1, and
     phase2_iters counts the Newton steps after it. An empty kernel block
     gives a reduced gradient of size 0 and stops at iteration 0. Phase 3
     polishes with the full unprojected solver and checks that the polish
     stayed within the deflation radius.
     """
-    if prob.m >= 2 and prob.l_sep < separation_floor:
+    if prob.m >= 2 and prob.l_sep < SEPARATION_FLOOR:
         raise SeparationTooSmall(
-            f"separation {prob.l_sep:g} below floor {separation_floor:g}"
+            f"separation {prob.l_sep:g} below floor {SEPARATION_FLOOR:g}"
         )
     raw = prob.joint_raw
     ball = prob.kb.delta0
     x = np.zeros(prob.joint_dim)
     w = None
     for phase2_iters in range(MAX_REDUCED_ITERS):
+        center = prob.glued_a + raw @ x
         try:
-            a_full, w, _ = joint_correction(prob, nl, x, w)
+            w, _ = _projected_newton(prob.S, nl, center, raw, prob.kb.eta, w)
         except NoConvergence as err:
             raise NoConvergence(f"phase 1 (projected correction): {err}") from err
+        a_full = center + w
         G = raw.T @ a_gradient(S, nl, a_full)
         if float(np.linalg.norm(G)) <= REDUCED_TOL:
             break
-        Hred = reduced_hessian(S, nl, a_full, raw)
+        Hred = hessian_model(S, nl, a_full, raw).reduced_hessian()
         try:
             step = scipy.linalg.solve(Hred, -G, assume_a="sym")
         except scipy.linalg.LinAlgError as err:
@@ -380,8 +362,9 @@ def superposition_compare(
         x = np.asarray(x, dtype=float)
         if x.shape != (m * l,):
             raise ValueError(f"sample point must have {m * l} coordinates")
-        a_full, _, iters = joint_correction(prob, kb.nl, x)
-        I_joint, g = a_value_and_gradient(prob.S, kb.nl, a_full)
+        center = prob.glued_a + prob.joint_raw @ x
+        w, iters = _projected_newton(prob.S, kb.nl, center, prob.joint_raw, kb.eta)
+        I_joint, g = a_value_and_gradient(prob.S, kb.nl, center + w)
         dI_joint = prob.joint_raw.T @ g
         singles = [single(x[i * l : (i + 1) * l]) for i in range(m)]
         I_sum = sum(s.I for s in singles)

@@ -4,10 +4,11 @@ Splits the space at a base critical point into a near-kernel of the
 Hessian and its complement, solves the complement equation by Newton,
 and studies the reduced energy: its gradient, its analytic Hessian (a
 Schur complement) and its Morse data at the origin. Every Hessian is a
-`hessian_model` whose invariant subspace U contains the kernel block X,
-so all of it is solves and LDL^T inertia counts with K = U^T H U bordered
-by B = U^T X, [[K, B], [B^T, 0]], while off span U the Hessian is D = +-1.
-Translated kernel fields span the joint block of a multibump problem.
+`hessian_model` whose invariant subspace U contains the kernel block X;
+the model's bordered matrix [[K, U^T X], [X^T U, 0]] gives the Newton
+step, the inertia monitor and the reduced Hessian, so this module keeps
+only the loops. Translated kernel fields span the joint block of a
+multibump problem.
 """
 
 from __future__ import annotations
@@ -18,12 +19,10 @@ import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
-from .functional import (
-    HessianModel, Nonlinearity, a_gradient, a_value_and_gradient, hessian_model,
-)
+from .functional import Nonlinearity, a_gradient, a_value_and_gradient, hessian_model
 from .operator import SpectralDecomposition
 from .solver import KERNEL_TAU, NoConvergence, SolutionRecord, kernel_split
-from .torus import GridField, embed_with_cutoff, translate
+from .torus import GridField, TorusDomain, embed_with_cutoff, translate
 
 
 class AllKernel(RuntimeError):
@@ -122,72 +121,25 @@ def kernel_combination(kb: KernelBasis, x: NDArray[np.float64]) -> GridField:
     return kb.S.field_from_a(kb.E @ x)
 
 
-def _bordered(K: NDArray, B: NDArray) -> NDArray[np.float64]:
-    """[[K, B], [B^T, 0]]."""
-    l = B.shape[1]
-    return np.block([[K, B], [B.T, np.zeros((l, l))]])
-
-
-def _shifted(A: NDArray[np.float64], m: int, shift: float) -> NDArray[np.float64]:
-    """A Fortran-order copy of A, `shift` added to its leading m diagonal
-    entries: the bordered matrix of K + shift I, ready for dsytrf in place."""
-    A = A.copy(order="F")
-    A[np.diag_indices(m)] += shift
-    return A
-
-
-def _negative_count(A: NDArray[np.float64]) -> int:
-    """The number of negative eigenvalues of the symmetric matrix A.
-
-    By Sylvester's law of inertia it is that of D in the Bunch-Kaufman
-    factorization A = L D L^T (LAPACK dsytrf, which overwrites A): one per
-    negative 1 x 1 pivot, and one per 2 x 2 pivot, whose determinant
-    Bunch-Kaufman pivoting keeps negative. A 2 x 2 pivot marks both of
-    its rows with a negative ipiv.
-    """
-    # the blocked code's workspace: the default n runs unblocked, 2x slower at n = 512
-    lwork = int(scipy.linalg.lapack.dsytrf_lwork(A.shape[0], lower=1)[0])
-    ldu, ipiv, _ = scipy.linalg.lapack.dsytrf(A, lower=1, lwork=lwork, overwrite_a=1)
-    one_by_one = ldu.diagonal()[ipiv > 0]
-    return int(np.count_nonzero(one_by_one < 0.0) + np.count_nonzero(ipiv < 0) // 2)
-
-
-def _complement_degenerates(H: HessianModel, A: NDArray[np.float64], ceiling: float) -> bool:
-    """Whether 1/min|eig| of the complement block exceeds `ceiling`.
-
-    A = [[K, B], [B^T, 0]] is H's bordered matrix, B = U^T X. With B of
-    full column rank l, [[K - s I, B], [B^T, 0]] has exactly l more
-    negative eigenvalues than C - s I, C the complement block inside U
-    (Sylvester's law of inertia; Gould 1985). So C has an eigenvalue in
-    (-s, s), s = 1/ceiling, exactly when the count drops from shift -s to
-    shift +s. Off span U the eigenvalues are +-1.
-    """
-    if H.off_signs.size and ceiling < 1.0:
-        return True
-    s = 1.0 / ceiling
-    m = H.subspace_dim
-    return _negative_count(_shifted(A, m, -s)) > _negative_count(_shifted(A, m, s))
-
-
 def _projected_newton(
     S: SpectralDecomposition,
     nl: Nonlinearity,
     a_center: NDArray[np.float64],
     X: NDArray[np.float64],
-    eta_ceiling: float,
+    eta: float,
     w0: NDArray[np.float64] | None = None,
 ) -> tuple[NDArray[np.float64], int]:
     """Solve P grad J(a_center + w) = 0 for w orthogonal to span(X).
 
     Newton on w, from w0 (orthogonal to X) or from 0, until
     |g - Q1 Q1^T g| <= W_RESIDUAL_TOL, X = Q1 R, or MAX_W_ITERS
-    iterations. Inside U each step solves the bordered system
-    [[K, B], [B^T, 0]] [y; lambda] = [-U^T g; 0], B = U^T X, so U y is
-    orthogonal to X; off span U it takes -D g. Aborts once the complement
-    block's 1/min|eig| exceeds eta_ceiling (`_complement_degenerates`).
+    iterations, each step the model's `projected_step`. Aborts once the
+    complement block's 1/min|eig| exceeds the ceiling 2 eta, eta the
+    kernel basis's bound at the base.
 
     Returns (w, iterations).
     """
+    ceiling = 2.0 * eta
     Q1 = np.linalg.qr(X)[0]
     w = np.zeros_like(a_center) if w0 is None else w0
     for iteration in range(MAX_W_ITERS):
@@ -195,16 +147,12 @@ def _projected_newton(
         if float(np.linalg.norm(g - Q1 @ (Q1.T @ g))) <= W_RESIDUAL_TOL:
             return w, iteration
         H = hessian_model(S, nl, a_center + w, X)
-        A = _bordered(H.K, H.UX)
-        if _complement_degenerates(H, A, eta_ceiling):
+        if H.complement_degenerates(ceiling):
             raise NoConvergence(
-                f"complement block degenerating: 1/min|eig| exceeds ceiling {eta_ceiling:.3e}"
+                f"complement block degenerating: 1/min|eig| exceeds ceiling {ceiling:.3e}"
             )
-        gU = H.coords(g)
-        rhs = np.concatenate([-gU, np.zeros(X.shape[1])])
-        y = scipy.linalg.solve(A, rhs, assume_a="sym")[: gU.size]
-        w = w + H.embed(y) - H.signs * (g - H.embed(gU))
-        del H, A  # the next model is built without this one's K alive
+        w = H.projected_step(w, g)
+        del H  # the next model is built without this one's K alive
     raise NoConvergence(f"projected equation not solved in {MAX_W_ITERS} iterations")
 
 
@@ -224,7 +172,7 @@ def solve_w(kb: KernelBasis, h: GridField) -> ReducedSample:
     if hnorm > kb.delta0:
         raise OutOfBall(f"|||h||| = {hnorm:.4g} exceeds delta0 = {kb.delta0:.4g}")
     a_center = kb.base_a + ha
-    w_a, iters = _projected_newton(kb.S, kb.nl, a_center, kb.E, 2.0 * kb.eta)
+    w_a, iters = _projected_newton(kb.S, kb.nl, a_center, kb.E, kb.eta)
     a_full = a_center + w_a
     I, g = a_value_and_gradient(kb.S, kb.nl, a_full)
     return ReducedSample(
@@ -235,32 +183,6 @@ def solve_w(kb: KernelBasis, h: GridField) -> ReducedSample:
         newton_iters=iters,
         w_norm=float(np.linalg.norm(w_a)),
     )
-
-
-def reduced_hessian(
-    S: SpectralDecomposition,
-    nl: Nonlinearity,
-    a: NDArray[np.float64],
-    X: NDArray[np.float64],
-) -> NDArray[np.float64]:
-    """Hessian of x -> J(a + Xx + w(x)) at x = 0, w solving P grad J = 0.
-
-    P projects off span(X), and `a` must already solve the projected
-    equation (w(0) = 0). The reduced gradient is X^T grad J, so its
-    derivative is X^T H (X + w'), and differentiating the projected
-    equation gives w' = -(PHP)^-1 PHX; off span U, H does not couple to
-    X. Inside U, with B = U^T X, the bordered system
-    [[K, B], [B^T, 0]] [Y; Lambda] = [-K B; 0] gives Y = U^T w', so the
-    reduced Hessian is the Schur complement B^T K (B + Y).
-    """
-    H = hessian_model(S, nl, a, X)
-    B = H.UX
-    m, l = B.shape
-    KB = H.K @ B
-    rhs = np.vstack([-KB, np.zeros((l, l))])
-    Y = scipy.linalg.solve(_bordered(H.K, B), rhs, assume_a="sym")[:m]
-    Hred = KB.T @ (B + Y)
-    return 0.5 * (Hred + Hred.T)
 
 
 @dataclass(frozen=True)
@@ -278,7 +200,7 @@ def classify_origin(kb: KernelBasis) -> OriginClassification:
     if kb.l == 0:
         raise ValueError("kernel block is empty, nothing to classify")
     w = kb.S.a_from_field(solve_w(kb, GridField.zeros(kb.S.domain)).w)
-    Hred = reduced_hessian(kb.S, kb.nl, kb.base_a + w, kb.E)
+    Hred = hessian_model(kb.S, kb.nl, kb.base_a + w, kb.E).reduced_hessian()
     eigs = scipy.linalg.eigvalsh(Hred)
     # degeneracy is judged against the full Hessian's spectral radius;
     # the reduced matrix's own max would make a flat profile look sharp
@@ -287,28 +209,27 @@ def classify_origin(kb: KernelBasis) -> OriginClassification:
     return OriginClassification(morse, bool(near.any()), Hred)
 
 
-def _embed_field(f: GridField, target_S: SpectralDecomposition) -> GridField:
-    if f.domain.compatible(target_S.domain):
+def _embed_field(f: GridField, domain: TorusDomain) -> GridField:
+    """f itself on a compatible domain, else embedded with the boundary cutoff."""
+    if f.domain.compatible(domain):
         return f
-    return embed_with_cutoff(f, target_S.domain)
+    return embed_with_cutoff(f, domain)
 
 
 def joint_kernel_matrix(
     kb: KernelBasis,
     centers: list[tuple[int, ...]],
     target_S: SpectralDecomposition,
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+) -> NDArray[np.float64]:
     """Translated kernel fields at each center, as columns in a-coords.
 
-    Returns (raw columns, their Gram matrix in (.,.)_k). Raw columns
-    keep the product structure x_{i,j}; orthonormalize separately when
-    a projector is needed.
+    The raw columns keep the product structure x_{i,j}; orthonormalize
+    separately when a projector is needed.
     """
     cols = []
     for b in centers:
         shift = tuple(-int(c) for c in b)  # translate(f, -b) = f(. - b), copy at b
         for j in range(kb.l):
-            e = _embed_field(kb.S.field_from_a(kb.E[:, j]), target_S)
+            e = _embed_field(kb.S.field_from_a(kb.E[:, j]), target_S.domain)
             cols.append(target_S.a_from_field(translate(e, shift)))
-    raw = np.column_stack(cols) if cols else np.zeros((target_S.num_modes, 0))
-    return raw, raw.T @ raw
+    return np.column_stack(cols) if cols else np.zeros((target_S.num_modes, 0))

@@ -211,7 +211,8 @@ class TestCommands:
         assert not any(key.endswith("_s") or "time" in key for key in record)
 
     def test_solution_explains_its_newton_run(self, solution_k8):
-        rec = json.loads(open(solution_k8).read())
+        with open(solution_k8) as fh:
+            rec = json.loads(fh.read())
         assert len(rec["step_history"]) == len(rec["mu_history"]) == rec["iterations"]
         assert (rec["hessian_backend"], rec["hessian_subspace_dim"]) == ("dense", 128)
         loaded, S, nl = _record_from_file(solution_k8, load_config(None))

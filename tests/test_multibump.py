@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gapbumps import cli, presets
+from gapbumps import cli, multibump, presets
 from gapbumps.functional import a_value_and_gradient
 from gapbumps.multibump import (
     CentersCollide,
@@ -116,14 +116,15 @@ class TestErrorPaths:
         with pytest.raises(SeparationTooSmall):
             solve_multibump(prob, S8, nl)
 
-    def test_floor_admits_the_attempt_but_cannot_force_success(self, kb8, S8, nl):
+    def test_floor_admits_the_attempt_but_cannot_force_success(self, kb8, S8, nl, monkeypatch):
         prob = build_problem(kb8, [(0,), (3,)], S8)
         # at this separation the bumps interact strongly enough that the
         # reduced critical point falls outside the trust ball; lowering
         # the floor bypasses the up-front guard, and the failure is then
         # reported from the phase that hit it
+        monkeypatch.setattr(multibump, "SEPARATION_FLOOR", 3.0)
         with pytest.raises(NoConvergence, match="phase 2"):
-            solve_multibump(prob, S8, nl, separation_floor=3.0)
+            solve_multibump(prob, S8, nl)
 
     def test_drift_guard_trips(self, kb8, S8, nl):
         prob = build_problem(kb8, [(0,), (4,)], S8)

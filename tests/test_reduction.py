@@ -7,21 +7,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gapbumps import presets, reduction
-from gapbumps.functional import HessianModel, a_gradient, a_hessian, hessian_model
+from gapbumps.functional import (
+    HessianModel, _negative_count, a_gradient, a_hessian, hessian_model,
+)
 from gapbumps.multibump import build_problem, superposition_compare
 from gapbumps.reduction import (
     AllKernel,
     OutOfBall,
-    _bordered,
-    _complement_degenerates,
-    _negative_count,
     _projected_newton,
-    _shifted,
     classify_origin,
     detect_kernel,
     joint_kernel_matrix,
     kernel_combination,
-    reduced_hessian,
     solve_w,
 )
 from gapbumps.solver import NoConvergence, kernel_split
@@ -152,7 +149,7 @@ class TestTwoDirectionBlock:
         ) / (4.0 * step**2)
         s = solve_w(kb2dir, kernel_combination(kb2dir, x0))
         a = kb2dir.base_a + kb2dir.E @ x0 + kb2dir.S.a_from_field(s.w)
-        H = reduced_hessian(kb2dir.S, kb2dir.nl, a, kb2dir.E)
+        H = hessian_model(kb2dir.S, kb2dir.nl, a, kb2dir.E).reduced_hessian()
         assert np.abs(H - fd).max() <= 1e-5 * np.abs(fd).max()
 
     def test_classification_matches_the_hessian_signs(self, kb2dir):
@@ -181,8 +178,8 @@ def block(request, kb2dir, kb8, S8):
     return S8, kb8.nl, prob.glued_a, prob.joint_raw
 
 
-def _first_step(S, nl, a, X, ceiling, monkeypatch):
-    """The first Newton step of _projected_newton from w = 0."""
+def _first_step(S, nl, a, X, eta, monkeypatch):
+    """The first Newton step of _projected_newton from w = 0, ceiling 2 eta."""
     calls = []
 
     def gradient_once(S, nl, a):
@@ -192,7 +189,7 @@ def _first_step(S, nl, a, X, ceiling, monkeypatch):
         return g if len(calls) == 1 else 0.0 * g
 
     monkeypatch.setattr(reduction, "a_gradient", gradient_once)
-    w, iters = _projected_newton(S, nl, a, X, ceiling)
+    w, iters = _projected_newton(S, nl, a, X, eta)
     assert iters == 1
     return w
 
@@ -213,24 +210,23 @@ class TestFrame:
         assert np.allclose(oracle[-l:], push, rtol=1e-10)
         mags = np.sort(np.abs(oracle[:-l]))
         model = hessian_model(S, nl, a, X)
-        A, m = _bordered(model.K, model.UX), model.subspace_dim
+        A, m = model.bordered, model.subspace_dim
         gaps = np.flatnonzero(mags[1:] > (1.0 + 1e-6) * mags[:-1])
         for s in np.sqrt(mags[gaps] * mags[gaps + 1])[:: max(1, gaps.size // 10)]:
-            counted = _negative_count(_shifted(A, m, -s)) - _negative_count(_shifted(A, m, s))
+            counted = _negative_count(A, -s, m) - _negative_count(A, s, m)
             off_u = model.off_signs.size if s > 1.0 else 0  # the +-1 outside K
             assert counted == np.count_nonzero(mags < s) - off_u
         eta = 1.0 / mags[0]
-        assert _complement_degenerates(model, A, eta * (1.0 - 1e-6))
-        assert not _complement_degenerates(model, A, eta * (1.0 + 1e-6))
+        assert model.complement_degenerates(eta * (1.0 - 1e-6))
+        assert not model.complement_degenerates(eta * (1.0 + 1e-6))
 
     def test_unit_eigenvalues_off_u_trip_a_ceiling_below_one(self):
         # H = I - G^T G on R^4: U = span(e1, e2), +1 on e0 and e3 off it;
         # inside U the complement of X = e2 holds only 1 - 9 = -8
         model = HessianModel(np.ones(4), 0, np.eye(4)[:, [2]], G=np.array([[0.0, 3.0, 0.0, 0.0]]))
         assert model.off_signs.size == 2 and np.allclose(np.sort(np.diag(model.K)), [-8.0, 1.0])
-        A = _bordered(model.K, model.UX)
-        assert _complement_degenerates(model, A, 0.5)  # 1/min|eig| = 1 > 0.5
-        assert not _complement_degenerates(model, A, 1.5)
+        assert model.complement_degenerates(0.5)  # 1/min|eig| = 1 > 0.5
+        assert not model.complement_degenerates(1.5)
 
     def test_reduced_hessian_matches_the_lifted_oracle(self, block):
         S, nl, a, X = block
@@ -240,7 +236,7 @@ class TestFrame:
         B = HX - E @ (E.T @ HX)
         M = _oracle_complement(H, E, float(np.abs(np.linalg.eigvalsh(H)).max()))
         oracle = X.T @ HX - B.T @ np.linalg.solve(M, B)
-        got = reduced_hessian(S, nl, a, X)
+        got = hessian_model(S, nl, a, X).reduced_hessian()
         assert np.abs(got - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
     def test_newton_step_matches_the_lifted_oracle(self, block, monkeypatch):
@@ -251,7 +247,7 @@ class TestFrame:
         g = a_gradient(S, nl, a)
         M = _oracle_complement(H, E, float(np.abs(np.linalg.eigvalsh(H)).max()))
         oracle = -np.linalg.solve(M, g - E @ (E.T @ g))
-        got = _first_step(S, nl, a, X, 1e6, monkeypatch)
+        got = _first_step(S, nl, a, X, 5e5, monkeypatch)
         assert np.linalg.norm(got - oracle) <= 1e-10 * np.linalg.norm(oracle)
         assert np.abs(X.T @ got).max() <= 1e-12 * np.linalg.norm(got) * np.abs(X).max()
 
@@ -278,14 +274,14 @@ class TestNegativeCount:
         eigs = np.linalg.eigvalsh(A)
         # a zero eigenvalue's sign is rounding; the count is exact elsewhere
         assume(np.abs(eigs).min() > 1e-8 * max(1.0, np.abs(eigs).max()))
-        assert _negative_count(A.copy()) == int((eigs < 0).sum())
+        assert _negative_count(A, 0.0, 0) == int((eigs < 0).sum())
 
     def test_two_by_two_pivots_count_one_negative_each(self):
         # a zero diagonal forces Bunch-Kaufman onto a 2 x 2 pivot
         A = _symmetric([0.0, 3.0, 0.0, 1.0, 2.0, -5.0], 3, 2)
         _, ipiv, _ = scipy.linalg.lapack.dsytrf(A, lower=1)
         assert (ipiv < 0).sum() == 2
-        assert _negative_count(A.copy()) == int((np.linalg.eigvalsh(A) < 0).sum()) == 2
+        assert _negative_count(A, 0.0, 0) == int((np.linalg.eigvalsh(A) < 0).sum()) == 2
 
 
 class TestClassification:
@@ -321,8 +317,9 @@ class TestDegenerateFixture:
 
 class TestSuperposition:
     def test_joint_block_stays_near_orthonormal(self, kb8, S8):
-        raw, gram = joint_kernel_matrix(kb8, [(0,), (4,)], S8)
+        raw = joint_kernel_matrix(kb8, [(0,), (4,)], S8)
         assert raw.shape == (S8.num_modes, 2)
+        gram = raw.T @ raw
         off = gram - np.diag(np.diag(gram))
         assert np.abs(off).max() < 0.1
 
@@ -410,14 +407,14 @@ class TestCompressedModel:
         a = kb64.base_a + 0.3 * kb64.delta0 * kb64.E[:, 0]
         assert hessian_model(S, nl, a, X).backend == "low-rank"
         oracle = _dense_reduced_hessian(S, nl, a, X)
-        got = reduced_hessian(S, nl, a, X)
+        got = hessian_model(S, nl, a, X).reduced_hessian()
         assert np.abs(got - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
     def test_projected_newton_step_matches_the_dense_solve(self, kb64, monkeypatch):
         S, nl, X = kb64.S, kb64.nl, kb64.E
         a = kb64.base_a + 0.3 * kb64.delta0 * X[:, 0]
         assert hessian_model(S, nl, a, X).backend == "low-rank"
-        w = _first_step(S, nl, a, X, 2.0 * kb64.eta, monkeypatch)
+        w = _first_step(S, nl, a, X, kb64.eta, monkeypatch)
         oracle = _dense_complement_step(S, nl, a, X)
         assert np.linalg.norm(w - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
