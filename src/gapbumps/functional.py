@@ -27,7 +27,13 @@ degenerate translation fixture uses so its symmetry survives discretely).
 Either grid is one `_EvalGrid`: u reaches the evaluation points through
 an interpolation matrix along each axis and forces return through its
 transpose (collocation: the identity), so the finite-difference
-identities hold at machine accuracy on either grid.
+identities hold at machine accuracy on either grid. Values, gradients and
+Hessian-vector products need nothing else. The dense Hessian's nonlinear
+block F^T diag(qw f') F, F the eigenfields at the evaluation points, is
+assembled as E^T M E from the grid-space Gram matrix M of the
+interpolation where the fine grid has more than 4x the coarse points (the
+2-d factor-3 fixture), and as the Gram product over F otherwise; F itself
+is built only on that second route and for the low-rank model's rows.
 """
 
 from __future__ import annotations
@@ -147,15 +153,17 @@ class _EvalGrid:
 
     P (nf x n, the same on every axis) maps grid values to the evaluation
     points; None stands for the identity of the collocated grid. h and qw
-    are the weight and the quadrature weight there, and fields holds the
-    eigenfields sampled there, one column each.
+    are the weight and the quadrature weight there. eigenfields is the
+    decomposition's N x N matrix, one eigenfield per column; `fields`
+    samples it at the evaluation points, built on first use. The grid keeps
+    that array, never the decomposition, so the weak-key cache can let go.
     """
 
     P: NDArray[np.float64] | None
     h: NDArray[np.float64] | float
     qw: float
-    fields: NDArray[np.float64]
     dim: int
+    eigenfields: NDArray[np.float64] | None = None
 
     def samples(self, values: NDArray[np.float64]) -> NDArray[np.float64]:
         """Grid values (the grid axes last) at the evaluation points."""
@@ -164,6 +172,34 @@ class _EvalGrid:
     def adjoint(self, fine: NDArray[np.float64]) -> NDArray[np.float64]:
         """The transpose of `samples`."""
         return fine if self.P is None else _along_axes(self.P.T, fine, self.dim)
+
+    @cached_property
+    def fields(self) -> NDArray[np.float64]:
+        """The eigenfields at the evaluation points, N_f x N (nf^dim x n^dim)."""
+        if self.P is None:
+            return self.eigenfields
+        n = self.P.shape[1]
+        # the transpose of the Fortran-order eigenfield matrix is a C-order view
+        fine = _along_axes(self.P, self.eigenfields.T.reshape((-1,) + (n,) * self.dim), self.dim)
+        return fine.reshape(self.eigenfields.shape[1], -1).T
+
+    def gram(self, w: NDArray[np.float64]) -> NDArray[np.float64]:
+        """M = Q^T diag(w) Q for weights w at the evaluation points, Q the
+        sampling map of `samples` (P in 1-d, P x P in 2-d): n^dim x n^dim.
+
+        In 2-d, PP[a, (i, j)] = P[a, i] P[a, j] gives every axis-1 sum as
+        one product, T = w PP, and the axis-0 sum as a second, PP^T T,
+        which indexes M as ((i0 j0), (i1 j1)) (sum factorization; Deville,
+        Fischer & Mund, High-Order Methods for Incompressible Fluid Flow,
+        ch. 4).
+        """
+        P = self.P
+        nf, n = P.shape
+        if self.dim == 1:
+            return P.T @ (w.reshape(nf, 1) * P)
+        PP = (P[:, :, None] * P[:, None, :]).reshape(nf, n * n)
+        M = PP.T @ (w.reshape(nf, nf) @ PP)
+        return M.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
 # fine grids per decomposition; a grid holds no reference back to its key
@@ -174,7 +210,7 @@ def _eval_grid(S: SpectralDecomposition, nl: Nonlinearity) -> _EvalGrid:
     """The collocated grid, or the (cached) zero-padded fine grid of `nl.dealias`."""
     dom = S.domain
     if not nl.dealias:
-        return _EvalGrid(None, nl.weight_values(dom), dom.spacing**dom.dim, S.eigenfields, dom.dim)
+        return _EvalGrid(None, nl.weight_values(dom), dom.spacing**dom.dim, dom.dim, S.eigenfields)
     grids = _FINE_GRIDS.setdefault(S, {})
     key = (nl.dealias_factor, nl.weight)
     if key not in grids:
@@ -185,10 +221,7 @@ def _eval_grid(S: SpectralDecomposition, nl: Nonlinearity) -> _EvalGrid:
             coords = -0.5 * dom.cells + dom.cells * np.arange(nf) / nf
             mesh = np.meshgrid(*([coords] * dom.dim), indexing="ij")
             h = _require_nonnegative(nl.weight.evaluate_on(mesh))
-        # the transpose of the Fortran-order eigenfield matrix is a C-order view
-        fine = _along_axes(P, S.eigenfields.T.reshape((-1,) + dom.shape), dom.dim)
-        fields = fine.reshape(S.num_modes, -1).T
-        grids[key] = _EvalGrid(P, h, dom.volume / nf**dom.dim, fields, dom.dim)
+        grids[key] = _EvalGrid(P, h, dom.volume / nf**dom.dim, dom.dim, S.eigenfields)
     return grids[key]
 
 
@@ -220,25 +253,51 @@ def a_gradient(S, nl, a: NDArray[np.float64]) -> NDArray[np.float64]:
 def a_hessian(
     S: SpectralDecomposition, nl: Nonlinearity, a: NDArray[np.float64]
 ) -> NDArray[np.float64]:
-    """Dense symmetric Hessian of J in the weighted coordinates.
+    """Dense symmetric Hessian of J in the weighted coordinates:
+    D - W^-1 F^T diag(qw f') F W^-1, W = diag(weights).
 
-    The nonlinear block F^T diag(qw f') F, with F the eigenfields sampled
-    at the evaluation points (`_EvalGrid.fields`, the eigenfields
-    themselves on the collocated grid), is built as the Gram product
-    G^T G of G = F diag(sqrt(qw f')). That is legitimate because
-    f' = (p-1) h |u|^(p-2) is nonnegative: p >= 3 and h >= 0, which
-    `weight_values` and `_eval_grid` enforce. NumPy evaluates G^T G as a
-    symmetric rank-k update, half the flops of the general product, which
-    fills both triangles from one; dividing by the symmetric
-    outer(weights, weights) keeps the result exactly symmetric.
+    F is the eigenfields sampled at the evaluation points (`_EvalGrid.fields`,
+    the eigenfields themselves on the collocated grid). A fixed flop rule
+    picks one of two exact forms of the nonlinear block. The sum-factorized
+    E^T M E (`_sum_factorized`) costs about 2N^3 multiply-adds and builds
+    no N_f x N matrix; the Gram product G^T G (`_gram_product`) costs
+    N_f N^2 / 2. So a fine grid with more than 4x the coarse points,
+    N_f > 4N, takes the first, and every other grid the second. Both are
+    exactly symmetric, and dividing by the symmetric outer(weights,
+    weights) keeps them so.
     """
     grid = _eval_grid(S, nl)
-    samples = grid.samples(S.values_from_a(a))
-    G = grid.fields * np.sqrt(grid.qw * nl.fprime(samples, grid.h)).reshape(-1)[:, None]
-    A = G.T @ G
+    weight = grid.qw * nl.fprime(grid.samples(S.values_from_a(a)), grid.h)
+    if grid.P is not None and weight.size > 4 * S.num_modes:
+        A = _sum_factorized(grid, weight)
+    else:
+        A = _gram_product(grid, weight)
     A /= np.outer(S.weights, S.weights)
     np.negative(A, out=A)
     A[np.diag_indices_from(A)] += S.signs
+    return A
+
+
+def _gram_product(grid: _EvalGrid, weight: NDArray[np.float64]) -> NDArray[np.float64]:
+    """F^T diag(weight) F as G^T G, G = F diag(sqrt(weight)).
+
+    That is legitimate because f' = (p-1) h |u|^(p-2) is nonnegative:
+    p >= 3 and h >= 0, which `weight_values` and `_eval_grid` enforce.
+    NumPy evaluates G^T G as a symmetric rank-k update, half the flops of
+    the general product, which fills both triangles from one.
+    """
+    G = grid.fields * np.sqrt(weight).reshape(-1)[:, None]
+    return G.T @ G
+
+
+def _sum_factorized(grid: _EvalGrid, weight: NDArray[np.float64]) -> NDArray[np.float64]:
+    """F^T diag(weight) F as E^T M E, M = `grid.gram(weight)` and E the
+    eigenfields: F = Q E with Q the sampling map, so F is never formed.
+    A += A^T makes the result exactly symmetric."""
+    E = grid.eigenfields
+    A = E.T @ (grid.gram(weight) @ E)
+    A += A.T
+    A *= 0.5
     return A
 
 
@@ -484,7 +543,14 @@ def _active_rows(
 def _gram_factor(
     S: SpectralDecomposition, nl: Nonlinearity, weight: NDArray, rows: NDArray[np.intp]
 ) -> NDArray[np.float64]:
-    """The rows of G, G^T G the nonlinear block of the Hessian in a-coordinates."""
+    """The rows of G, G^T G the nonlinear block of the Hessian in a-coordinates.
+
+    They are rows of `_EvalGrid.fields`, which a fine grid builds on the
+    first call (N_f x N, kept per decomposition): cheaper over a Newton run
+    than sampling the r rows afresh on every call, r N^2 flops each.
+    """
+    if not rows.size:  # u = 0: nothing to sample
+        return np.empty((0, S.num_modes))
     G = _eval_grid(S, nl).fields[rows]
     G *= np.sqrt(weight[rows])[:, None]
     G /= S.weights

@@ -1,6 +1,6 @@
-"""Shared fixtures. Everything expensive is session-scoped: Newton runs
-and dense Hessians dominate, and every module reuses the same canonical
-objects."""
+"""Shared fixtures. Everything expensive is session-scoped: the
+decompositions, the Newton runs and the kernel splits they feed, which
+every module reuses as the same canonical objects."""
 
 import numpy as np
 import pytest

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,17 +8,23 @@ from hypothesis import strategies as st
 from gapbumps.functional import (
     Nonlinearity,
     _EvalGrid,
+    _along_axes,
     _eval_grid,
+    _gram_product,
     _interpolation_matrix,
+    _sum_factorized,
     a_gradient,
     a_hessian,
     a_hessvec,
     a_value_and_gradient,
+    hessian_model,
     interaction_defect,
 )
 from gapbumps import presets
 from gapbumps.operator import PeriodicPotential, diagonalize
-from gapbumps.torus import GridField, translate
+from gapbumps.reduction import detect_kernel, kernel_combination, solve_w
+from gapbumps.solver import find_critical_point, initial_ansatz
+from gapbumps.torus import GridField, TorusDomain, translate
 
 
 class TestHypotheses:
@@ -144,12 +152,27 @@ class TestDerivatives:
 
 
 def _symmetrized_hessian(S, nl, a):
-    """a_hessian's earlier formula: diag(signs) - W / outer(w, w), then symmetrized."""
+    """a_hessian's earlier formula over its own sampled eigenfield matrix:
+    diag(signs) - W / outer(w, w), then symmetrized."""
     grid = _eval_grid(S, nl)
+    F = S.eigenfields
+    if grid.P is not None:
+        fine = _along_axes(grid.P, S.eigenfields.T.reshape((-1,) + S.domain.shape), grid.dim)
+        F = fine.reshape(S.num_modes, -1).T
     samples = grid.samples(S.values_from_a(a))
-    G = grid.fields * np.sqrt(grid.qw * nl.fprime(samples, grid.h)).reshape(-1)[:, None]
+    G = F * np.sqrt(grid.qw * nl.fprime(samples, grid.h)).reshape(-1)[:, None]
     A = np.diag(S.signs) - (G.T @ G) / np.outer(S.weights, S.weights)
     return 0.5 * (A + A.T)
+
+
+def _fresh(S):
+    """A new decomposition object with the same arrays: its own, empty grid cache."""
+    return dataclasses.replace(S)
+
+
+def _ansatz(S):
+    A = presets.BASE_ANSATZ
+    return initial_ansatz(A["center"], A["width"], A["amplitude"], S.domain, S)
 
 
 class TestHessianAssembly:
@@ -162,11 +185,63 @@ class TestHessianAssembly:
         assert np.array_equal(H, H.T)
 
     def test_same_entries_on_the_dealiased_2d_fixture(self, degenerate):
+        # factor 3 takes the sum-factorized route: the same product summed
+        # in another order, so it agrees to rounding, not bit for bit
         S2, nl2, rec, _ = degenerate
         a = S2.a_from_field(rec.field)
         H = a_hessian(S2, nl2, a)
-        assert np.array_equal(H, _symmetrized_hessian(S2, nl2, a))
+        oracle = _symmetrized_hessian(S2, nl2, a)
+        assert np.abs(H - oracle).max() <= 1e-13 * np.abs(oracle).max()
         assert np.array_equal(H, H.T)
+
+    @pytest.mark.parametrize("factor", [1.5, 3.0])
+    def test_both_routes_agree_on_the_2d_fixture(self, degenerate, factor):
+        S2, nl2, rec, _ = degenerate
+        S, nl = _fresh(S2), dataclasses.replace(nl2, dealias_factor=factor)
+        grid = _eval_grid(S, nl)
+        a = S.a_from_field(rec.field)
+        weight = grid.qw * nl.fprime(grid.samples(S.values_from_a(a)), grid.h)
+        summed, gram = _sum_factorized(grid, weight), _gram_product(grid, weight)
+        assert np.array_equal(summed, summed.T)
+        assert np.abs(summed - gram).max() <= 1e-13 * np.abs(gram).max()
+
+    def test_the_2d_fixture_never_samples_the_eigenfield_matrix(self, degenerate):
+        # N_f = 9 N: Newton, the kernel split and solve_w all take the
+        # sum-factorized route and never build the 5184 x 576 matrix; at
+        # u = 0 the low-rank model has no rows to sample
+        S2, nl2, rec, _ = degenerate
+        S = _fresh(S2)
+        kb = detect_kernel(rec, S, nl2)
+        solve_w(kb, kernel_combination(kb, np.array([0.5 * kb.delta0])))
+        assert hessian_model(S, nl2, np.zeros(S.num_modes)).G.shape == (0, S.num_modes)
+        assert "fields" not in vars(_eval_grid(S, nl2))
+
+    def test_1d_dealiased_base_takes_the_gram_product(self, potential):
+        # N_f = 1.5 N at factor 1.5: the Gram product is the cheaper one,
+        # and only it reads the sampled eigenfield matrix
+        S = diagonalize(potential, TorusDomain(1, 32, 16))
+        nl = Nonlinearity(dealias=True)
+        a = S.a_from_field(find_critical_point(_ansatz(S), S, nl).field)
+        S = _fresh(S)
+        H = a_hessian(S, nl, a)
+        assert "fields" in vars(_eval_grid(S, nl))
+        assert np.array_equal(H, H.T)
+
+
+class TestLazyFineFields:
+    def test_only_the_low_rank_model_samples_the_eigenfield_matrix(self, potential, rng):
+        S = diagonalize(potential, TorusDomain(1, 128, 16))
+        nl = Nonlinearity(dealias=True)
+        grid = _eval_grid(S, nl)
+        a = S.a_from_field(_ansatz(S))
+        a_value_and_gradient(S, nl, a)
+        a_hessvec(S, nl, a, rng.standard_normal(S.num_modes))
+        assert "fields" not in vars(grid)
+        model = hessian_model(S, nl, a)
+        assert model.backend == "low-rank"
+        rhs = rng.standard_normal(S.num_modes)
+        assert np.linalg.norm(model.matvec(model.solve(rhs, 0.0)) - rhs) <= 1e-8 * np.linalg.norm(rhs)
+        assert vars(grid)["fields"].shape == (grid.P.shape[0], S.num_modes)
 
 
 class TestDealiasing:
@@ -202,7 +277,7 @@ class TestDealiasing:
 
 def _grid(n, factor, dim):
     """A bare evaluation grid with n points per axis; only P and dim matter."""
-    return _EvalGrid(_interpolation_matrix(n, factor), 1.0, 1.0, np.empty((0, 0)), dim)
+    return _EvalGrid(_interpolation_matrix(n, factor), 1.0, 1.0, dim)
 
 
 class TestInterpolation:
@@ -240,6 +315,23 @@ class TestInterpolation:
         rhs = float(np.sum(u * grid.adjoint(w)))
         scale = np.linalg.norm(grid.samples(u)) * np.linalg.norm(w)
         assert abs(lhs - rhs) <= 1e-13 * scale
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(2, 12).map(lambda half: 2 * half),
+        factor=st.floats(1.0, 3.0),
+        dim=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gram_is_the_weighted_gram_of_the_sampling_map(self, n, factor, dim, seed):
+        grid = _grid(n, factor, dim)
+        nf = grid.P.shape[0]
+        w = np.random.default_rng(seed).uniform(0.0, 1.0, (nf,) * dim)
+        samples = grid.samples(np.eye(n**dim).reshape((-1,) + (n,) * dim))
+        Smat = samples.reshape(n**dim, -1).T
+        oracle = Smat.T @ (w.reshape(-1, 1) * Smat)
+        M = grid.gram(w)
+        assert np.abs(M - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
     def test_factor_one_is_the_identity(self):
         assert np.allclose(_interpolation_matrix(24, 1.0), np.eye(24), rtol=0, atol=1e-15)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapbumps.torus import (
     CUTOFF_GRAD_BOUND,
@@ -109,6 +111,52 @@ class TestTranslate:
     def test_wrong_dim_rejected(self):
         with pytest.raises(ValueError):
             translate(gaussian(TorusDomain(1, 4, 8)), (1, 1))
+
+
+@st.composite
+def _field_and_shifts(draw, count):
+    """A random field on a random 1-d or 2-d torus, and `count` integer shifts."""
+    dim = draw(st.sampled_from([1, 2]), label="dim")
+    d = TorusDomain(dim, draw(st.integers(1, 5), label="cells"), draw(st.sampled_from([8, 16])))
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    f = GridField(d, np.random.default_rng(seed).standard_normal(d.shape))
+    lattice = st.tuples(*[st.integers(-12, 12)] * dim)
+    return f, [np.array(draw(lattice, label="shift")) for _ in range(count)]
+
+
+class TestTranslateGroupLaws:
+    """translate is a circular shift, so the laws hold with exact equality."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_field_and_shifts(2))
+    def test_composition_adds_shifts(self, case):
+        f, (b, c) = case
+        assert np.array_equal(translate(translate(f, b), c).values, translate(f, b + c).values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_field_and_shifts(0), st.integers(-3, 3), st.data())
+    def test_zero_and_whole_periods_are_the_identity(self, case, m, data):
+        f, _ = case
+        d = f.domain
+        assert np.array_equal(translate(f, np.zeros(d.dim, dtype=int)).values, f.values)
+        i = data.draw(st.integers(0, d.dim - 1), label="axis")
+        period = np.zeros(d.dim, dtype=int)
+        period[i] = m * d.cells
+        assert np.array_equal(translate(f, period).values, f.values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_field_and_shifts(1))
+    def test_the_opposite_shift_is_the_inverse(self, case):
+        f, (b,) = case
+        assert np.array_equal(translate(translate(f, b), -b).values, f.values)
+
+    @settings(max_examples=20, deadline=None)
+    @given(_field_and_shifts(0), st.data())
+    def test_wrong_length_shift_raises(self, case, data):
+        f, _ = case
+        length = data.draw(st.integers(0, 4).filter(lambda n: n != f.domain.dim), label="length")
+        with pytest.raises(ValueError):
+            translate(f, np.ones(length, dtype=int))
 
 
 class TestCutoffAndEmbedding:
