@@ -1,15 +1,17 @@
 """Command-line front end: config handling, dispatch, persistence.
 
 Commands: bands, spectrum, solve, reduce, multibump, sweep, verify.
-Artifacts land in the directory named by GAPBUMPS_OUT (default: the
-working directory) together with a manifest recording the config hash,
-package versions, timings and artifact names. Result files themselves
-carry no timings, so identical config and seed reproduce them byte for
-byte.
+Every command writes through one `_Output`: artifacts land in the
+directory named by GAPBUMPS_OUT (default: the working directory), and
+once the command returns `main` adds a manifest recording the config
+hash, package versions, the seconds of every phase and the total, and
+the artifact names in write order. Result files themselves carry no
+timings, so identical config and seed reproduce them byte for byte.
 
 Exit codes: 0 success, 2 bad config or arguments, 3 numeric failure
 (no gap, collapse, no convergence, unstable gluing), 4 failed
-verification.
+verification. Errors are reported by `main` alone, so the hint for a
+spectrum without a gap reads the same on every command.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import os
 import platform
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -31,7 +34,7 @@ import numpy as np
 import scipy
 
 from . import __version__, presets
-from .functional import Nonlinearity
+from .functional import Nonlinearity, a_value_and_gradient
 from .multibump import (
     CentersCollide,
     GluingUnstable,
@@ -284,12 +287,6 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 # -- persistence -----------------------------------------------------------------
 
 
-def _outdir() -> Path:
-    out = Path(os.environ.get("GAPBUMPS_OUT", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_json(path: Path, payload: dict) -> None:
     # strict JSON: a non-finite float is a bug in the payload, not an artifact
     text = json.dumps(payload, sort_keys=True, indent=2, default=_scalar, allow_nan=False)
@@ -375,7 +372,8 @@ def _record_from_file(path: str, cfg: RunConfig):
             raise ConfigError(f"{path}: malformed record: {e!r}") from e
         S = diagonalize(V, domain)
     # the loaded field is kept verbatim; a-coordinates round-trip it only to roundoff
-    rec = replace(_make_record(S.a_from_field(field), S, nl), field=field)
+    a = S.a_from_field(field)
+    rec = replace(_make_record(a, *a_value_and_gradient(S, nl, a), S, nl), field=field)
     if rec.residual > W_RESIDUAL_TOL:
         raise ConfigError(
             f"{path}: not a critical point (recomputed residual {rec.residual:.3e} "
@@ -384,33 +382,48 @@ def _record_from_file(path: str, cfg: RunConfig):
     return rec, S, nl
 
 
-def _write_manifest(
-    outdir: Path,
-    command: str,
-    cfg: RunConfig,
-    artifacts: list[str],
-    started: float,
-    phases: dict[str, float] | None = None,
-) -> None:
-    """manifest.json; `phases` adds per-phase seconds next to total_s."""
-    timings = {name: round(seconds, 3) for name, seconds in (phases or {}).items()}
-    timings["total_s"] = round(time.monotonic() - started, 3)
-    _write_json(
-        outdir / "manifest.json",
-        {
-            "command": command,
-            "config_hash": cfg.config_hash,
-            "seed": cfg.seed,
-            "versions": {
-                "gapbumps": __version__,
-                "python": platform.python_version(),
-                "numpy": np.__version__,
-                "scipy": scipy.__version__,
+class _Output:
+    """One command's output: GAPBUMPS_OUT, its clock, the artifact names in
+    write order and the seconds of each timed phase."""
+
+    def __init__(self) -> None:
+        self.dir = Path(os.environ.get("GAPBUMPS_OUT", "."))
+        self.dir.mkdir(parents=True, exist_ok=True)
+        self.started = time.monotonic()
+        self.artifacts: list[str] = []
+        self.timings: dict[str, float] = {}
+
+    def path(self, name: str) -> Path:
+        """Where artifact `name` goes; registers it for the manifest."""
+        self.artifacts.append(name)
+        return self.dir / name
+
+    @contextmanager
+    def timed(self, phase: str):
+        """Record the seconds the block takes as `<phase>_s`."""
+        start = time.monotonic()
+        yield
+        self.timings[f"{phase}_s"] = time.monotonic() - start
+
+    def write_manifest(self, command: str, cfg: RunConfig) -> None:
+        timings = {name: round(seconds, 3) for name, seconds in self.timings.items()}
+        timings["total_s"] = round(time.monotonic() - self.started, 3)
+        _write_json(
+            self.dir / "manifest.json",
+            {
+                "command": command,
+                "config_hash": cfg.config_hash,
+                "seed": cfg.seed,
+                "versions": {
+                    "gapbumps": __version__,
+                    "python": platform.python_version(),
+                    "numpy": np.__version__,
+                    "scipy": scipy.__version__,
+                },
+                "timings": timings,
+                "artifacts": self.artifacts,
             },
-            "timings": timings,
-            "artifacts": artifacts,
-        },
-    )
+        )
 
 
 # -- commands --------------------------------------------------------------------
@@ -436,9 +449,7 @@ def _parse_centers(text: str, dim: int) -> list[tuple[int, ...]]:
     return centers
 
 
-def cmd_bands(args, cfg: RunConfig) -> int:
-    started = time.monotonic()
-    out = _outdir()
+def cmd_bands(args, cfg: RunConfig, out: _Output) -> int:
     if not 1 <= args.bands <= args.modes:
         raise ConfigError(f"--bands must lie in [1, --modes = {args.modes}], got {args.bands}")
     if args.quasimomenta < 1:
@@ -449,25 +460,14 @@ def cmd_bands(args, cfg: RunConfig) -> int:
         for t in range(len(thetas))
         for b in range(args.bands)
     ]
-    _write_csv(out / "bands.csv", ["theta", "band", "lambda"], rows)
-    _write_manifest(out, "bands", cfg, ["bands.csv"], started)
+    _write_csv(out.path("bands.csv"), ["theta", "band", "lambda"], rows)
     return 0
 
 
-def cmd_spectrum(args, cfg: RunConfig) -> int:
-    started = time.monotonic()
-    out = _outdir()
-    try:
-        S = diagonalize(cfg.potential, cfg.domain)
-    except NotInvertible as e:
-        print(
-            f"spectrum: {e}\nthe construction needs 0 inside a spectral gap of -Lap+V; "
-            "adjust the potential shift (try 'auto-midgap')",
-            file=sys.stderr,
-        )
-        return 3
+def cmd_spectrum(args, cfg: RunConfig, out: _Output) -> int:
+    S = diagonalize(cfg.potential, cfg.domain)
     _write_csv(
-        out / "spectrum.csv",
+        out.path("spectrum.csv"),
         ["i", "lambda"],
         [(i, float(lam)) for i, lam in enumerate(S.eigenvalues)],
     )
@@ -478,41 +478,35 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
         "beta": _finite_or_none(S.beta) if S.has_gap else None,
         "certified": S.has_gap,
     }
-    _write_json(out / "gap.json", gap)
-    _write_manifest(out, "spectrum", cfg, ["spectrum.csv", "gap.json"], started)
+    _write_json(out.path("gap.json"), gap)
     return 0
 
 
-def cmd_solve(args, cfg: RunConfig) -> int:
-    started = time.monotonic()
-    out = _outdir()
-    S = diagonalize(cfg.potential, cfg.domain)
-    diagonalized = time.monotonic()
-    rng = np.random.default_rng(cfg.seed)
-    center = tuple(float(c) for c in cfg.ansatz["center"])
-    width = float(cfg.ansatz["width"])
-    amplitude = float(cfg.ansatz["amplitude"])
+def cmd_solve(args, cfg: RunConfig, out: _Output) -> int:
     if args.tries < 1:
         raise ConfigError(f"--tries must be at least 1, got {args.tries}")
-    last_error: Exception | None = None
-    rec = None
-    for attempt in range(args.tries):
-        try:
-            init = initial_ansatz(center, width, amplitude, cfg.domain, S)
-            rec = find_critical_point(init, S, cfg.nonlinearity, cfg.solver)
-            break
-        except (NoConvergence, TrivialCollapse) as e:
-            last_error = e
-            # jitter for the next try; the deflated search draws the same way
-            center, width, amplitude = draw_ansatz(rng, cfg.domain)
-    if rec is None:
-        assert last_error is not None
-        raise last_error
-    census = hessian_census(S, cfg.nonlinearity, S.a_from_field(rec.field))
-    phases = {"diagonalize_s": diagonalized - started, "newton_s": time.monotonic() - diagonalized}
-    _write_json(out / "solution.json", rec.to_dict() | census)
-    write_field_csv(out / "solution.csv", rec.field)
-    _write_manifest(out, "solve", cfg, ["solution.json", "solution.csv"], started, phases)
+    with out.timed("diagonalize"):
+        S = diagonalize(cfg.potential, cfg.domain)
+    with out.timed("newton"):
+        rng = np.random.default_rng(cfg.seed)
+        center = tuple(float(c) for c in cfg.ansatz["center"])
+        width = float(cfg.ansatz["width"])
+        amplitude = float(cfg.ansatz["amplitude"])
+        last_error: Exception | None = None
+        for attempt in range(args.tries):
+            try:
+                init = initial_ansatz(center, width, amplitude, cfg.domain, S)
+                rec = find_critical_point(init, S, cfg.nonlinearity, cfg.solver)
+                break
+            except (NoConvergence, TrivialCollapse) as e:
+                last_error = e
+                # jitter for the next try; the deflated search draws the same way
+                center, width, amplitude = draw_ansatz(rng, cfg.domain)
+        else:  # every try failed (--tries is at least 1)
+            raise last_error
+        census = hessian_census(S, cfg.nonlinearity, S.a_from_field(rec.field))
+    _write_json(out.path("solution.json"), rec.to_dict() | census)
+    write_field_csv(out.path("solution.csv"), rec.field)
     print(
         f"J = {rec.energy:.12g}, |u|_k = {rec.norm_k:.12g}, "
         f"residual = {rec.residual:.3e}, {rec.iterations} iterations"
@@ -527,20 +521,20 @@ def _kernel_from_file(path: str, cfg: RunConfig, tau: float) -> KernelBasis:
     return detect_kernel(*_record_from_file(path, cfg), tau=tau)
 
 
-def cmd_reduce(args, cfg: RunConfig) -> int:
-    started = time.monotonic()
-    out = _outdir()
+def cmd_reduce(args, cfg: RunConfig, out: _Output) -> int:
     if args.stencil < 1:
         raise ConfigError(f"--stencil must be at least 1, got {args.stencil}")
-    kb = _kernel_from_file(args.solution, cfg, args.tau)
+    with out.timed("load"):
+        kb = _kernel_from_file(args.solution, cfg, args.tau)
     if kb.l == 0:
         raise ConfigError(f"--tau {args.tau:g} leaves the kernel block empty, nothing to classify")
     radius = args.radius if args.radius is not None else 0.5 * kb.delta0
     if not 0 < radius <= kb.delta0:
         raise ConfigError(f"--radius must lie in (0, delta0 = {kb.delta0:.6g}], got {radius:g}")
-    cls = classify_origin(kb)
+    with out.timed("classify"):
+        cls = classify_origin(kb)
     _write_json(
-        out / "reduce.json",
+        out.path("reduce.json"),
         {
             "l": kb.l,
             "eta": kb.eta,
@@ -552,14 +546,14 @@ def cmd_reduce(args, cfg: RunConfig) -> int:
     )
     hs = np.linspace(-radius, radius, 2 * args.stencil + 1)
     rows = []
-    for axis in range(kb.l):
-        for h in hs:
-            x = np.zeros(kb.l)
-            x[axis] = h
-            s = solve_w(kb, kernel_combination(kb, x))
-            rows.append((axis, float(h), s.I, float(np.linalg.norm(s.dI))))
-    _write_csv(out / "reduce.csv", ["axis", "h", "I", "dI_norm"], rows)
-    _write_manifest(out, "reduce", cfg, ["reduce.json", "reduce.csv"], started)
+    with out.timed("profile"):
+        for axis in range(kb.l):
+            for h in hs:
+                x = np.zeros(kb.l)
+                x[axis] = h
+                s = solve_w(kb, kernel_combination(kb, x))
+                rows.append((axis, float(h), s.I, float(np.linalg.norm(s.dI))))
+    _write_csv(out.path("reduce.csv"), ["axis", "h", "I", "dI_norm"], rows)
     print(
         f"l = {kb.l}, eta = {kb.eta:.6g}, morse index {cls.morse_index}, "
         f"degenerate = {cls.degenerate_flag}"
@@ -579,19 +573,19 @@ def _target_decomposition(args, base_S):
     return diagonalize(base_S.potential, target)
 
 
-def cmd_multibump(args, cfg: RunConfig) -> int:
-    started = time.monotonic()
-    out = _outdir()
-    kb = _kernel_from_file(args.base, cfg, args.tau)
-    S = _target_decomposition(args, kb.S)
+def cmd_multibump(args, cfg: RunConfig, out: _Output) -> int:
+    with out.timed("load"):
+        kb = _kernel_from_file(args.base, cfg, args.tau)
+        S = _target_decomposition(args, kb.S)
     centers = _parse_centers(args.centers, kb.S.domain.dim)
     try:
-        prob = build_problem(kb, centers, S)
-        res = solve_multibump(prob, S, kb.nl, cfg.solver)
+        with out.timed("glue"):
+            prob = build_problem(kb, centers, S)
+            res = solve_multibump(prob, S, kb.nl, cfg.solver)
     except (CentersCollide, SeparationTooSmall) as e:
         raise ConfigError(f"--centers: {e}") from e
     _write_json(
-        out / "multibump.json",
+        out.path("multibump.json"),
         {
             "centers": [list(c) for c in centers],
             "separation": _finite_or_none(prob.l_sep),  # null for a single bump
@@ -604,8 +598,7 @@ def cmd_multibump(args, cfg: RunConfig) -> int:
             "polish_iters": res.polish_iters,
         },
     )
-    write_field_csv(out / "multibump.csv", res.field)
-    _write_manifest(out, "multibump", cfg, ["multibump.json", "multibump.csv"], started)
+    write_field_csv(out.path("multibump.csv"), res.field)
     print(
         f"{len(centers)} bumps, separation {prob.l_sep}, residual = {res.residual:.3e}, "
         f"|w| = {res.correction_norm:.3e}"
@@ -613,9 +606,7 @@ def cmd_multibump(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_sweep(args, cfg: RunConfig) -> int:
-    started = time.monotonic()
-    out = _outdir()
+def cmd_sweep(args, cfg: RunConfig, out: _Output) -> int:
     try:
         l_values = [int(v) for v in args.seps.split(",")]
     except ValueError as e:
@@ -624,26 +615,13 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
         raise ConfigError(f"--seps must be positive and ascending, got {args.seps}")
     if args.m < 1:
         raise ConfigError(f"--m must be at least 1, got {args.m}")
-    kb = _kernel_from_file(args.base, cfg, args.tau)
-    S = _target_decomposition(args, kb.S)
-    rows = separation_sweep(kb, args.m, l_values, S, kb.nl, cfg.solver)
-    csv_rows = []
-    for row in rows:
-        csv_rows.append(
-            (
-                row["l_sep"],
-                row.get("w_norm", ""),
-                row.get("x_norm", ""),
-                row.get("residual", ""),
-                row.get("energy_defect", ""),
-                row.get("failed", ""),
-            )
-        )
-    _write_csv(
-        out / "sweep.csv",
-        ["l_sep", "w_norm", "x_norm", "residual", "energy_defect", "failed"],
-        csv_rows,
-    )
+    with out.timed("load"):
+        kb = _kernel_from_file(args.base, cfg, args.tau)
+        S = _target_decomposition(args, kb.S)
+    with out.timed("sweep"):
+        rows = separation_sweep(kb, args.m, l_values, S, kb.nl, cfg.solver)
+    header = ["l_sep", "w_norm", "x_norm", "residual", "energy_defect", "failed"]
+    _write_csv(out.path("sweep.csv"), header, ([row.get(k, "") for k in header] for row in rows))
     good = [r for r in rows if "failed" not in r]
     ws = [r["w_norm"] for r in good]
     xs = [r["x_norm"] for r in good]
@@ -656,18 +634,14 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
         "monotone_x": _strictly_decreasing(xs) if len(good) >= 2 else None,
         "rows": rows,
     }
-    _write_json(out / "sweep.json", summary)
-    _write_manifest(out, "sweep", cfg, ["sweep.csv", "sweep.json"], started)
+    _write_json(out.path("sweep.json"), summary)
     return 0
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
-    started = time.monotonic()
-    out = _outdir()
+def cmd_verify(args, cfg: RunConfig, out: _Output) -> int:
     report = run_verification(seed=cfg.seed)
-    _write_json(out / "report.json", report.to_dict())
-    phases = {f"{name.removeprefix('check_')}_s": s for name, s in report.seconds.items()}
-    _write_manifest(out, "verify", cfg, ["report.json"], started, phases)
+    _write_json(out.path("report.json"), report.to_dict())
+    out.timings |= {f"{name.removeprefix('check_')}_s": s for name, s in report.seconds.items()}
     for entry in report.entries:
         print(f"{'PASS' if entry.passed else 'FAIL'}  {entry.name}")
     if not report.passed:
@@ -696,16 +670,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bands)
 
     p = sub.add_parser("spectrum", help="torus eigenvalues and the gap report")
-    p.add_argument("--k", type=int, help="override domain.cells")
+    p.add_argument("--k", type=int, dest="domain.cells", metavar="K", help="override domain.cells")
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("solve", help="Newton search from a Gaussian ansatz")
-    p.add_argument("--k", type=int, help="override domain.cells")
+    p.add_argument("--k", type=int, dest="domain.cells", metavar="K", help="override domain.cells")
     p.add_argument("--seed", type=int, help="override config seed")
     p.add_argument("--tries", type=int, default=1, help="restarts with jittered ansatz")
-    p.add_argument("--ansatz-center", help="comma-separated coordinates")
-    p.add_argument("--ansatz-width", type=float)
-    p.add_argument("--ansatz-amplitude", type=float)
+    p.add_argument("--ansatz-center", dest="ansatz.center", help="comma-separated coordinates")
+    p.add_argument("--ansatz-width", dest="ansatz.width", type=float)
+    p.add_argument("--ansatz-amplitude", dest="ansatz.amplitude", type=float)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("reduce", help="kernel detection and reduced-energy profile")
@@ -739,26 +713,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args) -> dict:
-    """Map recognized flags onto config paths.
+    """Flags whose dest is a config path: its first part a top-level key.
 
-    --k sets domain.cells for spectrum and solve only; on multibump and
-    sweep it names the target torus, and the config domain stays the one
-    a field CSV base is read on.
+    --k is domain.cells for spectrum and solve only; on multibump and
+    sweep its dest is `k`, the target torus, and the config domain stays
+    the one a field CSV base is read on.
     """
-    out: dict = {}
-    if args.command in ("spectrum", "solve") and args.k is not None:
-        out["domain.cells"] = args.k
-    if getattr(args, "seed", None) is not None:
-        out["seed"] = args.seed
-    if getattr(args, "ansatz_center", None) is not None:
+    out = {
+        dest: value
+        for dest, value in vars(args).items()
+        if value is not None and dest.split(".")[0] in _DEFAULT_CONFIG
+    }
+    if "ansatz.center" in out:
         try:
-            out["ansatz.center"] = [float(c) for c in args.ansatz_center.split(",")]
+            out["ansatz.center"] = [float(c) for c in out["ansatz.center"].split(",")]
         except ValueError as e:
             raise ConfigError(f"--ansatz-center: {e}") from e
-    if getattr(args, "ansatz_width", None) is not None:
-        out["ansatz.width"] = args.ansatz_width
-    if getattr(args, "ansatz_amplitude", None) is not None:
-        out["ansatz.amplitude"] = args.ansatz_amplitude
     return out
 
 
@@ -779,17 +749,16 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, _overrides(args))
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    try:
-        return args.fn(args, cfg)
+        out = _Output()
+        code = args.fn(args, cfg, out)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except _NUMERIC_ERRORS as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 3
+    out.write_manifest(args.command, cfg)
+    return code
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
-from .functional import Nonlinearity, a_gradient, a_value_and_gradient, hessian_model
+from .functional import Nonlinearity, hessian_model
 from .operator import SpectralDecomposition
 from .reduction import (
     KernelBasis, _embed_field, _projected_newton, joint_kernel_matrix, kernel_combination, solve_w,
@@ -227,8 +227,11 @@ def solve_multibump(
     phase2_iters counts the Newton steps after it. An empty kernel block
     gives a reduced gradient of size 0 and stops at iteration 0. Phase 3
     polishes with the full unprojected solver and checks that the polish
-    stayed within the deflation radius.
+    stayed within the deflation radius. Every phase works on prob.S; `S`
+    must be that decomposition, or ValueError is raised.
     """
+    if S is not prob.S:
+        raise ValueError("S is not the decomposition the problem was built on (prob.S)")
     if prob.m >= 2 and prob.l_sep < SEPARATION_FLOOR:
         raise SeparationTooSmall(
             f"separation {prob.l_sep:g} below floor {SEPARATION_FLOOR:g}"
@@ -240,14 +243,14 @@ def solve_multibump(
     for phase2_iters in range(MAX_REDUCED_ITERS):
         center = prob.glued_a + raw @ x
         try:
-            w, _ = _projected_newton(prob.S, nl, center, raw, prob.kb.eta, w)
+            w, _, _, g = _projected_newton(prob.S, nl, center, raw, prob.kb.eta, w)
         except NoConvergence as err:
             raise NoConvergence(f"phase 1 (projected correction): {err}") from err
         a_full = center + w
-        G = raw.T @ a_gradient(S, nl, a_full)
+        G = raw.T @ g
         if float(np.linalg.norm(G)) <= REDUCED_TOL:
             break
-        Hred = hessian_model(S, nl, a_full, raw).reduced_hessian()
+        Hred = hessian_model(prob.S, nl, a_full, raw).reduced_hessian()
         try:
             step = scipy.linalg.solve(Hred, -G, assume_a="sym")
         except scipy.linalg.LinAlgError as err:
@@ -260,12 +263,12 @@ def solve_multibump(
             f"phase 2 (reduced Newton): no convergence in {MAX_REDUCED_ITERS} iters"
         )
 
-    assembled = S.field_from_a(a_full)
+    assembled = prob.S.field_from_a(a_full)
     try:
-        polished = find_critical_point(assembled, S, nl, opts)
+        polished = find_critical_point(assembled, prob.S, nl, opts)
     except NoConvergence as err:
         raise NoConvergence(f"phase 3 (polish): {err}") from err
-    drift = float(np.linalg.norm(S.a_from_field(polished.field) - a_full))
+    drift = float(np.linalg.norm(prob.S.a_from_field(polished.field) - a_full))
     if drift > opts.deflation_radius:
         raise GluingUnstable(
             f"polish drifted {drift:.3e} from the assembly "
@@ -276,7 +279,7 @@ def solve_multibump(
         residual=polished.residual,
         correction_norm=float(np.linalg.norm(w)),
         reduced_coords_norm=float(np.linalg.norm(x)),
-        bump_energies=bump_energy_split(polished.field, S, nl, prob.centers),
+        bump_energies=bump_energy_split(polished.field, prob.S, nl, prob.centers),
         polish_iters=polished.iterations,
         phase2_iters=phase2_iters,
         drift=drift,
@@ -363,8 +366,7 @@ def superposition_compare(
         if x.shape != (m * l,):
             raise ValueError(f"sample point must have {m * l} coordinates")
         center = prob.glued_a + prob.joint_raw @ x
-        w, iters = _projected_newton(prob.S, kb.nl, center, prob.joint_raw, kb.eta)
-        I_joint, g = a_value_and_gradient(prob.S, kb.nl, center + w)
+        _, iters, I_joint, g = _projected_newton(prob.S, kb.nl, center, prob.joint_raw, kb.eta)
         dI_joint = prob.joint_raw.T @ g
         singles = [single(x[i * l : (i + 1) * l]) for i in range(m)]
         I_sum = sum(s.I for s in singles)

@@ -330,7 +330,8 @@ def diagonalize(V: PeriodicPotential, domain: TorusDomain) -> SpectralDecomposit
     min_abs = float(np.min(np.abs(vals)))
     if min_abs < INVERTIBLE_TOL:
         raise NotInvertible(
-            f"|lambda|_min = {min_abs:.3e}: 0 lies in the spectrum, not in a spectral gap"
+            f"|lambda|_min = {min_abs:.3e}: 0 lies in the spectrum, not in a spectral gap "
+            "of -Lap+V; adjust the potential shift (try 'auto-midgap')"
         )
     column = np.empty_like(order)
     column[order] = np.arange(order.size)

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
-from .functional import Nonlinearity, a_gradient, a_value_and_gradient, hessian_model
+from .functional import Nonlinearity, a_value_and_gradient, hessian_model
 from .operator import SpectralDecomposition
 from .solver import KERNEL_TAU, NoConvergence, SolutionRecord, kernel_split
 from .torus import GridField, TorusDomain, embed_with_cutoff, translate
@@ -128,7 +128,7 @@ def _projected_newton(
     X: NDArray[np.float64],
     eta: float,
     w0: NDArray[np.float64] | None = None,
-) -> tuple[NDArray[np.float64], int]:
+) -> tuple[NDArray[np.float64], int, float, NDArray[np.float64]]:
     """Solve P grad J(a_center + w) = 0 for w orthogonal to span(X).
 
     Newton on w, from w0 (orthogonal to X) or from 0, until
@@ -137,15 +137,16 @@ def _projected_newton(
     complement block's 1/min|eig| exceeds the ceiling 2 eta, eta the
     kernel basis's bound at the base.
 
-    Returns (w, iterations).
+    Returns (w, iterations, J, g), J and g the energy and gradient at
+    a_center + w.
     """
     ceiling = 2.0 * eta
     Q1 = np.linalg.qr(X)[0]
     w = np.zeros_like(a_center) if w0 is None else w0
     for iteration in range(MAX_W_ITERS):
-        g = a_gradient(S, nl, a_center + w)
+        J, g = a_value_and_gradient(S, nl, a_center + w)
         if float(np.linalg.norm(g - Q1 @ (Q1.T @ g))) <= W_RESIDUAL_TOL:
-            return w, iteration
+            return w, iteration, J, g
         H = hessian_model(S, nl, a_center + w, X)
         if H.complement_degenerates(ceiling):
             raise NoConvergence(
@@ -171,10 +172,7 @@ def solve_w(kb: KernelBasis, h: GridField) -> ReducedSample:
         raise ValueError("h has a component outside the kernel block")
     if hnorm > kb.delta0:
         raise OutOfBall(f"|||h||| = {hnorm:.4g} exceeds delta0 = {kb.delta0:.4g}")
-    a_center = kb.base_a + ha
-    w_a, iters = _projected_newton(kb.S, kb.nl, a_center, kb.E, kb.eta)
-    a_full = a_center + w_a
-    I, g = a_value_and_gradient(kb.S, kb.nl, a_full)
+    w_a, iters, I, g = _projected_newton(kb.S, kb.nl, kb.base_a + ha, kb.E, kb.eta)
     return ReducedSample(
         x=kb.E.T @ ha,
         w=kb.S.field_from_a(w_a),

@@ -161,8 +161,9 @@ def _newton_direction(
     H: HessianModel,
     g: NDArray[np.float64],
     opts: SolverOptions,
-) -> tuple[NDArray[np.float64], float | None]:
-    """(direction, the Tikhonov mu it was solved with or None)."""
+) -> tuple[NDArray[np.float64] | None, float | None]:
+    """(direction, the Tikhonov mu it was solved with), or (None, None)
+    when no ridge up to `tikhonov_cap` gives a finite step."""
     # Ridge mu*diag(sign lambda) pushes Hessian eigenvalues away from zero
     # on both sides instead of shifting the whole spectrum.
     mu = opts.tikhonov
@@ -174,7 +175,7 @@ def _newton_direction(
         if d is not None and np.all(np.isfinite(d)):
             return d, mu
         mu *= 10.0
-    return -H.matvec(g), None  # steepest descent on the merit 0.5|g|^2
+    return None, None
 
 
 KERNEL_TAU = 1e-4
@@ -225,18 +226,20 @@ def find_critical_point(
     the bump is localized, with no invariant subspace built, densely
     otherwise. The line search backtracks
     on the merit 0.5*|g|^2 and falls back to steepest descent for that
-    merit whenever the Newton direction is not a descent direction.
+    merit whenever there is no Newton direction or it is not a descent
+    direction. The accepted trial's energy and gradient carry over to
+    the next iteration: every point is evaluated once.
     Iterates sliding under ``opts.collapse_norm`` abort with
     TrivialCollapse: u = 0 is a critical point, just not one worth
     returning. Nothing is kept between calls.
     """
     S.require_gap()
     a = S.a_from_field(init)
+    J, g = a_value_and_gradient(S, nl, a)
     history: list[float] = []
     steps: list[float] = []
     mus: list[float | None] = []
     for iteration in range(opts.max_iters):
-        g = a_gradient(S, nl, a)
         r = float(np.linalg.norm(g))
         history.append(r)
         if not np.isfinite(r):
@@ -246,28 +249,27 @@ def find_critical_point(
                 f"iterate norm fell below {opts.collapse_norm:g} at step {iteration}"
             )
         if r <= opts.newton_tol:
-            return _make_record(a, S, nl, iteration, history, steps, mus)
+            return _make_record(a, J, g, S, nl, iteration, history, steps, mus)
         H = hessian_model(S, nl, a)
         d, mu = _newton_direction(H, g, opts)
         merit_grad = H.matvec(g)
-        slope = float(merit_grad @ d)
-        if slope >= 0:
+        slope = float(merit_grad @ d) if d is not None else 0.0
+        if slope >= 0:  # no Newton direction or not a descent one: steepest descent
             d, mu = -merit_grad, None
             slope = -float(merit_grad @ merit_grad)
         phi0 = 0.5 * r * r
         step = 1.0
-        accepted = False
         for _ in range(60):
-            g_trial = a_gradient(S, nl, a + step * d)
+            trial = a + step * d
+            J_trial, g_trial = a_value_and_gradient(S, nl, trial)
             if 0.5 * float(g_trial @ g_trial) <= phi0 + opts.sufficient_decrease * step * slope:
-                accepted = True
                 break
             step *= opts.backtrack
-        if not accepted:
+        else:
             raise NoConvergence(
                 f"line search stalled at residual {r:.3e} (step {iteration})"
             )
-        a = a + step * d
+        a, J, g = trial, J_trial, g_trial
         steps.append(step)
         mus.append(mu)
     raise NoConvergence(f"no convergence in {opts.max_iters} iterations")
@@ -275,6 +277,8 @@ def find_critical_point(
 
 def _make_record(
     a: NDArray[np.float64],
+    J: float,
+    g: NDArray[np.float64],
     S: SpectralDecomposition,
     nl: Nonlinearity,
     iterations: int = 0,
@@ -282,7 +286,7 @@ def _make_record(
     steps: Sequence[float] = (),
     mus: Sequence[float | None] = (),
 ) -> SolutionRecord:
-    J, g = a_value_and_gradient(S, nl, a)
+    """The record of the point a, with J and g its energy and gradient."""
     dom_fp, pot_fp, nl_fp = _fingerprints(S, nl)
     return SolutionRecord(
         field=S.field_from_a(a),

@@ -2,10 +2,17 @@
 decompositions, the Newton runs and the kernel splits they feed, which
 every module reuses as the same canonical objects."""
 
+import os
+import sys
+
+# one BLAS thread unless the environment says otherwise: the suite's
+# matrices are small, and threads contend on a shared machine
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 
-from gapbumps import presets
+from gapbumps import functional, presets
 from gapbumps.functional import Nonlinearity
 from gapbumps.operator import diagonalize
 from gapbumps.reduction import detect_kernel
@@ -80,6 +87,23 @@ def degenerate():
     )
     rec = find_critical_point(init, S2, nl2)
     return S2, nl2, rec, detect_kernel(rec, S2, nl2)
+
+
+@pytest.fixture()
+def evaluations(monkeypatch):
+    """The points a_value_and_gradient is called at from now on, through
+    every module that binds it (a_gradient calls it too)."""
+    points = []
+    original = functional.a_value_and_gradient
+
+    def counted(S, nl, a):
+        points.append(a)
+        return original(S, nl, a)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gapbumps") and getattr(module, "a_value_and_gradient", None) is original:
+            monkeypatch.setattr(module, "a_value_and_gradient", counted)
+    return points
 
 
 @pytest.fixture()

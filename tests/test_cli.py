@@ -176,8 +176,11 @@ class TestCommands:
     def test_spectrum_without_gap_fails_numerically(self, outdir, tmp_path, capsys):
         cfg = tmp_path / "flat.json"
         cfg.write_text('{"potential": {"amplitude": 0.0, "shift": 0.0}, "domain": {"cells": 1}}')
-        assert main(["--config", str(cfg), "spectrum"]) == 3
-        assert "spectral gap" in capsys.readouterr().err
+        for command in ("spectrum", "solve"):
+            assert main(["--config", str(cfg), command]) == 3
+            err = capsys.readouterr().err
+            assert "spectral gap" in err and "try 'auto-midgap'" in err
+        assert not (outdir / "manifest.json").exists()
 
     def test_config_error_exit_code(self, outdir, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -209,6 +212,52 @@ class TestCommands:
         assert timings["diagonalize_s"] + timings["newton_s"] <= timings["total_s"] + 2e-3
         record = json.loads((outdir / "solution.json").read_text())
         assert not any(key.endswith("_s") or "time" in key for key in record)
+
+    @pytest.mark.parametrize(
+        "argv, phases",
+        [
+            (["reduce", "--solution", "{base}"], {"load_s", "classify_s", "profile_s"}),
+            (["multibump", "--base", "{base}", "--centers", "0;4"], {"load_s", "glue_s"}),
+            (["sweep", "--base", "{base}", "--seps", "4"], {"load_s", "sweep_s"}),
+        ],
+        ids=["reduce", "multibump", "sweep"],
+    )
+    def test_manifest_times_each_phase(self, outdir, solution_k8, argv, phases):
+        assert main([a.format(base=solution_k8) for a in argv]) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        timings = manifest["timings"]
+        assert set(timings) == phases | {"total_s"}
+        assert sum(timings[p] for p in phases) <= timings["total_s"] + 2e-3
+        for name in manifest["artifacts"]:
+            if name.endswith(".json"):
+                result = json.loads((outdir / name).read_text())
+                assert not any(key.endswith("_s") or "time" in key for key in result)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bands", "--bands", "4", "--quasimomenta", "8"],
+            ["spectrum", "--k", "4"],
+            ["solve", "--k", "8", "--seed", "7"],
+            ["reduce", "--solution", "{base}"],
+            ["multibump", "--base", "{base}", "--centers", "0;4"],
+            ["sweep", "--base", "{base}", "--seps", "4"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_manifest_lists_the_files_written_in_order(self, outdir, solution_k8, monkeypatch, argv):
+        written = []
+        for name in ("_write_json", "_write_csv"):
+
+            def recording(path, *rest, write=getattr(cli, name)):
+                written.append(path.name)
+                write(path, *rest)
+
+            monkeypatch.setattr(cli, name, recording)
+        assert main([a.format(base=solution_k8) for a in argv]) == 0
+        assert written[-1] == "manifest.json"
+        assert json.loads((outdir / "manifest.json").read_text())["artifacts"] == written[:-1]
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(written)
 
     def test_solution_explains_its_newton_run(self, solution_k8):
         with open(solution_k8) as fh:

@@ -126,6 +126,11 @@ class TestErrorPaths:
         with pytest.raises(NoConvergence, match="phase 2"):
             solve_multibump(prob, S8, nl)
 
+    def test_decomposition_must_be_the_problems(self, kb8, S8, nl):
+        prob = build_problem(kb8, [(0,), (4,)], S8)
+        with pytest.raises(ValueError, match="prob.S"):
+            solve_multibump(prob, diagonalize(S8.potential, S8.domain), nl)
+
     def test_drift_guard_trips(self, kb8, S8, nl):
         prob = build_problem(kb8, [(0,), (4,)], S8)
         with pytest.raises(GluingUnstable):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gapbumps import presets, reduction
 from gapbumps.functional import (
-    HessianModel, _negative_count, a_gradient, a_hessian, hessian_model,
+    HessianModel, _negative_count, a_gradient, a_hessian, a_value_and_gradient, hessian_model,
 )
 from gapbumps.multibump import build_problem, superposition_compare
 from gapbumps.reduction import (
@@ -86,6 +86,11 @@ class TestCorrection:
         kb = dataclasses.replace(kb8, eta=kb8.eta / 10)
         with pytest.raises(NoConvergence, match="complement block degenerating"):
             solve_w(kb, kernel_combination(kb8, np.array([0.4 * kb8.delta0])))
+
+    def test_each_corrector_point_is_evaluated_once(self, kb8, evaluations):
+        s = solve_w(kb8, kernel_combination(kb8, np.array([0.3 * kb8.delta0])))
+        assert s.newton_iters >= 1
+        assert len(evaluations) == s.newton_iters + 1
 
     def test_offset_outside_the_ball_rejected(self, kb8):
         with pytest.raises(OutOfBall):
@@ -185,11 +190,11 @@ def _first_step(S, nl, a, X, eta, monkeypatch):
     def gradient_once(S, nl, a):
         # the second residual test reads zero, so one step is returned
         calls.append(a)
-        g = a_gradient(S, nl, a)
-        return g if len(calls) == 1 else 0.0 * g
+        J, g = a_value_and_gradient(S, nl, a)
+        return J, (g if len(calls) == 1 else 0.0 * g)
 
-    monkeypatch.setattr(reduction, "a_gradient", gradient_once)
-    w, iters = _projected_newton(S, nl, a, X, eta)
+    monkeypatch.setattr(reduction, "a_value_and_gradient", gradient_once)
+    w, iters, _, _ = _projected_newton(S, nl, a, X, eta)
     assert iters == 1
     return w
 

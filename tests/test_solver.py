@@ -326,6 +326,35 @@ class TestLowRankHessian:
         assert census["kernel_dim_estimate"] == 0
 
 
+def _first_model_solves(S8, nl, monkeypatch, solve):
+    """Newton from BASE_ANSATZ at k = 8 with the first Hessian model's
+    solve replaced by solve(H, rhs, mu); returns (init, record, that model)."""
+    from gapbumps import solver
+
+    real_model = solver.hessian_model
+    built = []
+
+    class FirstModel:
+        def __init__(self, H):
+            self.H = H
+
+        def solve(self, rhs, mu):
+            return solve(self.H, rhs, mu)
+
+        def matvec(self, v):
+            return self.H.matvec(v)
+
+    def model(S, nl, a):
+        built.append(real_model(S, nl, a))
+        return FirstModel(built[-1]) if len(built) == 1 else built[-1]
+
+    monkeypatch.setattr(solver, "hessian_model", model)
+    A = presets.BASE_ANSATZ
+    init = initial_ansatz(A["center"], A["width"], A["amplitude"], S8.domain, S8)
+    rec = find_critical_point(init, S8, nl)
+    return init, rec, FirstModel(built[0])
+
+
 class TestNewtonHistory:
     @pytest.mark.parametrize("which", ["base8", "base64"])
     def test_one_entry_per_iteration(self, request, which):
@@ -339,32 +368,30 @@ class TestNewtonHistory:
     def test_descent_fallback_is_recorded_without_mu(self, S8, nl, monkeypatch):
         # the first model turns the Newton step around, so that step is
         # not a descent direction and steepest descent on the merit is taken
-        from gapbumps import solver
-
-        real_model = solver.hessian_model
-        built = []
-
-        class ReversedSolve:
-            def __init__(self, H):
-                self.H = H
-
-            def solve(self, rhs, mu):
-                return -self.H.solve(rhs, mu)
-
-            def matvec(self, v):
-                return self.H.matvec(v)
-
-        def model(S, nl, a):
-            built.append(real_model(S, nl, a))
-            return ReversedSolve(built[-1]) if len(built) == 1 else built[-1]
-
-        monkeypatch.setattr(solver, "hessian_model", model)
-        A = presets.BASE_ANSATZ
-        init = initial_ansatz(A["center"], A["width"], A["amplitude"], S8.domain, S8)
-        rec = find_critical_point(init, S8, nl)
+        _, rec, _ = _first_model_solves(S8, nl, monkeypatch, lambda H, rhs, mu: -H.solve(rhs, mu))
         assert rec.residual <= 1e-10
         assert rec.mu_history[0] is None
         assert all(mu == SolverOptions().tikhonov for mu in rec.mu_history[1:])
+
+    def test_no_newton_direction_falls_back_to_steepest_descent(self, S8, nl, monkeypatch):
+        # the first model's solve fails at every ridge up to tikhonov_cap
+        def singular(H, rhs, mu):
+            raise scipy.linalg.LinAlgError("singular")
+
+        init, rec, first = _first_model_solves(S8, nl, monkeypatch, singular)
+        assert rec.residual <= 1e-10
+        assert rec.mu_history[0] is None
+        assert all(mu == SolverOptions().tikhonov for mu in rec.mu_history[1:])
+        g = a_value_and_gradient(S8, nl, S8.a_from_field(init))[1]
+        assert _newton_direction(first, g, SolverOptions()) == (None, None)
+
+    def test_each_point_is_evaluated_once(self, S8, nl, evaluations):
+        A = presets.BASE_ANSATZ
+        init = initial_ansatz(A["center"], A["width"], A["amplitude"], S8.domain, S8)
+        rec = find_critical_point(init, S8, nl)
+        # the start, then one trial per line-search halving of each step
+        halvings = [round(np.log(s) / np.log(SolverOptions().backtrack)) for s in rec.step_history]
+        assert len(evaluations) == 1 + sum(1 + h for h in halvings) == 8
 
     def test_record_names_its_backend(self, base8, S8, nl):
         census = hessian_census(S8, nl, S8.a_from_field(base8.field))
