@@ -73,7 +73,7 @@ from .solver import (
     initial_ansatz,
 )
 from .torus import GridField, TorusDomain
-from .verify import _scalar, _strictly_decreasing, run_verification
+from .verify import json_text, run_verification, strictly_decreasing
 
 
 class ConfigError(Exception):
@@ -288,9 +288,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    # strict JSON: a non-finite float is a bug in the payload, not an artifact
-    text = json.dumps(payload, sort_keys=True, indent=2, default=_scalar, allow_nan=False)
-    path.write_text(text + "\n")
+    path.write_text(json_text(payload))
 
 
 def _finite_or_none(value: float) -> float | None:
@@ -349,6 +347,8 @@ def _record_from_file(path: str, cfg: RunConfig):
             d = json.loads(p.read_text())
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
+        if not isinstance(d, dict):
+            raise ConfigError(f"{path}: not a solution record (top level must be an object)")
         for key in ("domain", "potential", "nonlinearity", "values"):
             if key not in d:
                 raise ConfigError(f"{path}: not a solution record (missing {key!r})")
@@ -630,8 +630,8 @@ def cmd_sweep(args, cfg: RunConfig, out: _Output) -> int:
         "m": args.m,
         "l_values": l_values,
         "rows_failed": len(rows) - len(good),
-        "monotone_w": _strictly_decreasing(ws) if len(good) >= 2 else None,
-        "monotone_x": _strictly_decreasing(xs) if len(good) >= 2 else None,
+        "monotone_w": strictly_decreasing(ws) if len(good) >= 2 else None,
+        "monotone_x": strictly_decreasing(xs) if len(good) >= 2 else None,
         "rows": rows,
     }
     _write_json(out.path("sweep.json"), summary)
@@ -640,7 +640,7 @@ def cmd_sweep(args, cfg: RunConfig, out: _Output) -> int:
 
 def cmd_verify(args, cfg: RunConfig, out: _Output) -> int:
     report = run_verification(seed=cfg.seed)
-    _write_json(out.path("report.json"), report.to_dict())
+    out.path("report.json").write_text(report.to_json())
     out.timings |= {f"{name.removeprefix('check_')}_s": s for name, s in report.seconds.items()}
     for entry in report.entries:
         print(f"{'PASS' if entry.passed else 'FAIL'}  {entry.name}")

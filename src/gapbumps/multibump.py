@@ -227,11 +227,14 @@ def solve_multibump(
     phase2_iters counts the Newton steps after it. An empty kernel block
     gives a reduced gradient of size 0 and stops at iteration 0. Phase 3
     polishes with the full unprojected solver and checks that the polish
-    stayed within the deflation radius. Every phase works on prob.S; `S`
-    must be that decomposition, or ValueError is raised.
+    stayed within the deflation radius. Every phase works on prob.S and
+    the energy of prob.kb.nl; `S` must be that decomposition and `nl` equal
+    that nonlinearity, or ValueError is raised.
     """
     if S is not prob.S:
         raise ValueError("S is not the decomposition the problem was built on (prob.S)")
+    if nl != prob.kb.nl:
+        raise ValueError("nl differs from the nonlinearity the kernel was split with (prob.kb.nl)")
     if prob.m >= 2 and prob.l_sep < SEPARATION_FLOOR:
         raise SeparationTooSmall(
             f"separation {prob.l_sep:g} below floor {SEPARATION_FLOOR:g}"

@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigvalsh
 
 from .torus import GridField, TorusDomain
 
@@ -110,32 +110,6 @@ class PeriodicPotential:
         return d
 
 
-def _laplacian_block(domain: TorusDomain) -> NDArray[np.float64]:
-    """Dense one-axis pseudospectral -d^2/dx^2 (symmetric circulant)."""
-    mult = domain.wavenumbers() ** 2
-    col = np.fft.ifft(mult).real  # first column; real by even symmetry
-    n = domain.points_per_axis
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return col[idx]
-
-
-def operator_matrix(V: PeriodicPotential, domain: TorusDomain) -> NDArray[np.float64]:
-    """Dense matrix of -Lap + V on the grid (row-major flattening).
-
-    The O(N^2)-memory reference that the tests diagonalize densely to check
-    the fiber construction; no computation in the package uses it.
-    """
-    lap1 = _laplacian_block(domain)
-    if domain.dim == 1:
-        mat = lap1.copy()
-    else:
-        n = domain.points_per_axis
-        eye = np.eye(n)
-        mat = np.kron(lap1, eye) + np.kron(eye, lap1)
-    mat[np.diag_indices_from(mat)] += V.evaluate(domain).reshape(-1)
-    return mat
-
-
 # -- Floquet-Bloch fibers ---------------------------------------------------------
 
 
@@ -185,29 +159,17 @@ def _quasimomenta(domain: TorusDomain) -> Iterator[tuple[tuple[int, ...], bool]]
             yield j, j == partner
 
 
-def _fiber_eigh(
-    V_cell: NDArray[np.float64], j: tuple[int, ...], k: int, real: bool, eigvals_only: bool
-):
-    """Eigenvalues (and eigenvectors) of the fiber at theta = 2*pi*j/k."""
+def _fiber_eigh(V_cell: NDArray[np.float64], j: tuple[int, ...], k: int, real: bool):
+    """Eigenvalues and eigenvectors of the fiber at theta = 2*pi*j/k."""
     fiber = _fiber_matrix(V_cell, 2.0 * np.pi * np.asarray(j) / k)
     # a real eigensolver keeps degenerate eigenvectors of a real fiber real;
     # divide and conquer keeps close eigenvectors orthogonal to ~1e-15
-    return eigh(fiber.real if real else fiber, eigvals_only=eigvals_only, driver="evd")
+    return eigh(fiber.real if real else fiber, driver="evd")
 
 
 def _cell_samples(values: NDArray[np.float64], domain: TorusDomain) -> NDArray[np.float64]:
     """The torus grid's samples on its first unit cell."""
     return values[(slice(0, domain.samples_per_cell),) * domain.dim]
-
-
-def torus_spectrum(V: PeriodicPotential, domain: TorusDomain) -> NDArray[np.float64]:
-    """Ascending eigenvalues of -Lap + V on the torus, from its Bloch fibers."""
-    V_cell = _cell_samples(V.evaluate(domain), domain)
-    parts = []
-    for j, real in _quasimomenta(domain):
-        vals = _fiber_eigh(V_cell, j, domain.cells, real, eigvals_only=True)
-        parts.append(vals if real else np.repeat(vals, 2))
-    return np.sort(np.concatenate(parts), kind="stable")
 
 
 def _bloch_columns(
@@ -320,7 +282,7 @@ def diagonalize(V: PeriodicPotential, domain: TorusDomain) -> SpectralDecomposit
     k, dim = domain.cells, domain.dim
     V_cell = _cell_samples(V.evaluate(domain), domain)
     fibers = [
-        (j, real, *_fiber_eigh(V_cell, j, k, real, eigvals_only=False))
+        (j, real, *_fiber_eigh(V_cell, j, k, real))
         for j, real in _quasimomenta(domain)
     ]
     # one entry per eigenfield, in fiber order: a paired band gives (Re, Im)
@@ -396,7 +358,7 @@ def band_samples(
     vals = np.empty((quasimomenta, bands))
     cell = V.profile(np.arange(modes) / modes) - V.shift
     for t, theta in enumerate(thetas):
-        vals[t] = eigh(_fiber_matrix(cell, (theta,)), eigvals_only=True)[:bands]
+        vals[t] = eigvalsh(_fiber_matrix(cell, (theta,)))[:bands]
     return thetas, vals
 
 

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
-
 from .functional import Nonlinearity
-from .operator import PeriodicPotential, midgap_shift, torus_spectrum
+from .operator import PeriodicPotential, midgap_shift
 from .torus import TorusDomain
 
 # default cosine amplitude; every canned instance uses it
@@ -47,6 +45,16 @@ TAU_FORCED = 0.128
 # canonical Gaussian seed for the one-bump base
 BASE_ANSATZ = {"center": (0.0,), "width": 0.5, "amplitude": 6.0}
 
+# shift of the 2-d fixture (measured): Q_3 at M = 8, the profile acting
+# along axis 0 only. Transverse momenta shift whole copies of the axis-0
+# spectrum upward, so the continuum gap closes and the usable gap is read
+# off the finite torus: the midpoint of the widest gap in (-14, 2) of the
+# torus spectrum of the unshifted potential, its Bloch fibers solved for
+# eigenvalues only (scipy.linalg.eigh, driver "evd"). operator.diagonalize's
+# eigenpair solve puts that midpoint 7.9e-14 higher; tests/test_operator.py
+# re-derives it from there.
+DEGENERATE_SHIFT = -6.553895865408411
+
 # seed for the two-dimensional degenerate fixture's base
 DEGENERATE_ANSATZ = {"center": (0.0, 0.0), "width": 0.4, "amplitude": 6.0}
 
@@ -57,27 +65,7 @@ def default_potential() -> PeriodicPotential:
     return PeriodicPotential(amplitude=AMPLITUDE, shift=midgap_shift(AMPLITUDE))
 
 
-@lru_cache(maxsize=None)
-def degenerate_shift(cells: int = 3, samples_per_cell: int = 8) -> float:
-    """Shift centering 0 in the widest low-lying gap of the 2-d fixture.
-
-    The fixture potential varies along axis 0 only; transverse momenta
-    shift whole copies of the axis-0 spectrum upward, so the continuum
-    gap closes and the usable gap must be read off the finite-torus
-    spectrum (its Bloch fibers at the torus quasimomenta) instead.
-    """
-    domain = TorusDomain(2, cells, samples_per_cell)
-    V0 = PeriodicPotential(amplitude=AMPLITUDE, shift=0.0, axes=(0,))
-    eigs = torus_spectrum(V0, domain)
-    window = eigs[(eigs > -14.0) & (eigs < 2.0)]
-    gaps = np.diff(window)
-    i = int(np.argmax(gaps))
-    return float(0.5 * (window[i] + window[i + 1]))
-
-
-def degenerate_problem(
-    cells: int = 3, samples_per_cell: int = 8
-) -> tuple[TorusDomain, PeriodicPotential, Nonlinearity]:
+def degenerate_problem() -> tuple[TorusDomain, PeriodicPotential, Nonlinearity]:
     """2-d torus, potential constant along axis 1, alias-free quartics.
 
     Dealiasing at factor 3 makes the energy exactly invariant under
@@ -85,10 +73,5 @@ def degenerate_problem(
     solution carries a genuine one-dimensional Hessian kernel spanned by
     its axis-1 derivative.
     """
-    domain = TorusDomain(2, cells, samples_per_cell)
-    V = PeriodicPotential(
-        amplitude=AMPLITUDE,
-        shift=degenerate_shift(cells, samples_per_cell),
-        axes=(0,),
-    )
-    return domain, V, Nonlinearity(dealias=True, dealias_factor=3.0)
+    V = PeriodicPotential(amplitude=AMPLITUDE, shift=DEGENERATE_SHIFT, axes=(0,))
+    return TorusDomain(2, 3, 8), V, Nonlinearity(dealias=True, dealias_factor=3.0)

@@ -1,7 +1,12 @@
+import copy
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapbumps import cli, verify
 from gapbumps.cli import (
@@ -15,7 +20,7 @@ from gapbumps.cli import (
 )
 from gapbumps.operator import PeriodicPotential
 from gapbumps.solver import hessian_census
-from gapbumps.torus import GridField, TorusDomain
+from gapbumps.torus import GridField, TorusDomain, translate
 from gapbumps.verify import LemmaReport, VerificationSession
 
 
@@ -385,6 +390,11 @@ class TestCommands:
         decay = next(e for e in entries if e["name"] == "multibump_decay")
         assert not decay["passed"]
         assert decay["measured"]["w_norms"] == decay["measured"]["x_norms"] == [None]
+        # the two-bump witness is the sweep's row at separation 16, absent here
+        witness = next(e for e in entries if e["name"] == "multibump_witnesses")
+        assert not witness["passed"]
+        assert witness["measured"]["residual_2bump"] is None
+        assert witness["measured"]["bump_energy_dev"][0] is None
 
     def test_missing_solution_file(self, outdir):
         assert main(["reduce", "--solution", "nowhere.json"]) == 2
@@ -483,6 +493,16 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "malformed.json" in err and where in err
 
+    @pytest.mark.parametrize(
+        "text", ["5", "null", '"domain potential nonlinearity values"'],
+        ids=["number", "null", "string"],
+    )
+    def test_reduce_refuses_a_record_that_is_not_an_object(self, outdir, tmp_path, capsys, text):
+        path = tmp_path / "scalar.json"
+        path.write_text(text)
+        assert main(["reduce", "--solution", str(path)]) == 2
+        assert "scalar.json" in capsys.readouterr().err
+
     def test_reduce_accepts_a_field_csv(self, outdir):
         assert main(["solve", "--k", "8", "--seed", "7"]) == 0
         assert main(["reduce", "--solution", str(outdir / "solution.csv")]) == 0
@@ -515,3 +535,92 @@ class TestCommands:
         result = json.loads((outdir / f"{argv[0]}.json").read_text())
         row = result["rows"][0] if "rows" in result else result
         assert row["residual"] <= 1e-8
+
+
+# what _record_from_file reads of a record: its sections, their required
+# keys and the field values; the numbers among them
+_RECORD_KEYS = [
+    ("domain",), ("domain", "dim"), ("domain", "cells"), ("domain", "samples_per_cell"),
+    ("potential",), ("potential", "kind"), ("potential", "amplitude"), ("potential", "shift"),
+    ("nonlinearity",), ("nonlinearity", "p"), ("nonlinearity", "q"), ("nonlinearity", "gamma"),
+    ("values",),
+]
+_RECORD_NUMBERS = [
+    ("potential", "amplitude"), ("potential", "shift"),
+    ("nonlinearity", "p"), ("nonlinearity", "q"), ("nonlinearity", "gamma"),
+]
+
+
+def _get(record, path):
+    for key in path:
+        record = record[key]
+    return record
+
+
+def _set(record, path, value):
+    """`record` with the entry at `path` replaced by `value` (() is the record)."""
+    if not path:
+        return value
+    _get(record, path[:-1])[path[-1]] = value
+    return record
+
+
+@st.composite
+def _fuzzed(draw, record):
+    """A deep copy of `record` with one change that makes it invalid."""
+    rec = copy.deepcopy(record)
+    n = len(rec["values"])
+    kind = draw(st.sampled_from(["drop", "type", "non-finite", "length"]))
+    if kind == "length":
+        size = draw(st.integers(0, 2 * n).filter(lambda m: m != n))
+        rec["values"] = (rec["values"] * 2)[:size]
+        return rec
+    entry = ("values", draw(st.integers(0, n - 1)))
+    if kind == "drop":
+        path = draw(st.sampled_from(_RECORD_KEYS))
+        del _get(rec, path[:-1])[path[-1]]
+        return rec
+    if kind == "type":
+        path = draw(st.sampled_from([(), *_RECORD_KEYS, entry]))
+        current = _get(rec, path)
+        value = draw(
+            st.sampled_from(["x", True, None, [], {}]).filter(
+                lambda v: type(v) is not type(current)
+            )
+        )
+        return _set(rec, path, value)
+    path = draw(st.sampled_from([*_RECORD_NUMBERS, entry]))
+    return _set(rec, path, draw(st.sampled_from([math.nan, math.inf, -math.inf])))
+
+
+@pytest.fixture(scope="module")
+def record_k8(solution_k8):
+    return json.loads(Path(solution_k8).read_text())
+
+
+class TestRecordProperties:
+    @settings(max_examples=12, deadline=None)
+    @given(shift=st.integers(0, 7), sign=st.sampled_from([1.0, -1.0]))
+    def test_json_and_csv_round_trip_bit_for_bit(self, tmp_path_factory, record_k8, shift, sign):
+        # translates and the negative of a critical point are critical points
+        # of the even, shift-invariant energy; the reader keeps the field verbatim
+        cfg = load_config(None)
+        field = GridField(cfg.domain, np.asarray(record_k8["values"]))
+        field = GridField(cfg.domain, sign * translate(field, (shift,)).values)
+        out = tmp_path_factory.mktemp("round-trip")
+        cli._write_json(out / "rec.json", record_k8 | {"values": list(field.flat)})
+        write_field_csv(out / "rec.csv", field)
+        for name in ("rec.json", "rec.csv"):
+            rec, _, _ = _record_from_file(str(out / name), cfg)
+            assert rec.field.values.tobytes() == field.values.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_a_fuzzed_record_exits_2(self, tmp_path_factory, record_k8, data):
+        rec = data.draw(_fuzzed(record_k8), label="record")
+        out = tmp_path_factory.mktemp("fuzz")
+        path = out / "fuzzed.json"
+        path.write_text(json.dumps(rec))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("GAPBUMPS_OUT", str(out))
+            assert main(["reduce", "--solution", str(path)]) == 2

@@ -51,7 +51,7 @@ class TestHypotheses:
         # cos(2 pi x) + cos(2 pi y) + 1.5 passes the one-axis probe
         # (minimum 0.5) but reaches -0.5 on the 2-d torus
         h = PeriodicPotential(amplitude=1.0, shift=-1.5)
-        domain, V, _ = presets.degenerate_problem(2, 8)
+        domain, V = TorusDomain(2, 2, 8), presets.default_potential()
         with pytest.raises(ValueError, match="nonnegative"):
             Nonlinearity(weight=h).weight_values(domain)
         S = diagonalize(V, domain)

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from gapbumps import cli, multibump, presets
-from gapbumps.functional import a_value_and_gradient
+from gapbumps.functional import Nonlinearity, a_value_and_gradient
 from gapbumps.multibump import (
     CentersCollide,
     GluingUnstable,
@@ -130,6 +130,16 @@ class TestErrorPaths:
         prob = build_problem(kb8, [(0,), (4,)], S8)
         with pytest.raises(ValueError, match="prob.S"):
             solve_multibump(prob, diagonalize(S8.potential, S8.domain), nl)
+
+    def test_nonlinearity_must_be_the_kernels(self, kb8, S8, monkeypatch):
+        prob = build_problem(kb8, [(0,), (4,)], S8)
+
+        def no_numerics(*args, **kwargs):
+            raise AssertionError("solve_multibump corrected before checking nl")
+
+        monkeypatch.setattr(multibump, "_projected_newton", no_numerics)
+        with pytest.raises(ValueError, match="prob.kb.nl"):
+            solve_multibump(prob, S8, Nonlinearity(p=5.0))
 
     def test_drift_guard_trips(self, kb8, S8, nl):
         prob = build_problem(kb8, [(0,), (4,)], S8)

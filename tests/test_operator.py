@@ -14,11 +14,11 @@ from gapbumps.operator import (
     diagonalize,
     midgap_shift,
     norm_equivalence_report,
-    operator_matrix,
     orbit_shifts,
     project_positive,
 )
 from gapbumps.torus import GridField, TorusDomain, l2_inner, translate
+from oracle import operator_matrix
 
 
 class TestPotential:
@@ -155,6 +155,20 @@ def _cases():
         (V, TorusDomain(2, 2, 8)),
         (V2, domain2),
     ]
+
+
+def test_degenerate_shift_is_the_widest_gap_midpoint():
+    # the frozen 2-d fixture shift, re-derived from diagonalize: the two
+    # eigensolver modes differ at rounding level, far below the tolerance
+    V0 = PeriodicPotential(amplitude=presets.AMPLITUDE, shift=0.0, axes=(0,))
+    eigs = diagonalize(V0, TorusDomain(2, 3, 8)).eigenvalues
+    window = eigs[(eigs > -14.0) & (eigs < 2.0)]
+    i = int(np.argmax(np.diff(window)))
+    midpoint = 0.5 * (window[i] + window[i + 1])
+    assert midpoint == pytest.approx(presets.DEGENERATE_SHIFT, rel=0.0, abs=1e-10)
+    domain, V, _ = presets.degenerate_problem()
+    assert domain == TorusDomain(2, 3, 8)
+    assert V == dataclasses.replace(V0, shift=presets.DEGENERATE_SHIFT)
 
 
 class TestDenseOracle:
