@@ -34,7 +34,7 @@ import numpy as np
 import scipy
 
 from . import __version__, presets
-from .functional import Nonlinearity, a_value_and_gradient
+from .functional import NegativeWeight, Nonlinearity, a_value_and_gradient
 from .multibump import (
     CentersCollide,
     GluingUnstable,
@@ -93,14 +93,7 @@ _DEFAULT_CONFIG: dict = {
         "samples": None,
         "axes": None,
     },
-    "nonlinearity": {
-        "p": 4.0,
-        "q": 3.0,
-        "gamma": 4.0,
-        "h": None,
-        "dealias": False,
-        "dealias_factor": 1.5,
-    },
+    "nonlinearity": {"p": 4.0, "h": None, "dealias_factor": 1.0},
     "solver": asdict(SolverOptions()),
     "seed": 0,
     "ansatz": {"center": None, "width": 0.5, "amplitude": 6.0},
@@ -122,7 +115,6 @@ def _list_of(item):
 
 # JSON types by field name, else by the type of the field's default
 _TYPES = {
-    bool: ("true or false", lambda v: isinstance(v, bool)),
     int: ("an integer", _is_integer),
     float: ("a number", _is_number),
     str: ("a string", lambda v: isinstance(v, str)),
@@ -218,24 +210,26 @@ def _nonlinearity_from_dict(d: dict) -> Nonlinearity:
     try:
         return Nonlinearity(
             p=float(d["p"]),
-            q=float(d["q"]),
-            gamma=float(d["gamma"]),
             weight=_potential_from_dict(d["h"]) if d["h"] is not None else None,
-            dealias=d["dealias"],
             dealias_factor=float(d["dealias_factor"]),
         )
     except ValueError as e:
         raise ConfigError(f"nonlinearity: {e}") from e
 
 
+def _read_text(path) -> str:
+    """A file from outside the program as text; unreadable or not UTF-8 is a ConfigError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read {path}: {e}") from e
+
+
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     """Defaults <- file <- flag overrides, validated field by field."""
     given: dict = {}
     if path is not None:
-        try:
-            text = Path(path).read_text()
-        except OSError as e:
-            raise ConfigError(f"cannot read {path}: {e}") from e
+        text = _read_text(path)
         try:
             given = json.loads(text)
         except json.JSONDecodeError as e:
@@ -313,18 +307,17 @@ def write_field_csv(path: Path, field: GridField) -> None:
 
 
 def read_field_csv(path: Path, domain: TorusDomain) -> GridField:
-    with path.open() as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if len(header) != domain.dim + 1:
-            raise ConfigError(
-                f"{path}: expected {domain.dim + 1} columns for a {domain.dim}-d field, "
-                f"got {len(header)}"
-            )
-        try:
-            return GridField(domain, np.asarray([float(row[-1]) for row in reader if row]))
-        except ValueError as e:
-            raise ConfigError(f"{path}: {e}") from e
+    reader = csv.reader(_read_text(path).splitlines())
+    header = next(reader, [])
+    if len(header) != domain.dim + 1:
+        raise ConfigError(
+            f"{path}: expected {domain.dim + 1} columns for a {domain.dim}-d field, "
+            f"got {len(header)}"
+        )
+    try:
+        return GridField(domain, np.asarray([float(row[-1]) for row in reader if row]))
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
 
 
 def _record_from_file(path: str, cfg: RunConfig):
@@ -344,7 +337,7 @@ def _record_from_file(path: str, cfg: RunConfig):
         field = read_field_csv(p, cfg.domain)
     else:
         try:
-            d = json.loads(p.read_text())
+            d = json.loads(_read_text(p))
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
         if not isinstance(d, dict):
@@ -388,7 +381,10 @@ class _Output:
 
     def __init__(self) -> None:
         self.dir = Path(os.environ.get("GAPBUMPS_OUT", "."))
-        self.dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"GAPBUMPS_OUT is not a usable directory: {e}") from e
         self.started = time.monotonic()
         self.artifacts: list[str] = []
         self.timings: dict[str, float] = {}
@@ -619,7 +615,7 @@ def cmd_sweep(args, cfg: RunConfig, out: _Output) -> int:
         kb = _kernel_from_file(args.base, cfg, args.tau)
         S = _target_decomposition(args, kb.S)
     with out.timed("sweep"):
-        rows = separation_sweep(kb, args.m, l_values, S, kb.nl, cfg.solver)
+        rows = separation_sweep(kb, args.m, l_values, S, cfg.solver)
     header = ["l_sep", "w_norm", "x_norm", "residual", "energy_defect", "failed"]
     _write_csv(out.path("sweep.csv"), header, ([row.get(k, "") for k in header] for row in rows))
     good = [r for r in rows if "failed" not in r]
@@ -751,7 +747,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, _overrides(args))
         out = _Output()
         code = args.fn(args, cfg, out)
-    except ConfigError as e:
+    except (ConfigError, NegativeWeight) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except _NUMERIC_ERRORS as e:

@@ -20,13 +20,14 @@ complement of span X through the model's bordered matrix
 [[K, U^T X], [X^T U, 0]] alone: its Newton step, its LDL^T inertia
 monitor and its Schur complement, the reduced Hessian.
 
-Nonlinear terms are collocated on the grid by default. The `dealias` flag
-evaluates them on a zero-padded fine grid instead (factor 3/2 by default;
-the cubic terms of p=4 need factor >= 3 for exact quadrature, which the
-degenerate translation fixture uses so its symmetry survives discretely).
-Either grid is one `_EvalGrid`: u reaches the evaluation points through
-an interpolation matrix along each axis and forces return through its
-transpose (collocation: the identity), so the finite-difference
+Nonlinear terms are evaluated on the grid of `Nonlinearity.dealias_factor`:
+the torus grid itself at the default factor 1 (collocation), a zero-padded
+fine grid above it (the cubic terms of p=4 need factor >= 3 for exact
+quadrature, which the degenerate translation fixture uses so its symmetry
+survives discretely). Either grid is one `_EvalGrid`, built once per
+decomposition: u reaches the evaluation points through an interpolation
+matrix along each axis and forces return through its transpose
+(collocation: the identity), so the finite-difference
 identities hold at machine accuracy on either grid. Values, gradients and
 Hessian-vector products need nothing else. The dense Hessian's nonlinear
 block F^T diag(qw f') F, F the eigenfields at the evaluation points, is
@@ -51,6 +52,7 @@ from .torus import GridField
 
 __all__ = [
     "HessianModel",
+    "NegativeWeight",
     "Nonlinearity",
     "hessian_model",
     "interaction_defect",
@@ -59,34 +61,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """The data (h, p, q, gamma) of f(x,t) = h(x) |t|^(p-2) t.
-
-    q and gamma are growth/coercivity exponents carried along for the
-    hypothesis checks (2 < q <= p, gamma > 2; gamma = p makes the
-    coercivity inequality an identity). p >= 3 keeps f' locally Lipschitz
-    at t = 0, which Newton relies on.
+    """f(x,t) = h(x) |t|^(p-2) t, F = h |t|^p / p: the growth and coercivity
+    exponents of the hypotheses are both p. p >= 3 keeps f' locally
+    Lipschitz at t = 0, which Newton relies on; h (None: h = 1) must be
+    nonnegative. dealias_factor >= 1 picks the evaluation grid: 1 is the
+    torus grid, more zero-pads each axis to at least that many points.
     """
 
     p: float = 4.0
-    q: float = 3.0
-    gamma: float = 4.0
     weight: PeriodicPotential | None = None
-    dealias: bool = False
-    dealias_factor: float = 1.5
+    dealias_factor: float = 1.0
 
     def __post_init__(self) -> None:
         if self.p < 3.0:
             raise ValueError(f"p must be >= 3 (got {self.p}) so f' stays Lipschitz at 0")
-        if not (2.0 < self.q <= self.p):
-            raise ValueError(f"q must satisfy 2 < q <= p, got q={self.q}, p={self.p}")
-        if self.gamma <= 2.0:
-            raise ValueError(f"gamma must exceed 2, got {self.gamma}")
-        if self.dealias and self.dealias_factor < 1.0:
-            raise ValueError("dealias_factor must be >= 1")
+        if self.dealias_factor < 1.0:
+            raise ValueError(f"dealias_factor must be >= 1, got {self.dealias_factor}")
         if self.weight is not None:
             probe = self.weight.profile(np.linspace(0.0, 1.0, 257)) - self.weight.shift
-            if probe.min() < 0.0:
-                raise ValueError("weight h must be nonnegative")
+            _require_nonnegative(probe)
 
     def f(self, t: NDArray, h) -> NDArray:
         return h * np.abs(t) ** (self.p - 2.0) * t
@@ -108,18 +101,21 @@ class Nonlinearity:
         return _require_nonnegative(self.weight.evaluate(domain))
 
     def to_dict(self) -> dict:
-        d: dict = {"p": self.p, "q": self.q, "gamma": self.gamma}
+        d: dict = {"p": self.p}
         if self.weight is not None:
             d["h"] = self.weight.to_dict()
-        if self.dealias:
-            d["dealias"] = True
+        if self.dealias_factor != 1.0:
             d["dealias_factor"] = self.dealias_factor
         return d
 
 
+class NegativeWeight(ValueError):
+    """The weight h takes a negative value where the energy evaluates it."""
+
+
 def _require_nonnegative(h: NDArray[np.float64]) -> NDArray[np.float64]:
     if h.min() < 0.0:
-        raise ValueError(f"weight h must be nonnegative (grid minimum {h.min():.3g})")
+        raise NegativeWeight(f"weight h must be nonnegative (minimum {h.min():.3g})")
     return h
 
 
@@ -202,20 +198,21 @@ class _EvalGrid:
         return M.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
-# fine grids per decomposition; a grid holds no reference back to its key
-_FINE_GRIDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# evaluation grids per decomposition; a grid holds no reference back to its key
+_GRIDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _eval_grid(S: SpectralDecomposition, nl: Nonlinearity) -> _EvalGrid:
-    """The collocated grid, or the (cached) zero-padded fine grid of `nl.dealias`."""
-    dom = S.domain
-    if not nl.dealias:
-        return _EvalGrid(None, nl.weight_values(dom), dom.spacing**dom.dim, dom.dim, S.eigenfields)
-    grids = _FINE_GRIDS.setdefault(S, {})
+    """The (cached) grid of `nl.dealias_factor` on S's torus. At factor 1
+    the points -k/2 + k i/nf and the weight volume / nf^dim are the torus
+    grid's own, bit for bit, because M is a power of two."""
+    grids = _GRIDS.setdefault(S, {})
     key = (nl.dealias_factor, nl.weight)
     if key not in grids:
-        P = _interpolation_matrix(dom.points_per_axis, nl.dealias_factor)
-        nf = P.shape[0]
+        dom = S.domain
+        n = dom.points_per_axis
+        P = None if nl.dealias_factor == 1.0 else _interpolation_matrix(n, nl.dealias_factor)
+        nf = n if P is None else P.shape[0]
         h: NDArray | float = 1.0
         if nl.weight is not None:
             coords = -0.5 * dom.cells + dom.cells * np.arange(nf) / nf
@@ -268,7 +265,7 @@ def a_hessian(
     """
     grid = _eval_grid(S, nl)
     weight = grid.qw * nl.fprime(grid.samples(S.values_from_a(a)), grid.h)
-    if grid.P is not None and weight.size > 4 * S.num_modes:
+    if weight.size > 4 * S.num_modes:
         A = _sum_factorized(grid, weight)
     else:
         A = _gram_product(grid, weight)
@@ -282,7 +279,7 @@ def _gram_product(grid: _EvalGrid, weight: NDArray[np.float64]) -> NDArray[np.fl
     """F^T diag(weight) F as G^T G, G = F diag(sqrt(weight)).
 
     That is legitimate because f' = (p-1) h |u|^(p-2) is nonnegative:
-    p >= 3 and h >= 0, which `weight_values` and `_eval_grid` enforce.
+    p >= 3 and h >= 0, which `Nonlinearity` and `_eval_grid` enforce.
     NumPy evaluates G^T G as a symmetric rank-k update, half the flops of
     the general product, which fills both triangles from one.
     """

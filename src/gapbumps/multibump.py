@@ -294,10 +294,10 @@ def separation_sweep(
     m: int,
     l_values: list[int],
     S: SpectralDecomposition,
-    nl: Nonlinearity,
     opts: SolverOptions = SolverOptions(),
 ) -> list[dict]:
-    """solve_multibump per separation; failed rows carry their error.
+    """solve_multibump per separation, with the base's nonlinearity kb.nl;
+    failed rows carry their error.
 
     Centers sit at 0, l, 2l, ... along the first axis. Rows report the
     correction norm, reduced-coordinate norm, residual, and the energy
@@ -314,7 +314,7 @@ def separation_sweep(
         row: dict = {"l_sep": float(l), "centers": centers}
         try:
             prob = build_problem(kb, centers, S)
-            res = solve_multibump(prob, S, nl, opts)
+            res = solve_multibump(prob, S, kb.nl, opts)
         except (ValueError, RuntimeError) as err:
             row["failed"] = f"{type(err).__name__}: {err}"
             rows.append(row)

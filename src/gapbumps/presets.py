@@ -68,10 +68,10 @@ def default_potential() -> PeriodicPotential:
 def degenerate_problem() -> tuple[TorusDomain, PeriodicPotential, Nonlinearity]:
     """2-d torus, potential constant along axis 1, alias-free quartics.
 
-    Dealiasing at factor 3 makes the energy exactly invariant under
-    continuous axis-1 translations of trigonometric fields, so the base
-    solution carries a genuine one-dimensional Hessian kernel spanned by
-    its axis-1 derivative.
+    The nonlinearity's dealias_factor 3 evaluates the quartic energy
+    exactly, which makes it invariant under continuous axis-1 translations
+    of trigonometric fields, so the base solution carries a genuine
+    one-dimensional Hessian kernel spanned by its axis-1 derivative.
     """
     V = PeriodicPotential(amplitude=AMPLITUDE, shift=DEGENERATE_SHIFT, axes=(0,))
-    return TorusDomain(2, 3, 8), V, Nonlinearity(dealias=True, dealias_factor=3.0)
+    return TorusDomain(2, 3, 8), V, Nonlinearity(dealias_factor=3.0)

@@ -587,8 +587,6 @@ def deflated_search(
             rec = find_critical_point(init, S, nl, opts)
         except (NoConvergence, TrivialCollapse):
             continue
-        if rec.norm_k < opts.collapse_norm:
-            continue
         if any(
             same_orbit(rec.field, other.field, S, opts.deflation_radius)
             for other in pool

@@ -257,7 +257,7 @@ class VerificationSession:
         worst_g = 0.0
         worst_h = 0.0
         for trial in range(100):
-            nl = self.nl if trial % 2 == 0 else Nonlinearity(dealias=True)
+            nl = self.nl if trial % 2 == 0 else Nonlinearity(dealias_factor=1.5)
             a = rng.standard_normal(S.num_modes) / (1.0 + np.abs(S.eigenvalues)) ** 0.5
             v = rng.standard_normal(S.num_modes)
             v /= np.linalg.norm(v)
@@ -502,7 +502,7 @@ class VerificationSession:
         )
         # the sweep's row at separation 16 glues the two-bump witness;
         # a failed row has no norms: null in the report, and its entries fail
-        rows = separation_sweep(kb32, 2, [4, 8, 16], S32, self.nl)
+        rows = separation_sweep(kb32, 2, [4, 8, 16], S32)
         two = next((r for r in rows if r["l_sep"] == 16.0), {})
         J0_32 = self.base(32).energy
         dev2 = max((abs(e - J0_32) / J0_32 for e in two.get("bump_energies", ())), default=None)

@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import math
 from pathlib import Path
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapbumps import cli, verify
+from gapbumps import cli, presets, verify
 from gapbumps.cli import (
     _NUMERIC_ERRORS,
     ConfigError,
@@ -87,7 +89,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ('{"nonlinearity": {"dealias": "false"}}', "nonlinearity.dealias"),
+            ('{"nonlinearity": {"dealias_factor": "1.5"}}', "nonlinearity.dealias_factor"),
             ('{"domain": {"cells": 8.7}}', "domain.cells"),
             ('{"domain": {"dim": true}}', "domain.dim"),
             ('{"seed": true}', "seed"),
@@ -129,7 +131,7 @@ class TestConfig:
         cfg = load_config(str(path))
         assert cfg.potential.axes == (0,) and cfg.ansatz["center"] == [0]
         assert cfg.nonlinearity.weight == PeriodicPotential(amplitude=0.5, shift=-2.0)
-        assert load_config(None).config_hash == "58b105abd4876707"
+        assert load_config(None).config_hash == "44f18bbd7a2c0168"
 
     def test_flag_overrides_apply(self):
         cfg = load_config(None, {"domain.cells": 4, "seed": 77})
@@ -317,6 +319,7 @@ class TestCommands:
             (["--config", "{flat_domain}", "spectrum", "--k", "8"], "domain"),
             (["solve", "--k", "8", "--tries", "0"], "--tries"),
             (["solve", "--k", "8", "--tries", "-3"], "--tries"),
+            (["--config", "{negweight}", "solve"], "nonnegative"),
         ],
         ids=[
             "reduce_tau_zero", "multibump_tau_negative", "seps_descending", "seps_zero",
@@ -327,7 +330,7 @@ class TestCommands:
             "reduce_tau_inf", "solve_seed_negative", "verify_seed_negative",
             "config_seed_negative", "centers_collide", "centers_below_floor",
             "ansatz_center_nan", "ansatz_amplitude_inf", "config_infinity", "flag_into_number",
-            "tries_zero", "tries_negative",
+            "tries_zero", "tries_negative", "weight_negative_on_the_grid",
         ],
     )
     def test_bad_arguments_exit_2(self, outdir, tmp_path, solution_k8, capsys, argv, message):
@@ -339,9 +342,47 @@ class TestCommands:
         nonfinite.write_text('{"ansatz": {"amplitude": Infinity}}')
         flat_domain = tmp_path / "flat_domain.json"
         flat_domain.write_text('{"domain": 8}')
-        files = dict(flat=flat, negseed=negseed, nonfinite=nonfinite, flat_domain=flat_domain)
+        # cos(2 pi x) + cos(2 pi y) + 1.5 passes the one-axis probe (minimum
+        # 0.5) but reaches -0.5 on the 2-d grid
+        negweight = tmp_path / "negweight.json"
+        negweight.write_text(json.dumps({
+            "domain": {"dim": 2, "cells": 3, "samples_per_cell": 8},
+            "potential": {"shift": presets.DEGENERATE_SHIFT, "axes": [0]},
+            "nonlinearity": {"h": {"amplitude": 1.0, "shift": -1.5}},
+            "ansatz": {"width": 0.4},
+        }))
+        files = dict(
+            flat=flat, negseed=negseed, nonfinite=nonfinite, flat_domain=flat_domain,
+            negweight=negweight,
+        )
         argv = [a.format(base=solution_k8, **files) for a in argv]
         assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+
+    @pytest.mark.parametrize(
+        "out, argv, message",
+        [
+            ("{blocker}", ["spectrum", "--k", "2"], "GAPBUMPS_OUT"),
+            ("{blocker}/out", ["spectrum", "--k", "2"], "GAPBUMPS_OUT"),
+            ("{tmp}/out", ["reduce", "--solution", "{tmp}/dir.json"], "dir.json"),
+            ("{tmp}/out", ["--config", "{tmp}/latin1.json", "spectrum"], "latin1.json"),
+            ("{tmp}/out", ["reduce", "--solution", "{tmp}/latin1.json"], "latin1.json"),
+            ("{tmp}/out", ["reduce", "--solution", "{tmp}/latin1.csv"], "latin1.csv"),
+        ],
+        ids=[
+            "out_is_a_file", "out_under_a_file", "solution_is_a_directory",
+            "config_not_utf8", "record_not_utf8", "csv_not_utf8",
+        ],
+    )
+    def test_unusable_outside_files_exit_2(self, tmp_path, monkeypatch, capsys, out, argv, message):
+        (tmp_path / "blocker").write_text("")
+        (tmp_path / "dir.json").mkdir()
+        for name in ("latin1.json", "latin1.csv"):
+            (tmp_path / name).write_bytes('{"seed": "\u00e9"}'.encode("latin-1"))
+        fill = lambda text: text.format(tmp=tmp_path, blocker=tmp_path / "blocker")
+        monkeypatch.setenv("GAPBUMPS_OUT", fill(out))
+        assert main([fill(a) for a in argv]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and message in err
 
@@ -374,7 +415,7 @@ class TestCommands:
         assert "seconds" not in json.loads((outdir / "report.json").read_text())
 
     def test_failed_sweep_row_keeps_the_report_strict(self, outdir, monkeypatch):
-        def one_failed_row(kb, m, l_values, S, nl, opts=None):
+        def one_failed_row(kb, m, l_values, S, opts=None):
             return [{"l_sep": 4.0, "centers": [(0,), (4,)], "failed": "NoConvergence: stub"}]
 
         def multibump_only(seed):
@@ -468,7 +509,7 @@ class TestCommands:
             (lambda rec: rec.update(values=rec["values"][:-3]), "128 values"),
             (lambda rec: rec["domain"].pop("cells"), "domain.cells"),
             (lambda rec: rec["domain"].update(cells=8.0), "domain.cells"),
-            (lambda rec: rec["nonlinearity"].update(dealias="false"), "nonlinearity.dealias"),
+            (lambda rec: rec["nonlinearity"].update(dealias_factor="1.5"), "nonlinearity.dealias_factor"),
             (lambda rec: rec.update(potential=[]), "potential"),
             (lambda rec: rec["potential"].pop("shift"), "potential.shift"),
             (lambda rec: rec["nonlinearity"].pop("p"), "nonlinearity.p"),
@@ -542,12 +583,10 @@ class TestCommands:
 _RECORD_KEYS = [
     ("domain",), ("domain", "dim"), ("domain", "cells"), ("domain", "samples_per_cell"),
     ("potential",), ("potential", "kind"), ("potential", "amplitude"), ("potential", "shift"),
-    ("nonlinearity",), ("nonlinearity", "p"), ("nonlinearity", "q"), ("nonlinearity", "gamma"),
-    ("values",),
+    ("nonlinearity",), ("nonlinearity", "p"), ("values",),
 ]
 _RECORD_NUMBERS = [
-    ("potential", "amplitude"), ("potential", "shift"),
-    ("nonlinearity", "p"), ("nonlinearity", "q"), ("nonlinearity", "gamma"),
+    ("potential", "amplitude"), ("potential", "shift"), ("nonlinearity", "p"),
 ]
 
 
@@ -624,3 +663,69 @@ class TestRecordProperties:
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("GAPBUMPS_OUT", str(out))
             assert main(["reduce", "--solution", str(path)]) == 2
+
+
+# leaf config fields: values the schema and every constructor accept, and
+# values of another JSON type
+_NUMBER_WRONG = ["x", True, None, [], {}]
+_CONFIG_FIELDS = {
+    ("domain", "dim"): (st.sampled_from([1, 2]), [*_NUMBER_WRONG, 1.5]),
+    ("domain", "cells"): (st.integers(1, 64), [*_NUMBER_WRONG, 8.5]),
+    ("domain", "samples_per_cell"): (st.sampled_from([8, 16, 32]), [*_NUMBER_WRONG, 16.0]),
+    ("potential", "amplitude"): (st.floats(10.0, 50.0), _NUMBER_WRONG),
+    ("potential", "axes"): (st.sampled_from([None, [0]]), ["x", True, {}, 0, [0.5]]),
+    ("nonlinearity", "p"): (st.floats(3.0, 6.0), _NUMBER_WRONG),
+    ("nonlinearity", "dealias_factor"): (st.floats(1.0, 3.0), _NUMBER_WRONG),
+    ("solver", "newton_tol"): (st.floats(1e-12, 1e-6), _NUMBER_WRONG),
+    ("solver", "max_iters"): (st.integers(1, 500), [*_NUMBER_WRONG, 200.0]),
+    ("solver", "backtrack"): (st.floats(0.1, 0.9), _NUMBER_WRONG),
+    ("seed",): (st.integers(0, 2**32), [*_NUMBER_WRONG, 0.5]),
+    ("ansatz", "width"): (st.floats(0.1, 2.0), _NUMBER_WRONG),
+    ("ansatz", "amplitude"): (st.floats(-10.0, 10.0), _NUMBER_WRONG),
+}
+
+
+def _nested(flat: dict) -> dict:
+    """{("a", "b"): v} as {"a": {"b": v}}."""
+    out: dict = {}
+    for path, value in flat.items():
+        node = out
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+    return out
+
+
+@st.composite
+def _config_fields(draw) -> dict:
+    paths = draw(st.lists(st.sampled_from(sorted(_CONFIG_FIELDS)), unique=True))
+    return {path: draw(_CONFIG_FIELDS[path][0], label=".".join(path)) for path in paths}
+
+
+class TestConfigProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(fields=_config_fields())
+    def test_given_fields_load_over_the_defaults(self, tmp_path_factory, fields):
+        path = tmp_path_factory.mktemp("config") / "cfg.json"
+        path.write_text(json.dumps(_nested(fields)))
+        cfg = load_config(str(path))
+        expected = copy.deepcopy(cli._DEFAULT_CONFIG)
+        for where, value in fields.items():
+            _set(expected, where, value)
+        assert cfg.raw == expected
+        assert (cfg.domain.dim, cfg.domain.cells) == (expected["domain"]["dim"], expected["domain"]["cells"])
+        assert cfg.nonlinearity.p == expected["nonlinearity"]["p"]
+        assert cfg.nonlinearity.dealias_factor == expected["nonlinearity"]["dealias_factor"]
+        assert cfg.seed == expected["seed"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(fields=_config_fields(), data=st.data())
+    def test_a_field_of_the_wrong_type_exits_2_and_is_named(self, tmp_path_factory, fields, data):
+        where = data.draw(st.sampled_from(sorted(_CONFIG_FIELDS)), label="field")
+        fields[where] = data.draw(st.sampled_from(_CONFIG_FIELDS[where][1]), label="value")
+        path = tmp_path_factory.mktemp("config") / "cfg.json"
+        path.write_text(json.dumps(_nested(fields)))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["--config", str(path), "spectrum"]) == 2
+        assert f"'{'.'.join(where)}'" in err.getvalue()

@@ -189,13 +189,13 @@ class TestDenseOracle:
         dense_vals, dense_vecs = scipy.linalg.eigh(A)
         S = diagonalize(V, domain)
         E, vals = S.eigenfields, S.eigenvalues
-        tol = 1e-10 * np.abs(dense_vals).max()
+        tol = 1e-13 * np.abs(dense_vals).max()
         assert np.abs(vals - dense_vals).max() <= tol
         # eigenfields are L2-normalized: Euclidean norm M^(dim/2)
         unit = domain.samples_per_cell ** (domain.dim / 2.0)
         assert np.linalg.norm(A @ E - E * vals, axis=0).max() / unit <= tol
         h = domain.spacing**domain.dim
-        assert np.abs(h * (E.T @ E) - np.eye(vals.size)).max() <= 1e-12
+        assert np.abs(h * (E.T @ E) - np.eye(vals.size)).max() <= 1e-13
         # each eigenspace is the dense one, whatever basis spans it
         for block in _eigenspaces(dense_vals, 1e-8 * np.abs(dense_vals).max()):
             P = h * E[:, block] @ E[:, block].T
@@ -210,7 +210,7 @@ class TestDenseOracle:
         cols = np.random.default_rng(0).choice(S.num_modes, 64, replace=False)
         E = S.eigenfields[:, cols]
         gram = domain.spacing * (E.T @ E)
-        assert np.abs(gram - np.eye(cols.size)).max() <= 1e-12
+        assert np.abs(gram - np.eye(cols.size)).max() <= 1e-13
 
 
 class TestSplitting:

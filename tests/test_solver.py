@@ -217,7 +217,7 @@ class TestLowRankHessian:
     def test_matches_dense_on_a_long_torus(self, S64, nl, ansatz64, base64, rng, point):
         field = ansatz64 if point == "ansatz" else base64.field
         if point == "dealiased":
-            nl = Nonlinearity(dealias=True)
+            nl = Nonlinearity(dealias_factor=1.5)
         a = S64.a_from_field(field)
         model = _low_rank(S64, nl, a)
         assert model.subspace_dim <= S64.num_modes // 2
@@ -271,7 +271,7 @@ class TestLowRankHessian:
         assert hessian_model(S64, nl, a, X).backend == "dense"
         # the rule reads r the same way on either grid: a localized bump
         # keeps few fine rows active, the 2-d fixture's solution almost all
-        dealiased = Nonlinearity(dealias=True)
+        dealiased = Nonlinearity(dealias_factor=1.5)
         assert hessian_model(S64, dealiased, a).backend == "low-rank"
         S2, nl2, rec, _ = degenerate
         assert hessian_model(S2, nl2, S2.a_from_field(rec.field)).backend == "dense"
