@@ -186,13 +186,16 @@ def _domain_from_dict(d: dict) -> TorusDomain:
         raise ConfigError(f"domain: {e}") from e
 
 
-def _potential_from_dict(d: dict) -> PeriodicPotential:
-    """A checked potential dict (every field present) as a PeriodicPotential."""
+def _potential_from_dict(d: dict, dim: int, path: str = "potential") -> PeriodicPotential:
+    """A checked potential dict (every field present) as a PeriodicPotential
+    on a `dim`-dimensional torus; `path` names it in errors."""
+    if any(not 0 <= ax < dim for ax in d["axes"] or ()):
+        raise ConfigError(f"config field '{path}.axes' must name axes 0..{dim - 1}: {d['axes']}")
     shift = d["shift"]
     try:
         if shift == "auto-midgap":
             if d["kind"] != "cosine":
-                raise ConfigError("potential.shift 'auto-midgap' requires kind 'cosine'")
+                raise ConfigError(f"{path}.shift 'auto-midgap' requires kind 'cosine'")
             shift = midgap_shift(float(d["amplitude"]))
         return PeriodicPotential(
             kind=d["kind"],
@@ -202,15 +205,15 @@ def _potential_from_dict(d: dict) -> PeriodicPotential:
             axes=tuple(d["axes"]) if d["axes"] is not None else None,
         )
     except ValueError as e:
-        raise ConfigError(f"potential: {e}") from e
+        raise ConfigError(f"{path}: {e}") from e
 
 
-def _nonlinearity_from_dict(d: dict) -> Nonlinearity:
+def _nonlinearity_from_dict(d: dict, dim: int) -> Nonlinearity:
     """A checked nonlinearity dict (every field present) as a Nonlinearity."""
     try:
         return Nonlinearity(
             p=float(d["p"]),
-            weight=_potential_from_dict(d["h"]) if d["h"] is not None else None,
+            weight=None if d["h"] is None else _potential_from_dict(d["h"], dim, "nonlinearity.h"),
             dealias_factor=float(d["dealias_factor"]),
         )
     except ValueError as e:
@@ -251,8 +254,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     if raw["seed"] < 0:
         raise ConfigError(f"seed must be non-negative, got {raw['seed']}")
     domain = _domain_from_dict(raw["domain"])
-    potential = _potential_from_dict(raw["potential"])
-    nl = _nonlinearity_from_dict(raw["nonlinearity"])
+    potential = _potential_from_dict(raw["potential"], domain.dim)
+    nl = _nonlinearity_from_dict(raw["nonlinearity"], domain.dim)
     try:
         solver = SolverOptions(**raw["solver"])
     except ValueError as e:
@@ -357,8 +360,8 @@ def _record_from_file(path: str, cfg: RunConfig):
             }
             domain = _domain_from_dict(checked["domain"])
             field = GridField(domain, np.asarray(d["values"]))
-            V = _potential_from_dict(checked["potential"])
-            nl = _nonlinearity_from_dict(checked["nonlinearity"])
+            V = _potential_from_dict(checked["potential"], domain.dim)
+            nl = _nonlinearity_from_dict(checked["nonlinearity"], domain.dim)
         except ConfigError as e:
             raise ConfigError(f"{path}: {e}") from e
         except (AttributeError, KeyError, TypeError, ValueError) as e:

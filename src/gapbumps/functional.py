@@ -29,12 +29,10 @@ decomposition: u reaches the evaluation points through an interpolation
 matrix along each axis and forces return through its transpose
 (collocation: the identity), so the finite-difference
 identities hold at machine accuracy on either grid. Values, gradients and
-Hessian-vector products need nothing else. The dense Hessian's nonlinear
-block F^T diag(qw f') F, F the eigenfields at the evaluation points, is
-assembled as E^T M E from the grid-space Gram matrix M of the
-interpolation where the fine grid has more than 4x the coarse points (the
-2-d factor-3 fixture), and as the Gram product over F otherwise; F itself
-is built only on that second route and for the low-rank model's rows.
+Hessian-vector products need nothing else. Every product with the
+eigenfield matrix E is the decomposition's: the dense Hessian's nonlinear
+block is E^T M E for the grid form M of `_EvalGrid.form`, and the
+low-rank model's rows are the sampling map's rows times E.
 """
 
 from __future__ import annotations
@@ -149,17 +147,14 @@ class _EvalGrid:
 
     P (nf x n, the same on every axis) maps grid values to the evaluation
     points; None stands for the identity of the collocated grid. h and qw
-    are the weight and the quadrature weight there. eigenfields is the
-    decomposition's N x N matrix, one eigenfield per column; `fields`
-    samples it at the evaluation points, built on first use. The grid keeps
-    that array, never the decomposition, so the weak-key cache can let go.
+    are the weight and the quadrature weight there. The grid holds no
+    reference to the decomposition, so the weak-key cache can let go.
     """
 
     P: NDArray[np.float64] | None
     h: NDArray[np.float64] | float
     qw: float
     dim: int
-    eigenfields: NDArray[np.float64] | None = None
 
     def samples(self, values: NDArray[np.float64]) -> NDArray[np.float64]:
         """Grid values (the grid axes last) at the evaluation points."""
@@ -169,19 +164,21 @@ class _EvalGrid:
         """The transpose of `samples`."""
         return fine if self.P is None else _along_axes(self.P.T, fine, self.dim)
 
-    @cached_property
-    def fields(self) -> NDArray[np.float64]:
-        """The eigenfields at the evaluation points, N_f x N (nf^dim x n^dim)."""
+    def rows(self, points: NDArray[np.intp]) -> NDArray:
+        """The rows of the sampling map Q at the flat indices `points` of
+        evaluation points: `points` itself on the collocated grid, where Q
+        is the identity; otherwise r x n^dim, Q = P x P in 2-d."""
         if self.P is None:
-            return self.eigenfields
-        n = self.P.shape[1]
-        # the transpose of the Fortran-order eigenfield matrix is a C-order view
-        fine = _along_axes(self.P, self.eigenfields.T.reshape((-1,) + (n,) * self.dim), self.dim)
-        return fine.reshape(self.eigenfields.shape[1], -1).T
+            return points
+        R = np.ones((points.size, 1))
+        for i in np.unravel_index(points, (self.P.shape[0],) * self.dim):
+            R = (R[:, :, None] * self.P[i][:, None, :]).reshape(points.size, -1)
+        return R
 
-    def gram(self, w: NDArray[np.float64]) -> NDArray[np.float64]:
+    def form(self, w: NDArray[np.float64]) -> NDArray[np.float64]:
         """M = Q^T diag(w) Q for weights w at the evaluation points, Q the
-        sampling map of `samples` (P in 1-d, P x P in 2-d): n^dim x n^dim.
+        sampling map of `samples`: w itself (diagonal) on the collocated
+        grid, else n^dim x n^dim (Q = P in 1-d, P x P in 2-d).
 
         In 2-d, PP[a, (i, j)] = P[a, i] P[a, j] gives every axis-1 sum as
         one product, T = w PP, and the axis-0 sum as a second, PP^T T,
@@ -190,12 +187,20 @@ class _EvalGrid:
         ch. 4).
         """
         P = self.P
+        if P is None:
+            return w.reshape(-1)
         nf, n = P.shape
         if self.dim == 1:
             return P.T @ (w.reshape(nf, 1) * P)
         PP = (P[:, :, None] * P[:, None, :]).reshape(nf, n * n)
         M = PP.T @ (w.reshape(nf, nf) @ PP)
         return M.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
+def _eval_mesh(domain, nf: int) -> list[NDArray[np.float64]]:
+    """The coordinates of nf equispaced points per axis on the torus of `domain`."""
+    coords = -0.5 * domain.cells + domain.cells * np.arange(nf) / nf
+    return np.meshgrid(*([coords] * domain.dim), indexing="ij")
 
 
 # evaluation grids per decomposition; a grid holds no reference back to its key
@@ -215,10 +220,8 @@ def _eval_grid(S: SpectralDecomposition, nl: Nonlinearity) -> _EvalGrid:
         nf = n if P is None else P.shape[0]
         h: NDArray | float = 1.0
         if nl.weight is not None:
-            coords = -0.5 * dom.cells + dom.cells * np.arange(nf) / nf
-            mesh = np.meshgrid(*([coords] * dom.dim), indexing="ij")
-            h = _require_nonnegative(nl.weight.evaluate_on(mesh))
-        grids[key] = _EvalGrid(P, h, dom.volume / nf**dom.dim, dom.dim, S.eigenfields)
+            h = _require_nonnegative(nl.weight.evaluate_on(_eval_mesh(dom, nf)))
+        grids[key] = _EvalGrid(P, h, dom.volume / nf**dom.dim, dom.dim)
     return grids[key]
 
 
@@ -240,7 +243,7 @@ def a_value_and_gradient(
     values = S.values_from_a(a)
     Fint, fterm = _nl_integral_and_force(S, nl, values)
     J = 0.5 * float(np.dot(S.signs * a, a)) - Fint
-    g = S.signs * a - (S.eigenfields.T @ fterm.reshape(-1)) / S.weights
+    g = S.signs * a - S.a_from_dual(fterm)
     return J, g
 
 def a_gradient(S, nl, a: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -251,50 +254,18 @@ def a_hessian(
     S: SpectralDecomposition, nl: Nonlinearity, a: NDArray[np.float64]
 ) -> NDArray[np.float64]:
     """Dense symmetric Hessian of J in the weighted coordinates:
-    D - W^-1 F^T diag(qw f') F W^-1, W = diag(weights).
+    D - E^T M E / (w w^T), M = `_EvalGrid.form` of the weights qw f'.
 
-    F is the eigenfields sampled at the evaluation points (`_EvalGrid.fields`,
-    the eigenfields themselves on the collocated grid). A fixed flop rule
-    picks one of two exact forms of the nonlinear block. The sum-factorized
-    E^T M E (`_sum_factorized`) costs about 2N^3 multiply-adds and builds
-    no N_f x N matrix; the Gram product G^T G (`_gram_product`) costs
-    N_f N^2 / 2. So a fine grid with more than 4x the coarse points,
-    N_f > 4N, takes the first, and every other grid the second. Both are
-    exactly symmetric, and dividing by the symmetric outer(weights,
-    weights) keeps them so.
+    M is diagonal on the collocated grid, where the block is a Gram product:
+    f' = (p-1) h |u|^(p-2) >= 0 because p >= 3 and h >= 0 (`Nonlinearity`,
+    `_eval_grid`). On a fine grid M is sum-factorized, so no N_f x N
+    matrix is formed.
     """
     grid = _eval_grid(S, nl)
     weight = grid.qw * nl.fprime(grid.samples(S.values_from_a(a)), grid.h)
-    if weight.size > 4 * S.num_modes:
-        A = _sum_factorized(grid, weight)
-    else:
-        A = _gram_product(grid, weight)
-    A /= np.outer(S.weights, S.weights)
+    A = S.a_form(grid.form(weight))
     np.negative(A, out=A)
     A[np.diag_indices_from(A)] += S.signs
-    return A
-
-
-def _gram_product(grid: _EvalGrid, weight: NDArray[np.float64]) -> NDArray[np.float64]:
-    """F^T diag(weight) F as G^T G, G = F diag(sqrt(weight)).
-
-    That is legitimate because f' = (p-1) h |u|^(p-2) is nonnegative:
-    p >= 3 and h >= 0, which `Nonlinearity` and `_eval_grid` enforce.
-    NumPy evaluates G^T G as a symmetric rank-k update, half the flops of
-    the general product, which fills both triangles from one.
-    """
-    G = grid.fields * np.sqrt(weight).reshape(-1)[:, None]
-    return G.T @ G
-
-
-def _sum_factorized(grid: _EvalGrid, weight: NDArray[np.float64]) -> NDArray[np.float64]:
-    """F^T diag(weight) F as E^T M E, M = `grid.gram(weight)` and E the
-    eigenfields: F = Q E with Q the sampling map, so F is never formed.
-    A += A^T makes the result exactly symmetric."""
-    E = grid.eigenfields
-    A = E.T @ (grid.gram(weight) @ E)
-    A += A.T
-    A *= 0.5
     return A
 
 
@@ -306,7 +277,7 @@ def a_hessvec(
     samples = grid.samples(S.values_from_a(a))
     vsamples = grid.samples(S.values_from_a(v))
     prod = grid.adjoint(grid.qw * nl.fprime(samples, grid.h) * vsamples)
-    return S.signs * v - (S.eigenfields.T @ prod.reshape(-1)) / S.weights
+    return S.signs * v - S.a_from_dual(prod)
 
 
 class _SignBlock:
@@ -540,18 +511,13 @@ def _active_rows(
 def _gram_factor(
     S: SpectralDecomposition, nl: Nonlinearity, weight: NDArray, rows: NDArray[np.intp]
 ) -> NDArray[np.float64]:
-    """The rows of G, G^T G the nonlinear block of the Hessian in a-coordinates.
-
-    They are rows of `_EvalGrid.fields`, which a fine grid builds on the
-    first call (N_f x N, kept per decomposition): cheaper over a Newton run
-    than sampling the r rows afresh on every call, r N^2 flops each.
+    """The rows of G, G^T G the nonlinear block of the Hessian in a-coordinates:
+    the sampling map's rows at the active points, scaled by sqrt(weight).
+    A gather on the collocated grid; on a fine grid r N^2 flops per call.
     """
     if not rows.size:  # u = 0: nothing to sample
         return np.empty((0, S.num_modes))
-    G = _eval_grid(S, nl).fields[rows]
-    G *= np.sqrt(weight[rows])[:, None]
-    G /= S.weights
-    return G
+    return S.a_rows(_eval_grid(S, nl).rows(rows), np.sqrt(weight[rows]))
 
 
 def hessian_model(

@@ -18,13 +18,13 @@ import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
-from .functional import Nonlinearity, hessian_model
+from .functional import Nonlinearity, _eval_grid, _eval_mesh, hessian_model
 from .operator import SpectralDecomposition
 from .reduction import (
     KernelBasis, _embed_field, _projected_newton, joint_kernel_matrix, kernel_combination, solve_w,
 )
 from .solver import NoConvergence, SolverOptions, find_critical_point
-from .torus import GridField, TorusDomain, min_image, spectral_gradient, translate
+from .torus import GridField, TorusDomain, min_image, translate
 
 # phase 2 (reduced Newton) stops once |X^T grad J| falls to this
 REDUCED_TOL = 1e-9
@@ -165,35 +165,22 @@ class MultibumpResult:
 
 
 def _voronoi_labels(
-    domain: TorusDomain, centers: tuple[tuple[int, ...], ...]
+    mesh: list[NDArray[np.float64]], cells: int, centers: tuple[tuple[int, ...], ...]
 ) -> NDArray[np.int_]:
-    # nearest center per grid point, axes wrapped; ties go to the lowest
-    # center index so the split is deterministic
-    grids = domain.meshgrid()
-    best_d = np.full(domain.shape, np.inf)
-    labels = np.zeros(domain.shape, dtype=int)
+    """The nearest center to each point of a coordinate mesh on the torus
+    of `cells` cells, axes wrapped; ties go to the lowest center index so
+    the split is deterministic."""
+    best_d = np.full(mesh[0].shape, np.inf)
+    labels = np.zeros(mesh[0].shape, dtype=int)
     for idx, b in enumerate(centers):
-        sq = np.zeros(domain.shape)
-        for ax, g in enumerate(grids):
-            d = min_image(g - float(b[ax]), domain.cells)
+        sq = np.zeros(mesh[0].shape)
+        for ax, g in enumerate(mesh):
+            d = min_image(g - float(b[ax]), cells)
             sq = sq + d * d
         closer = sq < best_d - 1e-12
         best_d = np.where(closer, sq, best_d)
         labels = np.where(closer, idx, labels)
     return labels
-
-
-def energy_density(
-    u: GridField, S: SpectralDecomposition, nl: Nonlinearity
-) -> NDArray[np.float64]:
-    """Pointwise integrand of J: half the quadratic density minus F."""
-    Vvals = S.potential.evaluate(u.domain)
-    grads = spectral_gradient(u)
-    quad = np.zeros(u.domain.shape)
-    for g in grads:
-        quad = quad + g.values**2
-    h = nl.weight_values(u.domain)
-    return 0.5 * (quad + Vvals * u.values**2) - nl.F(u.values, h)
 
 
 def bump_energy_split(
@@ -202,11 +189,25 @@ def bump_energy_split(
     nl: Nonlinearity,
     centers: tuple[tuple[int, ...], ...],
 ) -> tuple[float, ...]:
-    dens = energy_density(u, S, nl)
-    labels = _voronoi_labels(u.domain, centers)
-    cell = u.domain.spacing ** u.domain.dim
+    """J(u) split among the bumps: each of J's own terms summed over the
+    points nearest each center, so the parts sum to J to rounding.
+
+    The quadratic part is 1/2 u (-Lap + V) u on the torus grid, with
+    (-Lap + V) u = values_from_a(lambda a); the nonlinear part is qw F on
+    the nonlinearity's evaluation grid, labelled on that grid.
+    """
+    dom = u.domain
+    Lu = S.values_from_a(S.eigenvalues * S.a_from_field(u))
+    quad = 0.5 * dom.spacing**dom.dim * u.values * Lu
+    grid = _eval_grid(S, nl)
+    F = grid.qw * nl.F(grid.samples(u.values), grid.h)
+    quad_labels = _voronoi_labels(dom.meshgrid(), dom.cells, centers)
+    F_labels = quad_labels
+    if grid.P is not None:
+        F_labels = _voronoi_labels(_eval_mesh(dom, grid.P.shape[0]), dom.cells, centers)
     return tuple(
-        float(dens[labels == i].sum() * cell) for i in range(len(centers))
+        float(quad[quad_labels == i].sum() - F[F_labels == i].sum())
+        for i in range(len(centers))
     )
 
 

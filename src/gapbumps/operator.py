@@ -259,6 +259,34 @@ class SpectralDecomposition:
     def values_from_a(self, a: NDArray[np.float64]) -> NDArray[np.float64]:
         return (self.eigenfields @ (a / self.weights)).reshape(self.domain.shape)
 
+    def a_from_dual(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
+        """E^T v / weights, the transpose of values_from_a."""
+        return (self.eigenfields.T @ v.reshape(-1)) / self.weights
+
+    def a_form(self, M: NDArray[np.float64]) -> NDArray[np.float64]:
+        """E^T M E / (w w^T), exactly symmetric, for a grid quadratic form M:
+        nonnegative weights (diagonal; G^T G with G = diag(sqrt M) E, which
+        NumPy runs as a symmetric rank-k update) or a symmetric N x N matrix
+        (E^T (M E), symmetrized by A += A^T)."""
+        E = self.eigenfields
+        if M.ndim == 1:
+            G = E * np.sqrt(M)[:, None]
+            A = G.T @ G
+        else:
+            A = E.T @ (M @ E)
+            A += A.T
+            A *= 0.5
+        A /= np.outer(self.weights, self.weights)
+        return A
+
+    def a_rows(self, R: NDArray, scale: NDArray[np.float64]) -> NDArray[np.float64]:
+        """diag(scale) R E / w for rows R (r x N) of a sampling map; an index
+        array R selects rows of the identity, a gather of E's rows."""
+        G = self.eigenfields[R] if R.ndim == 1 else R @ self.eigenfields
+        G *= scale[:, None]
+        G /= self.weights
+        return G
+
     def field_from_a(self, a: NDArray[np.float64]) -> GridField:
         return GridField(self.domain, self.values_from_a(a))
 

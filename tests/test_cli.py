@@ -122,6 +122,43 @@ class TestConfig:
             load_config(str(path))
         assert main(["--config", str(path), "spectrum"]) == 2
 
+    @pytest.mark.parametrize(
+        "source, section, axes",
+        [
+            ("config", "potential", [5]),
+            ("config", "potential", [-1]),
+            ("config", "nonlinearity.h", [1]),
+            ("record", "potential", [5]),
+            ("record", "nonlinearity.h", [-1]),
+        ],
+        ids=["config_axis_5", "config_axis_negative", "config_weight_axis_1",
+             "record_axis_5", "record_weight_axis_negative"],
+    )
+    def test_axes_outside_the_domain_exit_2(self, outdir, tmp_path, capsys, source, section, axes):
+        # on the 1-d domain only axis 0 exists; skipping the others would
+        # leave a constant potential or weight
+        def put(d: dict) -> None:
+            if section == "potential":
+                d.setdefault("potential", {})["axes"] = axes
+            else:
+                d.setdefault("nonlinearity", {})["h"] = {"amplitude": 0.5, "shift": -2.0, "axes": axes}
+
+        path = tmp_path / "axes.json"
+        if source == "config":
+            cfg: dict = {}
+            put(cfg)
+            path.write_text(json.dumps(cfg))
+            argv = ["--config", str(path), "spectrum"]
+        else:
+            assert main(["solve", "--k", "8", "--seed", "7"]) == 0
+            rec = json.loads((outdir / "solution.json").read_text())
+            put(rec)
+            path.write_text(json.dumps(rec))
+            argv = ["reduce", "--solution", str(path)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert f"{section}.axes" in capsys.readouterr().err
+
     def test_null_defaults_take_their_types(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapbumps.functional import (
+    HessianModel,
     Nonlinearity,
     _EvalGrid,
     _along_axes,
+    _active_rows,
     _eval_grid,
-    _gram_product,
+    _gram_factor,
     _interpolation_matrix,
-    _sum_factorized,
     a_gradient,
     a_hessian,
     a_hessvec,
@@ -22,8 +23,7 @@ from gapbumps.functional import (
 )
 from gapbumps import presets
 from gapbumps.operator import PeriodicPotential, diagonalize
-from gapbumps.reduction import detect_kernel, kernel_combination, solve_w
-from gapbumps.solver import find_critical_point, initial_ansatz
+from gapbumps.solver import initial_ansatz
 from gapbumps.torus import GridField, TorusDomain, translate
 
 
@@ -141,16 +141,22 @@ class TestDerivatives:
         assert (Jp - Jm) / (2 * eps) == pytest.approx(float(g @ v), rel=1e-7, abs=1e-9)
 
 
-def _symmetrized_hessian(S, nl, a):
-    """a_hessian's earlier formula over its own sampled eigenfield matrix:
-    diag(signs) - W / outer(w, w), then symmetrized."""
+def _oracle_rows(S, nl, a):
+    """diag(sqrt(qw f')) F over the whole evaluation grid, F the
+    eigenfields sampled there column by column (N_f x N)."""
     grid = _eval_grid(S, nl)
     F = S.eigenfields
     if grid.P is not None:
         fine = _along_axes(grid.P, S.eigenfields.T.reshape((-1,) + S.domain.shape), grid.dim)
         F = fine.reshape(S.num_modes, -1).T
     samples = grid.samples(S.values_from_a(a))
-    G = F * np.sqrt(grid.qw * nl.fprime(samples, grid.h)).reshape(-1)[:, None]
+    return F * np.sqrt(grid.qw * nl.fprime(samples, grid.h)).reshape(-1)[:, None]
+
+
+def _symmetrized_hessian(S, nl, a):
+    """a_hessian's earlier formula over its own sampled eigenfield matrix:
+    diag(signs) - G^T G / outer(w, w), then symmetrized."""
+    G = _oracle_rows(S, nl, a)
     A = np.diag(S.signs) - (G.T @ G) / np.outer(S.weights, S.weights)
     return 0.5 * (A + A.T)
 
@@ -184,54 +190,47 @@ class TestHessianAssembly:
         assert np.abs(H - oracle).max() <= 1e-13 * np.abs(oracle).max()
         assert np.array_equal(H, H.T)
 
-    @pytest.mark.parametrize("factor", [1.5, 3.0])
-    def test_both_routes_agree_on_the_2d_fixture(self, degenerate, factor):
-        S2, nl2, rec, _ = degenerate
-        S, nl = _fresh(S2), dataclasses.replace(nl2, dealias_factor=factor)
-        grid = _eval_grid(S, nl)
-        a = S.a_from_field(rec.field)
-        weight = grid.qw * nl.fprime(grid.samples(S.values_from_a(a)), grid.h)
-        summed, gram = _sum_factorized(grid, weight), _gram_product(grid, weight)
-        assert np.array_equal(summed, summed.T)
-        assert np.abs(summed - gram).max() <= 1e-13 * np.abs(gram).max()
-
-    def test_the_2d_fixture_never_samples_the_eigenfield_matrix(self, degenerate):
-        # N_f = 9 N: Newton, the kernel split and solve_w all take the
-        # sum-factorized route and never build the 5184 x 576 matrix; at
-        # u = 0 the low-rank model has no rows to sample
-        S2, nl2, rec, _ = degenerate
-        S = _fresh(S2)
-        kb = detect_kernel(rec, S, nl2)
-        solve_w(kb, kernel_combination(kb, np.array([0.5 * kb.delta0])))
-        assert hessian_model(S, nl2, np.zeros(S.num_modes)).G.shape == (0, S.num_modes)
-        assert "fields" not in vars(_eval_grid(S, nl2))
-
-    def test_1d_dealiased_base_takes_the_gram_product(self, potential):
-        # N_f = 1.5 N at factor 1.5: the Gram product is the cheaper one,
-        # and only it reads the sampled eigenfield matrix
-        S = diagonalize(potential, TorusDomain(1, 32, 16))
-        nl = Nonlinearity(dealias_factor=1.5)
-        a = S.a_from_field(find_critical_point(_ansatz(S), S, nl).field)
-        S = _fresh(S)
+    @pytest.mark.parametrize("case", ["1d-1.5", "2d-1.5"])
+    def test_fine_grids_match_the_oracle(self, potential, degenerate, case):
+        # as the factor-3 fixture above: E^T M E is the oracle's G^T G summed
+        # in another order, equal to rounding and exactly symmetric
+        dim, factor = case.split("-")
+        if dim == "1d":
+            S = diagonalize(potential, TorusDomain(1, 32, 16))
+            nl = Nonlinearity(dealias_factor=float(factor))
+            a = S.a_from_field(_ansatz(S))
+        else:
+            S2, nl2, rec, _ = degenerate
+            S, nl = S2, dataclasses.replace(nl2, dealias_factor=float(factor))
+            a = S.a_from_field(rec.field)
         H = a_hessian(S, nl, a)
-        assert "fields" in vars(_eval_grid(S, nl))
+        oracle = _symmetrized_hessian(S, nl, a)
+        assert np.abs(H - oracle).max() <= 1e-13 * np.abs(oracle).max()
         assert np.array_equal(H, H.T)
 
 
-class TestLazyFineFields:
-    def test_only_the_low_rank_model_samples_the_eigenfield_matrix(self, potential, rng):
-        S = diagonalize(potential, TorusDomain(1, 128, 16))
-        nl = Nonlinearity(dealias_factor=1.5)
-        grid = _eval_grid(S, nl)
-        a = S.a_from_field(_ansatz(S))
-        a_value_and_gradient(S, nl, a)
-        a_hessvec(S, nl, a, rng.standard_normal(S.num_modes))
-        assert "fields" not in vars(grid)
-        model = hessian_model(S, nl, a)
-        assert model.backend == "low-rank"
-        rhs = rng.standard_normal(S.num_modes)
-        assert np.linalg.norm(model.matvec(model.solve(rhs, 0.0)) - rhs) <= 1e-8 * np.linalg.norm(rhs)
-        assert vars(grid)["fields"].shape == (grid.P.shape[0], S.num_modes)
+class TestFineLowRankRows:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_rows_match_the_oracle_and_solve(self, potential, degenerate, rng, dim):
+        # 1-d: a long torus at factor 1.5, where the rule picks the low-rank
+        # model; 2-d: the factor-3 fixture, whose every point is active
+        if dim == 1:
+            S, nl = diagonalize(potential, TorusDomain(1, 128, 16)), Nonlinearity(dealias_factor=1.5)
+            a = S.a_from_field(_ansatz(S))
+            assert hessian_model(S, nl, a).backend == "low-rank"
+        else:
+            S, nl, rec, _ = degenerate
+            a = S.a_from_field(rec.field)
+        weight, rows = _active_rows(S, nl, a)
+        G = _gram_factor(S, nl, weight, rows)
+        oracle = _oracle_rows(S, nl, a)[rows] / S.weights
+        assert rows.size > 0
+        assert np.abs(G - oracle).max() <= 1e-13 * np.abs(oracle).max()
+        if dim == 1:  # the fixture's Hessian is singular on its translation kernel
+            model = HessianModel(S.signs, S.j, np.zeros((S.num_modes, 0)), G=G)
+            rhs = rng.standard_normal(S.num_modes)
+            residual = model.matvec(model.solve(rhs, 0.0)) - rhs
+            assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(rhs)
 
 
 class TestDealiasing:
@@ -322,7 +321,7 @@ class TestInterpolation:
         samples = grid.samples(np.eye(n**dim).reshape((-1,) + (n,) * dim))
         Smat = samples.reshape(n**dim, -1).T
         oracle = Smat.T @ (w.reshape(-1, 1) * Smat)
-        M = grid.gram(w)
+        M = grid.form(w)
         assert np.abs(M - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
     def test_factor_one_is_the_identity(self):

@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 import numpy as np
@@ -11,15 +12,15 @@ from gapbumps.multibump import (
     GluingUnstable,
     SeparationTooSmall,
     build_problem,
-    energy_density,
+    bump_energy_split,
     periodic_separation,
     solve_multibump,
     superpose,
 )
-from gapbumps.operator import diagonalize
+from gapbumps.operator import PeriodicPotential, diagonalize
 from gapbumps.reduction import detect_kernel
 from gapbumps.solver import NoConvergence, SolverOptions, find_critical_point, initial_ansatz
-from gapbumps.torus import GridField, TorusDomain, integrate, l2_norm, translate
+from gapbumps.torus import TorusDomain, l2_norm, translate
 
 
 class TestGeometry:
@@ -101,13 +102,20 @@ class TestSolve:
             2 * l2_norm(base8.field) ** 2, rel=0.01
         )
 
-    def test_energy_density_partitions_the_level(self, kb8, S8, nl):
+    def test_energy_density_partitions_the_level(self, kb8, S8, nl, degenerate):
+        # the bump energies are J's own terms split by nearest center, on
+        # the torus grid and on the evaluation grid of every dealias factor
         res = solve_multibump(build_problem(kb8, [(0,), (4,)], S8), S8, nl)
-        dens = GridField(S8.domain, energy_density(res.field, S8, nl))
-        total = integrate(dens)
-        assert sum(res.bump_energies) == pytest.approx(total, rel=1e-12)
         J = a_value_and_gradient(S8, nl, S8.a_from_field(res.field))[0]
-        assert total == pytest.approx(J, rel=1e-9)
+        assert sum(res.bump_energies) == pytest.approx(J, rel=1e-12)
+        S2, _, rec, _ = degenerate
+        weights = (None, PeriodicPotential(amplitude=0.5, shift=-2.0))
+        for S, u, centers in ((S8, res.field, ((0,), (4,))), (S2, rec.field, ((0, 0), (1, 1)))):
+            for factor, weight in itertools.product((1.0, 1.5, 3.0), weights):
+                nl_f = Nonlinearity(weight=weight, dealias_factor=factor)
+                J = a_value_and_gradient(S, nl_f, S.a_from_field(u))[0]
+                split = bump_energy_split(u, S, nl_f, centers)
+                assert sum(split) == pytest.approx(J, rel=1e-12, abs=0), (S.domain.dim, factor, weight)
 
 
 class TestErrorPaths:
