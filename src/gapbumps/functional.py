@@ -10,29 +10,34 @@ The Hessian there is D - G^T G, one row of G per evaluation point.
 `hessian_model` is its one representation for Newton, the kernel split
 and the gluing. Where the solution is a localized bump most rows carry
 a negligible weight f', and G keeps the r active ones: Newton solves
-through the r x r capacitance G D G^T and builds nothing else. The
-census and the kernel split also need an H-invariant subspace U that
-contains the active rows of G and any block X the caller names, the
-Rayleigh-Ritz matrix K = U^T H U on it (exact to rounding) and D = +-1
-off it; the model builds that frame on first use. Otherwise U = I and K
-is the dense `a_hessian`. The reduction and the gluing reach the
-complement of span X through the model's bordered matrix
-[[K, U^T X], [X^T U, 0]] alone: its Newton step, its LDL^T inertia
-monitor and its Schur complement, the reduced Hessian.
+through the r x r capacitance G D G^T and builds nothing else. G is
+never formed for it: G v and G^T y are transforms of the decomposition,
+and since D / w^2 = 1 / lambda, G D G^T is the torus Green's function
+E Lambda^-1 E^T at the active points, a gather from the decomposition's
+Green table, built once per evaluation grid. The census and the kernel
+split also need an H-invariant subspace U that contains the active rows
+of G and any block X the caller names, the Rayleigh-Ritz matrix
+K = U^T H U on it (exact to rounding) and D = +-1 off it; the model
+builds that frame, and the r x N matrix G gathered from the fibers, on
+first use. Otherwise U = I and K is the dense `a_hessian`. The reduction
+and the gluing reach the complement of span X through the model's
+bordered matrix [[K, U^T X], [X^T U, 0]] alone: its Newton step, its
+LDL^T inertia monitor and its Schur complement, the reduced Hessian.
 
 Nonlinear terms are evaluated on the grid of `Nonlinearity.dealias_factor`:
 the torus grid itself at the default factor 1 (collocation), a zero-padded
 fine grid above it (the cubic terms of p=4 need factor >= 3 for exact
 quadrature, which the degenerate translation fixture uses so its symmetry
-survives discretely). Either grid is one `_EvalGrid`, built once per
-decomposition: u reaches the evaluation points through an interpolation
-matrix along each axis and forces return through its transpose
-(collocation: the identity), so the finite-difference
-identities hold at machine accuracy on either grid. Values, gradients and
-Hessian-vector products need nothing else. Every product with the
-eigenfield matrix E is the decomposition's: the dense Hessian's nonlinear
-block is E^T M E for the grid form M of `_EvalGrid.form`, and the
-low-rank model's rows are the sampling map's rows times E.
+survives discretely). The fine grid has a whole number of points per
+cell, so it repeats cell by cell and the fibers' eigenvectors
+interpolated to its in-cell points serve it as they serve the torus
+grid. Either grid is one `_EvalGrid`, built once per decomposition: u
+reaches the evaluation points through an interpolation matrix along each
+axis and forces return through its transpose (collocation: the
+identity), so the finite-difference identities hold at machine accuracy
+on either grid. Values, gradients and Hessian-vector products need
+nothing else. The dense Hessian's nonlinear block is the decomposition's
+E^T M E for the grid form M of `_EvalGrid.form`.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
-from .operator import PeriodicPotential, SpectralDecomposition
+from .operator import GreenTable, PeriodicPotential, SpectralDecomposition
 from .torus import GridField
 
 __all__ = [
@@ -120,15 +125,18 @@ def _require_nonnegative(h: NDArray[np.float64]) -> NDArray[np.float64]:
 # -- evaluation grid of the nonlinear terms ---------------------------------------
 
 
-def _interpolation_matrix(n: int, factor: float) -> NDArray[np.float64]:
+def _interpolation_matrix(n: int, factor: float, cells: int = 1) -> NDArray[np.float64]:
     """Zero-padded trigonometric interpolation from n to nf >= factor * n
-    equispaced points of a period (nf even), as an nf x n matrix.
+    equispaced points of a period, as an nf x n matrix: nf is the smallest
+    even multiple of `cells` there, so that on a torus of that many cells
+    the fine points repeat cell by cell.
 
     An even n's Nyquist mode is split evenly between +-n/2, so that its
     interpolant is the real cosine; with nf = n the matrix is the identity.
     """
-    nf = int(np.ceil(n * factor))
-    nf += nf % 2
+    nf = -(-int(np.ceil(n * factor)) // cells) * cells
+    if nf % 2:  # an odd multiple of an odd cell count: the next one is even
+        nf += cells
     spec = np.fft.rfft(np.eye(n), axis=0)
     if nf > n and n % 2 == 0:
         spec[n // 2] *= 0.5
@@ -141,20 +149,23 @@ def _along_axes(M: NDArray[np.float64], x: NDArray[np.float64], dim: int) -> NDA
     return M @ x if dim == 2 else x
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class _EvalGrid:
     """The points where the nonlinear terms are evaluated, and their data.
 
     P (nf x n, the same on every axis) maps grid values to the evaluation
     points; None stands for the identity of the collocated grid. h and qw
-    are the weight and the quadrature weight there. The grid holds no
-    reference to the decomposition, so the weak-key cache can let go.
+    are the weight and the quadrature weight there. green is the
+    decomposition's Green table on these points, built on first use by
+    the low-rank Newton step. The grid holds no reference to the
+    decomposition, so the weak-key cache can let go.
     """
 
     P: NDArray[np.float64] | None
     h: NDArray[np.float64] | float
     qw: float
     dim: int
+    green: GreenTable | None = None
 
     def samples(self, values: NDArray[np.float64]) -> NDArray[np.float64]:
         """Grid values (the grid axes last) at the evaluation points."""
@@ -164,24 +175,15 @@ class _EvalGrid:
         """The transpose of `samples`."""
         return fine if self.P is None else _along_axes(self.P.T, fine, self.dim)
 
-    def rows(self, points: NDArray[np.intp]) -> NDArray:
-        """The rows of the sampling map Q at the flat indices `points` of
-        evaluation points: `points` itself on the collocated grid, where Q
-        is the identity; otherwise r x n^dim, Q = P x P in 2-d."""
-        if self.P is None:
-            return points
-        R = np.ones((points.size, 1))
-        for i in np.unravel_index(points, (self.P.shape[0],) * self.dim):
-            R = (R[:, :, None] * self.P[i][:, None, :]).reshape(points.size, -1)
-        return R
-
     def form(self, w: NDArray[np.float64]) -> NDArray[np.float64]:
         """M = Q^T diag(w) Q for weights w at the evaluation points, Q the
         sampling map of `samples`: w itself (diagonal) on the collocated
         grid, else n^dim x n^dim (Q = P in 1-d, P x P in 2-d).
 
-        In 2-d, PP[a, (i, j)] = P[a, i] P[a, j] gives every axis-1 sum as
-        one product, T = w PP, and the axis-0 sum as a second, PP^T T,
+        In 1-d it is the symmetric rank-k update R^T R, R = diag(sqrt w) P
+        (w >= 0 where the Hessian forms it: `a_hessian`). In 2-d,
+        PP[a, (i, j)] = P[a, i] P[a, j] gives every axis-1 sum as one
+        product, T = w PP, and the axis-0 sum as a second, PP^T T,
         which indexes M as ((i0 j0), (i1 j1)) (sum factorization; Deville,
         Fischer & Mund, High-Order Methods for Incompressible Fluid Flow,
         ch. 4).
@@ -191,7 +193,8 @@ class _EvalGrid:
             return w.reshape(-1)
         nf, n = P.shape
         if self.dim == 1:
-            return P.T @ (w.reshape(nf, 1) * P)
+            R = np.sqrt(w).reshape(nf, 1) * P
+            return R.T @ R
         PP = (P[:, :, None] * P[:, None, :]).reshape(nf, n * n)
         M = PP.T @ (w.reshape(nf, nf) @ PP)
         return M.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
@@ -208,15 +211,17 @@ _GRIDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _eval_grid(S: SpectralDecomposition, nl: Nonlinearity) -> _EvalGrid:
-    """The (cached) grid of `nl.dealias_factor` on S's torus. At factor 1
-    the points -k/2 + k i/nf and the weight volume / nf^dim are the torus
-    grid's own, bit for bit, because M is a power of two."""
+    """The (cached) grid of `nl.dealias_factor` on S's torus: nf points per
+    axis, the smallest even multiple of k at or above factor * kM, so the
+    fine points repeat cell by cell. At factor 1 the points -k/2 + k i/nf
+    and the weight volume / nf^dim are the torus grid's own, bit for bit,
+    because M is a power of two."""
     grids = _GRIDS.setdefault(S, {})
     key = (nl.dealias_factor, nl.weight)
     if key not in grids:
         dom = S.domain
         n = dom.points_per_axis
-        P = None if nl.dealias_factor == 1.0 else _interpolation_matrix(n, nl.dealias_factor)
+        P = None if nl.dealias_factor == 1.0 else _interpolation_matrix(n, nl.dealias_factor, dom.cells)
         nf = n if P is None else P.shape[0]
         h: NDArray | float = 1.0
         if nl.weight is not None:
@@ -313,6 +318,64 @@ class _SignBlock:
         return self.apply(np.concatenate([z, np.zeros((self.width - self.dim,) + z.shape[1:])]))
 
 
+class _MatrixRows:
+    """An explicit r x N matrix G as a model's rows."""
+
+    def __init__(self, G: NDArray[np.float64], signs: NDArray[np.float64]) -> None:
+        self.matrix, self.signs, self.size = G, signs, G.shape[0]
+
+    def dot(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
+        return self.matrix @ v
+
+    def tdot(self, y: NDArray[np.float64]) -> NDArray[np.float64]:
+        return self.matrix.T @ y
+
+    @cached_property
+    def gdg(self) -> NDArray[np.float64]:
+        return (self.matrix * self.signs) @ self.matrix.T
+
+
+class _SampledRows:
+    """G = diag(scale) Q_R E / w: the rows at the active evaluation points R
+    of the sampling map Q, scaled by sqrt(qw f'), reached through S's
+    transforms. G v is scale times values_from_a(v) sampled at R, G^T y
+    is a_from_dual of the adjoint of scale y placed at R. Because
+    D / w^2 = 1 / lambda, G D G^T = diag(scale) (Q L^-1 Q^T)[R, R] diag(scale)
+    with L^-1 = E Lambda^-1 E^T: a gather from the grid's Green table.
+    The r x N matrix itself is built on first use, for the frame only.
+    """
+
+    def __init__(
+        self, S: SpectralDecomposition, grid: _EvalGrid, points: NDArray[np.intp], scale: NDArray[np.float64]
+    ) -> None:
+        self.S, self.grid, self.points, self.scale = S, grid, points, scale
+        self.size = points.size
+        n = S.domain.points_per_axis
+        self.shape = (n if grid.P is None else grid.P.shape[0],) * S.domain.dim
+
+    def dot(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
+        return self.scale * self.grid.samples(self.S.values_from_a(v)).reshape(-1)[self.points]
+
+    def tdot(self, y: NDArray[np.float64]) -> NDArray[np.float64]:
+        fine = np.zeros(self.shape)
+        fine.reshape(-1)[self.points] = self.scale * y
+        return self.S.a_from_dual(self.grid.adjoint(fine))
+
+    @cached_property
+    def gdg(self) -> NDArray[np.float64]:
+        # the table depends on S and the grid's points only: one per grid
+        if self.grid.green is None:
+            self.grid.green = self.S.green(self.grid.P)
+        C = self.grid.green.block(self.points)
+        C *= self.scale[:, None]
+        C *= self.scale
+        return C
+
+    @cached_property
+    def matrix(self) -> NDArray[np.float64]:
+        return self.S.a_rows(self.points, self.scale, self.grid.P)
+
+
 class HessianModel:
     """H = D - G^T G, D = diag(sign lambda), and an H-invariant subspace U
     that contains span X.
@@ -322,6 +385,9 @@ class HessianModel:
     (1+mu) I - G D G^T by the Sherman-Morrison-Woodbury identity (Hager,
     Updating the inverse of a matrix, SIAM Review 31, 1989); by the
     matrix determinant lemma H + mu D is singular exactly when it is.
+    G is an explicit matrix or `hessian_model`'s sampled rows, which
+    reach G, G^T and G D G^T through transforms and the Green table and
+    form the matrix only for the frame.
 
     The frame is built on first use, for the census, the kernel split,
     the reduction and the gluing. D keeps the negative block (the first
@@ -338,9 +404,15 @@ class HessianModel:
     """
 
     def __init__(
-        self, signs: NDArray, j: int, X: NDArray, G: NDArray | None = None, K: NDArray | None = None
+        self,
+        signs: NDArray,
+        j: int,
+        X: NDArray,
+        G: NDArray | _SampledRows | None = None,
+        K: NDArray | None = None,
     ) -> None:
-        self.signs, self.j, self.X, self.G = signs, j, X, G
+        self.signs, self.j, self.X = signs, j, X
+        self.G = _MatrixRows(G, signs) if isinstance(G, np.ndarray) else G
         self.backend = "dense" if G is None else "low-rank"
         if G is None:
             self.K = K
@@ -350,7 +422,8 @@ class HessianModel:
         """[G^T X] as a Fortran-order view (of G alone without X): QR copies it cheaply."""
         if self.G is None:
             return None
-        return (np.concatenate([self.G, self.X.T]) if self.X.shape[1] else self.G).T
+        G = self.G.matrix
+        return (np.concatenate([G, self.X.T]) if self.X.shape[1] else G).T
 
     @cached_property
     def neg(self) -> _SignBlock:
@@ -362,7 +435,7 @@ class HessianModel:
 
     @cached_property
     def K(self) -> NDArray[np.float64]:
-        r = self.G.shape[0]
+        r = self.G.size
         GU = np.hstack([self.neg.QC[:, :r].T, self.pos.QC[:, :r].T])
         K = -(GU.T @ GU)
         K[np.diag_indices_from(K)] += np.repeat([-1.0, 1.0], [self.neg.dim, self.pos.dim])
@@ -381,15 +454,6 @@ class HessianModel:
     @cached_property
     def UX(self) -> NDArray[np.float64]:
         return self.coords(self.X)
-
-    @cached_property
-    def _gdg(self) -> NDArray[np.float64]:
-        """G D G^T, as the symmetric rank-k updates G G^T - 2 G- G-^T;
-        the capacitance is (1+mu) I minus it."""
-        neg = self.G[:, : self.j]
-        P = self.G @ self.G.T
-        P -= 2.0 * (neg @ neg.T)
-        return P
 
     def coords(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
         """U^T v."""
@@ -411,7 +475,7 @@ class HessianModel:
     def matvec(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
         if self.G is None:
             return self.K @ v
-        return self.signs * v - self.G.T @ (self.G @ v)
+        return self.signs * v - self.G.tdot(self.G.dot(v))
 
     def solve(self, rhs: NDArray[np.float64], mu: float) -> NDArray[np.float64]:
         """d with (H + mu D) d = rhs.
@@ -421,10 +485,10 @@ class HessianModel:
         """
         if self.G is None:
             return scipy.linalg.solve(self.K + np.diag(mu * self.signs), rhs, assume_a="sym")
-        cap = -self._gdg
+        cap = -self.G.gdg
         cap[np.diag_indices_from(cap)] += 1.0 + mu
-        y = scipy.linalg.solve(cap, self.G @ (self.signs * rhs), assume_a="sym")
-        return self.signs * (rhs + self.G.T @ y) / (1.0 + mu)
+        y = scipy.linalg.solve(cap, self.G.dot(self.signs * rhs), assume_a="sym")
+        return self.signs * (rhs + self.G.tdot(y)) / (1.0 + mu)
 
     def eigenvalues(self) -> NDArray[np.float64]:
         """All N eigenvalues, ascending: K's, and the off_signs."""
@@ -510,14 +574,10 @@ def _active_rows(
 
 def _gram_factor(
     S: SpectralDecomposition, nl: Nonlinearity, weight: NDArray, rows: NDArray[np.intp]
-) -> NDArray[np.float64]:
+) -> _SampledRows:
     """The rows of G, G^T G the nonlinear block of the Hessian in a-coordinates:
-    the sampling map's rows at the active points, scaled by sqrt(weight).
-    A gather on the collocated grid; on a fine grid r N^2 flops per call.
-    """
-    if not rows.size:  # u = 0: nothing to sample
-        return np.empty((0, S.num_modes))
-    return S.a_rows(_eval_grid(S, nl).rows(rows), np.sqrt(weight[rows]))
+    the sampling map's rows at the active points, scaled by sqrt(weight)."""
+    return _SampledRows(S, _eval_grid(S, nl), rows, np.sqrt(weight[rows]))
 
 
 def hessian_model(

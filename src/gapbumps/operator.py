@@ -8,8 +8,15 @@ M^dim, one per quasimomentum theta = 2*pi*j/k (Floquet-Bloch theory). The
 spectrum is built from those fibers: each conjugate pair {j, -j} costs one
 complex Hermitian eigenproblem and yields two real eigenfields per band,
 the real and imaginary parts of its Bloch waves. The cost is
-O(k^dim * M^(3*dim)) for the fibers plus O(N^2) to write the N x N
-eigenfield matrix, instead of O(N^3) for a dense eigensolve.
+O(k^dim * M^(3*dim)) for the fibers plus O(N M^dim) per fiber to fix the
+eigenfields' signs, instead of O(N^3) for a dense eigensolve.
+
+The decomposition keeps the fibers, not the N x N eigenfield matrix E.
+Every product with E is one product with each fiber's eigenvectors plus
+an FFT over the cell axes (O(N M^dim + N log k)); a row of E at a grid
+point is a gather from the fibers, and the Green's function
+E Lambda^-1 E^T is a table over cell differences (GreenTable). E itself
+is built on first access, which only the dense Hessian (a_form) makes.
 
 The spectral gap around zero is certified from the eigenvalues. A field
 is represented by its weighted coordinates a_i = sqrt(|lambda_i|)
@@ -22,6 +29,7 @@ downstream Newton/reduction algebra is plain Euclidean.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -172,52 +180,96 @@ def _cell_samples(values: NDArray[np.float64], domain: TorusDomain) -> NDArray[n
     return values[(slice(0, domain.samples_per_cell),) * domain.dim]
 
 
-def _bloch_columns(
+def _bloch_rows(
     U: NDArray[np.complex128], j: tuple[int, ...], domain: TorusDomain
 ) -> NDArray[np.complex128]:
     """Fiber eigenvectors U extended to the torus: psi(x_cell + n) = e^{i theta.n} u(x_cell).
 
-    Row-major over the grid, one column per fiber eigenvector, Euclidean
-    norm sqrt(k^dim) per column.
+    One row per fiber eigenvector, row-major over the grid, Euclidean
+    norm sqrt(k^dim) per row.
     """
     k, m, dim = domain.cells, domain.samples_per_cell, domain.dim
     # one table of k-th roots of unity; (j * n) mod k indexes e^{2 pi i j n / k}
     roots = np.exp(2j * np.pi * np.arange(k) / k)
-    cols = U.reshape((1, m) * dim + (U.shape[1],))
+    rows = U.T.reshape((U.shape[1],) + (1, m) * dim)
     for ax in range(dim):
-        shape = [1] * cols.ndim
-        shape[2 * ax] = k
-        cols = cols * roots[(j[ax] * np.arange(k)) % k].reshape(shape)
-    return cols.reshape(domain.num_points, U.shape[1])
+        shape = [1] * rows.ndim
+        shape[1 + 2 * ax] = k
+        rows = rows * roots[(j[ax] * np.arange(k)) % k].reshape(shape)
+    return rows.reshape(U.shape[1], domain.num_points)
+
+
+def _cell_split(points: NDArray[np.intp], cells: int, per_cell: int, dim: int):
+    """Flat indices on a grid of cells * per_cell points per axis, split into
+    each point's cell (r x dim) and its flat index inside the cell (r)."""
+    idx = np.unravel_index(points, (cells * per_cell,) * dim)
+    cell = np.stack([i // per_cell for i in idx], axis=1)
+    return cell, np.ravel_multi_index(tuple(i % per_cell for i in idx), (per_cell,) * dim)
+
+
+@dataclass(frozen=True, eq=False)
+class GreenTable:
+    """E Lambda^-1 E^T between the points of a grid that repeats cell by cell,
+    stored by cell difference: g[d, s, t] couples in-cell point s of cell
+    n + d with point t of cell n, for every n (Floquet-Bloch: the operator
+    and its inverse commute with whole-cell shifts)."""
+
+    g: NDArray[np.float64]
+    cells: int
+    per_cell: int
+    dim: int
+
+    def block(self, points: NDArray[np.intp]) -> NDArray[np.float64]:
+        """The r x r block at the flat grid indices `points`: a gather."""
+        k = self.cells
+        cell, sub = _cell_split(points, k, self.per_cell, self.dim)
+        diff = np.zeros((points.size, points.size), dtype=np.intp)
+        for ax in range(self.dim):
+            diff = diff * k + (cell[:, None, ax] - cell[None, :, ax]) % k
+        return self.g[diff, sub[:, None], sub[None, :]]
 
 
 @dataclass(eq=False)
 class SpectralDecomposition:
     """All eigenpairs of -Lap + V on Q_k, plus gap and splitting data.
 
-    eigenvalues ascend; eigenfields holds the L2-orthonormal real
-    eigenvectors as columns of a (num_points, num_points) matrix, each with
-    its largest-magnitude entry positive. They are Bloch waves: a
-    self-conjugate quasimomentum contributes its real fiber eigenvectors,
-    every other pair {j, -j} the real and imaginary parts of one complex
-    Bloch wave per band, adjacent and with equal eigenvalues. Inside a
-    degenerate eigenspace that basis is one choice of many: projections,
-    energies and Newton steps do not depend on it, but random draws made
-    coefficient by coefficient (solver.sphere_level) do. j counts negative
-    eigenvalues; gap is the certified interval (-alpha, beta) around zero
-    avoided by the spectrum, or None when zero is not safely inside a gap.
+    eigenvalues ascend. The eigenfields are L2-orthonormal real Bloch
+    waves: a self-conjugate quasimomentum contributes its real fiber
+    eigenvectors, every other pair {j, -j} the real and imaginary parts of
+    one complex Bloch wave per band, adjacent and with equal eigenvalues.
+    They are kept by fiber, not as a matrix: fiber_vectors[f] holds the
+    eigenvectors U_f of the fiber at quasimomenta[f] (one j per pair),
+    columns[f, b] the eigenfield index of band b's real and imaginary part
+    (num_modes where a self-conjugate fiber has none), and frame each
+    eigenfield's factor, sqrt(c / k^dim) M^(dim/2) (c = 2 for a pair, else
+    1) times the sign that makes its largest-magnitude entry positive.
+    Eigenfield (f, b) is frame times Re or Im of the Bloch wave
+    psi(x_cell + n) = e^{i theta.n} U_f[x_cell, b]. Transforms are products
+    with each fiber plus an FFT over the cell axes; the N x N matrix
+    `eigenfields` is built on first access only (dense Hessians read it).
+
+    Inside a degenerate eigenspace that basis is one choice of many:
+    projections, energies and Newton steps do not depend on it, but random
+    draws made coefficient by coefficient (solver.sphere_level) do. j
+    counts negative eigenvalues; gap is the certified interval
+    (-alpha, beta) around zero avoided by the spectrum, or None when zero
+    is not safely inside a gap.
     """
 
     domain: TorusDomain
     potential: PeriodicPotential
     eigenvalues: NDArray[np.float64]
-    eigenfields: NDArray[np.float64]
     j: int
     gap: tuple[float, float] | None
+    quasimomenta: NDArray[np.intp]
+    fiber_vectors: NDArray[np.complex128]
+    columns: NDArray[np.intp]
+    frame: NDArray[np.float64]
     weights: NDArray[np.float64] = field(init=False, repr=False)
     signs: NDArray[np.float64] = field(init=False, repr=False)
+
     def __post_init__(self) -> None:
-        for arr in (self.eigenvalues, self.eigenfields):
+        for arr in (self.eigenvalues, self.fiber_vectors, self.columns, self.frame):
             arr.setflags(write=False)
         # weighted coordinates: a = weights * <u, phi>_L2 makes (.,.)_k Euclidean
         self.weights = np.sqrt(np.abs(self.eigenvalues))
@@ -242,50 +294,158 @@ class SpectralDecomposition:
         return self.eigenvalues.size
 
     def eigenfield(self, i: int) -> GridField:
-        return GridField(self.domain, self.eigenfields[:, i])
+        unit = np.zeros(self.num_modes)
+        unit[i] = 1.0
+        return GridField(self.domain, self._fields(unit))
+
+    @cached_property
+    def eigenfields(self) -> NDArray[np.float64]:
+        """The eigenfields as the columns of one (num_points, num_points) matrix."""
+        n = self.num_modes
+        vecs = np.empty((self.domain.num_points, n), order="F")
+        for q, U, cols in zip(self.quasimomenta, self.fiber_vectors, self.columns):
+            psi = _bloch_rows(U, tuple(q), self.domain)
+            parts = (psi.real,) if cols[0, 1] == n else (psi.real, psi.imag)
+            for part, c in zip(parts, cols.T):
+                vecs[:, c] = (part * self.frame[c][:, None]).T
+        vecs.setflags(write=False)
+        return vecs
 
     def require_gap(self) -> None:
         if self.gap is None:
             raise NoCertifiedGap("operation requires a certified spectral gap around 0")
 
+    # -- Bloch transforms -----------------------------------------------------------
+    @cached_property
+    def _spectrum_rows(self) -> NDArray[np.intp]:
+        """Each fiber's row in a (k^dim, ...) array over all quasimomenta."""
+        return np.ravel_multi_index(tuple(self.quasimomenta.T), (self.domain.cells,) * self.domain.dim)
+
+    def _cell_sums(self, x: NDArray) -> NDArray[np.complex128]:
+        """sum_n e^{i theta_f.n} x[n] at each fiber's quasimomentum, for x
+        indexed by cell first: (k^dim, ...) -> (fibers, ...)."""
+        k, dim = self.domain.cells, self.domain.dim
+        X = np.fft.ifftn(x.reshape((k,) * dim + x.shape[1:]), axes=tuple(range(dim)), norm="forward")
+        return X.reshape(x.shape)[self._spectrum_rows]
+
+    def _cell_waves(self, v: NDArray[np.complex128]) -> NDArray[np.float64]:
+        """Re sum_f e^{i theta_f.n} v[f] at every cell n: (fibers, ...) -> (k^dim, ...)."""
+        k, dim = self.domain.cells, self.domain.dim
+        spec = np.zeros((k**dim,) + v.shape[1:], dtype=np.complex128)
+        spec[self._spectrum_rows] = v
+        spec = np.fft.ifftn(spec.reshape((k,) * dim + v.shape[1:]), axes=tuple(range(dim)), norm="forward")
+        return spec.real.reshape((k**dim,) + v.shape[1:])
+
+    def _by_cell(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Grid values as (k^dim, M^dim): the cell, then the point inside it."""
+        k, m, dim = self.domain.cells, self.domain.samples_per_cell, self.domain.dim
+        x = x.reshape((k, m) * dim)
+        return (x.transpose(0, 2, 1, 3) if dim == 2 else x).reshape(k**dim, m**dim)
+
+    def _by_grid(self, u: NDArray[np.float64]) -> NDArray[np.float64]:
+        """The inverse of _by_cell, shaped like the domain."""
+        k, m, dim = self.domain.cells, self.domain.samples_per_cell, self.domain.dim
+        u = u.reshape((k,) * dim + (m,) * dim)
+        return (u.transpose(0, 2, 1, 3) if dim == 2 else u).reshape(self.domain.shape)
+
+    def _fields(self, z: NDArray[np.float64]) -> NDArray[np.float64]:
+        """E z, shaped like the domain. A pair's two eigenfields with
+        coefficients x, y sum to Re(psi (x - i y)) times their frames."""
+        zf = np.append(z * self.frame, 0.0)
+        c = zf[self.columns[..., 0]] - 1j * zf[self.columns[..., 1]]
+        return self._by_grid(self._cell_waves(np.matmul(self.fiber_vectors, c[..., None])[..., 0]))
+
+    def _coefficients(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
+        """E^T x: per fiber, U^T times the cell sums of x, then Re and Im."""
+        Y = np.matmul(self._cell_sums(self._by_cell(x))[:, None, :], self.fiber_vectors)[:, 0]
+        out = np.empty(self.num_modes + 1)
+        out[self.columns[..., 1]] = Y.imag  # a self-conjugate fiber's lands in the spare slot
+        out[self.columns[..., 0]] = Y.real
+        return out[:-1] * self.frame
+
     # -- weighted a-coordinates a_i = sqrt(|lambda_i|) <u, phi_i>_L2 -------------
     def a_from_values(self, values: NDArray[np.float64]) -> NDArray[np.float64]:
         quad_weight = self.domain.spacing**self.domain.dim
-        return self.weights * (quad_weight * (self.eigenfields.T @ values.reshape(-1)))
+        return self.weights * (quad_weight * self._coefficients(values))
 
     def a_from_field(self, u: GridField) -> NDArray[np.float64]:
         return self.a_from_values(u.values)
 
     def values_from_a(self, a: NDArray[np.float64]) -> NDArray[np.float64]:
-        return (self.eigenfields @ (a / self.weights)).reshape(self.domain.shape)
+        return self._fields(a / self.weights)
 
     def a_from_dual(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
         """E^T v / weights, the transpose of values_from_a."""
-        return (self.eigenfields.T @ v.reshape(-1)) / self.weights
+        return self._coefficients(v) / self.weights
 
     def a_form(self, M: NDArray[np.float64]) -> NDArray[np.float64]:
         """E^T M E / (w w^T), exactly symmetric, for a grid quadratic form M:
-        nonnegative weights (diagonal; G^T G with G = diag(sqrt M) E, which
-        NumPy runs as a symmetric rank-k update) or a symmetric N x N matrix
-        (E^T (M E), symmetrized by A += A^T)."""
+        nonnegative weights (diagonal; G^T G with G = diag(sqrt M) E / w,
+        which NumPy runs as a symmetric rank-k update) or a symmetric N x N
+        matrix (E^T (M E), divided by w on both sides in place, then
+        symmetrized by A += A^T)."""
         E = self.eigenfields
         if M.ndim == 1:
             G = E * np.sqrt(M)[:, None]
-            A = G.T @ G
-        else:
-            A = E.T @ (M @ E)
-            A += A.T
-            A *= 0.5
-        A /= np.outer(self.weights, self.weights)
+            G /= self.weights
+            return G.T @ G
+        A = E.T @ (M @ E)
+        A /= self.weights
+        A /= self.weights[:, None]
+        A += A.T
+        A *= 0.5
         return A
 
-    def a_rows(self, R: NDArray, scale: NDArray[np.float64]) -> NDArray[np.float64]:
-        """diag(scale) R E / w for rows R (r x N) of a sampling map; an index
-        array R selects rows of the identity, a gather of E's rows."""
-        G = self.eigenfields[R] if R.ndim == 1 else R @ self.eigenfields
-        G *= scale[:, None]
-        G /= self.weights
-        return G
+    def _fiber_samples(self, P: NDArray[np.float64] | None) -> tuple[NDArray[np.complex128], int]:
+        """The fiber eigenvectors at the in-cell points of the grid that P
+        interpolates onto (nf x n per axis, nf a multiple of k), and the
+        points per cell and axis; U itself and M for P None. P maps a Bloch
+        wave cell by cell: on the fiber at theta_j through
+        P_j[s, t] = sum_n P[s, n M + t] e^{i theta_j n}, built from P's
+        first cell of rows."""
+        k, m, dim = self.domain.cells, self.domain.samples_per_cell, self.domain.dim
+        if P is None:
+            return self.fiber_vectors, m
+        per_cell = P.shape[0] // k
+        Pj = np.fft.ifft(P[:per_cell].reshape(per_cell, k, m), axis=1, norm="forward")
+        A = [Pj[:, self.quasimomenta[:, ax]].transpose(1, 0, 2) for ax in range(dim)]
+        if dim == 1:
+            return np.matmul(A[0], self.fiber_vectors), per_cell
+        U = self.fiber_vectors
+        fine = np.einsum("fas,fbt,fstc->fabc", A[0], A[1], U.reshape(-1, m, m, U.shape[2]), optimize=True)
+        return fine.reshape(U.shape[0], per_cell**2, U.shape[2]), per_cell
+
+    def a_rows(
+        self, points: NDArray[np.intp], scale: NDArray[np.float64], P: NDArray[np.float64] | None = None
+    ) -> NDArray[np.float64]:
+        """diag(scale) Q E / w at the rows `points` of Q, the interpolation
+        onto P's grid (P None: the torus grid, Q = I), as an r x N matrix.
+        Row (n, s) of Q E is frame times Re, Im of e^{i theta.n} (Q U)[s]:
+        a gather from the fibers, O(r N)."""
+        k, dim, n = self.domain.cells, self.domain.dim, self.num_modes
+        U, per_cell = self._fiber_samples(P)
+        cell, sub = _cell_split(points, k, per_cell, dim)
+        roots = np.exp(2j * np.pi * np.arange(k) / k)
+        W = U.transpose(0, 2, 1)[:, :, sub]  # (fibers, bands, r)
+        W *= roots[(self.quasimomenta @ cell.T) % k][:, None, :]
+        W = W.reshape(self.columns[..., 0].size, points.size)
+        GT = np.empty((n + 1, points.size))
+        GT[self.columns[..., 1].reshape(-1)] = W.imag
+        GT[self.columns[..., 0].reshape(-1)] = W.real
+        GT = GT[:n]
+        GT *= (self.frame / self.weights)[:, None]
+        GT *= scale
+        return GT.T
+
+    def green(self, P: NDArray[np.float64] | None = None) -> GreenTable:
+        """E Lambda^-1 E^T on the torus grid, or Q E Lambda^-1 E^T Q^T on the
+        grid that P interpolates onto: by Floquet-Bloch, the table of
+        g[d] = Re sum_f e^{i theta_f.d} U_f diag(frame^2 / lambda) U_f^H over
+        the cell differences d (a pair's frame^2 carries its factor 2)."""
+        U, per_cell = self._fiber_samples(P)
+        lead = self.columns[..., 0]
+        B = np.matmul(U * (self.frame[lead] ** 2 / self.eigenvalues[lead])[:, None, :], U.conj().transpose(0, 2, 1))
+        return GreenTable(self._cell_waves(B), self.domain.cells, per_cell, self.domain.dim)
 
     def field_from_a(self, a: NDArray[np.float64]) -> GridField:
         return GridField(self.domain, self.values_from_a(a))
@@ -298,9 +458,11 @@ def diagonalize(V: PeriodicPotential, domain: TorusDomain) -> SpectralDecomposit
     M^dim x M^dim eigensolve: real symmetric when j = -j, complex Hermitian
     otherwise, where the real and imaginary parts of each Bloch wave, scaled
     by sqrt(2 / k^dim), are two orthonormal real eigenfields with the same
-    eigenvalue. All eigenvalues are stably sorted together and the columns
-    are written into one preallocated N x N array. Cost
-    O(k^dim * M^(3*dim) + N^2), against O(N^3) for the dense eigensolve.
+    eigenvalue. All eigenvalues are stably sorted together; the fibers are
+    kept with each eigenfield's sorted index and frame, whose sign is read
+    off the fiber's Bloch waves on the whole grid (O(N M^dim) per fiber,
+    no N x N array). Cost O(k^dim * M^(3*dim) + N^2 / 2) flops, against
+    O(N^3) for the dense eigensolve.
 
     Raises NotInvertible when some |lambda_i| < 1e-10 (zero effectively in
     the spectrum). The gap interval is certified only when
@@ -325,22 +487,22 @@ def diagonalize(V: PeriodicPotential, domain: TorusDomain) -> SpectralDecomposit
         )
     column = np.empty_like(order)
     column[order] = np.arange(order.size)
-    vecs = np.empty((domain.num_points, domain.num_points), order="F")
+    n, width = domain.num_points, domain.samples_per_cell**dim
+    columns = np.full((len(fibers), width, 2), n)
+    frame = np.empty(n)
     start = 0
-    for q, real, _, U in fibers:
-        psi = _bloch_columns(U, q, domain)
-        if real:
-            block = psi.real
-        else:
-            block = np.empty((psi.shape[0], 2 * psi.shape[1]))
-            block[:, 0::2] = psi.real
-            block[:, 1::2] = psi.imag
-        # L2-orthonormal columns; deterministic sign: largest entry positive
-        block *= np.sqrt((1.0 if real else 2.0) / k**dim) * domain.samples_per_cell ** (dim / 2.0)
-        lead = np.argmax(np.abs(block), axis=0)
-        block *= np.sign(block[lead, np.arange(block.shape[1])])
-        vecs[:, column[start : start + block.shape[1]]] = block
-        start += block.shape[1]
+    for f, (q, real, _, U) in enumerate(fibers):
+        psi = _bloch_rows(U, q, domain)
+        # a pair's fields (Re, Im) sit in adjacent sorted columns
+        cols = column[start : start + (1 if real else 2) * width].reshape(width, -1)
+        columns[f, :, : cols.shape[1]] = cols
+        start += cols.size
+        # L2-orthonormal fields; deterministic sign: largest entry positive
+        scale = np.sqrt((1.0 if real else 2.0) / k**dim) * domain.samples_per_cell ** (dim / 2.0)
+        for part, c in zip((psi.real, psi.imag), cols.T):
+            block = part * scale
+            lead = np.argmax(np.abs(block), axis=1)
+            frame[c] = scale * np.sign(block[np.arange(width), lead])
     j = int(np.sum(vals < 0.0))
     gap: tuple[float, float] | None = None
     if min_abs > GAP_CERTIFY_TOL:
@@ -351,9 +513,12 @@ def diagonalize(V: PeriodicPotential, domain: TorusDomain) -> SpectralDecomposit
         domain=domain,
         potential=V,
         eigenvalues=vals,
-        eigenfields=vecs,
         j=j,
         gap=gap,
+        quasimomenta=np.array([q for q, *_ in fibers]).reshape(len(fibers), dim),
+        fiber_vectors=np.array([U for *_, U in fibers], dtype=np.complex128),
+        columns=columns,
+        frame=frame,
     )
 
 

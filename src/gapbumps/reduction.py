@@ -93,7 +93,8 @@ def detect_kernel(
         raise ValueError("tau must be positive")
     a = S.a_from_field(rec.field)
     H = hessian_model(S, nl, a)
-    ritz, Z = scipy.linalg.eigh(H.K)
+    # divide and conquer: MRRR keeps K's clustered Ritz vectors orthogonal only to ~1e-12
+    ritz, Z = scipy.linalg.eigh(H.K, driver="evd")
     mu = np.concatenate([ritz, H.off_signs])
     near, scale = kernel_split(mu, tau)
     if near.all():

@@ -2,12 +2,14 @@
 
 Inside a degenerate eigenspace of -Lap + V (a Bloch pair) the eigenfields
 are one orthonormal choice of many. Each case rebuilds the decomposition
-with every such group of eigenfields turned by a seeded random orthogonal
-matrix, and requires the kernel split, the complement correction, the
+with every Bloch pair turned by a seeded random orthogonal 2 x 2 matrix,
+and requires the kernel split, the complement correction, the
 reduced Hessian, the Hessian census and a two-bump glue to agree with the
 original basis to rounding. The base solution is found once, in the
 original basis: a record is a field, not coordinates.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -24,22 +26,26 @@ RTOL, ATOL = 1e-10, 1e-12
 
 
 def _rotated(S: SpectralDecomposition, seed: int) -> SpectralDecomposition:
-    """S with the eigenfields of each group of equal eigenvalues
-    (|d lambda| <= 1e-10 max(1, |lambda|) between neighbours) turned by a
-    seeded random orthogonal matrix."""
+    """S with each Bloch pair (the real and imaginary eigenfield of one band
+    of a fiber {j, -j}, equal eigenvalues) turned by a seeded random
+    orthogonal 2 x 2 matrix Q. The pair is c [Re psi, Im psi] diag(s), c
+    the frame's magnitude; with diag(s) Q = R(phi) diag(1, t), the turned
+    pair is c [Re psi', Im psi'] diag(1, t) for psi' = psi e^{-i phi}: a
+    phase on the fiber eigenvector and a sign on the frame."""
     rng = np.random.default_rng(seed)
-    lam = S.eigenvalues
-    breaks = np.abs(np.diff(lam)) > 1e-10 * np.maximum(1.0, np.abs(lam[1:]))
-    starts = np.concatenate([[0], np.flatnonzero(breaks) + 1, [lam.size]])
-    fields = np.array(S.eigenfields, order="F")
+    vectors, frame = np.array(S.fiber_vectors), np.array(S.frame)
     turned = 0
-    for lo, hi in zip(starts[:-1], starts[1:]):
-        if hi - lo > 1:
-            Q = np.linalg.qr(rng.standard_normal((hi - lo, hi - lo)))[0]
-            fields[:, lo:hi] = fields[:, lo:hi] @ Q
-            turned += 1
-    assert turned > lam.size // 4  # most eigenvalues are Bloch pairs
-    return SpectralDecomposition(S.domain, S.potential, lam.copy(), fields, S.j, S.gap)
+    for f, b in zip(*np.nonzero(S.columns[..., 1] < S.num_modes)):
+        re, im = S.columns[f, b]
+        Q = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+        Q = np.sign(frame[[re, im]])[:, None] * Q
+        t = np.sign(np.linalg.det(Q))
+        vectors[f, :, b] *= np.exp(-1j * np.arctan2(Q[1, 0], Q[0, 0]))
+        frame[im] = t * np.abs(frame[re])
+        frame[re] = np.abs(frame[re])
+        turned += 1
+    assert turned > S.num_modes // 4  # most eigenvalues are Bloch pairs
+    return dataclasses.replace(S, fiber_vectors=vectors, frame=frame)
 
 
 def _close(a, b):

@@ -154,10 +154,10 @@ def _oracle_rows(S, nl, a):
 
 
 def _symmetrized_hessian(S, nl, a):
-    """a_hessian's earlier formula over its own sampled eigenfield matrix:
-    diag(signs) - G^T G / outer(w, w), then symmetrized."""
-    G = _oracle_rows(S, nl, a)
-    A = np.diag(S.signs) - (G.T @ G) / np.outer(S.weights, S.weights)
+    """a_hessian's formula over its own sampled eigenfield matrix:
+    diag(signs) - (G / w)^T (G / w), then symmetrized."""
+    G = _oracle_rows(S, nl, a) / S.weights
+    A = np.diag(S.signs) - G.T @ G
     return 0.5 * (A + A.T)
 
 
@@ -225,12 +225,44 @@ class TestFineLowRankRows:
         G = _gram_factor(S, nl, weight, rows)
         oracle = _oracle_rows(S, nl, a)[rows] / S.weights
         assert rows.size > 0
-        assert np.abs(G - oracle).max() <= 1e-13 * np.abs(oracle).max()
+        assert np.abs(G.matrix - oracle).max() <= 1e-13 * np.abs(oracle).max()
         if dim == 1:  # the fixture's Hessian is singular on its translation kernel
             model = HessianModel(S.signs, S.j, np.zeros((S.num_modes, 0)), G=G)
             rhs = rng.standard_normal(S.num_modes)
             residual = model.matvec(model.solve(rhs, 0.0)) - rhs
             assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(rhs)
+
+
+class TestGreenCapacitance:
+    """G D G^T, gathered from the Green table of the evaluation grid,
+    against the explicit product of the oracle's sampled rows."""
+
+    @pytest.mark.parametrize("case", ["1d-1", "1d-1.5", "2d-1", "2d-3"])
+    def test_matches_the_explicit_product(self, S64, base64, degenerate, case):
+        dim, factor = case.split("-")
+        if dim == "1d":
+            S, nl, field = S64, Nonlinearity(dealias_factor=float(factor)), base64.field
+        else:
+            S2, nl2, rec, _ = degenerate
+            S, nl, field = S2, dataclasses.replace(nl2, dealias_factor=float(factor)), rec.field
+        a = S.a_from_field(field)
+        weight, rows = _active_rows(S, nl, a)
+        rows = rows[:: max(1, rows.size // 300)]  # any subset of rows has its block
+        G = _oracle_rows(S, nl, a)[rows] / S.weights
+        oracle = (G * S.signs) @ G.T
+        got = _gram_factor(_fresh(S), nl, weight, rows).gdg
+        assert rows.size > 100
+        assert np.abs(got - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+    def test_the_table_is_cached_with_the_grid(self, S8, nl, base8):
+        S = _fresh(S8)
+        a = S.a_from_field(base8.field)
+        weight, rows = _active_rows(S, nl, a)
+        assert _eval_grid(S, nl).green is None
+        _gram_factor(S, nl, weight, rows).gdg
+        table = _eval_grid(S, nl).green
+        _gram_factor(S, nl, weight, rows[::2]).gdg
+        assert table is not None and _eval_grid(S, nl).green is table
 
 
 class TestDealiasing:
@@ -323,6 +355,28 @@ class TestInterpolation:
         oracle = Smat.T @ (w.reshape(-1, 1) * Smat)
         M = grid.form(w)
         assert np.abs(M - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(cells=st.integers(1, 9), m=st.sampled_from([8, 16]), factor=st.floats(1.0, 3.0))
+    def test_fine_grid_repeats_cell_by_cell(self, cells, m, factor):
+        # the smallest even multiple of the cell count at or above factor * n
+        n = cells * m
+        nf = _interpolation_matrix(n, factor, cells).shape[0]
+        step = cells if cells % 2 == 0 else 2 * cells
+        assert nf % step == 0 and nf >= factor * n and nf - step < factor * n
+
+    @pytest.mark.parametrize("factor", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("cells, m", [(8, 16), (64, 16), (3, 8), (5, 8)])
+    def test_usual_factors_keep_their_grids(self, cells, m, factor):
+        n = cells * m
+        assert _interpolation_matrix(n, factor, cells).shape == _interpolation_matrix(n, factor).shape
+
+    def test_an_odd_torus_takes_the_next_even_multiple(self, degenerate):
+        # Q_3 at M = 8 and factor 1.3: ceil(31.2) = 32 points per axis on
+        # one cell's rule, 36 = 12 per cell on the torus
+        S, nl2, _, _ = degenerate
+        assert _interpolation_matrix(24, 1.3).shape[0] == 32
+        assert _eval_grid(_fresh(S), dataclasses.replace(nl2, dealias_factor=1.3)).P.shape[0] == 36
 
     def test_factor_one_is_the_identity(self):
         assert np.allclose(_interpolation_matrix(24, 1.0), np.eye(24), rtol=0, atol=1e-15)

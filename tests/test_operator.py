@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from gapbumps import presets
-
+from gapbumps.functional import _along_axes, _interpolation_matrix
 from gapbumps.operator import (
     NoCertifiedGap,
     NotInvertible,
@@ -211,6 +211,57 @@ class TestDenseOracle:
         E = S.eigenfields[:, cols]
         gram = domain.spacing * (E.T @ E)
         assert np.abs(gram - np.eye(cols.size)).max() <= 1e-13
+
+
+def _transform_case(case, S8, S64, degenerate):
+    """(S, fine interpolation matrix P) of a case: 1-d at factor 1.5, the
+    2-d fixture at its own factor 3."""
+    if case == "2d_fixture":
+        S = degenerate[0]
+        return S, _interpolation_matrix(S.domain.points_per_axis, 3.0, S.domain.cells)
+    S = {"1d_k8": S8, "1d_k64": S64}[case]
+    return S, _interpolation_matrix(S.domain.points_per_axis, 1.5, S.domain.cells)
+
+
+class TestFiberTransforms:
+    """The transforms run per fiber plus an FFT over the cell axes; the
+    dense eigenfield matrix E is their oracle, to rounding."""
+
+    CASES = ["1d_k8", "1d_k64", "2d_fixture"]
+
+    @staticmethod
+    def _close(got, want):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_transforms_match_the_dense_matrix(self, S8, S64, degenerate, rng, case):
+        S, _ = _transform_case(case, S8, S64, degenerate)
+        E, w, h = S.eigenfields, S.weights, S.domain.spacing**S.domain.dim
+        a, x = rng.standard_normal(S.num_modes), rng.standard_normal(S.num_modes)
+        self._close(S.values_from_a(a).reshape(-1), E @ (a / w))
+        self._close(S.a_from_values(x.reshape(S.domain.shape)), w * (h * (E.T @ x)))
+        self._close(S.a_from_dual(x), (E.T @ x) / w)
+        self._close(S.eigenfield(5).flat, E[:, 5])
+
+    @pytest.mark.parametrize("grid", ["torus", "fine"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_rows_match_the_dense_matrix(self, S8, S64, degenerate, rng, case, grid):
+        S, P = _transform_case(case, S8, S64, degenerate)
+        E, dim = S.eigenfields, S.domain.dim
+        if grid == "torus":
+            P, QE = None, E
+        else:
+            QE = _along_axes(P, E.T.reshape((-1,) + S.domain.shape), dim).reshape(S.num_modes, -1).T
+        points = rng.choice(QE.shape[0], 40, replace=False)
+        scale = rng.uniform(0.5, 2.0, points.size)
+        self._close(S.a_rows(points, scale, P), QE[points] * scale[:, None] / S.weights)
+
+    def test_the_dense_matrix_is_built_on_first_access_only(self, potential, rng):
+        S = diagonalize(potential, TorusDomain(1, 16, 16))
+        S.a_from_dual(S.values_from_a(rng.standard_normal(S.num_modes)))
+        assert "eigenfields" not in vars(S)
+        E = S.eigenfields
+        assert S.eigenfields is E and not E.flags.writeable
 
 
 class TestSplitting:

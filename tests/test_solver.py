@@ -302,6 +302,16 @@ class TestLowRankHessian:
         assert len(blocks) == 2 and qrs
         assert tuple(census.values()) == (66, 0, "low-rank", 347)
 
+    def test_solve_and_census_never_build_the_eigenfield_matrix(self, potential, nl):
+        # every product with E on the low-rank path is a fiber transform or
+        # a gather; the N x N matrix (N = 4096 here) is never formed
+        S = diagonalize(potential, TorusDomain(1, 256, 16))
+        A = presets.BASE_ANSATZ
+        rec = find_critical_point(initial_ansatz(A["center"], A["width"], A["amplitude"], S.domain, S), S, nl)
+        census = hessian_census(S, nl, S.a_from_field(rec.field))
+        assert rec.residual <= 1e-10 and census["hessian_backend"] == "low-rank"
+        assert "eigenfields" not in vars(S)
+
     def test_ridge_escalates_past_a_singular_capacitance(self, rng):
         # H = I - G^T G on R^4: at mu = 0.5625 the capacitance
         # 1.5625 - 1.25^2 is exactly 0, so H + mu D is singular and the
