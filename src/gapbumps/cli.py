@@ -196,7 +196,8 @@ def _potential_from_dict(d: dict, dim: int, path: str = "potential") -> Periodic
         if shift == "auto-midgap":
             if d["kind"] != "cosine":
                 raise ConfigError(f"{path}.shift 'auto-midgap' requires kind 'cosine'")
-            shift = midgap_shift(float(d["amplitude"]))
+            axes = len(set(d["axes"])) if d["axes"] is not None else dim
+            shift = midgap_shift(float(d["amplitude"]), axes)
         return PeriodicPotential(
             kind=d["kind"],
             amplitude=float(d["amplitude"]),

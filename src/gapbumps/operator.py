@@ -8,8 +8,8 @@ M^dim, one per quasimomentum theta = 2*pi*j/k (Floquet-Bloch theory). The
 spectrum is built from those fibers: each conjugate pair {j, -j} costs one
 complex Hermitian eigenproblem and yields two real eigenfields per band,
 the real and imaginary parts of its Bloch waves. The cost is
-O(k^dim * M^(3*dim)) for the fibers plus O(N M^dim) per fiber to fix the
-eigenfields' signs, instead of O(N^3) for a dense eigensolve.
+O(k^dim * M^(3*dim)) for the fibers, instead of O(N^3) for a dense
+eigensolve; each fiber eigenvector's phase is fixed inside its fiber.
 
 The decomposition keeps the fibers, not the N x N eigenfield matrix E.
 Every product with E is one product with each fiber's eigenvectors plus
@@ -41,6 +41,7 @@ from .torus import GridField, TorusDomain
 
 GAP_CERTIFY_TOL = 1e-6  # 0 counts as "in a gap" only if min |lambda| exceeds this
 INVERTIBLE_TOL = 1e-10
+PHASE_TIE_RTOL = 1e-9  # ties for the largest modulus: even V gives |u(x)| = |u(-x)|
 
 
 class NotInvertible(Exception):
@@ -167,36 +168,27 @@ def _quasimomenta(domain: TorusDomain) -> Iterator[tuple[tuple[int, ...], bool]]
             yield j, j == partner
 
 
+def first_largest(mod: NDArray[np.float64]) -> NDArray[np.intp]:
+    """Along axis 0, the first index whose modulus is within PHASE_TIE_RTOL
+    of the largest: the entry that a phase or sign rule makes positive."""
+    return np.argmax(mod >= (1.0 - PHASE_TIE_RTOL) * mod.max(axis=0), axis=0)
+
+
 def _fiber_eigh(V_cell: NDArray[np.float64], j: tuple[int, ...], k: int, real: bool):
-    """Eigenvalues and eigenvectors of the fiber at theta = 2*pi*j/k."""
+    """Eigenvalues and eigenvectors of the fiber at theta = 2*pi*j/k, each
+    eigenvector times the unit phase that makes its first entry of largest
+    modulus (ties within PHASE_TIE_RTOL: the lowest index) real and positive."""
     fiber = _fiber_matrix(V_cell, 2.0 * np.pi * np.asarray(j) / k)
     # a real eigensolver keeps degenerate eigenvectors of a real fiber real;
     # divide and conquer keeps close eigenvectors orthogonal to ~1e-15
-    return eigh(fiber.real if real else fiber, driver="evd")
+    vals, U = eigh(fiber.real if real else fiber, driver="evd")
+    p = U[first_largest(np.abs(U)), np.arange(U.shape[1])]
+    return vals, U * (np.conj(p) / np.abs(p))
 
 
 def _cell_samples(values: NDArray[np.float64], domain: TorusDomain) -> NDArray[np.float64]:
     """The torus grid's samples on its first unit cell."""
     return values[(slice(0, domain.samples_per_cell),) * domain.dim]
-
-
-def _bloch_rows(
-    U: NDArray[np.complex128], j: tuple[int, ...], domain: TorusDomain
-) -> NDArray[np.complex128]:
-    """Fiber eigenvectors U extended to the torus: psi(x_cell + n) = e^{i theta.n} u(x_cell).
-
-    One row per fiber eigenvector, row-major over the grid, Euclidean
-    norm sqrt(k^dim) per row.
-    """
-    k, m, dim = domain.cells, domain.samples_per_cell, domain.dim
-    # one table of k-th roots of unity; (j * n) mod k indexes e^{2 pi i j n / k}
-    roots = np.exp(2j * np.pi * np.arange(k) / k)
-    rows = U.T.reshape((U.shape[1],) + (1, m) * dim)
-    for ax in range(dim):
-        shape = [1] * rows.ndim
-        shape[1 + 2 * ax] = k
-        rows = rows * roots[(j[ax] * np.arange(k)) % k].reshape(shape)
-    return rows.reshape(U.shape[1], domain.num_points)
 
 
 def _cell_split(points: NDArray[np.intp], cells: int, per_cell: int, dim: int):
@@ -241,19 +233,19 @@ class SpectralDecomposition:
     eigenvectors U_f of the fiber at quasimomenta[f] (one j per pair),
     columns[f, b] the eigenfield index of band b's real and imaginary part
     (num_modes where a self-conjugate fiber has none), and frame each
-    eigenfield's factor, sqrt(c / k^dim) M^(dim/2) (c = 2 for a pair, else
-    1) times the sign that makes its largest-magnitude entry positive.
-    Eigenfield (f, b) is frame times Re or Im of the Bloch wave
-    psi(x_cell + n) = e^{i theta.n} U_f[x_cell, b]. Transforms are products
-    with each fiber plus an FFT over the cell axes; the N x N matrix
-    `eigenfields` is built on first access only (dense Hessians read it).
+    eigenfield's normalization, sqrt(c / k^dim) M^(dim/2) (c = 2 for a
+    pair, else 1). Eigenfield (f, b) is frame times Re or Im of the Bloch
+    wave psi(x_cell + n) = e^{i theta.n} U_f[x_cell, b], and U_f[:, b] has
+    its first entry of largest modulus real and positive, so no sign or
+    phase comes from the eigensolver. Transforms are products with each
+    fiber plus an FFT over the cell axes; the N x N matrix `eigenfields`
+    is built on first access only (dense Hessians read it).
 
-    Inside a degenerate eigenspace that basis is one choice of many:
-    projections, energies and Newton steps do not depend on it, but random
-    draws made coefficient by coefficient (solver.sphere_level) do. j
-    counts negative eigenvalues; gap is the certified interval
-    (-alpha, beta) around zero avoided by the spectrum, or None when zero
-    is not safely inside a gap.
+    Inside an eigenspace of several bands or fibers that basis is one
+    choice of many: projections, energies, Newton steps and random draws
+    (random_coefficients) do not depend on it. j counts negative
+    eigenvalues; gap is the certified interval (-alpha, beta) around zero
+    avoided by the spectrum, or None when zero is not safely inside a gap.
     """
 
     domain: TorusDomain
@@ -300,14 +292,11 @@ class SpectralDecomposition:
 
     @cached_property
     def eigenfields(self) -> NDArray[np.float64]:
-        """The eigenfields as the columns of one (num_points, num_points) matrix."""
-        n = self.num_modes
-        vecs = np.empty((self.domain.num_points, n), order="F")
-        for q, U, cols in zip(self.quasimomenta, self.fiber_vectors, self.columns):
-            psi = _bloch_rows(U, tuple(q), self.domain)
-            parts = (psi.real,) if cols[0, 1] == n else (psi.real, psi.imag)
-            for part, c in zip(parts, cols.T):
-                vecs[:, c] = (part * self.frame[c][:, None]).T
+        """The eigenfields as the columns of one (num_points, num_points)
+        matrix: a_rows times the weights, gathered in `cells` blocks of rows."""
+        vecs = np.empty((self.domain.num_points, self.num_modes), order="F")
+        for rows in np.array_split(np.arange(self.domain.num_points), self.domain.cells):
+            vecs[rows] = self.a_rows(rows, 1.0) * self.weights
         vecs.setflags(write=False)
         return vecs
 
@@ -377,6 +366,12 @@ class SpectralDecomposition:
     def a_from_dual(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
         """E^T v / weights, the transpose of values_from_a."""
         return self._coefficients(v) / self.weights
+
+    def random_coefficients(self, rng: np.random.Generator) -> NDArray[np.float64]:
+        """sqrt(h) E^T xi for grid white noise xi: the law of rng.standard_normal(num_modes)
+        (E sqrt(h) is orthogonal), but a field that does not depend on the basis inside an eigenspace."""
+        h = self.domain.spacing**self.domain.dim
+        return np.sqrt(h) * self._coefficients(rng.standard_normal(self.domain.num_points))
 
     def a_form(self, M: NDArray[np.float64]) -> NDArray[np.float64]:
         """E^T M E / (w w^T), exactly symmetric, for a grid quadratic form M:
@@ -458,11 +453,11 @@ def diagonalize(V: PeriodicPotential, domain: TorusDomain) -> SpectralDecomposit
     M^dim x M^dim eigensolve: real symmetric when j = -j, complex Hermitian
     otherwise, where the real and imaginary parts of each Bloch wave, scaled
     by sqrt(2 / k^dim), are two orthonormal real eigenfields with the same
-    eigenvalue. All eigenvalues are stably sorted together; the fibers are
-    kept with each eigenfield's sorted index and frame, whose sign is read
-    off the fiber's Bloch waves on the whole grid (O(N M^dim) per fiber,
-    no N x N array). Cost O(k^dim * M^(3*dim) + N^2 / 2) flops, against
-    O(N^3) for the dense eigensolve.
+    eigenvalue. Each eigenvector's phase is fixed inside its fiber
+    (_fiber_eigh). All eigenvalues are stably sorted together; the fibers
+    are kept with each eigenfield's sorted index and normalization, and
+    nothing is built on the whole grid. Cost O(k^dim * M^(3*dim)) flops,
+    against O(N^3) for the dense eigensolve.
 
     Raises NotInvertible when some |lambda_i| < 1e-10 (zero effectively in
     the spectrum). The gap interval is certified only when
@@ -491,18 +486,12 @@ def diagonalize(V: PeriodicPotential, domain: TorusDomain) -> SpectralDecomposit
     columns = np.full((len(fibers), width, 2), n)
     frame = np.empty(n)
     start = 0
-    for f, (q, real, _, U) in enumerate(fibers):
-        psi = _bloch_rows(U, q, domain)
-        # a pair's fields (Re, Im) sit in adjacent sorted columns
+    for f, (_, real, _, _) in enumerate(fibers):
+        # a pair's fields (Re, Im) sit in adjacent sorted columns; frames make them L2-orthonormal
         cols = column[start : start + (1 if real else 2) * width].reshape(width, -1)
         columns[f, :, : cols.shape[1]] = cols
         start += cols.size
-        # L2-orthonormal fields; deterministic sign: largest entry positive
-        scale = np.sqrt((1.0 if real else 2.0) / k**dim) * domain.samples_per_cell ** (dim / 2.0)
-        for part, c in zip((psi.real, psi.imag), cols.T):
-            block = part * scale
-            lead = np.argmax(np.abs(block), axis=1)
-            frame[c] = scale * np.sign(block[np.arange(width), lead])
+        frame[cols] = np.sqrt((1.0 if real else 2.0) / k**dim) * domain.samples_per_cell ** (dim / 2.0)
     j = int(np.sum(vals < 0.0))
     gap: tuple[float, float] | None = None
     if min_abs > GAP_CERTIFY_TOL:
@@ -566,26 +555,30 @@ def band_structure(
     return [(float(vals[:, b].min()), float(vals[:, b].max())) for b in range(bands)]
 
 
-def midgap_shift(amplitude: float) -> float:
-    """Shift s placing 0 at the midpoint of the first gap of A cos(2*pi*x).
+def midgap_shift(amplitude: float, axes: int = 1) -> float:
+    """Shift s placing 0 at the midpoint of the first gap of sum_a A cos(2*pi*x_a)
+    over `axes` axes (a free axis is not counted).
 
-    The first gap lies between the top of band 1 and the bottom of band 2
-    of the unshifted profile; its midpoint is returned, so that
-    V = A cos(2*pi*x) - s has one full band below zero. Every band edge of
+    The bands are Minkowski sums of `axes` copies of the 1-d bands: the
+    gap lies between axes * hi1 and (axes - 1) lo1 + lo2 (in 1-d, between
+    the top of band 1 and the bottom of band 2), so that the shifted
+    potential has one full band below zero. Every band edge of
     a 1-d Hill operator sits at theta = 0 or pi (Reed-Simon IV, XIII.16),
     so the two 64-mode fibers there suffice. Both thetas are exact in
     floating point, the same matrices a 64-point quasimomentum scan
     builds, so the shift equals that scan's bit for bit.
     """
+    if axes < 1:
+        raise ValueError(f"the cosine must act on at least one axis, got {axes}")
     base = PeriodicPotential(kind="cosine", amplitude=amplitude, shift=0.0)
-    (lo1, hi1), (lo2, hi2) = band_structure(base, 2, 2, 64)
+    (lo1, hi1), (lo2, _) = band_structure(base, 2, 2, 64)
+    top, bottom = axes * hi1, (axes - 1) * lo1 + lo2
     # touching bands come back separated by eigensolver noise; a sliver
     # below the resolution scale is not a usable gap
-    scale = max(1.0, abs(hi1), abs(lo2))
-    if lo2 - hi1 <= 1e-9 * scale:
-        raise ValueError(f"no gap between bands 1 and 2 for amplitude {amplitude}")
-    del lo1, hi2
-    return 0.5 * (hi1 + lo2)
+    scale = max(1.0, abs(top), abs(bottom))
+    if bottom - top <= 1e-9 * scale:
+        raise ValueError(f"no gap between bands 1 and 2 for amplitude {amplitude} on {axes} axes")
+    return 0.5 * (top + bottom)
 
 
 def norm_equivalence_report(
@@ -610,7 +603,7 @@ def norm_equivalence_report(
             a = np.zeros(n)
             a[trial] = S.weights[trial]
         else:
-            a = S.weights * (rng.standard_normal(n) * decay)
+            a = S.weights * (S.random_coefficients(rng) * decay)
         ratio = float(np.linalg.norm(a)) / h1_norm(S.field_from_a(a))
         lo = min(lo, ratio)
         hi = max(hi, ratio)

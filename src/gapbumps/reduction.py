@@ -20,7 +20,7 @@ import scipy.linalg
 from numpy.typing import NDArray
 
 from .functional import Nonlinearity, a_value_and_gradient, hessian_model
-from .operator import SpectralDecomposition
+from .operator import SpectralDecomposition, first_largest
 from .solver import KERNEL_TAU, NoConvergence, SolutionRecord, kernel_split
 from .torus import GridField, TorusDomain, embed_with_cutoff, translate
 
@@ -87,7 +87,8 @@ def detect_kernel(
     tau is relative to the spectral radius of the spectrum: K's Ritz
     values and the +-1 off span U. The selected vectors (U z, and the
     complement of U once tau * scale > 1) make the kernel block Lambda;
-    eta comes from the smallest surviving |mu|.
+    eta comes from the smallest surviving |mu|. Each U z has the sign that
+    makes its field's first value of largest magnitude positive.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -101,6 +102,9 @@ def detect_kernel(
         raise AllKernel(f"all {mu.size} directions below tau*scale = {tau * scale:g}")
     excluded_min = float(np.abs(mu[~near]).min())
     E = H.embed(Z[:, near[: ritz.size]])
+    for e in E.T:  # the sign of each vector from its field, not from eigh
+        v = S.values_from_a(e).reshape(-1)
+        e *= np.sign(v[first_largest(np.abs(v))])
     if near[ritz.size :].any():
         E = np.hstack([E, H.complement()])
     return KernelBasis(

@@ -365,7 +365,7 @@ def sphere_level(
     best_J = np.inf
     for _ in range(max(1, samples)):
         z = np.zeros(n)
-        z[j:] = rng.standard_normal(n - j) / (1.0 + np.abs(S.eigenvalues[j:]))
+        z[j:] = S.random_coefficients(rng)[j:] / (1.0 + np.abs(S.eigenvalues[j:]))
         z *= r / np.linalg.norm(z)
         Jz = value(z)
         if Jz < best_J:
@@ -450,13 +450,15 @@ def linking_upper_bound(
             t = t * (rho / norm)
         return np.concatenate([y, [t]])
 
+    def draw() -> tuple[NDArray[np.float64], float]:
+        return S.random_coefficients(rng)[:j], abs(rng.standard_normal())
+
     # states x = [y, t]: negative-subspace part y and ray coordinate t
     starts: list[NDArray[np.float64]] = []
     for t in np.linspace(0.05 * rho, 0.95 * rho, 12):
         starts.append(np.concatenate([np.zeros(j), [t]]))
     for _ in range(max(0, samples)):
-        y = rng.standard_normal(j)
-        t = abs(rng.standard_normal())
+        y, t = draw()
         norm = np.hypot(np.linalg.norm(y), t)
         scale = rho * rng.uniform(0.0, 0.95) / max(norm, 1e-30)
         starts.append(np.concatenate([y * scale, [t * scale]]))
@@ -470,19 +472,18 @@ def linking_upper_bound(
         )
         best_val = max(best_val, Jc)
 
-    boundary = _boundary_sup(j, rho, samples, rng, value, grad)
+    boundary = _boundary_sup(j, rho, samples, draw, value, grad)
     return LinkingBound(float(best_val), float(boundary))
 
 
-def _boundary_sup(j, rho, samples, rng, value, grad) -> float:
+def _boundary_sup(j, rho, samples, draw, value, grad) -> float:
     # Two faces: the t=0 slab (J <= 0 there, sup 0 at the origin) and the
     # radius-rho sphere cap with t >= 0. Sample both, then tangential
     # ascent on the cap from the best sample.
     sup = value(np.zeros(j + 1))  # origin, exactly J(0) = 0
     best_x, best_J = None, -np.inf
     for _ in range(max(4, samples)):
-        y = rng.standard_normal(j)
-        t = abs(rng.standard_normal())
+        y, t = draw()
         norm = np.hypot(np.linalg.norm(y), t)
         x = np.concatenate([y * (rho / norm), [t * (rho / norm)]])
         Jc = value(x)

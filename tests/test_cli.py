@@ -20,7 +20,7 @@ from gapbumps.cli import (
     read_field_csv,
     write_field_csv,
 )
-from gapbumps.operator import PeriodicPotential
+from gapbumps.operator import PeriodicPotential, midgap_shift
 from gapbumps.solver import hessian_census
 from gapbumps.torus import GridField, TorusDomain, translate
 from gapbumps.verify import LemmaReport, VerificationSession
@@ -73,6 +73,20 @@ class TestConfig:
         assert cfg.domain.cells == 4
         assert cfg.domain.samples_per_cell == 16
         assert cfg.seed == 9
+
+    @pytest.mark.parametrize("axes, counted", [(None, 2), ([0, 1], 2), ([1], 1)])
+    def test_auto_midgap_counts_the_axes_the_cosine_acts_on(self, tmp_path, axes, counted):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"domain": {"dim": 2}, "potential": {"axes": axes}}))
+        assert load_config(str(path)).potential.shift == midgap_shift(30.0, counted)
+
+    def test_auto_midgap_without_a_gap_exits_2(self, outdir, tmp_path, capsys):
+        # amplitude 5 has a 1-d gap, but the 2-d band 1 overlaps band 2
+        cfg = tmp_path / "weak.json"
+        cfg.write_text('{"domain": {"dim": 2, "samples_per_cell": 8}, "potential": {"amplitude": 5.0}}')
+        assert main(["--config", str(cfg), "spectrum"]) == 2
+        assert "no gap" in capsys.readouterr().err
+        assert not (outdir / "manifest.json").exists()
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"

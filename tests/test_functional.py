@@ -25,6 +25,7 @@ from gapbumps import presets
 from gapbumps.operator import PeriodicPotential, diagonalize
 from gapbumps.solver import initial_ansatz
 from gapbumps.torus import GridField, TorusDomain, translate
+from oracle import eigenfield_matrix
 
 
 class TestHypotheses:
@@ -141,13 +142,14 @@ class TestDerivatives:
         assert (Jp - Jm) / (2 * eps) == pytest.approx(float(g @ v), rel=1e-7, abs=1e-9)
 
 
-def _oracle_rows(S, nl, a):
+def _oracle_rows(S, nl, a, F=None):
     """diag(sqrt(qw f')) F over the whole evaluation grid, F the
-    eigenfields sampled there column by column (N_f x N)."""
+    eigenfields sampled there column by column (N_f x N), from the given
+    eigenfield matrix or by default the one built from the Bloch waves."""
     grid = _eval_grid(S, nl)
-    F = S.eigenfields
+    F = eigenfield_matrix(S) if F is None else F
     if grid.P is not None:
-        fine = _along_axes(grid.P, S.eigenfields.T.reshape((-1,) + S.domain.shape), grid.dim)
+        fine = _along_axes(grid.P, F.T.reshape((-1,) + S.domain.shape), grid.dim)
         F = fine.reshape(S.num_modes, -1).T
     samples = grid.samples(S.values_from_a(a))
     return F * np.sqrt(grid.qw * nl.fprime(samples, grid.h)).reshape(-1)[:, None]
@@ -156,7 +158,7 @@ def _oracle_rows(S, nl, a):
 def _symmetrized_hessian(S, nl, a):
     """a_hessian's formula over its own sampled eigenfield matrix:
     diag(signs) - (G / w)^T (G / w), then symmetrized."""
-    G = _oracle_rows(S, nl, a) / S.weights
+    G = _oracle_rows(S, nl, a, S.eigenfields) / S.weights
     A = np.diag(S.signs) - G.T @ G
     return 0.5 * (A + A.T)
 

@@ -18,7 +18,7 @@ from gapbumps.operator import (
     project_positive,
 )
 from gapbumps.torus import GridField, TorusDomain, l2_inner, translate
-from oracle import operator_matrix
+from oracle import eigenfield_matrix, operator_matrix
 
 
 class TestPotential:
@@ -224,8 +224,10 @@ def _transform_case(case, S8, S64, degenerate):
 
 
 class TestFiberTransforms:
-    """The transforms run per fiber plus an FFT over the cell axes; the
-    dense eigenfield matrix E is their oracle, to rounding."""
+    """The transforms run per fiber plus an FFT over the cell axes, and
+    a_rows and S.eigenfields gather rows from the fibers; the eigenfield
+    matrix E built from the Bloch waves on the whole grid is their oracle,
+    to rounding."""
 
     CASES = ["1d_k8", "1d_k64", "2d_fixture"]
 
@@ -236,18 +238,19 @@ class TestFiberTransforms:
     @pytest.mark.parametrize("case", CASES)
     def test_transforms_match_the_dense_matrix(self, S8, S64, degenerate, rng, case):
         S, _ = _transform_case(case, S8, S64, degenerate)
-        E, w, h = S.eigenfields, S.weights, S.domain.spacing**S.domain.dim
+        E, w, h = eigenfield_matrix(S), S.weights, S.domain.spacing**S.domain.dim
         a, x = rng.standard_normal(S.num_modes), rng.standard_normal(S.num_modes)
         self._close(S.values_from_a(a).reshape(-1), E @ (a / w))
         self._close(S.a_from_values(x.reshape(S.domain.shape)), w * (h * (E.T @ x)))
         self._close(S.a_from_dual(x), (E.T @ x) / w)
         self._close(S.eigenfield(5).flat, E[:, 5])
+        self._close(S.eigenfields, E)
 
     @pytest.mark.parametrize("grid", ["torus", "fine"])
     @pytest.mark.parametrize("case", CASES)
     def test_rows_match_the_dense_matrix(self, S8, S64, degenerate, rng, case, grid):
         S, P = _transform_case(case, S8, S64, degenerate)
-        E, dim = S.eigenfields, S.domain.dim
+        E, dim = eigenfield_matrix(S), S.domain.dim
         if grid == "torus":
             P, QE = None, E
         else:
@@ -300,6 +303,13 @@ class TestBands:
         raw = PeriodicPotential(amplitude=amplitude)
         (_, hi1), (lo2, _) = band_structure(raw, 2, 64, 64)
         assert midgap_shift(amplitude) == 0.5 * (hi1 + lo2)
+
+    def test_midgap_shift_on_two_axes_centres_the_2d_gap(self):
+        # the separable 2-d bands are Minkowski sums of the 1-d ones
+        S = diagonalize(PeriodicPotential(amplitude=30.0, shift=midgap_shift(30.0, 2)), TorusDomain(2, 4, 8))
+        assert S.alpha == pytest.approx(S.beta, rel=1e-6)
+        with pytest.raises(ValueError, match="no gap"):
+            midgap_shift(5.0, 2)  # there is a 1-d gap, but twice band 1 reaches band 2
 
     def test_no_gap_for_the_free_operator(self):
         with pytest.raises(ValueError):

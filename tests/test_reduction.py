@@ -45,6 +45,16 @@ class TestDetection:
         with pytest.raises(ValueError):
             detect_kernel(base8, S8, nl, tau=0.0)
 
+    def test_kernel_signs_come_from_the_fields(self, base8, S8, nl, kb2dir, monkeypatch):
+        eigh = scipy.linalg.eigh
+
+        def negated(*args, **kwargs):
+            vals, vecs = eigh(*args, **kwargs)
+            return vals, -vecs
+
+        monkeypatch.setattr(scipy.linalg, "eigh", negated)
+        np.testing.assert_array_equal(detect_kernel(base8, S8, nl, tau=0.16).E, kb2dir.E)
+
     def test_combination_shape_guard(self, kb8):
         with pytest.raises(ValueError):
             kernel_combination(kb8, np.zeros(3))
