@@ -24,7 +24,7 @@ from .reduction import (
     KernelBasis, _embed_field, _projected_newton, joint_kernel_matrix, kernel_combination, solve_w,
 )
 from .solver import NoConvergence, SolverOptions, find_critical_point
-from .torus import GridField, TorusDomain, min_image, translate
+from .torus import GridField, min_image
 
 # phase 2 (reduced Newton) stops once |X^T grad J| falls to this
 REDUCED_TOL = 1e-9
@@ -61,38 +61,14 @@ def periodic_separation(
     return float(np.sqrt((d * d).sum(axis=1)).min())
 
 
-def superpose(
-    base: GridField,
-    centers: list[tuple[int, ...]],
-    domain: TorusDomain,
-) -> GridField:
-    """Sum of copies of `base` translated to each center.
-
-    The base is embedded (with the boundary cutoff) first when it lives
-    on a smaller torus of the same resolution.
-    """
-    seen = set()
-    for b in centers:
-        key = tuple(int(c) % domain.cells for c in b)
-        if key in seen:
-            raise CentersCollide(f"center {b} duplicates another modulo {domain.cells}")
-        seen.add(key)
-    f = _embed_field(base, domain)
-    total = np.zeros(domain.shape)
-    for b in centers:
-        # translate(f, -b) = f(. - b): the copy sits at b
-        total = total + translate(f, tuple(-int(c) for c in b)).values
-    return GridField(domain, total)
-
-
 @dataclass(frozen=True)
 class MultibumpProblem:
     """A gluing instance: base kernel data, target centers, target space.
 
-    glued_a is the superposed base in a-coordinates. joint_raw holds the
-    translated kernel fields as a-columns: the x-coordinate basis,
-    near-orthonormal for separated centers, whose span the correction
-    stays orthogonal to.
+    glued_a is the sum of the base's copies at the centers in
+    a-coordinates. joint_raw holds the translated kernel fields as
+    a-columns: the x-coordinate basis, near-orthonormal for separated
+    centers, whose span the correction stays orthogonal to.
     """
 
     kb: KernelBasis
@@ -126,13 +102,20 @@ def build_problem(
 ) -> MultibumpProblem:
     """Glue translated copies of kb's base at `centers` on the torus of S.
 
-    Refuses colliding centers, and translated kernel fields far from
-    orthonormal although the centers sit SEPARATION_FLOOR cells apart.
+    The base is embedded once (with the boundary cutoff, from a smaller
+    torus) and turned to each center (S.translate). Refuses colliding
+    centers, and translated kernel fields far from orthonormal although
+    the centers sit SEPARATION_FLOOR cells apart.
     """
+    seen = set()
     for b in centers:
         if len(b) != S.domain.dim:
             raise ValueError(f"center {b} has wrong dimension")
-    glued = superpose(kb.base.field, centers, S.domain)
+        key = tuple(int(c) % S.domain.cells for c in b)
+        if key in seen:
+            raise CentersCollide(f"center {b} duplicates another modulo {S.domain.cells}")
+        seen.add(key)
+    base_a = S.a_from_field(_embed_field(kb.base.field, S.domain))
     l_sep = periodic_separation(centers, S.domain.cells)
     raw = joint_kernel_matrix(kb, centers, S)
     prob = MultibumpProblem(
@@ -140,7 +123,7 @@ def build_problem(
         centers=tuple(tuple(int(c) for c in b) for b in centers),
         S=S,
         l_sep=l_sep,
-        glued_a=S.a_from_field(glued),
+        glued_a=sum((S.translate(base_a, b) for b in centers), np.zeros(S.num_modes)),
         joint_raw=raw,
     )
     if l_sep >= SEPARATION_FLOOR and prob.joint_dim:

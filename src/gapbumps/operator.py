@@ -18,6 +18,10 @@ point is a gather from the fibers, and the Green's function
 E Lambda^-1 E^T is a table over cell differences (GreenTable). E itself
 is built on first access, which only the dense Hessian (a_form) makes.
 
+A lattice translation turns each Bloch pair: a whole-cell shift by b
+multiplies the Bloch wave at theta by e^{-i theta.b} (translate), so the
+overlaps with every translate are one FFT over the cell axes (overlaps).
+
 The spectral gap around zero is certified from the eigenvalues. A field
 is represented by its weighted coordinates a_i = sqrt(|lambda_i|)
 <u, phi_i>_L2 against the L2-orthonormal eigenfields
@@ -337,20 +341,50 @@ class SpectralDecomposition:
         u = u.reshape((k,) * dim + (m,) * dim)
         return (u.transpose(0, 2, 1, 3) if dim == 2 else u).reshape(self.domain.shape)
 
+    def _pairs(self, z: NDArray[np.float64]) -> NDArray[np.complex128]:
+        """(num_modes, ...) -> (fibers, bands, ...): x - i y for the
+        coefficients x, y of the Re and Im field (y = 0 on a real fiber)."""
+        zf = np.concatenate([z, np.zeros((1,) + z.shape[1:])])  # the spare slot
+        return zf[self.columns[..., 0]] - 1j * zf[self.columns[..., 1]]
+
+    def _unpairs(self, c: NDArray[np.complex128]) -> NDArray[np.float64]:
+        """The inverse of _pairs: (fibers, bands, ...) -> (num_modes, ...)."""
+        out = np.empty((self.num_modes + 1,) + c.shape[2:])
+        out[self.columns[..., 1]] = -c.imag  # a self-conjugate fiber's lands in the spare slot
+        out[self.columns[..., 0]] = c.real
+        return out[:-1]
+
     def _fields(self, z: NDArray[np.float64]) -> NDArray[np.float64]:
         """E z, shaped like the domain. A pair's two eigenfields with
         coefficients x, y sum to Re(psi (x - i y)) times their frames."""
-        zf = np.append(z * self.frame, 0.0)
-        c = zf[self.columns[..., 0]] - 1j * zf[self.columns[..., 1]]
+        c = self._pairs(z * self.frame)
         return self._by_grid(self._cell_waves(np.matmul(self.fiber_vectors, c[..., None])[..., 0]))
 
     def _coefficients(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
         """E^T x: per fiber, U^T times the cell sums of x, then Re and Im."""
         Y = np.matmul(self._cell_sums(self._by_cell(x))[:, None, :], self.fiber_vectors)[:, 0]
-        out = np.empty(self.num_modes + 1)
-        out[self.columns[..., 1]] = Y.imag  # a self-conjugate fiber's lands in the spare slot
-        out[self.columns[..., 0]] = Y.real
-        return out[:-1] * self.frame
+        return self._unpairs(Y.conj()) * self.frame
+
+    # -- lattice translations ------------------------------------------------------
+    def translate(self, a: NDArray[np.float64], b: Sequence[int]) -> NDArray[np.float64]:
+        """The a-coordinates (one column or several) of u(. - b), the copy
+        of u at the lattice vector b: each pair's x - i y times
+        e^{-i theta.b}, with the sign of each frame (a reflected pair turns
+        the other way); a real fiber's field only flips sign. O(N)."""
+        b = np.atleast_1d(np.asarray(b, dtype=int))
+        if b.size != self.domain.dim:
+            raise ValueError(f"shift has {b.size} components, domain is {self.domain.dim}-d")
+        k = self.domain.cells
+        phase = np.exp(-2j * np.pi * ((self.quasimomenta @ b) % k) / k)
+        s = np.sign(self.frame).reshape((-1,) + (1,) * (np.ndim(a) - 1))
+        return self._unpairs(self._pairs(a * s) * phase.reshape((-1,) + (1,) * np.ndim(a))) * s
+
+    def overlaps(self, a: NDArray[np.float64], c: NDArray[np.float64]) -> NDArray[np.float64]:
+        """a . translate(c, -n) for every lattice vector n, the cells in
+        row-major order: Re sum_f e^{i theta_f.n} sum_bands conj(a_f) c_f
+        over the pairs, one FFT over the cell axes."""
+        s = np.sign(self.frame)
+        return self._cell_waves(np.sum(np.conj(self._pairs(a * s)) * self._pairs(c * s), axis=1))
 
     # -- weighted a-coordinates a_i = sqrt(|lambda_i|) <u, phi_i>_L2 -------------
     def a_from_values(self, values: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -358,6 +392,8 @@ class SpectralDecomposition:
         return self.weights * (quad_weight * self._coefficients(values))
 
     def a_from_field(self, u: GridField) -> NDArray[np.float64]:
+        if not u.domain.compatible(self.domain):
+            raise ValueError("field and decomposition domains differ")
         return self.a_from_values(u.values)
 
     def values_from_a(self, a: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -417,17 +453,13 @@ class SpectralDecomposition:
         onto P's grid (P None: the torus grid, Q = I), as an r x N matrix.
         Row (n, s) of Q E is frame times Re, Im of e^{i theta.n} (Q U)[s]:
         a gather from the fibers, O(r N)."""
-        k, dim, n = self.domain.cells, self.domain.dim, self.num_modes
+        k, dim = self.domain.cells, self.domain.dim
         U, per_cell = self._fiber_samples(P)
         cell, sub = _cell_split(points, k, per_cell, dim)
         roots = np.exp(2j * np.pi * np.arange(k) / k)
         W = U.transpose(0, 2, 1)[:, :, sub]  # (fibers, bands, r)
         W *= roots[(self.quasimomenta @ cell.T) % k][:, None, :]
-        W = W.reshape(self.columns[..., 0].size, points.size)
-        GT = np.empty((n + 1, points.size))
-        GT[self.columns[..., 1].reshape(-1)] = W.imag
-        GT[self.columns[..., 0].reshape(-1)] = W.real
-        GT = GT[:n]
+        GT = self._unpairs(np.conjugate(W, out=W))
         GT *= (self.frame / self.weights)[:, None]
         GT *= scale
         return GT.T
@@ -514,9 +546,7 @@ def diagonalize(V: PeriodicPotential, domain: TorusDomain) -> SpectralDecomposit
 def project_positive(u: GridField, S: SpectralDecomposition) -> GridField:
     """T_k u: the component spanned by eigenfields with lambda_i > 0."""
     S.require_gap()
-    if not u.domain.compatible(S.domain):
-        raise ValueError("field and decomposition domains differ")
-    return S.field_from_a(S.a_from_values(u.values) * (S.eigenvalues > 0.0))
+    return S.field_from_a(S.a_from_field(u) * (S.eigenvalues > 0.0))
 
 
 # -- Floquet-Bloch bands (1-d) --------------------------------------------------
@@ -581,35 +611,14 @@ def midgap_shift(amplitude: float, axes: int = 1) -> float:
     return 0.5 * (top + bottom)
 
 
-def norm_equivalence_report(
-    S: SpectralDecomposition,
-    trials: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
+def norm_equivalence_report(S: SpectralDecomposition) -> tuple[float, float]:
     """Estimate the equivalence constants between ||.||_k and H^1 on Q_k.
 
-    Ratios ||u||_k / ||u||_H1 are measured over all eigenfields plus
-    `trials` random fields with H^1-summable spectra; the min and max
-    estimate c_low and c_high.
+    Ratios ||u||_k / ||u||_H1 are measured over all eigenfields; the min
+    and max estimate c_low and c_high.
     """
     from .torus import h1_norm
 
     S.require_gap()
-    lo, hi = np.inf, 0.0
-    n = S.num_modes
-    decay = 1.0 / (1.0 + np.abs(S.eigenvalues))
-    for trial in range(n + trials):
-        if trial < n:
-            a = np.zeros(n)
-            a[trial] = S.weights[trial]
-        else:
-            a = S.weights * (S.random_coefficients(rng) * decay)
-        ratio = float(np.linalg.norm(a)) / h1_norm(S.field_from_a(a))
-        lo = min(lo, ratio)
-        hi = max(hi, ratio)
-    return float(lo), float(hi)
-
-
-def orbit_shifts(domain: TorusDomain) -> list[tuple[int, ...]]:
-    """All k^N integer translations of the torus, lexicographic order."""
-    return [tuple(b) for b in product(range(domain.cells), repeat=domain.dim)]
+    ratios = [float(S.weights[i]) / h1_norm(S.eigenfield(i)) for i in range(S.num_modes)]
+    return min(ratios), max(ratios)

@@ -22,7 +22,7 @@ from numpy.typing import NDArray
 from .functional import Nonlinearity, a_value_and_gradient, hessian_model
 from .operator import SpectralDecomposition, first_largest
 from .solver import KERNEL_TAU, NoConvergence, SolutionRecord, kernel_split
-from .torus import GridField, TorusDomain, embed_with_cutoff, translate
+from .torus import GridField, TorusDomain, embed_with_cutoff
 
 
 class AllKernel(RuntimeError):
@@ -224,15 +224,16 @@ def joint_kernel_matrix(
     centers: list[tuple[int, ...]],
     target_S: SpectralDecomposition,
 ) -> NDArray[np.float64]:
-    """Translated kernel fields at each center, as columns in a-coords.
-
-    The raw columns keep the product structure x_{i,j}; orthonormalize
+    """Translated kernel fields at each center, as columns in a-coords,
+    center by center: the block is expressed on target_S once (embedded
+    from another torus) and turned to each center (translate). The raw
+    columns keep the product structure x_{i,j}; orthonormalize
     separately when a projector is needed.
     """
-    cols = []
-    for b in centers:
-        shift = tuple(-int(c) for c in b)  # translate(f, -b) = f(. - b), copy at b
-        for j in range(kb.l):
-            e = _embed_field(kb.S.field_from_a(kb.E[:, j]), target_S.domain)
-            cols.append(target_S.a_from_field(translate(e, shift)))
-    return np.column_stack(cols) if cols else np.zeros((target_S.num_modes, 0))
+    E = kb.E
+    if kb.S is not target_S:
+        E = np.empty((target_S.num_modes, kb.l))
+        for j, e in enumerate(kb.E.T):
+            E[:, j] = target_S.a_from_field(_embed_field(kb.S.field_from_a(e), target_S.domain))
+    cols = [target_S.translate(E, b) for b in centers]
+    return np.hstack(cols) if cols else np.zeros((target_S.num_modes, 0))

@@ -231,8 +231,8 @@ class VerificationSession:
         return [entry1, entry2]
 
     def check_norm_equivalence(self) -> list[CheckEntry]:
-        lo8, hi8 = norm_equivalence_report(self.S(8), 40, self.rng(3))
-        lo16, hi16 = norm_equivalence_report(self.S(16), 40, self.rng(3))
+        lo8, hi8 = norm_equivalence_report(self.S(8))
+        lo16, hi16 = norm_equivalence_report(self.S(16))
         dlo = abs(lo8 - lo16) / lo16
         dhi = abs(hi8 - hi16) / hi16
         return [

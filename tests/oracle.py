@@ -1,17 +1,21 @@
-"""Dense references for the tests: -Lap + V on a torus grid, and the
-eigenfield matrix of a decomposition built plainly from its Bloch waves.
+"""Plain references for the tests: -Lap + V on a torus grid, the
+eigenfield matrix of a decomposition built from its Bloch waves, and the
+orbit distance one grid shift at a time.
 
-O(N^2)-memory matrices. The tests diagonalize the operator densely to check
-the Bloch-fiber construction of operator.diagonalize, and compare the fiber
-transforms and row gathers against the eigenfield matrix; the package itself
-never assembles either this way.
+The matrices take O(N^2) memory. The tests diagonalize the operator densely
+to check the Bloch-fiber construction of operator.diagonalize, compare the
+fiber transforms and row gathers against the eigenfield matrix, and compare
+the one-FFT orbit distance with the shift loop; the package itself does
+none of these this way.
 """
+
+from itertools import product
 
 import numpy as np
 from numpy.typing import NDArray
 
 from gapbumps.operator import PeriodicPotential, SpectralDecomposition
-from gapbumps.torus import TorusDomain
+from gapbumps.torus import GridField, TorusDomain, translate
 
 
 def _laplacian_block(domain: TorusDomain) -> NDArray[np.float64]:
@@ -64,3 +68,17 @@ def eigenfield_matrix(S: SpectralDecomposition) -> NDArray[np.float64]:
         for part, c in zip(parts, cols.T):
             vecs[:, c] = (part * S.frame[c][:, None]).T
     return vecs
+
+
+def orbit_distance(u: GridField, v: GridField, S: SpectralDecomposition) -> tuple[float, tuple[int, ...]]:
+    """min over lattice shifts b of |||u - v(. + b)|||: each shift of v made
+    on the grid and transformed (k^dim transforms); ties resolve to the
+    lexicographically smallest shift."""
+    au = S.a_from_field(u)
+    best = np.inf
+    best_shift: tuple[int, ...] = (0,) * u.domain.dim
+    for b in product(range(u.domain.cells), repeat=u.domain.dim):
+        d = float(np.linalg.norm(au - S.a_from_field(translate(v, b))))
+        if d < best - 1e-15:
+            best, best_shift = d, b
+    return best, best_shift

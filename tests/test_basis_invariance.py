@@ -4,11 +4,12 @@ Inside a degenerate eigenspace of -Lap + V (a Bloch pair) the eigenfields
 are one orthonormal choice of many. Each case rebuilds the decomposition
 with every Bloch pair turned by a seeded random orthogonal 2 x 2 matrix,
 and requires the kernel split, the complement correction, the
-reduced Hessian, the Hessian census, a two-bump glue, the sphere level and
-the linking bound to agree with the original basis to rounding. The base
-solution is found once, in the original basis: a record is a field, not
-coordinates. diagonalize itself returns one basis whatever phase the
-eigensolver gives each fiber eigenvector.
+reduced Hessian, the Hessian census, a two-bump glue, a lattice
+translation, the sphere level and the linking bound to agree with the
+original basis to rounding. The base solution is found once, in the
+original basis: a record is a field, not coordinates. diagonalize itself
+returns one basis whatever phase the eigensolver gives each fiber
+eigenvector.
 """
 
 import dataclasses
@@ -26,9 +27,10 @@ from gapbumps.solver import (
     hessian_census,
     initial_ansatz,
     linking_upper_bound,
+    orbit_distance,
     sphere_level,
 )
-from gapbumps.torus import TorusDomain
+from gapbumps.torus import TorusDomain, translate
 
 RTOL, ATOL = 1e-10, 1e-12
 
@@ -116,6 +118,13 @@ class TestBasisRotation:
         _close(r.field.values, s.field.values)
         _close(r.correction_norm, s.correction_norm)
         _close(r.reduced_coords_norm, s.reduced_coords_norm)
+
+    def test_translation(self, bases):
+        # a reflected pair (negative frame) turns the other way in coordinates
+        _, base, S, R = bases
+        moved = translate(base.field, (-3,))
+        _close(R.field_from_a(R.translate(R.a_from_field(base.field), (3,))).values, moved.values)
+        assert orbit_distance(base.field, moved, R)[1] == orbit_distance(base.field, moved, S)[1] == (3,)
 
     def test_sphere_level(self, bases, nl):
         _, _, S, R = bases

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gapbumps import cli, multibump, presets
+from gapbumps import cli, multibump, presets, torus
 from gapbumps.functional import Nonlinearity, a_value_and_gradient
 from gapbumps.multibump import (
     CentersCollide,
@@ -15,12 +15,11 @@ from gapbumps.multibump import (
     bump_energy_split,
     periodic_separation,
     solve_multibump,
-    superpose,
 )
 from gapbumps.operator import PeriodicPotential, diagonalize
-from gapbumps.reduction import detect_kernel
+from gapbumps.reduction import detect_kernel, joint_kernel_matrix
 from gapbumps.solver import NoConvergence, SolverOptions, find_critical_point, initial_ansatz
-from gapbumps.torus import TorusDomain, l2_norm, translate
+from gapbumps.torus import GridField, TorusDomain, embed_with_cutoff, l2_norm, translate
 
 
 class TestGeometry:
@@ -29,8 +28,8 @@ class TestGeometry:
         assert periodic_separation([(0,), (3,)], 8) == pytest.approx(3.0)
         assert periodic_separation([(0, 0), (4, 4)], 16) == pytest.approx(np.sqrt(32))
 
-    def test_superpose_places_copies(self, base8, S8):
-        glued = superpose(base8.field, [(0,), (4,)], S8.domain)
+    def test_superpose_places_copies(self, kb8, S8):
+        glued = S8.field_from_a(build_problem(kb8, [(0,), (4,)], S8).glued_a)
         x = S8.domain.axis_coords()
         peaks = np.sort(x[np.argsort(glued.values)[-2:]])
         # the grid covers [-4, 4), so the copy at 4 sits at the wrapped
@@ -38,9 +37,32 @@ class TestGeometry:
         assert peaks[0] == pytest.approx(-4.0, abs=S8.domain.spacing)
         assert peaks[1] == pytest.approx(0.0, abs=S8.domain.spacing)
 
-    def test_coincident_centers_rejected(self, base8, S8):
+    def test_coincident_centers_rejected(self, kb8, S8):
         with pytest.raises(CentersCollide):
-            superpose(base8.field, [(0,), (8,)], S8.domain)  # 8 = 0 mod 8
+            build_problem(kb8, [(0,), (8,)], S8)  # 8 = 0 mod 8
+
+    def test_copies_are_rotations_not_grid_shifts(self, kb8, S8, potential, monkeypatch):
+        # the base and its kernel block embedded into a 16-cell torus once,
+        # then turned to each center: the grid sums of the translated copies
+        assert kb8.l == 1
+        S16 = diagonalize(potential, TorusDomain(1, 16, 16))
+        centers = [(0,), (5,), (11,)]
+        copies = [translate(embed_with_cutoff(kb8.base.field, S16.domain), (-b[0],)) for b in centers]
+        kernel = embed_with_cutoff(kb8.S.field_from_a(kb8.E[:, 0]), S16.domain)
+        columns = [S16.a_from_field(translate(kernel, (-b[0],))) for b in centers]
+
+        def grid_shift(*args):
+            raise AssertionError("the gluing shifted a field on the grid")
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "translate", None) is torus.translate:
+                monkeypatch.setattr(module, "translate", grid_shift)
+        prob = build_problem(kb8, centers, S16)
+        glued = S16.a_from_field(GridField(S16.domain, sum(c.values for c in copies)))
+        assert np.linalg.norm(prob.glued_a - glued) <= 1e-13 * np.linalg.norm(glued)
+        assert np.abs(prob.joint_raw - np.column_stack(columns)).max() <= 1e-13
+        # on the base's own torus the kernel block is turned as it is
+        assert np.array_equal(joint_kernel_matrix(kb8, [(0,)], S8), kb8.E)
 
     def test_problem_carries_the_joint_block(self, kb8, S8):
         prob = build_problem(kb8, [(0,), (4,)], S8)

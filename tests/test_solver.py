@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gapbumps import presets
+from gapbumps import presets, solver
 from gapbumps.functional import (
     HessianModel,
     Nonlinearity,
@@ -12,7 +12,7 @@ from gapbumps.functional import (
     a_value_and_gradient,
     hessian_model,
 )
-from gapbumps.operator import PeriodicPotential, diagonalize, project_positive
+from gapbumps.operator import PeriodicPotential, SpectralDecomposition, diagonalize, project_positive
 from gapbumps.solver import (
     NoConvergence,
     SolverOptions,
@@ -29,6 +29,7 @@ from gapbumps.solver import (
     validate_solution,
 )
 from gapbumps.torus import GridField, TorusDomain, l2_norm, translate
+from oracle import orbit_distance as loop_orbit_distance
 
 
 class TestOptions:
@@ -141,6 +142,59 @@ class TestOrbits:
         zero = GridField.zeros(S8.domain)
         dist, _ = orbit_distance(base8.field, zero, S8)
         assert dist == pytest.approx(np.linalg.norm(S8.a_from_field(base8.field)), rel=1e-12)
+
+    def test_the_shift_loop_agrees(self, base8, S8, degenerate, rng):
+        # the grid loop of every shift is the reference, ties included: two
+        # bumps k/2 apart reach every translate at two shifts
+        pair = GridField(S8.domain, base8.field.values + translate(base8.field, (4,)).values)
+        noise = GridField(S8.domain, rng.standard_normal(S8.domain.shape))
+        S2, _, rec2, _ = degenerate
+        noise2 = GridField(S2.domain, rng.standard_normal(S2.domain.shape))
+        cases = [(S8, base8.field, translate(base8.field, (s,))) for s in range(8)]
+        cases += [(S8, pair, translate(pair, (s,))) for s in range(8)]
+        cases += [
+            (S8, base8.field, GridField(S8.domain, -base8.field.values)),
+            (S8, base8.field, GridField.zeros(S8.domain)),
+            (S8, noise, base8.field),
+            (S2, noise2, translate(noise2, (2, 1))),
+            (S2, rec2.field, noise2),
+        ]
+        for S, u, v in cases:
+            want, want_shift = loop_orbit_distance(u, v, S)
+            got, shift = orbit_distance(u, v, S)
+            assert shift == want_shift
+            assert abs(got - want) <= 1e-9 * max(1.0, want)
+        assert orbit_distance(pair, translate(pair, (1,)), S8)[1] == (3,)  # 7 as well
+        # the 2-d base is a stripe, the same in every cell along axis 0 to
+        # rounding, so three shifts reach it: the smallest wins (the loop
+        # returns the one whose grid shift gives u back bit for bit)
+        dist, shift = orbit_distance(rec2.field, translate(rec2.field, (2, 1)), S2)
+        assert dist < 1e-12 and shift == (0, 2)
+
+    def test_all_shifts_cost_a_fixed_number_of_transforms(self, potential, monkeypatch):
+        S = diagonalize(potential, TorusDomain(1, 512, 16))
+        x = S.domain.axis_coords()
+        u = GridField(S.domain, np.exp(-(x**2)) + 0.5 * np.exp(-((x - 3.0) ** 2)))
+        v = translate(u, (100,))
+        calls = []
+        for name in ("_coefficients", "_fields", "translate"):
+            original = getattr(SpectralDecomposition, name)
+
+            def counted(self, *args, _name=name, _fn=original):
+                calls.append(_name)
+                return _fn(self, *args)
+
+            monkeypatch.setattr(SpectralDecomposition, name, counted)
+
+        def grid_shift(*args):
+            raise AssertionError("orbit_distance shifted a field on the grid")
+
+        monkeypatch.setattr(solver, "translate", grid_shift)
+        dist, shift = orbit_distance(u, v, S)
+        assert shift == (412,) and dist < 1e-9
+        # two transforms and one exact re-measure, where the loop made 512 of each
+        assert calls.count("_coefficients") == 2 and calls.count("translate") == 1
+        assert "_fields" not in calls
 
 
 class TestLinkingGeometry:
