@@ -7,22 +7,27 @@ the quadratic part is D = diag(sign lambda) and the gradient is the plain
 Euclidean representative, so Newton systems need no mass matrix.
 
 The Hessian there is D - G^T G, one row of G per evaluation point.
-`hessian_model` is its one representation for Newton, the kernel split
-and the gluing. Where the solution is a localized bump most rows carry
-a negligible weight f', and G keeps the r active ones: Newton solves
-through the r x r capacitance G D G^T and builds nothing else. G is
-never formed for it: G v and G^T y are transforms of the decomposition,
-and since D / w^2 = 1 / lambda, G D G^T is the torus Green's function
-E Lambda^-1 E^T at the active points, a gather from the decomposition's
-Green table, built once per evaluation grid. The census and the kernel
-split also need an H-invariant subspace U that contains the active rows
-of G and any block X the caller names, the Rayleigh-Ritz matrix
-K = U^T H U on it (exact to rounding) and D = +-1 off it; the model
-builds that frame, and the r x N matrix G gathered from the fibers, on
-first use. Otherwise U = I and K is the dense `a_hessian`. The reduction
-and the gluing reach the complement of span X through the model's
-bordered matrix [[K, U^T X], [X^T U, 0]] alone: its Newton step, its
-LDL^T inertia monitor and its Schur complement, the reduced Hessian.
+`hessian_model` is its one representation. Where the solution is a
+localized bump most rows carry a negligible weight f', and G keeps the
+r active ones. G is never formed for the linear algebra: G v and G^T y
+are transforms of the decomposition, and since D / w^2 = 1 / lambda,
+G D G^T is the torus Green's function E Lambda^-1 E^T at the active
+points, a gather from the decomposition's Green table, built once per
+evaluation grid; a second table, on the negative modes, gives
+G (D - sigma I)^-1 G^T at any shift sigma. Whenever r <= N:
+- Newton solves through the r x r capacitance (1+mu) I - G D G^T;
+- the reduction and the gluing reach the complement of a block X
+  (l columns) through the (r+l) bordered capacitance: its solve gives
+  the projected Newton step and the reduced Hessian, its LDL^T
+  inertia the degeneracy monitor. A factorization of order r + l
+  replaces one of order N + l, and no N x N matrix is formed;
+- only the census and the kernel split, which need Ritz data, build a
+  Hessian matrix K, on first use: the Rayleigh-Ritz matrix on an
+  H-invariant frame U that contains the active rows and X, while that
+  frame is at most N/2 wide, and else the dense `a_hessian`.
+When more rows are active than there are modes (the dealiased 2-d
+fixture) the model is the dense `a_hessian` alone, and its bordered
+matrices are of order N + l.
 
 Nonlinear terms are evaluated on the grid of `Nonlinearity.dealias_factor`:
 the torus grid itself at the default factor 1 (collocation), a zero-padded
@@ -43,8 +48,9 @@ E^T M E for the grid form M of `_EvalGrid.form`.
 from __future__ import annotations
 
 import weakref
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
@@ -59,6 +65,7 @@ __all__ = [
     "Nonlinearity",
     "hessian_model",
     "interaction_defect",
+    "solve_symmetric",
 ]
 
 
@@ -156,8 +163,9 @@ class _EvalGrid:
     P (nf x n, the same on every axis) maps grid values to the evaluation
     points; None stands for the identity of the collocated grid. h and qw
     are the weight and the quadrature weight there. green is the
-    decomposition's Green table on these points, built on first use by
-    the low-rank Newton step. The grid holds no reference to the
+    decomposition's Green table on these points and negative_green its
+    part on the negative modes, each built on first use by a model's
+    capacitance. The grid holds no reference to the
     decomposition, so the weak-key cache can let go.
     """
 
@@ -166,6 +174,7 @@ class _EvalGrid:
     qw: float
     dim: int
     green: GreenTable | None = None
+    negative_green: GreenTable | None = None
 
     def samples(self, values: NDArray[np.float64]) -> NDArray[np.float64]:
         """Grid values (the grid axes last) at the evaluation points."""
@@ -302,20 +311,24 @@ class _SignBlock:
             self.dim = C.shape[1]
             self.raw, self.QC = scipy.linalg.qr(C, mode="raw") if self.dim else (None, C[:0])
 
-    def apply(self, v: NDArray[np.float64], trans: str = "N") -> NDArray[np.float64]:
-        """Q v, or Q^T v (trans "T")."""
+    def apply(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Q v."""
         if self.raw is None:
             return v
         work = v.size // v.shape[0]
-        return scipy.linalg.lapack.dormqr("L", trans, *self.raw, v, lwork=max(1, work))[0]
-
-    def coords(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Q^T v, first dim rows."""
-        return self.apply(v, "T")[: self.dim]
+        return scipy.linalg.lapack.dormqr("L", "N", *self.raw, v, lwork=max(1, work))[0]
 
     def embed(self, z: NDArray[np.float64]) -> NDArray[np.float64]:
         """Q z."""
         return self.apply(np.concatenate([z, np.zeros((self.width - self.dim,) + z.shape[1:])]))
+
+
+def _columns(f, V: NDArray[np.float64], rows: int) -> NDArray[np.float64]:
+    """f applied to each column of V, as the columns of a rows x c array."""
+    out = np.empty((rows, V.shape[1]))
+    for i, v in enumerate(V.T):
+        out[:, i] = f(v)
+    return out
 
 
 class _MatrixRows:
@@ -334,15 +347,23 @@ class _MatrixRows:
     def gdg(self) -> NDArray[np.float64]:
         return (self.matrix * self.signs) @ self.matrix.T
 
+    @cached_property
+    def gqg(self) -> NDArray[np.float64]:
+        neg = self.matrix[:, self.signs < 0.0]
+        return neg @ neg.T
+
 
 class _SampledRows:
     """G = diag(scale) Q_R E / w: the rows at the active evaluation points R
     of the sampling map Q, scaled by sqrt(qw f'), reached through S's
     transforms. G v is scale times values_from_a(v) sampled at R, G^T y
-    is a_from_dual of the adjoint of scale y placed at R. Because
-    D / w^2 = 1 / lambda, G D G^T = diag(scale) (Q L^-1 Q^T)[R, R] diag(scale)
-    with L^-1 = E Lambda^-1 E^T: a gather from the grid's Green table.
-    The r x N matrix itself is built on first use, for the frame only.
+    is a_from_dual of the adjoint of scale y placed at R, one transform
+    per column. Because D / w^2 = 1 / lambda, G D G^T = diag(scale)
+    (Q L^-1 Q^T)[R, R] diag(scale) with L^-1 = E Lambda^-1 E^T: a gather
+    from the grid's Green table; G P- G^T (P- the projection on the
+    negative modes) is the same gather from the table of weights
+    1 / |lambda| on the negative modes. The r x N matrix itself is built
+    on first use, for the frame only.
     """
 
     def __init__(
@@ -354,22 +375,33 @@ class _SampledRows:
         self.shape = (n if grid.P is None else grid.P.shape[0],) * S.domain.dim
 
     def dot(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
+        if v.ndim == 2:
+            return _columns(self.dot, v, self.size)
         return self.scale * self.grid.samples(self.S.values_from_a(v)).reshape(-1)[self.points]
 
     def tdot(self, y: NDArray[np.float64]) -> NDArray[np.float64]:
+        if y.ndim == 2:
+            return _columns(self.tdot, y, self.S.num_modes)
         fine = np.zeros(self.shape)
         fine.reshape(-1)[self.points] = self.scale * y
         return self.S.a_from_dual(self.grid.adjoint(fine))
 
-    @cached_property
-    def gdg(self) -> NDArray[np.float64]:
-        # the table depends on S and the grid's points only: one per grid
-        if self.grid.green is None:
-            self.grid.green = self.S.green(self.grid.P)
-        C = self.grid.green.block(self.points)
+    def _gather(self, table: str) -> NDArray[np.float64]:
+        # a table depends on S and the grid's points only: one of each per grid
+        if getattr(self.grid, table) is None:
+            setattr(self.grid, table, self.S.green(self.grid.P, negative=table == "negative_green"))
+        C = getattr(self.grid, table).block(self.points)
         C *= self.scale[:, None]
         C *= self.scale
         return C
+
+    @cached_property
+    def gdg(self) -> NDArray[np.float64]:
+        return self._gather("green")
+
+    @cached_property
+    def gqg(self) -> NDArray[np.float64]:
+        return self._gather("negative_green")
 
     @cached_property
     def matrix(self) -> NDArray[np.float64]:
@@ -377,30 +409,36 @@ class _SampledRows:
 
 
 class HessianModel:
-    """H = D - G^T G, D = diag(sign lambda), and an H-invariant subspace U
-    that contains span X.
+    """H = D - G^T G, D = diag(sign lambda), at one point, with a block X
+    (N x l) whose complement the reduction and the gluing work on.
 
-    Newton needs only `solve` and `matvec`. With G (r x N, one row per
-    active evaluation point) they go through the r x r capacitance
-    (1+mu) I - G D G^T by the Sherman-Morrison-Woodbury identity (Hager,
-    Updating the inverse of a matrix, SIAM Review 31, 1989); by the
-    matrix determinant lemma H + mu D is singular exactly when it is.
-    G is an explicit matrix or `hessian_model`'s sampled rows, which
-    reach G, G^T and G D G^T through transforms and the Green table and
-    form the matrix only for the frame.
+    Every linear solve and inertia count goes through G (r x N, one row
+    per active evaluation point, r <= N), an explicit matrix or
+    `hessian_model`'s sampled rows, which reach G, G^T and the Gram
+    blocks through transforms and Green tables. Newton's `solve` uses the
+    r x r capacitance (1+mu) I - G D G^T by the Sherman-Morrison-Woodbury
+    identity (Hager, Updating the inverse of a matrix, SIAM Review 31,
+    1989); by the matrix determinant lemma H + mu D is singular exactly
+    when it is. The complement of span X is reached through the bordered
+    (KKT) matrix A(sigma) = [[H - sigma I, X], [X^T, 0]] (Nocedal &
+    Wright, Numerical Optimization, ch. 16), and A(sigma) through the
+    (r+l) x (r+l) capacitance R(sigma) (`capacitance`): its solve at
+    sigma = 0 gives `projected_step` and `reduced_hessian`, and its
+    inertia at sigma = +-s gives `complement_degenerates`
+    (`negative_count`). Nothing of order N is formed or factored there.
 
-    The frame is built on first use, for the census, the kernel split,
-    the reduction and the gluing. D keeps the negative block (the first
-    j coordinates) and the positive block apart, so orthonormalizing each
-    block's part of [G^T X] on its own gives U = blockdiag(Q-, Q+) with
-    range(G^T) and span X inside span U: an H-invariant span, with
-    H = D = +-1 on its complement. Only orthogonal transforms and the
-    m x m matrix K = U^T H U (Rayleigh-Ritz, exact to rounding) are
-    involved, m = subspace_dim. Without G, U = I and K is the dense
-    Hessian itself. UX = U^T X. `projected_step`, `complement_degenerates`
-    and `reduced_hessian` work on the complement of span X through the
-    bordered (KKT) matrix [[K, B], [B^T, 0]], B = UX (Nocedal & Wright,
-    Numerical Optimization, ch. 16).
+    Ritz data (K, `eigenvalues`, `embed`, `complement`, `off_signs`) is
+    for the census and the kernel split only, and built on first use.
+    Given no K, it comes from a frame: D keeps the negative block (the
+    first j coordinates) and the positive block apart, so
+    orthonormalizing each block's part of [G^T X] on its own gives
+    U = blockdiag(Q-, Q+) with range(G^T) and span X inside span U: an
+    H-invariant span, with H = D = +-1 on its complement. Only orthogonal
+    transforms and the m x m matrix K = U^T H U (Rayleigh-Ritz, exact to
+    rounding) are involved, m = subspace_dim. Given K (the dense Hessian,
+    or a function that builds it), U = I. Without G, when more rows are
+    active than there are modes, every solve and count runs on that K
+    and the bordered matrix of order N + l.
     """
 
     def __init__(
@@ -409,18 +447,17 @@ class HessianModel:
         j: int,
         X: NDArray,
         G: NDArray | _SampledRows | None = None,
-        K: NDArray | None = None,
+        K: NDArray | Callable[[], NDArray] | None = None,
     ) -> None:
         self.signs, self.j, self.X = signs, j, X
         self.G = _MatrixRows(G, signs) if isinstance(G, np.ndarray) else G
-        self.backend = "dense" if G is None else "low-rank"
-        if G is None:
-            self.K = K
+        self._dense = K
+        self.backend = "low-rank" if K is None else "dense"
 
     @cached_property
     def _C(self) -> NDArray[np.float64] | None:
         """[G^T X] as a Fortran-order view (of G alone without X): QR copies it cheaply."""
-        if self.G is None:
+        if self._dense is not None:
             return None
         G = self.G.matrix
         return (np.concatenate([G, self.X.T]) if self.X.shape[1] else G).T
@@ -435,6 +472,8 @@ class HessianModel:
 
     @cached_property
     def K(self) -> NDArray[np.float64]:
+        if self._dense is not None:
+            return self._dense() if callable(self._dense) else self._dense
         r = self.G.size
         GU = np.hstack([self.neg.QC[:, :r].T, self.pos.QC[:, :r].T])
         K = -(GU.T @ GU)
@@ -451,15 +490,6 @@ class HessianModel:
         neg, pos = self.neg, self.pos
         return np.repeat([-1.0, 1.0], [neg.width - neg.dim, pos.width - pos.dim])
 
-    @cached_property
-    def UX(self) -> NDArray[np.float64]:
-        return self.coords(self.X)
-
-    def coords(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
-        """U^T v."""
-        j = self.j
-        return np.concatenate([self.neg.coords(v[:j]), self.pos.coords(v[j:])])
-
     def embed(self, z: NDArray[np.float64]) -> NDArray[np.float64]:
         """U z."""
         m = self.neg.dim
@@ -472,10 +502,19 @@ class HessianModel:
             b.apply(np.eye(b.width, b.width - b.dim, -b.dim)) for b in (self.neg, self.pos)
         ))
 
+    def eigenvalues(self) -> NDArray[np.float64]:
+        """All N eigenvalues, ascending: K's, and the off_signs."""
+        return np.sort(np.concatenate([scipy.linalg.eigvalsh(self.K), self.off_signs]))
+
+    def _D(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
+        """D v, for one column or several."""
+        return (self.signs * v.T).T
+
     def matvec(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
+        """H v, for one column or several."""
         if self.G is None:
             return self.K @ v
-        return self.signs * v - self.G.tdot(self.G.dot(v))
+        return self._D(v) - self.G.tdot(self.G.dot(v))
 
     def solve(self, rhs: NDArray[np.float64], mu: float) -> NDArray[np.float64]:
         """d with (H + mu D) d = rhs.
@@ -484,79 +523,155 @@ class HessianModel:
         ((1+mu) I - G D G^T) y = G D rhs.
         """
         if self.G is None:
-            return scipy.linalg.solve(self.K + np.diag(mu * self.signs), rhs, assume_a="sym")
-        cap = -self.G.gdg
+            return solve_symmetric(self.K + np.diag(mu * self.signs), rhs)
+        cap = np.negative(self.G.gdg, order="F")
         cap[np.diag_indices_from(cap)] += 1.0 + mu
-        y = scipy.linalg.solve(cap, self.G.dot(self.signs * rhs), assume_a="sym")
+        y = solve_symmetric(cap, self.G.dot(self.signs * rhs))
         return self.signs * (rhs + self.G.tdot(y)) / (1.0 + mu)
 
-    def eigenvalues(self) -> NDArray[np.float64]:
-        """All N eigenvalues, ascending: K's, and the off_signs."""
-        return np.sort(np.concatenate([scipy.linalg.eigvalsh(self.K), self.off_signs]))
-
     @cached_property
-    def bordered(self) -> NDArray[np.float64]:
-        """[[K, B], [B^T, 0]], B = UX: the complement of span X inside U."""
-        B, l = self.UX, self.X.shape[1]
-        return np.block([[self.K, B], [B.T, np.zeros((l, l))]])
+    def _split_X(self) -> tuple[NDArray, NDArray, NDArray, NDArray]:
+        """G X+, G X-, X+^T X+ and X-^T X-, X+ and X- X's rows of positive
+        and of negative sign: 2l transforms that every shift shares."""
+        neg = (self.signs < 0.0)[:, None]
+        Xp, Xn = np.where(neg, 0.0, self.X), np.where(neg, self.X, 0.0)
+        return self.G.dot(Xp), self.G.dot(Xn), Xp.T @ Xp, Xn.T @ Xn
 
-    def projected_step(self, w: NDArray[np.float64], g: NDArray[np.float64]) -> NDArray[np.float64]:
-        """w plus the Newton step for the gradient g orthogonal to X.
+    def capacitance(self, sigma: float) -> NDArray[np.float64]:
+        """R(sigma) = [[I - G Ds^-1 G^T, -G Ds^-1 X], [-X^T Ds^-1 G^T, -X^T Ds^-1 X]],
+        Ds = D - sigma I (|sigma| != 1), of order r + l, in Fortran order.
 
-        Inside U, [[K, B], [B^T, 0]] [y; lambda] = [-U^T g; 0] makes U y
-        orthogonal to X; off span U, H = D takes -D g.
+        Ds^-1 is 1/(1 - sigma) on the positive modes and -1/(1 + sigma)
+        on the negative ones, so G Ds^-1 G^T = (G D G^T + 2 sigma/(1 + sigma)
+        G P- G^T) / (1 - sigma), two gathers; at sigma = 0 it is Newton's
+        G D G^T itself, bit for bit.
         """
-        gU = self.coords(g)
-        rhs = np.concatenate([-gU, np.zeros(self.X.shape[1])])
-        y = scipy.linalg.solve(self.bordered, rhs, assume_a="sym")[: gU.size]
-        return w + self.embed(y) - self.signs * (g - self.embed(gU))
+        r, l = self.G.size, self.X.shape[1]
+        GXp, GXn, XXp, XXn = self._split_X
+        p, q = 1.0 / (1.0 - sigma), 1.0 / (1.0 + sigma)
+        R = np.empty((r + l, r + l), order="F")
+        C = R[:r, :r]
+        if sigma == 0.0:
+            np.negative(self.G.gdg, out=C)
+        else:
+            np.multiply(self.G.gqg, 2.0 * sigma * q, out=C)
+            C += self.G.gdg
+            C *= -p
+        R[np.diag_indices(r)] += 1.0
+        R[:r, r:] = q * GXn - p * GXp
+        R[r:, :r] = R[:r, r:].T
+        R[r:, r:] = q * XXn - p * XXp
+        return R
+
+    def negative_count(self, sigma: float) -> int:
+        """The number of negative eigenvalues of [[H - sigma I, X], [X^T, 0]].
+
+        Eliminating the I block or the D - sigma I block of
+        [[D - sigma I, X, G^T], [X^T, 0, 0], [G, 0, I]] gives
+        n-(D - sigma I) + n-(R(sigma)) (Haynsworth, Determination of the
+        inertia of a partitioned Hermitian matrix, Linear Algebra Appl. 1,
+        1968). At sigma = +-1, D - sigma I is singular and R(sigma) does
+        not exist: the count runs there on the bordered matrix of order
+        N + l, H built column by column, as it does on K without G. Only a
+        ceiling of exactly 1 asks for that shift.
+        """
+        if self.G is None or abs(sigma) == 1.0:
+            H = self.K if self.G is None else self.matvec(np.eye(self.signs.size))
+            return _negative_count(_bordered(H, self.X, sigma))
+        return int(np.count_nonzero(self.signs < sigma)) + _negative_count(self.capacitance(sigma))
 
     def complement_degenerates(self, ceiling: float) -> bool:
         """Whether 1/min|eig| of H on the complement of span X exceeds `ceiling`.
 
-        With B of full column rank l, [[K - s I, B], [B^T, 0]] has exactly
-        l more negative eigenvalues than C - s I, C the complement block
-        inside U (Sylvester's law of inertia; Gould 1985). So C has an
-        eigenvalue in (-s, s), s = 1/ceiling, exactly when the count drops
-        from shift -s to shift +s. Off span U the eigenvalues are +-1.
+        With X of full column rank l, [[H - sigma I, X], [X^T, 0]] has
+        exactly l more negative eigenvalues than C - sigma I, C the
+        complement block (Sylvester's law of inertia; Gould 1985). So C has
+        an eigenvalue in [-s, s), s = 1/ceiling, exactly when the count
+        rises from shift -s to shift +s.
         """
-        if self.off_signs.size and ceiling < 1.0:
-            return True
-        s, m = 1.0 / ceiling, self.subspace_dim
-        return _negative_count(self.bordered, -s, m) > _negative_count(self.bordered, s, m)
+        s = 1.0 / ceiling
+        return self.negative_count(s) > self.negative_count(-s)
+
+    def _bordered_solve(self, b: NDArray[np.float64]) -> NDArray[np.float64]:
+        """y (N x c) with [[H, X], [X^T, 0]] [y; lambda] = [b; 0], b N x c.
+
+        With G, R(0) [z; lambda] = [-G D b; -X^T D b] and
+        y = D (b - X lambda - G^T z).
+        """
+        l = self.X.shape[1]
+        if self.G is None:
+            rhs = np.concatenate([b, np.zeros((l, b.shape[1]))])
+            return solve_symmetric(_bordered(self.K, self.X, 0.0), rhs)[: b.shape[0]]
+        r = self.G.size
+        Db = self._D(b)
+        zl = solve_symmetric(self.capacitance(0.0), -np.concatenate([self.G.dot(Db), self.X.T @ Db]))
+        return self._D(b - self.X @ zl[r:] - self.G.tdot(zl[:r]))
+
+    def projected_step(self, w: NDArray[np.float64], g: NDArray[np.float64]) -> NDArray[np.float64]:
+        """w plus the Newton step y for the gradient g orthogonal to X:
+        H y + X lambda = -g, X^T y = 0."""
+        return w + self._bordered_solve(-g[:, None])[:, 0]
 
     def reduced_hessian(self) -> NDArray[np.float64]:
         """The Hessian of x -> J(a + Xx + w(x)) at x = 0, w solving P grad J = 0
         (P projects off span X; the model's point a must have w(0) = 0).
 
         It is X^T H (X + w'), and the projected equation gives
-        w' = -(PHP)^-1 PHX; off span U, H does not couple to X. Inside U,
-        [[K, B], [B^T, 0]] [Y; Lambda] = [-K B; 0] gives Y = U^T w', so it is
-        the Schur complement B^T K (B + Y), symmetrized.
+        H w' + X Lambda = -H X with X^T w' = 0: so (H X)^T (X + w'),
+        symmetrized.
         """
-        B, l = self.UX, self.X.shape[1]
-        KB = self.K @ B
-        rhs = np.vstack([-KB, np.zeros((l, l))])
-        Y = scipy.linalg.solve(self.bordered, rhs, assume_a="sym")[: self.subspace_dim]
-        Hred = KB.T @ (B + Y)
+        HX = self.matvec(self.X)
+        Hred = HX.T @ (self.X + self._bordered_solve(-HX))
         return 0.5 * (Hred + Hred.T)
 
 
-def _negative_count(A: NDArray[np.float64], shift: float, m: int) -> int:
-    """The number of negative eigenvalues of the symmetric matrix A with
-    `shift` added to its leading m diagonal entries.
+def _bordered(K: NDArray[np.float64], X: NDArray[np.float64], sigma: float) -> NDArray[np.float64]:
+    """[[K - sigma I, X], [X^T, 0]], written in place in Fortran order."""
+    n, l = X.shape
+    A = np.empty((n + l, n + l), order="F")
+    A[:n, :n] = K
+    A[np.diag_indices(n)] -= sigma
+    A[:n, n:] = X
+    A[n:, :n] = X.T
+    A[n:, n:] = 0.0
+    return A
+
+
+def _ldlt(A: NDArray[np.float64]):
+    """The Bunch-Kaufman factorization A = U D U^T of A's upper triangle
+    (LAPACK dsytrf): (factors, ipiv, info), in place of a Fortran-order A
+    and in a copy of any other. It takes the blocked code's workspace:
+    the default runs unblocked, 2x slower at n = 512."""
+    lwork = int(scipy.linalg.lapack.dsytrf_lwork(A.shape[0], lower=0)[0])
+    return scipy.linalg.lapack.dsytrf(A, lower=0, lwork=lwork, overwrite_a=1)
+
+
+def solve_symmetric(A: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
+    """x with A x = b for a symmetric A (its upper triangle is read) and one
+    right-hand side or several: LAPACK dsytrf, then dsytrs. These are the
+    bits of scipy.linalg.solve(A, b, assume_a="sym"), without its
+    condition estimate and copies, so an ill-conditioned A gives no
+    LinAlgWarning: a Fortran-order A is overwritten by its factors.
+    Raises LinAlgError on an exactly zero pivot; an empty system has an
+    empty solution."""
+    if A.shape[0] == 0:
+        return np.zeros(b.shape)
+    ldu, ipiv, info = _ldlt(A)
+    if info > 0:
+        raise scipy.linalg.LinAlgError(f"singular matrix: zero pivot in row {info}")
+    return scipy.linalg.lapack.dsytrs(ldu, ipiv, b, lower=0)[0]
+
+
+def _negative_count(A: NDArray[np.float64]) -> int:
+    """The number of negative eigenvalues of the symmetric matrix A, which
+    it overwrites when A is in Fortran order.
 
     By Sylvester's law of inertia it is that of D in the Bunch-Kaufman
-    factorization L D L^T (LAPACK dsytrf, on a Fortran-order copy): one per
-    negative 1 x 1 pivot, and one per 2 x 2 pivot, whose determinant
-    Bunch-Kaufman pivoting keeps negative. A 2 x 2 pivot marks both of
-    its rows with a negative ipiv.
+    factorization U D U^T (`_ldlt`): one per negative 1 x 1 pivot, and one
+    per 2 x 2 pivot, whose determinant Bunch-Kaufman pivoting keeps
+    negative. A 2 x 2 pivot marks both of its rows with a negative ipiv.
     """
-    A = A.copy(order="F")
-    A[np.diag_indices(m)] += shift
-    # the blocked code's workspace: the default n runs unblocked, 2x slower at n = 512
-    lwork = int(scipy.linalg.lapack.dsytrf_lwork(A.shape[0], lower=1)[0])
-    ldu, ipiv, _ = scipy.linalg.lapack.dsytrf(A, lower=1, lwork=lwork, overwrite_a=1)
+    ldu, ipiv, _ = _ldlt(A)
     one_by_one = ldu.diagonal()[ipiv > 0]
     return int(np.count_nonzero(one_by_one < 0.0) + np.count_nonzero(ipiv < 0) // 2)
 
@@ -586,20 +701,25 @@ def hessian_model(
     a: NDArray[np.float64],
     X: NDArray[np.float64] | None = None,
 ) -> HessianModel:
-    """The Hessian of J at a, its subspace U containing X (N x l, default none).
+    """The Hessian of J at a, with the block X (N x l, default none).
 
-    A fixed rule picks U before anything is built: with r active rows
-    (`_active_rows`) on either evaluation grid, the Householder blocks of
-    [G^T X], factored on first use, when min(j, r+l) + min(N - j, r+l)
-    <= N/2; otherwise U = I and K is the dense `a_hessian`.
+    A fixed rule on the r active rows (`_active_rows`, on either
+    evaluation grid) picks the route before anything is built. With
+    r <= N the model carries the sampled rows, and every solve and count
+    goes through a capacitance of order at most r + l <= N + l. Its Ritz
+    data comes from the Householder blocks of [G^T X] when
+    min(j, r+l) + min(N - j, r+l) <= N/2, otherwise from the dense
+    `a_hessian`, each built on first use. With r > N the model is the
+    dense `a_hessian` alone.
     """
     n, j = S.num_modes, S.j
     X = np.zeros((n, 0)) if X is None else X
     weight, rows = _active_rows(S, nl, a)
-    c = rows.size + X.shape[1]
-    if min(j, c) + min(n - j, c) > n // 2:
+    if rows.size > n:
         return HessianModel(S.signs, j, X, K=a_hessian(S, nl, a))
-    return HessianModel(S.signs, j, X, G=_gram_factor(S, nl, weight, rows))
+    c = rows.size + X.shape[1]
+    dense = partial(a_hessian, S, nl, a) if min(j, c) + min(n - j, c) > n // 2 else None
+    return HessianModel(S.signs, j, X, G=_gram_factor(S, nl, weight, rows), K=dense)
 
 
 # -- field-level diagnostics ---------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
-from .functional import Nonlinearity, _eval_grid, _eval_mesh, hessian_model
+from .functional import Nonlinearity, _eval_grid, _eval_mesh, hessian_model, solve_symmetric
 from .operator import SpectralDecomposition
 from .reduction import (
     KernelBasis, _embed_field, _projected_newton, joint_kernel_matrix, kernel_combination, solve_w,
@@ -239,7 +239,7 @@ def solve_multibump(
             break
         Hred = hessian_model(prob.S, nl, a_full, raw).reduced_hessian()
         try:
-            step = scipy.linalg.solve(Hred, -G, assume_a="sym")
+            step = solve_symmetric(Hred, -G)
         except scipy.linalg.LinAlgError as err:
             raise NoConvergence(f"phase 2 (reduced Newton): {err}") from err
         x = x + step

@@ -216,13 +216,20 @@ class GreenTable:
     dim: int
 
     def block(self, points: NDArray[np.intp]) -> NDArray[np.float64]:
-        """The r x r block at the flat grid indices `points`: a gather."""
-        k = self.cells
+        """The r x r block at the flat grid indices `points`, gathered by cell
+        blocks: a u x u index of cell differences over the u cells that
+        hold a point, each point's row of its u blocks copied whole, then
+        the points' columns kept. A copy of the table's entries in
+        O(r u per_cell^dim), with nothing of the whole grid's size."""
+        k, width, shape = self.cells, self.per_cell**self.dim, (self.cells,) * self.dim
         cell, sub = _cell_split(points, k, self.per_cell, self.dim)
-        diff = np.zeros((points.size, points.size), dtype=np.intp)
-        for ax in range(self.dim):
-            diff = diff * k + (cell[:, None, ax] - cell[None, :, ax]) % k
-        return self.g[diff, sub[:, None], sub[None, :]]
+        ids, slot = np.unique(np.ravel_multi_index(tuple(cell.T), shape), return_inverse=True)
+        cells = np.unravel_index(ids, shape)
+        diff = np.zeros((ids.size, ids.size), dtype=np.intp)
+        for c in cells:
+            diff = diff * k + (c[:, None] - c[None, :]) % k
+        strips = self.g[diff[slot], sub[:, None]].reshape(points.size, ids.size * width)
+        return strips[:, slot * width + sub]
 
 
 @dataclass(eq=False)
@@ -464,14 +471,20 @@ class SpectralDecomposition:
         GT *= scale
         return GT.T
 
-    def green(self, P: NDArray[np.float64] | None = None) -> GreenTable:
+    def green(self, P: NDArray[np.float64] | None = None, negative: bool = False) -> GreenTable:
         """E Lambda^-1 E^T on the torus grid, or Q E Lambda^-1 E^T Q^T on the
         grid that P interpolates onto: by Floquet-Bloch, the table of
         g[d] = Re sum_f e^{i theta_f.d} U_f diag(frame^2 / lambda) U_f^H over
-        the cell differences d (a pair's frame^2 carries its factor 2)."""
+        the cell differences d (a pair's frame^2 carries its factor 2).
+        With `negative`, the weights are frame^2 / |lambda| on the negative
+        eigenvalues and 0 elsewhere: E P- |Lambda|^-1 E^T."""
         U, per_cell = self._fiber_samples(P)
         lead = self.columns[..., 0]
-        B = np.matmul(U * (self.frame[lead] ** 2 / self.eigenvalues[lead])[:, None, :], U.conj().transpose(0, 2, 1))
+        lam = self.eigenvalues[lead]
+        weight = self.frame[lead] ** 2 / lam
+        if negative:
+            weight = np.where(lam < 0.0, -weight, 0.0)
+        B = np.matmul(U * weight[:, None, :], U.conj().transpose(0, 2, 1))
         return GreenTable(self._cell_waves(B), self.domain.cells, per_cell, self.domain.dim)
 
     def field_from_a(self, a: NDArray[np.float64]) -> GridField:

@@ -4,10 +4,11 @@ Splits the space at a base critical point into a near-kernel of the
 Hessian and its complement, solves the complement equation by Newton,
 and studies the reduced energy: its gradient, its analytic Hessian (a
 Schur complement) and its Morse data at the origin. Every Hessian is a
-`hessian_model` whose invariant subspace U contains the kernel block X;
-the model's bordered matrix [[K, U^T X], [X^T U, 0]] gives the Newton
-step, the inertia monitor and the reduced Hessian, so this module keeps
-only the loops. Translated kernel fields span the joint block of a
+`hessian_model` with the kernel block X: its bordered matrix
+[[H, X], [X^T, 0]], reached through the (r+l) capacitance of the r
+active rows, gives the Newton step, the inertia monitor and the reduced
+Hessian, so this module keeps only the loops. The kernel split takes
+the model's Ritz data. Translated kernel fields span the joint block of a
 multibump problem.
 """
 

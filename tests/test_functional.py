@@ -1,7 +1,9 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +22,7 @@ from gapbumps.functional import (
     a_value_and_gradient,
     hessian_model,
     interaction_defect,
+    solve_symmetric,
 )
 from gapbumps import presets
 from gapbumps.operator import PeriodicPotential, diagonalize
@@ -252,9 +255,13 @@ class TestGreenCapacitance:
         rows = rows[:: max(1, rows.size // 300)]  # any subset of rows has its block
         G = _oracle_rows(S, nl, a)[rows] / S.weights
         oracle = (G * S.signs) @ G.T
-        got = _gram_factor(_fresh(S), nl, weight, rows).gdg
+        rows_model = _gram_factor(_fresh(S), nl, weight, rows)
         assert rows.size > 100
-        assert np.abs(got - oracle).max() <= 1e-13 * np.abs(oracle).max()
+        assert np.abs(rows_model.gdg - oracle).max() <= 1e-13 * np.abs(oracle).max()
+        # the negative modes' part, from the second table
+        neg = G[:, S.signs < 0]
+        oracle = neg @ neg.T
+        assert np.abs(rows_model.gqg - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
     def test_the_table_is_cached_with_the_grid(self, S8, nl, base8):
         S = _fresh(S8)
@@ -265,6 +272,43 @@ class TestGreenCapacitance:
         table = _eval_grid(S, nl).green
         _gram_factor(S, nl, weight, rows[::2]).gdg
         assert table is not None and _eval_grid(S, nl).green is table
+
+    def test_newton_gather_allocates_nothing_of_the_grid_size(self, potential, nl):
+        # at k = 1024 (N = 16384) one N x N array takes 2 GiB, and even
+        # an r x N matrix of the r = 223 active rows 29 MiB; the gather,
+        # its Green table included, stays under a 128th of the former
+        S = diagonalize(potential, TorusDomain(1, 1024, 16))
+        weight, rows = _active_rows(S, nl, S.a_from_field(_ansatz(S)))
+        G = _gram_factor(S, nl, weight, rows)
+        tracemalloc.start()
+        try:
+            G.gdg
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = S.num_modes
+        assert rows.size < n // 64
+        assert peak <= 8 * n * n / 128
+
+
+class TestSolveSymmetric:
+    """The one symmetric factor-and-solve: LAPACK dsytrf and dsytrs."""
+
+    @pytest.mark.parametrize("n", [348, 513, 577])
+    def test_same_bits_as_scipy_solve(self, rng, n):
+        A = rng.standard_normal((n, n))
+        A += A.T
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            np.testing.assert_array_equal(solve_symmetric(A, b), scipy.linalg.solve(A, b, assume_a="sym"))
+
+    def test_a_zero_pivot_raises(self):
+        # rank one: Bunch-Kaufman leaves an exact 0 in the second pivot
+        with pytest.raises(scipy.linalg.LinAlgError):
+            solve_symmetric(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
+
+    def test_an_empty_system_has_an_empty_solution(self):
+        assert solve_symmetric(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
+        assert solve_symmetric(np.zeros((0, 0)), np.zeros((0, 2))).shape == (0, 2)
 
 
 class TestDealiasing:

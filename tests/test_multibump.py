@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gapbumps import cli, multibump, presets, torus
+from gapbumps import cli, functional, multibump, presets, reduction, solver, torus
 from gapbumps.functional import Nonlinearity, a_value_and_gradient
 from gapbumps.multibump import (
     CentersCollide,
@@ -16,7 +16,7 @@ from gapbumps.multibump import (
     periodic_separation,
     solve_multibump,
 )
-from gapbumps.operator import PeriodicPotential, diagonalize
+from gapbumps.operator import PeriodicPotential, SpectralDecomposition, diagonalize
 from gapbumps.reduction import detect_kernel, joint_kernel_matrix
 from gapbumps.solver import NoConvergence, SolverOptions, find_critical_point, initial_ansatz
 from gapbumps.torus import GridField, TorusDomain, embed_with_cutoff, l2_norm, translate
@@ -210,3 +210,41 @@ def test_newton_callers_diagonalize_no_hessian(tmp_path, potential, nl, monkeypa
     res = solve_multibump(build_problem(kb, [(0,), (16,)], S), S, nl)
     assert rec.residual <= 1e-10 and loaded.residual <= 1e-10 and res.residual <= 1e-8
     assert calls == []
+
+
+def test_close_glue_factors_only_capacitances(potential, nl, monkeypatch):
+    # three bumps 6 cells apart at k = 32 keep 475 of the 512 rows active
+    # at the glued point; every Hessian solve and count of the correction,
+    # the reduced step and the polish factors a matrix of order r + l (or
+    # the l x l reduced Hessian), and no dense Hessian or eigenfield
+    # product is formed
+    S = diagonalize(potential, TorusDomain(1, 32, 16))
+    A = presets.BASE_ANSATZ
+    base = find_critical_point(initial_ansatz(A["center"], A["width"], A["amplitude"], S.domain, S), S, nl)
+    kb = detect_kernel(base, S, nl, tau=presets.TAU_FORCED)
+    prob = build_problem(kb, [(0,), (6,), (12,)], S)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense Hessian or eigenfield product was formed")
+
+    monkeypatch.setattr(functional, "a_hessian", refuse)
+    monkeypatch.setattr(SpectralDecomposition, "a_form", refuse)
+    sizes, orders = {prob.joint_dim}, []
+    real_model, real_dsytrf = functional.hessian_model, scipy.linalg.lapack.dsytrf
+
+    def model(*args, **kwargs):
+        H = real_model(*args, **kwargs)
+        sizes.add(H.G.size + H.X.shape[1])
+        return H
+
+    def dsytrf(A, *args, **kwargs):
+        orders.append(A.shape[0])
+        return real_dsytrf(A, *args, **kwargs)
+
+    for module in (multibump, reduction, solver):
+        monkeypatch.setattr(module, "hessian_model", model)
+    monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", dsytrf)
+    res = solve_multibump(prob, S, nl)
+    assert res.phase2_iters >= 1 and res.residual <= 1e-8
+    assert orders and set(orders) <= sizes
+    assert max(sizes) < S.num_modes + prob.joint_dim

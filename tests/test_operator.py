@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapbumps import presets
-from gapbumps.functional import _along_axes, _interpolation_matrix
+from gapbumps.functional import _along_axes, _eval_grid, _interpolation_matrix
 from gapbumps.operator import (
     NoCertifiedGap,
     NotInvertible,
     PeriodicPotential,
+    _cell_split,
     band_structure,
     diagonalize,
     midgap_shift,
@@ -290,6 +291,33 @@ def translation_cases(S8, degenerate):
         dim, k, m = _TRANSLATION_DOMAINS[name]
         cases[name] = diagonalize(presets.default_potential() if dim == 1 else V2, TorusDomain(dim, k, m))
     return cases
+
+
+def _elementwise_block(T, points):
+    """The r x r block of a Green table, one entry at a time."""
+    cell, sub = _cell_split(points, T.cells, T.per_cell, T.dim)
+    diff = np.zeros((points.size, points.size), dtype=np.intp)
+    for ax in range(T.dim):
+        diff = diff * T.cells + (cell[:, None, ax] - cell[None, :, ax]) % T.cells
+    return T.g[diff, sub[:, None], sub[None, :]]
+
+
+class TestGreenTable:
+    @pytest.mark.parametrize("case", ["1d", "1d-fine", "2d", "2d-fine"])
+    def test_block_is_the_elementwise_gather(self, S8, degenerate, rng, case):
+        # the cell-block gather copies the same entries, in any point order
+        if case.startswith("1d"):
+            S = S8
+            P = _interpolation_matrix(S.domain.points_per_axis, 1.5, S.domain.cells) if "fine" in case else None
+        else:
+            S, nl2, _, _ = degenerate
+            P = _eval_grid(S, nl2).P if "fine" in case else None
+        for negative in (False, True):
+            T = S.green(P, negative)
+            size = (T.cells * T.per_cell) ** T.dim
+            sorted_half = np.sort(rng.choice(size, size // 2, replace=False))
+            for points in (sorted_half, rng.permutation(size)[:90], np.arange(0)):
+                np.testing.assert_array_equal(T.block(points), _elementwise_block(T, points))
 
 
 class TestTranslations:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from gapbumps import presets, reduction
 from gapbumps.functional import (
-    HessianModel, _negative_count, a_gradient, a_hessian, a_value_and_gradient, hessian_model,
+    HessianModel, Nonlinearity, _negative_count, a_gradient, a_hessian, a_value_and_gradient,
+    hessian_model,
 )
 from gapbumps.multibump import build_problem, superposition_compare
 from gapbumps.reduction import (
@@ -21,8 +22,9 @@ from gapbumps.reduction import (
     kernel_combination,
     solve_w,
 )
-from gapbumps.solver import NoConvergence, kernel_split
-from gapbumps.torus import GridField, spectral_gradient, translate
+from gapbumps.operator import diagonalize
+from gapbumps.solver import NoConvergence, find_critical_point, initial_ansatz, kernel_split
+from gapbumps.torus import GridField, TorusDomain, spectral_gradient, translate
 
 
 class TestDetection:
@@ -225,12 +227,10 @@ class TestFrame:
         assert np.allclose(oracle[-l:], push, rtol=1e-10)
         mags = np.sort(np.abs(oracle[:-l]))
         model = hessian_model(S, nl, a, X)
-        A, m = model.bordered, model.subspace_dim
         gaps = np.flatnonzero(mags[1:] > (1.0 + 1e-6) * mags[:-1])
         for s in np.sqrt(mags[gaps] * mags[gaps + 1])[:: max(1, gaps.size // 10)]:
-            counted = _negative_count(A, -s, m) - _negative_count(A, s, m)
-            off_u = model.off_signs.size if s > 1.0 else 0  # the +-1 outside K
-            assert counted == np.count_nonzero(mags < s) - off_u
+            counted = model.negative_count(s) - model.negative_count(-s)
+            assert counted == np.count_nonzero(mags < s)
         eta = 1.0 / mags[0]
         assert model.complement_degenerates(eta * (1.0 - 1e-6))
         assert not model.complement_degenerates(eta * (1.0 + 1e-6))
@@ -267,6 +267,125 @@ class TestFrame:
         assert np.abs(X.T @ got).max() <= 1e-12 * np.linalg.norm(got) * np.abs(X).max()
 
 
+def _explicit_case(r, n=60, j=20, seed=7):
+    """(model for a block, dense H, gradient) of H = D - G^T G on R^n with r
+    random rows, scaled so that H stays well conditioned; r = n makes the
+    spectrum generic, with no eigenvalue at exactly +-1."""
+    rng = np.random.default_rng(seed)
+    signs = np.repeat([-1.0, 1.0], [j, n - j])
+    G = 0.5 * rng.standard_normal((r, n)) / np.sqrt(n)
+    H = np.diag(signs) - G.T @ G
+    return (lambda X: HessianModel(signs, j, X, G=G)), H, rng.standard_normal(n)
+
+
+@pytest.fixture(scope="module")
+def kb32(potential, nl):
+    S = diagonalize(potential, TorusDomain(1, 32, 16))
+    A = presets.BASE_ANSATZ
+    base = find_critical_point(initial_ansatz(A["center"], A["width"], A["amplitude"], S.domain, S), S, nl)
+    return detect_kernel(base, S, nl, tau=presets.TAU_FORCED)
+
+
+@pytest.fixture(scope="module", params=["k8", "k32", "fine", "explicit", "no_rows", "all_rows"])
+def capacitance_case(request, kb8, kb32, nl):
+    """(model for a block X, dense H, gradient, a block X): the glued
+    copies of k = 8 (every row active, r = N) and of k = 32 at "0;6;12",
+    one bump on the factor-1.5 grid at k = 32 (r = 423 of the 768 fine
+    points, N = 512), and H = D - G^T G with r = 25, 0 and N explicit rows."""
+    name = request.param
+    if name in ("explicit", "no_rows", "all_rows"):
+        model, H, g = _explicit_case({"explicit": 25, "no_rows": 0, "all_rows": 60}[name])
+        return model, H, g, np.random.default_rng(3).standard_normal((H.shape[0], 2))
+    if name == "fine":
+        S, fine = kb32.S, Nonlinearity(dealias_factor=1.5)
+        A = presets.BASE_ANSATZ
+        init = initial_ansatz(A["center"], A["width"], A["amplitude"], S.domain, S)
+        a = S.a_from_field(find_critical_point(init, S, fine).field)
+        X = np.column_stack([a, S.translate(a, (1,))]) / np.linalg.norm(a)
+        nl = fine
+    else:
+        kb, centers = (kb8, [(0,), (4,)]) if name == "k8" else (kb32, [(0,), (6,), (12,)])
+        S = kb.S
+        prob = build_problem(kb, centers, S)
+        X = prob.joint_raw
+        a = prob.glued_a + 0.05 * X[:, 0]
+    model = hessian_model(S, nl, a, X)
+    assert model.G is not None and model.G.size <= S.num_modes
+    return (lambda X: hessian_model(S, nl, a, X)), a_hessian(S, nl, a), a_gradient(S, nl, a), X
+
+
+def _bordered_oracle(H, X):
+    l = X.shape[1]
+    return np.block([[H, X], [X.T, np.zeros((l, l))]])
+
+
+def _complement_spectrum(H, X):
+    """The eigenvalues of H on the orthogonal complement of span X."""
+    Q2 = np.linalg.qr(X, mode="complete")[0][:, X.shape[1] :]
+    return np.linalg.eigvalsh(Q2.T @ H @ Q2)
+
+
+class TestCapacitance:
+    """The projected step, the reduced Hessian and the inertia counts
+    through the (r+l) capacitance, against the dense bordered matrix
+    [[H, X], [X^T, 0]] and the dense complement block."""
+
+    @pytest.mark.parametrize("l", ["block", 0])
+    def test_projected_step(self, capacitance_case, l):
+        model, H, g, X = capacitance_case
+        X = X if l == "block" else X[:, :0]
+        n = H.shape[0]
+        oracle = np.linalg.solve(_bordered_oracle(H, X), np.concatenate([-g, np.zeros(X.shape[1])]))[:n]
+        got = model(X).projected_step(np.zeros(n), g)
+        assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    @pytest.mark.parametrize("l", ["block", 0])
+    def test_reduced_hessian(self, capacitance_case, l):
+        model, H, _, X = capacitance_case
+        X = X if l == "block" else X[:, :0]
+        n, l = X.shape
+        HX = H @ X
+        Y = np.linalg.solve(_bordered_oracle(H, X), np.vstack([-HX, np.zeros((l, l))]))[:n]
+        oracle = HX.T @ (X + Y)
+        got = model(X).reduced_hessian()
+        assert got.shape == (l, l)
+        if l:
+            assert np.abs(got - 0.5 * (oracle + oracle.T)).max() <= 1e-10 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("l", ["block", 0])
+    def test_counts_bracket_the_complement_eigenvalues(self, capacitance_case, l):
+        # shifts just below and just above the smallest |mu|, the lowest
+        # and the highest complement eigenvalue (with its cluster of equal
+        # ones): the count steps by the cluster's size, l + #{mu < sigma} each
+        model, H, _, X = capacitance_case
+        X = X if l == "block" else X[:, :0]
+        model = model(X)
+        mu = _complement_spectrum(H, X)
+        tol = 1e-8 * np.abs(mu).max()
+        for target in (mu[np.argmin(np.abs(mu))], mu[0], mu[-1]):
+            others = np.abs(mu - target)
+            gap = others[others > tol].min(initial=1.0)
+            for sigma in (target - 0.5 * gap, target + 0.5 * gap):
+                assert model.negative_count(sigma) == X.shape[1] + np.count_nonzero(mu < sigma)
+        eta = 1.0 / np.abs(mu).min()
+        assert model.complement_degenerates(eta * (1.0 - 1e-6))
+        assert not model.complement_degenerates(eta * (1.0 + 1e-6))
+
+    @pytest.mark.parametrize("l", [2, 0])
+    def test_unit_shifts_count_on_the_bordered_matrix(self, l):
+        # at sigma = +-1, D - sigma I is singular: with every row active
+        # the spectrum has no eigenvalue at exactly +-1, and the count is
+        # exact there as at its neighbours
+        model, H, _ = _explicit_case(60)
+        X = np.random.default_rng(3).standard_normal((60, l))
+        mu = _complement_spectrum(H, X)
+        assert np.abs(np.abs(mu) - 1.0).min() > 1e-3
+        m = model(X)
+        for sigma in (-1.0, 1.0, -1.0 - 1e-3, 1.0 + 1e-3, -1.0 + 1e-3, 1.0 - 1e-3):
+            assert m.negative_count(sigma) == l + np.count_nonzero(mu < sigma)
+        assert m.complement_degenerates(1.0) == (np.abs(mu).min() < 1.0)
+
+
 def _symmetric(entries, n, zeros):
     """The symmetric n x n matrix of `entries` (its lower triangle, by
     rows), with its first `zeros` diagonal entries set to zero."""
@@ -289,14 +408,14 @@ class TestNegativeCount:
         eigs = np.linalg.eigvalsh(A)
         # a zero eigenvalue's sign is rounding; the count is exact elsewhere
         assume(np.abs(eigs).min() > 1e-8 * max(1.0, np.abs(eigs).max()))
-        assert _negative_count(A, 0.0, 0) == int((eigs < 0).sum())
+        assert _negative_count(A) == int((eigs < 0).sum())
 
     def test_two_by_two_pivots_count_one_negative_each(self):
         # a zero diagonal forces Bunch-Kaufman onto a 2 x 2 pivot
         A = _symmetric([0.0, 3.0, 0.0, 1.0, 2.0, -5.0], 3, 2)
         _, ipiv, _ = scipy.linalg.lapack.dsytrf(A, lower=1)
         assert (ipiv < 0).sum() == 2
-        assert _negative_count(A, 0.0, 0) == int((np.linalg.eigvalsh(A) < 0).sum()) == 2
+        assert _negative_count(A) == int((np.linalg.eigvalsh(A) < 0).sum()) == 2
 
 
 class TestClassification:
@@ -445,13 +564,14 @@ class TestCompressedModel:
 
             monkeypatch.setattr(owner, name, wrapped)
 
-        for name in ("eigh", "eigvalsh", "solve"):
+        for name in ("eigh", "eigvalsh"):
             recording(reduction.scipy.linalg, name)
-        recording(reduction.scipy.linalg.lapack, "dsytrf")  # the LDL^T of the eta monitor
+        # the LDL^T of every symmetric solve and of the eta monitor
+        recording(reduction.scipy.linalg.lapack, "dsytrf")
         kb = detect_kernel(base64, S64, nl, tau=presets.TAU_FORCED)
         classify_origin(kb)
         s = solve_w(kb, kernel_combination(kb, np.array([0.3 * kb.delta0])))
         assert s.newton_iters >= 1
-        assert {"eigh", "solve", "dsytrf"} <= orders.keys()
-        # a bordered matrix adds the block's l columns to the model's m <= N/2
+        assert {"eigh", "dsytrf"} <= orders.keys()
+        # a capacitance adds the block's l columns to the r <= N/2 active rows
         assert max(max(o) for o in orders.values()) <= S64.num_modes // 2 + kb.l

@@ -313,7 +313,8 @@ class TestLowRankHessian:
         X = rng.standard_normal((n, 2))
         model = HessianModel(signs, j, X, G=G)
         assert model.subspace_dim == min(j, r + 2) + min(n - j, r + 2)
-        assert np.linalg.norm(X - model.embed(model.UX)) <= 1e-13 * np.linalg.norm(X)
+        # X has no part off span U
+        assert np.linalg.norm(model.complement().T @ X) <= 1e-13 * np.linalg.norm(X)
         _assert_matches_dense(model, np.diag(signs) - G.T @ G, signs, rng)
 
     def test_backend_rule(self, S8, nl, base8, S64, base64, degenerate):
@@ -380,6 +381,18 @@ class TestLowRankHessian:
         eps = np.finfo(float).eps
         backward = np.linalg.norm(ridged @ d + g)
         assert backward <= 4 * eps * np.linalg.norm(ridged, 2) * np.linalg.norm(d)
+
+    def test_ridge_escalates_past_a_singular_dense_solve(self, rng):
+        # without rows the model solves on K: at mu = 0.5625, K + mu D has
+        # an exact zero pivot, the solve raises, and the ridge grows tenfold
+        signs = np.ones(2)
+        model = HessianModel(signs, 0, np.zeros((2, 0)), K=np.diag([-0.5625, 1.0]))
+        g = rng.standard_normal(2)
+        with pytest.raises(scipy.linalg.LinAlgError):
+            model.solve(-g, 0.5625)
+        d, mu = _newton_direction(model, g, SolverOptions(tikhonov=0.5625, tikhonov_cap=10.0))
+        assert mu == 5.625
+        np.testing.assert_allclose((np.diag([-0.5625, 1.0]) + mu * np.diag(signs)) @ d, -g, rtol=1e-14)
 
     def test_long_torus_record(self, S64, nl, base64):
         assert base64.residual <= 1e-12
