@@ -14,20 +14,21 @@ are transforms of the decomposition, and since D / w^2 = 1 / lambda,
 G D G^T is the torus Green's function E Lambda^-1 E^T at the active
 points, a gather from the decomposition's Green table, built once per
 evaluation grid; a second table, on the negative modes, gives
-G (D - sigma I)^-1 G^T at any shift sigma. Whenever r <= N:
+G (D - sigma I)^-1 G^T at any shift sigma. A model has two forms. With
+r <= N it carries the rows:
 - Newton solves through the r x r capacitance (1+mu) I - G D G^T;
 - the reduction and the gluing reach the complement of a block X
   (l columns) through the (r+l) bordered capacitance: its solve gives
   the projected Newton step and the reduced Hessian, its LDL^T
   inertia the degeneracy monitor. A factorization of order r + l
   replaces one of order N + l, and no N x N matrix is formed;
-- only the census and the kernel split, which need Ritz data, build a
-  Hessian matrix K, on first use: the Rayleigh-Ritz matrix on an
-  H-invariant frame U that contains the active rows and X, while that
-  frame is at most N/2 wide, and else the dense `a_hessian`.
-When more rows are active than there are modes (the dealiased 2-d
-fixture) the model is the dense `a_hessian` alone, and its bordered
-matrices are of order N + l.
+- the census and the kernel split, which need Ritz data, read one
+  route: the Rayleigh-Ritz matrix K on an H-invariant frame U that
+  contains the active rows and X, built on first use, exact to rounding
+  however wide U is (Parlett, The Symmetric Eigenvalue Problem, ch. 11).
+Only when more rows are active than there are modes (the dealiased 2-d
+fixture) is the model the dense `a_hessian` alone, backend "dense",
+with bordered matrices of order N + l.
 
 Nonlinear terms are evaluated on the grid of `Nonlinearity.dealias_factor`:
 the torus grid itself at the default factor 1 (collocation), a zero-padded
@@ -48,9 +49,8 @@ E^T M E for the grid form M of `_EvalGrid.form`.
 from __future__ import annotations
 
 import weakref
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -429,16 +429,17 @@ class HessianModel:
 
     Ritz data (K, `eigenvalues`, `embed`, `complement`, `off_signs`) is
     for the census and the kernel split only, and built on first use.
-    Given no K, it comes from a frame: D keeps the negative block (the
-    first j coordinates) and the positive block apart, so
-    orthonormalizing each block's part of [G^T X] on its own gives
-    U = blockdiag(Q-, Q+) with range(G^T) and span X inside span U: an
-    H-invariant span, with H = D = +-1 on its complement. Only orthogonal
-    transforms and the m x m matrix K = U^T H U (Rayleigh-Ritz, exact to
-    rounding) are involved, m = subspace_dim. Given K (the dense Hessian,
-    or a function that builds it), U = I. Without G, when more rows are
-    active than there are modes, every solve and count runs on that K
-    and the bordered matrix of order N + l.
+    With G it comes from a frame: D keeps the negative block (the first
+    j coordinates) and the positive block apart, so orthonormalizing
+    each block's part of [G^T X] on its own gives U = blockdiag(Q-, Q+)
+    with range(G^T) and span X inside span U: an H-invariant span, with
+    H = D = +-1 on its complement. Only orthogonal transforms and the
+    m x m matrix K = U^T H U (Rayleigh-Ritz, exact to rounding) are
+    involved, m = subspace_dim; a block that its columns fill is the
+    identity. That is the one Ritz route of the rows form. The other
+    form, backend "dense", is the dense Hessian K alone, with U = I, for
+    more active rows than modes: every solve and count runs on K and the
+    bordered matrix of order N + l.
     """
 
     def __init__(
@@ -447,7 +448,7 @@ class HessianModel:
         j: int,
         X: NDArray,
         G: NDArray | _SampledRows | None = None,
-        K: NDArray | Callable[[], NDArray] | None = None,
+        K: NDArray | None = None,
     ) -> None:
         self.signs, self.j, self.X = signs, j, X
         self.G = _MatrixRows(G, signs) if isinstance(G, np.ndarray) else G
@@ -473,7 +474,7 @@ class HessianModel:
     @cached_property
     def K(self) -> NDArray[np.float64]:
         if self._dense is not None:
-            return self._dense() if callable(self._dense) else self._dense
+            return self._dense
         r = self.G.size
         GU = np.hstack([self.neg.QC[:, :r].T, self.pos.QC[:, :r].T])
         K = -(GU.T @ GU)
@@ -703,23 +704,18 @@ def hessian_model(
 ) -> HessianModel:
     """The Hessian of J at a, with the block X (N x l, default none).
 
-    A fixed rule on the r active rows (`_active_rows`, on either
-    evaluation grid) picks the route before anything is built. With
-    r <= N the model carries the sampled rows, and every solve and count
-    goes through a capacitance of order at most r + l <= N + l. Its Ritz
-    data comes from the Householder blocks of [G^T X] when
-    min(j, r+l) + min(N - j, r+l) <= N/2, otherwise from the dense
-    `a_hessian`, each built on first use. With r > N the model is the
-    dense `a_hessian` alone.
+    The number r of active rows (`_active_rows`, on either evaluation
+    grid) picks the model's form before anything is built. With r <= N
+    the model carries the sampled rows (backend "low-rank"): every solve
+    and count goes through a capacitance of order at most r + l <= N + l,
+    and its Ritz data comes from the Householder blocks of [G^T X], built
+    on first use. With r > N it is the dense `a_hessian` alone ("dense").
     """
-    n, j = S.num_modes, S.j
-    X = np.zeros((n, 0)) if X is None else X
+    X = np.zeros((S.num_modes, 0)) if X is None else X
     weight, rows = _active_rows(S, nl, a)
-    if rows.size > n:
-        return HessianModel(S.signs, j, X, K=a_hessian(S, nl, a))
-    c = rows.size + X.shape[1]
-    dense = partial(a_hessian, S, nl, a) if min(j, c) + min(n - j, c) > n // 2 else None
-    return HessianModel(S.signs, j, X, G=_gram_factor(S, nl, weight, rows), K=dense)
+    if rows.size > S.num_modes:
+        return HessianModel(S.signs, S.j, X, K=a_hessian(S, nl, a))
+    return HessianModel(S.signs, S.j, X, G=_gram_factor(S, nl, weight, rows))
 
 
 # -- field-level diagnostics ---------------------------------------------------

@@ -198,9 +198,11 @@ def hessian_census(S: SpectralDecomposition, nl: Nonlinearity, a: NDArray[np.flo
 
     negative_hessian_count counts eigenvalues below -tau*scale and
     kernel_dim_estimate those within tau*scale of zero, tau = KERNEL_TAU:
-    the split the reduction uses, so the two views agree. hessian_backend
-    says whether the model's subspace was the whole space ("dense") or
-    not ("low-rank"), and hessian_subspace_dim is the order of its K.
+    the split the reduction uses, so the two views agree. Both read the
+    model's one Ritz route, its K. hessian_backend is "dense" only when
+    more rows are active than there are modes and K is the dense
+    Hessian, else "low-rank"; hessian_subspace_dim is the order of K,
+    which is N when the frame is the whole space.
     """
     H = hessian_model(S, nl, a)
     mu = H.eigenvalues()
@@ -222,9 +224,9 @@ def find_critical_point(
     """Damped Newton for grad J = 0 from `init`.
 
     The step solves (H + mu*diag(sign lambda)) d = -g through
-    `hessian_model`: by the r x r capacitance of the r active rows when
-    the bump is localized, with no invariant subspace built, densely
-    otherwise. The line search backtracks
+    `hessian_model`: by the r x r capacitance of the r active rows, with
+    no invariant subspace built, or on the dense Hessian when more rows
+    are active than there are modes. The line search backtracks
     on the merit 0.5*|g|^2 and falls back to steepest descent for that
     merit whenever there is no Newton direction or it is not a descent
     direction. The accepted trial's energy and gradient carry over to

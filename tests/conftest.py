@@ -53,6 +53,17 @@ def base8(S8, nl):
 
 
 @pytest.fixture(scope="session")
+def S32(potential):
+    return diagonalize(potential, TorusDomain(1, 32, 16))
+
+
+@pytest.fixture(scope="session")
+def base32(S32, nl):
+    A = presets.BASE_ANSATZ
+    return find_critical_point(initial_ansatz(A["center"], A["width"], A["amplitude"], S32.domain, S32), S32, nl)
+
+
+@pytest.fixture(scope="session")
 def S64(potential):
     return diagonalize(potential, TorusDomain(1, 64, 16))
 

@@ -321,16 +321,17 @@ class TestCommands:
         with open(solution_k8) as fh:
             rec = json.loads(fh.read())
         assert len(rec["step_history"]) == len(rec["mu_history"]) == rec["iterations"]
-        assert (rec["hessian_backend"], rec["hessian_subspace_dim"]) == ("dense", 128)
+        # every row is active at k = 8: the frame is the whole space
+        assert (rec["hessian_backend"], rec["hessian_subspace_dim"]) == ("low-rank", 128)
         loaded, S, nl = _record_from_file(solution_k8, load_config(None))
         assert loaded.iterations == 0
         assert loaded.residual_history == ()
         assert loaded.step_history == () and loaded.mu_history == ()
-        assert hessian_census(S, nl, S.a_from_field(loaded.field))["hessian_backend"] == "dense"
+        assert hessian_census(S, nl, S.a_from_field(loaded.field))["hessian_backend"] == "low-rank"
 
     @pytest.mark.parametrize(
         "k, census",
-        [(8, (10, 0, "dense", 128)), (64, (66, 0, "low-rank", 347))],
+        [(8, (10, 0, "low-rank", 128)), (64, (66, 0, "low-rank", 347))],
         ids=["k8", "k64"],
     )
     def test_solution_census_is_that_of_its_field(self, outdir, k, census):

@@ -512,15 +512,20 @@ def kb64(base64, S64, nl):
 
 class TestCompressedModel:
     """At 1-d k = 64 the Hessian model's subspace U is compressed
-    (m <= N/2); every reduction step is checked against the dense matrix."""
+    (m <= N/2); every reduction step is checked against the dense matrix.
+    The kernel split is also checked at k = 8, where U is the whole space,
+    and at k = 32, where it is wider than N/2."""
 
-    def test_kernel_split_matches_dense_eigh(self, kb64, base64, S64, nl):
-        assert hessian_model(S64, nl, kb64.base_a).backend == "low-rank"
-        E, eta, scale = _dense_kernel(base64, S64, nl, presets.TAU_FORCED)
-        assert kb64.l == E.shape[1] == 1
-        assert kb64.eta == pytest.approx(eta, rel=1e-12)
-        assert kb64.hessian_scale == pytest.approx(scale, rel=1e-12)
-        assert _sin_largest_angle(E, kb64.E) <= 1e-12
+    @pytest.mark.parametrize("k", [8, 32, 64], ids=["k8", "k32", "k64"])
+    def test_kernel_split_matches_dense_eigh(self, request, nl, k):
+        S, base = request.getfixturevalue(f"S{k}"), request.getfixturevalue(f"base{k}")
+        kb = detect_kernel(base, S, nl, tau=presets.TAU_FORCED)
+        assert hessian_model(S, nl, kb.base_a).backend == "low-rank"
+        E, eta, scale = _dense_kernel(base, S, nl, presets.TAU_FORCED)
+        assert kb.l == E.shape[1] == 1
+        assert kb.eta == pytest.approx(eta, rel=1e-12)
+        assert kb.hessian_scale == pytest.approx(scale, rel=1e-12)
+        assert _sin_largest_angle(E, kb.E) <= 1e-12
 
     def test_unit_bulk_joins_the_block(self, base64, S64, nl):
         # tau * scale = 0.5 * 2.8 > 1 puts the +-1 eigenvalues off span U

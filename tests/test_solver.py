@@ -7,12 +7,12 @@ from gapbumps.functional import (
     HessianModel,
     Nonlinearity,
     _active_rows,
-    _gram_factor,
     a_hessian,
     a_value_and_gradient,
     hessian_model,
 )
 from gapbumps.operator import PeriodicPotential, SpectralDecomposition, diagonalize, project_positive
+from gapbumps.reduction import detect_kernel
 from gapbumps.solver import (
     NoConvergence,
     SolverOptions,
@@ -235,12 +235,6 @@ class TestDeflation:
                 assert not same_orbit(a.field, b.field, S8, radius=0.5)
 
 
-def _low_rank(S, nl, a):
-    """The model on the active rows' subspace at a, whatever the rule would pick."""
-    X = np.zeros((S.num_modes, 0))
-    return HessianModel(S.signs, S.j, X, G=_gram_factor(S, nl, *_active_rows(S, nl, a)))
-
-
 def _assert_matches_dense(model, H, signs, rng):
     """matvec, solve at two ridges and the spectrum against a dense H."""
     n = H.shape[0]
@@ -265,22 +259,44 @@ def _assert_matches_dense(model, H, signs, rng):
 
 
 class TestLowRankHessian:
-    """The Hessian model on a compressed subspace U, against the dense matrix."""
+    """The Hessian model on its frame U, against the dense matrix."""
 
-    @pytest.mark.parametrize("point", ["ansatz", "solution", "dealiased"])
-    def test_matches_dense_on_a_long_torus(self, S64, nl, ansatz64, base64, rng, point):
-        field = ansatz64 if point == "ansatz" else base64.field
+    @pytest.mark.parametrize(
+        "k, point, columns",
+        [
+            (64, "ansatz", 0),
+            (64, "solution", 0),
+            (64, "dealiased", 0),
+            (8, "solution", 0),
+            (32, "solution", 0),
+            (64, "solution", 200),
+        ],
+        ids=["ansatz", "solution", "dealiased", "k8", "k32", "wide_block"],
+    )
+    def test_matches_dense_on_a_long_torus(self, request, nl, rng, k, point, columns):
+        # at k = 64 the frame is compressed; at k = 8 every row is active and
+        # both sign blocks are the identity; at k = 32, and at k = 64 with
+        # 200 columns of X, the frame is wider than N/2
+        S = request.getfixturevalue(f"S{k}")
+        if point == "ansatz":
+            field = request.getfixturevalue("ansatz64")
+        else:
+            field = request.getfixturevalue(f"base{k}").field
         if point == "dealiased":
             nl = Nonlinearity(dealias_factor=1.5)
-        a = S64.a_from_field(field)
-        model = _low_rank(S64, nl, a)
-        assert model.subspace_dim <= S64.num_modes // 2
-        _assert_matches_dense(model, a_hessian(S64, nl, a), S64.signs, rng)
+        a = S.a_from_field(field)
+        model = hessian_model(S, nl, a, np.eye(S.num_modes)[:, :columns])
+        c = model.G.size + columns
+        assert model.subspace_dim == min(S.j, c) + min(S.num_modes - S.j, c)
+        if k == 64 and not columns:
+            assert model.subspace_dim <= S.num_modes // 2
+        _assert_matches_dense(model, a_hessian(S, nl, a), S.signs, rng)
 
     def test_matches_dense_on_a_collocated_2d_torus(self, degenerate, rng):
         S2, _, rec, _ = degenerate
         a = S2.a_from_field(rec.field)
-        model = _low_rank(S2, Nonlinearity(), a)
+        model = hessian_model(S2, Nonlinearity(), a)
+        assert model.backend == "low-rank"
         _assert_matches_dense(model, a_hessian(S2, Nonlinearity(), a), S2.signs, rng)
 
     def test_no_negative_eigenvalues(self, nl, rng):
@@ -289,7 +305,7 @@ class TestLowRankHessian:
         S = diagonalize(PeriodicPotential(amplitude=30.0, shift=-15.0), TorusDomain(1, 16, 16))
         assert S.j == 0
         a = S.a_from_field(initial_ansatz((0.0,), 0.5, 6.0, S.domain, S))
-        model = _low_rank(S, nl, a)
+        model = hessian_model(S, nl, a)
         assert model.neg.dim == 0
         _assert_matches_dense(model, a_hessian(S, nl, a), S.signs, rng)
 
@@ -318,18 +334,22 @@ class TestLowRankHessian:
         _assert_matches_dense(model, np.diag(signs) - G.T @ G, signs, rng)
 
     def test_backend_rule(self, S8, nl, base8, S64, base64, degenerate):
-        assert hessian_model(S8, nl, S8.a_from_field(base8.field)).backend == "dense"
+        # the model carries its rows whenever r <= N, however wide its frame:
+        # every row is active at k = 8, and X's 200 columns widen the frame
+        # at k = 64 past N/2
+        assert hessian_model(S8, nl, S8.a_from_field(base8.field)).backend == "low-rank"
         a = S64.a_from_field(base64.field)
         assert hessian_model(S64, nl, a).backend == "low-rank"
-        # X's columns count with the active rows: 64 + (r + 200) > 512
         X = np.eye(S64.num_modes)[:, :200]
-        assert hessian_model(S64, nl, a, X).backend == "dense"
+        assert hessian_model(S64, nl, a, X).backend == "low-rank"
         # the rule reads r the same way on either grid: a localized bump
-        # keeps few fine rows active, the 2-d fixture's solution almost all
+        # keeps few fine rows active, the 2-d fixture's solution more than N
         dealiased = Nonlinearity(dealias_factor=1.5)
         assert hessian_model(S64, dealiased, a).backend == "low-rank"
         S2, nl2, rec, _ = degenerate
-        assert hessian_model(S2, nl2, S2.a_from_field(rec.field)).backend == "dense"
+        a2 = S2.a_from_field(rec.field)
+        assert _active_rows(S2, nl2, a2)[1].size > S2.num_modes
+        assert hessian_model(S2, nl2, a2).backend == "dense"
 
     def test_newton_builds_no_frame(self, S64, nl, ansatz64, monkeypatch):
         # Newton solves through the capacitance and never factors [G^T];
@@ -357,14 +377,25 @@ class TestLowRankHessian:
         assert len(blocks) == 2 and qrs
         assert tuple(census.values()) == (66, 0, "low-rank", 347)
 
-    def test_solve_and_census_never_build_the_eigenfield_matrix(self, potential, nl):
-        # every product with E on the low-rank path is a fiber transform or
-        # a gather; the N x N matrix (N = 4096 here) is never formed
-        S = diagonalize(potential, TorusDomain(1, 256, 16))
+    @pytest.mark.parametrize("k", [8, 32, 256], ids=["k8", "k32", "k256"])
+    def test_solve_and_census_never_build_the_eigenfield_matrix(self, potential, nl, monkeypatch, k):
+        # every product with E on a rows model is a fiber transform or a
+        # gather, whether its frame is the whole space (k = 8), wider than
+        # N/2 (k = 32) or compressed (k = 256): neither the dense Hessian
+        # nor the N x N matrix (N = 4096 at k = 256) is formed
+        from gapbumps import functional
+
+        def refuse(*args):
+            raise AssertionError("a_hessian called on a model with r <= N")
+
+        monkeypatch.setattr(functional, "a_hessian", refuse)
+        S = diagonalize(potential, TorusDomain(1, k, 16))
         A = presets.BASE_ANSATZ
         rec = find_critical_point(initial_ansatz(A["center"], A["width"], A["amplitude"], S.domain, S), S, nl)
         census = hessian_census(S, nl, S.a_from_field(rec.field))
+        kb = detect_kernel(rec, S, nl, tau=presets.TAU_FORCED)
         assert rec.residual <= 1e-10 and census["hessian_backend"] == "low-rank"
+        assert kb.l == 1
         assert "eigenfields" not in vars(S)
 
     def test_ridge_escalates_past_a_singular_capacitance(self, rng):
@@ -472,7 +503,8 @@ class TestNewtonHistory:
 
     def test_record_names_its_backend(self, base8, S8, nl):
         census = hessian_census(S8, nl, S8.a_from_field(base8.field))
-        assert (census["hessian_backend"], census["hessian_subspace_dim"]) == ("dense", S8.num_modes)
+        # every row is active at k = 8: the frame is the whole space
+        assert (census["hessian_backend"], census["hessian_subspace_dim"]) == ("low-rank", S8.num_modes)
         d = base8.to_dict()
         assert d["step_history"] == list(base8.step_history)
         assert d["mu_history"] == list(base8.mu_history)
