@@ -757,6 +757,9 @@ def main(argv: list[str] | None = None) -> int:
     except _NUMERIC_ERRORS as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 3
+    except MemoryError as e:  # numpy's _ArrayMemoryError names the array it refused
+        print(f"out of memory: {' '.join(str(e).split()) or 'allocation failed'}", file=sys.stderr)
+        return 3
     out.write_manifest(args.command, cfg)
     return code
 

@@ -8,9 +8,16 @@ Euclidean representative, so Newton systems need no mass matrix.
 
 The Hessian there is D - G^T G, one row of G per evaluation point.
 `hessian_model` is its one representation. Where the solution is a
-localized bump most rows carry a negligible weight f', and G keeps the
-r active ones. G is never formed for the linear algebra: G v and G^T y
-are transforms of the decomposition, and since D / w^2 = 1 / lambda,
+localized bump most rows carry a weight f' that cannot matter, and G
+keeps the r active ones: dropping rows removes a positive semidefinite
+part of G^T G of norm at most max(dropped f') / min|lambda|, so a point
+is kept when its f' exceeds ROW_CUT * (max f' + min|lambda|), and by
+Weyl's inequality no eigenvalue moves by more than ROW_CUT * (1 +
+max f' / min|lambda|), the bound on ||H|| (`_active_rows`). With the
+exact gradient, Newton on the cut Hessian is an inexact Newton method
+(Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982). G is
+never formed for the linear algebra: G v and G^T y are transforms of
+the decomposition, and since D / w^2 = 1 / lambda,
 G D G^T is the torus Green's function E Lambda^-1 E^T at the active
 points, a gather from the decomposition's Green table, built once per
 evaluation grid; a second table, on the negative modes, gives
@@ -63,6 +70,7 @@ __all__ = [
     "HessianModel",
     "NegativeWeight",
     "Nonlinearity",
+    "ROW_CUT",
     "hessian_model",
     "interaction_defect",
     "solve_symmetric",
@@ -248,6 +256,9 @@ def _nl_integral_and_force(S, nl, values):
 
 
 # -- weighted-coordinate calculus (used by solvers) ------------------------------
+
+# the Hessian's row cut, relative to the bound on ||H|| (`_active_rows`)
+ROW_CUT = 1e-10
 
 
 def a_value_and_gradient(
@@ -680,12 +691,18 @@ def _negative_count(A: NDArray[np.float64]) -> int:
 def _active_rows(
     S: SpectralDecomposition, nl: Nonlinearity, a: NDArray[np.float64]
 ) -> tuple[NDArray[np.float64], NDArray[np.intp]]:
-    """Each evaluation point's weight qw * f', and the points where it
-    exceeds eps * the largest weight; the others fall below the rounding
-    of the Gram sum G^T G."""
+    """Each evaluation point's weight w = qw * f', and the points kept as
+    rows of G: those with w > ROW_CUT * (max w + qw * min|lambda|).
+
+    Dropping the other rows removes a positive semidefinite part of
+    G^T G of norm at most max(dropped f') / min|lambda| on either grid
+    (E^T E = I/h, Q^T Q <= (nf/n)^dim, qw = h (n/nf)^dim), which the rule
+    keeps at or below ROW_CUT * rho, rho = 1 + max f' / min|lambda| >= ||H||.
+    By Weyl's inequality no eigenvalue of the model moves by more."""
     grid = _eval_grid(S, nl)
     weight = (grid.qw * nl.fprime(grid.samples(S.values_from_a(a)), grid.h)).reshape(-1)
-    return weight, np.flatnonzero(weight > np.finfo(float).eps * weight.max())
+    floor = grid.qw * float(np.abs(S.eigenvalues).min())
+    return weight, np.flatnonzero(weight > ROW_CUT * (weight.max() + floor))
 
 
 def _gram_factor(
@@ -704,8 +721,10 @@ def hessian_model(
 ) -> HessianModel:
     """The Hessian of J at a, with the block X (N x l, default none).
 
-    The number r of active rows (`_active_rows`, on either evaluation
-    grid) picks the model's form before anything is built. With r <= N
+    The model is the Hessian of the rows `_active_rows` keeps, within
+    ROW_CUT * (1 + max f' / min|lambda|) of the full one in norm. Their
+    number r (on either evaluation grid) picks the model's form before
+    anything is built. With r <= N
     the model carries the sampled rows (backend "low-rank"): every solve
     and count goes through a capacitance of order at most r + l <= N + l,
     and its Ritz data comes from the Householder blocks of [G^T X], built

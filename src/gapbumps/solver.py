@@ -199,7 +199,10 @@ def hessian_census(S: SpectralDecomposition, nl: Nonlinearity, a: NDArray[np.flo
     negative_hessian_count counts eigenvalues below -tau*scale and
     kernel_dim_estimate those within tau*scale of zero, tau = KERNEL_TAU:
     the split the reduction uses, so the two views agree. Both read the
-    model's one Ritz route, its K. hessian_backend is "dense" only when
+    model's one Ritz route, its K. The model keeps only the rows that can
+    move an eigenvalue by more than functional.ROW_CUT (1e-10) times the
+    bound on ||H||, far below tau*scale, so the counts are the full
+    Hessian's. hessian_backend is "dense" only when
     more rows are active than there are modes and K is the dense
     Hessian, else "low-rank"; hessian_subspace_dim is the order of K,
     which is N when the frame is the whole space.

@@ -1,10 +1,12 @@
 """Plain references for the tests: -Lap + V on a torus grid, the
-eigenfield matrix of a decomposition built from its Bloch waves, and the
-orbit distance one grid shift at a time.
+eigenfield matrix of a decomposition built from its Bloch waves, the
+Hessian's rows sampled from it, and the orbit distance one grid shift at
+a time.
 
 The matrices take O(N^2) memory. The tests diagonalize the operator densely
 to check the Bloch-fiber construction of operator.diagonalize, compare the
-fiber transforms and row gathers against the eigenfield matrix, and compare
+fiber transforms and row gathers against the eigenfield matrix, compare a
+Hessian model with the dense Hessian of the rows it keeps, and compare
 the one-FFT orbit distance with the shift loop; the package itself does
 none of these this way.
 """
@@ -14,6 +16,7 @@ from itertools import product
 import numpy as np
 from numpy.typing import NDArray
 
+from gapbumps.functional import ROW_CUT, Nonlinearity, _active_rows, _along_axes, _eval_grid, a_hessian
 from gapbumps.operator import PeriodicPotential, SpectralDecomposition
 from gapbumps.torus import GridField, TorusDomain, translate
 
@@ -68,6 +71,40 @@ def eigenfield_matrix(S: SpectralDecomposition) -> NDArray[np.float64]:
         for part, c in zip(parts, cols.T):
             vecs[:, c] = (part * S.frame[c][:, None]).T
     return vecs
+
+
+def oracle_rows(S: SpectralDecomposition, nl: Nonlinearity, a: NDArray[np.float64], F=None) -> NDArray[np.float64]:
+    """diag(sqrt(qw f')) F over the whole evaluation grid, F the
+    eigenfields sampled there column by column (N_f x N), from the given
+    eigenfield matrix or by default the one built from the Bloch waves."""
+    grid = _eval_grid(S, nl)
+    F = eigenfield_matrix(S) if F is None else F
+    if grid.P is not None:
+        fine = _along_axes(grid.P, F.T.reshape((-1,) + S.domain.shape), grid.dim)
+        F = fine.reshape(S.num_modes, -1).T
+    samples = grid.samples(S.values_from_a(a))
+    return F * np.sqrt(grid.qw * nl.fprime(samples, grid.h)).reshape(-1)[:, None]
+
+
+def kept_hessian(S: SpectralDecomposition, nl: Nonlinearity, a: NDArray[np.float64]) -> NDArray[np.float64]:
+    """D - G^T G over the rows that `_active_rows` keeps, G the oracle's
+    rows divided by the weights: the matrix a rows model stands for."""
+    G = oracle_rows(S, nl, a)[_active_rows(S, nl, a)[1]] / S.weights
+    return np.diag(S.signs) - G.T @ G
+
+
+def assert_within_weyl_bound(S: SpectralDecomposition, nl: Nonlinearity, a: NDArray[np.float64], kept) -> None:
+    """The full Hessian differs from `kept_hessian` by the dropped rows'
+    Gram part: its norm is at most max(dropped f') / min|lambda| (plus the
+    rounding of two summation orders, 1e-13 of the spectral radius), which
+    the cut keeps at or below ROW_CUT * (1 + max f' / min|lambda|)."""
+    weight, rows = _active_rows(S, nl, a)
+    fprime = weight / _eval_grid(S, nl).qw
+    lam = float(np.abs(S.eigenvalues).min())
+    bound = np.delete(fprime, rows).max(initial=0.0) / lam
+    full = a_hessian(S, nl, a)
+    assert np.abs(np.linalg.eigvalsh(full - kept)).max() <= bound + 1e-13 * np.abs(np.linalg.eigvalsh(full)).max()
+    assert bound <= ROW_CUT * (1.0 + fprime.max() / lam)
 
 
 def orbit_distance(u: GridField, v: GridField, S: SpectralDecomposition) -> tuple[float, tuple[int, ...]]:

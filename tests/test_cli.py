@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapbumps import cli, presets, verify
+from gapbumps import cli, functional, presets, verify
 from gapbumps.cli import (
     _NUMERIC_ERRORS,
     ConfigError,
@@ -331,7 +331,7 @@ class TestCommands:
 
     @pytest.mark.parametrize(
         "k, census",
-        [(8, (10, 0, "low-rank", 128)), (64, (66, 0, "low-rank", 347))],
+        [(8, (10, 0, "low-rank", 128)), (64, (66, 0, "low-rank", 249))],
         ids=["k8", "k64"],
     )
     def test_solution_census_is_that_of_its_field(self, outdir, k, census):
@@ -512,6 +512,20 @@ class TestCommands:
         cfg = tmp_path / "tiny.json"
         cfg.write_text('{"ansatz": {"amplitude": 0.2}}')
         assert main(["--config", str(cfg), "solve", "--k", "8"]) == 3
+
+    def test_out_of_memory_exits_numerically(self, outdir, tmp_path, capsys, monkeypatch):
+        # a dealiased grid of 1e9 times the torus grid cannot be allocated;
+        # the refusal is raised here without allocating anything
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 7.3 TiB for an array")
+
+        monkeypatch.setattr(functional, "_interpolation_matrix", refuse)
+        cfg = tmp_path / "huge.json"
+        cfg.write_text('{"nonlinearity": {"dealias_factor": 1e9}}')
+        assert main(["--config", str(cfg), "solve", "--k", "8"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: Unable to allocate") and err.count("\n") == 1
+        assert not (outdir / "manifest.json").exists()
 
     def test_reduce_on_a_solve_artifact(self, outdir):
         assert main(["solve", "--k", "8", "--seed", "7"]) == 0

@@ -11,7 +11,6 @@ from gapbumps.functional import (
     HessianModel,
     Nonlinearity,
     _EvalGrid,
-    _along_axes,
     _active_rows,
     _eval_grid,
     _gram_factor,
@@ -28,7 +27,7 @@ from gapbumps import presets
 from gapbumps.operator import PeriodicPotential, diagonalize
 from gapbumps.solver import initial_ansatz
 from gapbumps.torus import GridField, TorusDomain, translate
-from oracle import eigenfield_matrix
+from oracle import oracle_rows
 
 
 class TestHypotheses:
@@ -145,23 +144,10 @@ class TestDerivatives:
         assert (Jp - Jm) / (2 * eps) == pytest.approx(float(g @ v), rel=1e-7, abs=1e-9)
 
 
-def _oracle_rows(S, nl, a, F=None):
-    """diag(sqrt(qw f')) F over the whole evaluation grid, F the
-    eigenfields sampled there column by column (N_f x N), from the given
-    eigenfield matrix or by default the one built from the Bloch waves."""
-    grid = _eval_grid(S, nl)
-    F = eigenfield_matrix(S) if F is None else F
-    if grid.P is not None:
-        fine = _along_axes(grid.P, F.T.reshape((-1,) + S.domain.shape), grid.dim)
-        F = fine.reshape(S.num_modes, -1).T
-    samples = grid.samples(S.values_from_a(a))
-    return F * np.sqrt(grid.qw * nl.fprime(samples, grid.h)).reshape(-1)[:, None]
-
-
 def _symmetrized_hessian(S, nl, a):
     """a_hessian's formula over its own sampled eigenfield matrix:
     diag(signs) - (G / w)^T (G / w), then symmetrized."""
-    G = _oracle_rows(S, nl, a, S.eigenfields) / S.weights
+    G = oracle_rows(S, nl, a, S.eigenfields) / S.weights
     A = np.diag(S.signs) - G.T @ G
     return 0.5 * (A + A.T)
 
@@ -228,7 +214,7 @@ class TestFineLowRankRows:
             a = S.a_from_field(rec.field)
         weight, rows = _active_rows(S, nl, a)
         G = _gram_factor(S, nl, weight, rows)
-        oracle = _oracle_rows(S, nl, a)[rows] / S.weights
+        oracle = oracle_rows(S, nl, a)[rows] / S.weights
         assert rows.size > 0
         assert np.abs(G.matrix - oracle).max() <= 1e-13 * np.abs(oracle).max()
         if dim == 1:  # the fixture's Hessian is singular on its translation kernel
@@ -253,7 +239,7 @@ class TestGreenCapacitance:
         a = S.a_from_field(field)
         weight, rows = _active_rows(S, nl, a)
         rows = rows[:: max(1, rows.size // 300)]  # any subset of rows has its block
-        G = _oracle_rows(S, nl, a)[rows] / S.weights
+        G = oracle_rows(S, nl, a)[rows] / S.weights
         oracle = (G * S.signs) @ G.T
         rows_model = _gram_factor(_fresh(S), nl, weight, rows)
         assert rows.size > 100

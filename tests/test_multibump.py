@@ -213,7 +213,7 @@ def test_newton_callers_diagonalize_no_hessian(tmp_path, potential, nl, monkeypa
 
 
 def test_close_glue_factors_only_capacitances(potential, nl, monkeypatch):
-    # three bumps 6 cells apart at k = 32 keep 475 of the 512 rows active
+    # three bumps 6 cells apart at k = 32 keep 377 of the 512 rows active
     # at the glued point; every Hessian solve and count of the correction,
     # the reduced step and the polish factors a matrix of order r + l (or
     # the l x l reduced Hessian), and no dense Hessian or eigenfield

@@ -25,6 +25,7 @@ from gapbumps.reduction import (
 from gapbumps.operator import diagonalize
 from gapbumps.solver import NoConvergence, find_critical_point, initial_ansatz, kernel_split
 from gapbumps.torus import GridField, TorusDomain, spectral_gradient, translate
+from oracle import assert_within_weyl_bound, kept_hessian
 
 
 class TestDetection:
@@ -288,10 +289,11 @@ def kb32(potential, nl):
 
 @pytest.fixture(scope="module", params=["k8", "k32", "fine", "explicit", "no_rows", "all_rows"])
 def capacitance_case(request, kb8, kb32, nl):
-    """(model for a block X, dense H, gradient, a block X): the glued
-    copies of k = 8 (every row active, r = N) and of k = 32 at "0;6;12",
-    one bump on the factor-1.5 grid at k = 32 (r = 423 of the 768 fine
-    points, N = 512), and H = D - G^T G with r = 25, 0 and N explicit rows."""
+    """(model for a block X, the dense Hessian H of its kept rows, gradient,
+    a block X): the glued copies of k = 8 (every row active, r = N) and of
+    k = 32 at "0;6;12", one bump on the factor-1.5 grid at k = 32 (r = 275
+    of the 768 fine points, N = 512), and H = D - G^T G with r = 25, 0 and
+    N explicit rows."""
     name = request.param
     if name in ("explicit", "no_rows", "all_rows"):
         model, H, g = _explicit_case({"explicit": 25, "no_rows": 0, "all_rows": 60}[name])
@@ -311,7 +313,9 @@ def capacitance_case(request, kb8, kb32, nl):
         a = prob.glued_a + 0.05 * X[:, 0]
     model = hessian_model(S, nl, a, X)
     assert model.G is not None and model.G.size <= S.num_modes
-    return (lambda X: hessian_model(S, nl, a, X)), a_hessian(S, nl, a), a_gradient(S, nl, a), X
+    H = kept_hessian(S, nl, a)
+    assert_within_weyl_bound(S, nl, a, H)
+    return (lambda X: hessian_model(S, nl, a, X)), H, a_gradient(S, nl, a), X
 
 
 def _bordered_oracle(H, X):

@@ -4,9 +4,11 @@ import scipy.linalg
 
 from gapbumps import presets, solver
 from gapbumps.functional import (
+    ROW_CUT,
     HessianModel,
     Nonlinearity,
     _active_rows,
+    _eval_grid,
     a_hessian,
     a_value_and_gradient,
     hessian_model,
@@ -22,6 +24,7 @@ from gapbumps.solver import (
     find_critical_point,
     hessian_census,
     initial_ansatz,
+    kernel_split,
     linking_upper_bound,
     orbit_distance,
     same_orbit,
@@ -29,6 +32,7 @@ from gapbumps.solver import (
     validate_solution,
 )
 from gapbumps.torus import GridField, TorusDomain, l2_norm, translate
+from oracle import assert_within_weyl_bound, kept_hessian
 from oracle import orbit_distance as loop_orbit_distance
 
 
@@ -258,6 +262,14 @@ def _assert_matches_dense(model, H, signs, rng):
     assert np.abs(mu_model - mu_dense).max() <= 1e-13 * scale
 
 
+def _assert_matches_kept_rows(model, S, nl, a, rng):
+    """The model against the dense Hessian of the rows it keeps, which
+    is within the cut's Weyl bound of the full one."""
+    kept = kept_hessian(S, nl, a)
+    _assert_matches_dense(model, kept, S.signs, rng)
+    assert_within_weyl_bound(S, nl, a, kept)
+
+
 class TestLowRankHessian:
     """The Hessian model on its frame U, against the dense matrix."""
 
@@ -290,7 +302,7 @@ class TestLowRankHessian:
         assert model.subspace_dim == min(S.j, c) + min(S.num_modes - S.j, c)
         if k == 64 and not columns:
             assert model.subspace_dim <= S.num_modes // 2
-        _assert_matches_dense(model, a_hessian(S, nl, a), S.signs, rng)
+        _assert_matches_kept_rows(model, S, nl, a, rng)
 
     def test_matches_dense_on_a_collocated_2d_torus(self, degenerate, rng):
         S2, _, rec, _ = degenerate
@@ -307,7 +319,7 @@ class TestLowRankHessian:
         a = S.a_from_field(initial_ansatz((0.0,), 0.5, 6.0, S.domain, S))
         model = hessian_model(S, nl, a)
         assert model.neg.dim == 0
-        _assert_matches_dense(model, a_hessian(S, nl, a), S.signs, rng)
+        _assert_matches_kept_rows(model, S, nl, a, rng)
 
     def test_no_active_rows_at_zero(self, S64, nl, rng):
         a = np.zeros(S64.num_modes)
@@ -375,7 +387,7 @@ class TestLowRankHessian:
         assert not qrs and not blocks
         census = hessian_census(S64, nl, S64.a_from_field(rec.field))
         assert len(blocks) == 2 and qrs
-        assert tuple(census.values()) == (66, 0, "low-rank", 347)
+        assert tuple(census.values()) == (66, 0, "low-rank", 249)
 
     @pytest.mark.parametrize("k", [8, 32, 256], ids=["k8", "k32", "k256"])
     def test_solve_and_census_never_build_the_eigenfield_matrix(self, potential, nl, monkeypatch, k):
@@ -432,6 +444,44 @@ class TestLowRankHessian:
         assert census["hessian_subspace_dim"] <= S64.num_modes // 2
         assert census["negative_hessian_count"] == 66
         assert census["kernel_dim_estimate"] == 0
+
+
+class TestRowCut:
+    """The rows `_active_rows` keeps: a point is dropped only when its f'
+    can move no eigenvalue by more than ROW_CUT times the bound
+    1 + max f' / min|lambda| on ||H|| (Weyl's inequality)."""
+
+    def test_rows_are_cut_by_the_weyl_bound(self, S64, nl, base64):
+        a = S64.a_from_field(base64.field)
+        weight, rows = _active_rows(S64, nl, a)
+        fprime = weight / _eval_grid(S64, nl).qw
+        lam = float(np.abs(S64.eigenvalues).min())
+        assert rows.size == 185
+        assert np.delete(fprime, rows).max() <= ROW_CUT * (lam + fprime.max())
+
+    @pytest.mark.parametrize("k", [8, 16, 32, 48, 64, 128])
+    def test_morse_data_is_that_of_the_full_hessian(self, request, potential, nl, k):
+        # the census counts and the kernel split of the cut model against
+        # the dense spectrum of every row: the same counts and l, and eta
+        # and the spectral radius to rounding
+        if k in (8, 32, 64):
+            S, rec = request.getfixturevalue(f"S{k}"), request.getfixturevalue(f"base{k}")
+        else:
+            S = diagonalize(potential, TorusDomain(1, k, 16))
+            A = presets.BASE_ANSATZ
+            rec = find_critical_point(initial_ansatz(A["center"], A["width"], A["amplitude"], S.domain, S), S, nl)
+        a = S.a_from_field(rec.field)
+        mu = scipy.linalg.eigvalsh(a_hessian(S, nl, a))
+        near, _ = kernel_split(mu)
+        census = hessian_census(S, nl, a)
+        assert (census["negative_hessian_count"], census["kernel_dim_estimate"]) == (
+            np.count_nonzero((mu < 0) & ~near), np.count_nonzero(near)
+        )
+        kb = detect_kernel(rec, S, nl, tau=presets.TAU_FORCED)
+        near, scale = kernel_split(mu, presets.TAU_FORCED)
+        assert kb.l == np.count_nonzero(near)
+        assert kb.eta == pytest.approx(1.0 / np.abs(mu[~near]).min(), rel=1e-12)
+        assert kb.hessian_scale == pytest.approx(scale, rel=1e-12)
 
 
 def _first_model_solves(S8, nl, monkeypatch, solve):
