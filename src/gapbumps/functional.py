@@ -42,15 +42,15 @@ the torus grid itself at the default factor 1 (collocation), a zero-padded
 fine grid above it (the cubic terms of p=4 need factor >= 3 for exact
 quadrature, which the degenerate translation fixture uses so its symmetry
 survives discretely). The fine grid has a whole number of points per
-cell, so it repeats cell by cell and the fibers' eigenvectors
-interpolated to its in-cell points serve it as they serve the torus
-grid. Either grid is one `_EvalGrid`, built once per decomposition: u
-reaches the evaluation points through an interpolation matrix along each
-axis and forces return through its transpose (collocation: the
-identity), so the finite-difference identities hold at machine accuracy
-on either grid. Values, gradients and Hessian-vector products need
-nothing else. The dense Hessian's nonlinear block is the decomposition's
-E^T M E for the grid form M of `_EvalGrid.form`.
+cell, so it repeats cell by cell, and its fiber table (the fibers'
+eigenvectors at its in-cell points) serves it as the fibers serve the
+torus grid. Either grid is one `_EvalGrid`, built once per
+decomposition: u reaches its points straight from the a-coordinates,
+and forces return through the transpose of that transform, so the
+finite-difference identities hold at machine accuracy on either grid.
+Values, gradients, Hessian-vector products, Green tables and rows of G
+need no nf x n matrix. The dense Hessian's nonlinear block is the
+decomposition's E^T M E for the grid form M of `_EvalGrid.form`.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
-from .operator import GreenTable, PeriodicPotential, SpectralDecomposition
+from .operator import FiberTable, GreenTable, PeriodicPotential, SpectralDecomposition
 from .torus import GridField
 
 __all__ = [
@@ -140,76 +140,69 @@ def _require_nonnegative(h: NDArray[np.float64]) -> NDArray[np.float64]:
 # -- evaluation grid of the nonlinear terms ---------------------------------------
 
 
-def _interpolation_matrix(n: int, factor: float, cells: int = 1) -> NDArray[np.float64]:
-    """Zero-padded trigonometric interpolation from n to nf >= factor * n
-    equispaced points of a period, as an nf x n matrix: nf is the smallest
-    even multiple of `cells` there, so that on a torus of that many cells
-    the fine points repeat cell by cell.
+def _interpolation_rows(n: int, factor: float, cells: int) -> NDArray[np.float64]:
+    """The first cell's rows of zero-padded trigonometric interpolation
+    from n to nf >= factor * n equispaced points of a period, nf the
+    smallest even multiple of `cells` there, so that on a torus of that
+    many cells the fine points repeat cell by cell: nf / cells x n.
 
-    An even n's Nyquist mode is split evenly between +-n/2, so that its
-    interpolant is the real cosine; with nf = n the matrix is the identity.
+    Row s is the kernel at x_s = s n / nf torus steps, one FFT of
+    e^{2 pi i xi x_s / n} over the integer frequencies xi, over n. n = k M
+    is even (M is a power of two), and its Nyquist mode is split evenly
+    between +-n/2: its interpolant is the real cosine cos(pi x_s).
     """
     nf = -(-int(np.ceil(n * factor)) // cells) * cells
     if nf % 2:  # an odd multiple of an odd cell count: the next one is even
         nf += cells
-    spec = np.fft.rfft(np.eye(n), axis=0)
-    if nf > n and n % 2 == 0:
-        spec[n // 2] *= 0.5
-    return np.fft.irfft(spec, nf, axis=0) * (nf / n)
-
-
-def _along_axes(M: NDArray[np.float64], x: NDArray[np.float64], dim: int) -> NDArray[np.float64]:
-    """M applied along each of the last `dim` (1 or 2) axes of x."""
-    x = x @ M.T
-    return M @ x if dim == 2 else x
+    s = np.arange(nf // cells)
+    xi = np.fft.fftfreq(n, 1.0 / n).astype(int)
+    waves = np.exp(2j * np.pi * (np.outer(s, xi) % nf) / nf)  # xi x_s / n = xi s / nf, reduced exactly
+    waves[:, n // 2] = np.cos(np.pi * (s * n % (2 * nf)) / nf)
+    return np.fft.fft(waves, axis=1).real / n
 
 
 @dataclass(eq=False)
 class _EvalGrid:
     """The points where the nonlinear terms are evaluated, and their data.
 
-    P (nf x n, the same on every axis) maps grid values to the evaluation
-    points; None stands for the identity of the collocated grid. h and qw
+    nf points per axis, reached from a-coordinates through the
+    decomposition's fiber table on them (None: the torus grid), built from
+    rows, the interpolation's first cell of rows (per_cell x n). h and qw
     are the weight and the quadrature weight there. green is the
     decomposition's Green table on these points and negative_green its
     part on the negative modes, each built on first use by a model's
-    capacitance. The grid holds no reference to the
-    decomposition, so the weak-key cache can let go.
+    capacitance. The grid holds arrays only, so the weak-key cache can
+    let go.
     """
 
-    P: NDArray[np.float64] | None
+    fibers: FiberTable | None
+    rows: NDArray[np.float64] | None
+    nf: int
     h: NDArray[np.float64] | float
     qw: float
-    dim: int
     green: GreenTable | None = None
     negative_green: GreenTable | None = None
 
-    def samples(self, values: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Grid values (the grid axes last) at the evaluation points."""
-        return values if self.P is None else _along_axes(self.P, values, self.dim)
-
-    def adjoint(self, fine: NDArray[np.float64]) -> NDArray[np.float64]:
-        """The transpose of `samples`."""
-        return fine if self.P is None else _along_axes(self.P.T, fine, self.dim)
-
     def form(self, w: NDArray[np.float64]) -> NDArray[np.float64]:
-        """M = Q^T diag(w) Q for weights w at the evaluation points, Q the
-        sampling map of `samples`: w itself (diagonal) on the collocated
-        grid, else n^dim x n^dim (Q = P in 1-d, P x P in 2-d).
+        """M = Q^T diag(w) Q for weights w at the evaluation points (shaped
+        like the grid), Q the sampling map onto them: w itself (diagonal)
+        on the collocated grid, else n^dim x n^dim (Q = P in 1-d, P x P in 2-d).
 
-        In 1-d it is the symmetric rank-k update R^T R, R = diag(sqrt w) P
-        (w >= 0 where the Hessian forms it: `a_hessian`). In 2-d,
-        PP[a, (i, j)] = P[a, i] P[a, j] gives every axis-1 sum as one
-        product, T = w PP, and the axis-0 sum as a second, PP^T T,
-        which indexes M as ((i0 j0), (i1 j1)) (sum factorization; Deville,
-        Fischer & Mund, High-Order Methods for Incompressible Fluid Flow,
-        ch. 4).
+        P (nf x n) is tiled from the first cell's rows: row block c is the
+        first rolled by c cells of torus points. In 1-d M is the symmetric
+        rank-k update R^T R, R = diag(sqrt w) P (w >= 0 where the Hessian
+        forms it: `a_hessian`). In 2-d, PP[a, (i, j)] = P[a, i] P[a, j]
+        gives every axis-1 sum as one product, T = w PP, and the axis-0 sum
+        as a second, PP^T T, which indexes M as ((i0 j0), (i1 j1)) (sum
+        factorization; Deville, Fischer & Mund, High-Order Methods for
+        Incompressible Fluid Flow, ch. 4).
         """
-        P = self.P
-        if P is None:
+        if self.rows is None:
             return w.reshape(-1)
-        nf, n = P.shape
-        if self.dim == 1:
+        per_cell, n = self.rows.shape
+        nf, cells = self.nf, self.nf // per_cell
+        P = np.concatenate([np.roll(self.rows, c * n // cells, axis=1) for c in range(cells)])
+        if w.ndim == 1:
             R = np.sqrt(w).reshape(nf, 1) * P
             return R.T @ R
         PP = (P[:, :, None] * P[:, None, :]).reshape(nf, n * n)
@@ -238,21 +231,25 @@ def _eval_grid(S: SpectralDecomposition, nl: Nonlinearity) -> _EvalGrid:
     if key not in grids:
         dom = S.domain
         n = dom.points_per_axis
-        P = None if nl.dealias_factor == 1.0 else _interpolation_matrix(n, nl.dealias_factor, dom.cells)
-        nf = n if P is None else P.shape[0]
+        rows, fibers, nf = None, None, n
+        if nl.dealias_factor != 1.0:
+            rows = _interpolation_rows(n, nl.dealias_factor, dom.cells)
+            fibers = S.fiber_samples(rows)
+            nf = rows.shape[0] * dom.cells
         h: NDArray | float = 1.0
         if nl.weight is not None:
             h = _require_nonnegative(nl.weight.evaluate_on(_eval_mesh(dom, nf)))
-        grids[key] = _EvalGrid(P, h, dom.volume / nf**dom.dim, dom.dim)
+        grids[key] = _EvalGrid(fibers, rows, nf, h, dom.volume / nf**dom.dim)
     return grids[key]
 
 
-def _nl_integral_and_force(S, nl, values):
-    """int F(x, u) and the gradient d/du of it against plain grid values."""
+def energy_density(S: SpectralDecomposition, nl: Nonlinearity, u: GridField) -> tuple[NDArray, list[NDArray]]:
+    """qw F(x, u) at each evaluation point, the nonlinear part of J point
+    by point, and the points' coordinate mesh."""
     grid = _eval_grid(S, nl)
-    samples = grid.samples(values)
-    Fint = grid.qw * float(np.sum(nl.F(samples, grid.h)))
-    return Fint, grid.adjoint(grid.qw * nl.f(samples, grid.h))
+    # on the torus grid, u's own values: a round trip through a would move their last bits
+    values = u.values if grid.fibers is None else S.values_from_a(S.a_from_field(u), grid.fibers)
+    return grid.qw * nl.F(values, grid.h), _eval_mesh(S.domain, grid.nf)
 
 
 # -- weighted-coordinate calculus (used by solvers) ------------------------------
@@ -265,10 +262,10 @@ def a_value_and_gradient(
     S: SpectralDecomposition, nl: Nonlinearity, a: NDArray[np.float64]
 ) -> tuple[float, NDArray[np.float64]]:
     """J and its (.,.)_k-gradient at the point with weighted coordinates a."""
-    values = S.values_from_a(a)
-    Fint, fterm = _nl_integral_and_force(S, nl, values)
-    J = 0.5 * float(np.dot(S.signs * a, a)) - Fint
-    g = S.signs * a - S.a_from_dual(fterm)
+    grid = _eval_grid(S, nl)
+    samples = S.values_from_a(a, grid.fibers)
+    J = 0.5 * float(np.dot(S.signs * a, a)) - grid.qw * float(np.sum(nl.F(samples, grid.h)))
+    g = S.signs * a - S.a_from_dual(grid.qw * nl.f(samples, grid.h), grid.fibers)
     return J, g
 
 def a_gradient(S, nl, a: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -287,7 +284,7 @@ def a_hessian(
     matrix is formed.
     """
     grid = _eval_grid(S, nl)
-    weight = grid.qw * nl.fprime(grid.samples(S.values_from_a(a)), grid.h)
+    weight = grid.qw * nl.fprime(S.values_from_a(a, grid.fibers), grid.h)
     A = S.a_form(grid.form(weight))
     np.negative(A, out=A)
     A[np.diag_indices_from(A)] += S.signs
@@ -299,10 +296,8 @@ def a_hessvec(
 ) -> NDArray[np.float64]:
     """Hessian-vector product in weighted coordinates, no dense assembly."""
     grid = _eval_grid(S, nl)
-    samples = grid.samples(S.values_from_a(a))
-    vsamples = grid.samples(S.values_from_a(v))
-    prod = grid.adjoint(grid.qw * nl.fprime(samples, grid.h) * vsamples)
-    return S.signs * v - S.a_from_dual(prod)
+    prod = grid.qw * nl.fprime(S.values_from_a(a, grid.fibers), grid.h) * S.values_from_a(v, grid.fibers)
+    return S.signs * v - S.a_from_dual(prod, grid.fibers)
 
 
 class _SignBlock:
@@ -367,14 +362,14 @@ class _MatrixRows:
 class _SampledRows:
     """G = diag(scale) Q_R E / w: the rows at the active evaluation points R
     of the sampling map Q, scaled by sqrt(qw f'), reached through S's
-    transforms. G v is scale times values_from_a(v) sampled at R, G^T y
-    is a_from_dual of the adjoint of scale y placed at R, one transform
-    per column. Because D / w^2 = 1 / lambda, G D G^T = diag(scale)
-    (Q L^-1 Q^T)[R, R] diag(scale) with L^-1 = E Lambda^-1 E^T: a gather
-    from the grid's Green table; G P- G^T (P- the projection on the
-    negative modes) is the same gather from the table of weights
-    1 / |lambda| on the negative modes. The r x N matrix itself is built
-    on first use, for the frame only.
+    transforms onto the grid (its fiber table). G v is scale times
+    values_from_a(v) at R, G^T y is a_from_dual of scale y placed at R,
+    one transform per column. Because D / w^2 = 1 / lambda, G D G^T =
+    diag(scale) (Q L^-1 Q^T)[R, R] diag(scale) with L^-1 = E Lambda^-1
+    E^T: a gather from the grid's Green table; G P- G^T (P- the
+    projection on the negative modes) is the same gather from the table
+    of weights 1 / |lambda| on the negative modes. The r x N matrix
+    itself is built on first use, for the frame only.
     """
 
     def __init__(
@@ -382,25 +377,23 @@ class _SampledRows:
     ) -> None:
         self.S, self.grid, self.points, self.scale = S, grid, points, scale
         self.size = points.size
-        n = S.domain.points_per_axis
-        self.shape = (n if grid.P is None else grid.P.shape[0],) * S.domain.dim
 
     def dot(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
         if v.ndim == 2:
             return _columns(self.dot, v, self.size)
-        return self.scale * self.grid.samples(self.S.values_from_a(v)).reshape(-1)[self.points]
+        return self.scale * self.S.values_from_a(v, self.grid.fibers).reshape(-1)[self.points]
 
     def tdot(self, y: NDArray[np.float64]) -> NDArray[np.float64]:
         if y.ndim == 2:
             return _columns(self.tdot, y, self.S.num_modes)
-        fine = np.zeros(self.shape)
+        fine = np.zeros((self.grid.nf,) * self.S.domain.dim)
         fine.reshape(-1)[self.points] = self.scale * y
-        return self.S.a_from_dual(self.grid.adjoint(fine))
+        return self.S.a_from_dual(fine, self.grid.fibers)
 
     def _gather(self, table: str) -> NDArray[np.float64]:
         # a table depends on S and the grid's points only: one of each per grid
         if getattr(self.grid, table) is None:
-            setattr(self.grid, table, self.S.green(self.grid.P, negative=table == "negative_green"))
+            setattr(self.grid, table, self.S.green(self.grid.fibers, negative=table == "negative_green"))
         C = getattr(self.grid, table).block(self.points)
         C *= self.scale[:, None]
         C *= self.scale
@@ -416,7 +409,7 @@ class _SampledRows:
 
     @cached_property
     def matrix(self) -> NDArray[np.float64]:
-        return self.S.a_rows(self.points, self.scale, self.grid.P)
+        return self.S.a_rows(self.points, self.scale, self.grid.fibers)
 
 
 class HessianModel:
@@ -700,7 +693,7 @@ def _active_rows(
     keeps at or below ROW_CUT * rho, rho = 1 + max f' / min|lambda| >= ||H||.
     By Weyl's inequality no eigenvalue of the model moves by more."""
     grid = _eval_grid(S, nl)
-    weight = (grid.qw * nl.fprime(grid.samples(S.values_from_a(a)), grid.h)).reshape(-1)
+    weight = (grid.qw * nl.fprime(S.values_from_a(a, grid.fibers), grid.h)).reshape(-1)
     floor = grid.qw * float(np.abs(S.eigenvalues).min())
     return weight, np.flatnonzero(weight > ROW_CUT * (weight.max() + floor))
 

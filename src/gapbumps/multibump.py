@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
-from .functional import Nonlinearity, _eval_grid, _eval_mesh, hessian_model, solve_symmetric
+from .functional import Nonlinearity, energy_density, hessian_model, solve_symmetric
 from .operator import SpectralDecomposition
 from .reduction import (
     KernelBasis, _embed_field, _projected_newton, joint_kernel_matrix, kernel_combination, solve_w,
@@ -182,12 +182,9 @@ def bump_energy_split(
     dom = u.domain
     Lu = S.values_from_a(S.eigenvalues * S.a_from_field(u))
     quad = 0.5 * dom.spacing**dom.dim * u.values * Lu
-    grid = _eval_grid(S, nl)
-    F = grid.qw * nl.F(grid.samples(u.values), grid.h)
+    F, mesh = energy_density(S, nl, u)
     quad_labels = _voronoi_labels(dom.meshgrid(), dom.cells, centers)
-    F_labels = quad_labels
-    if grid.P is not None:
-        F_labels = _voronoi_labels(_eval_mesh(dom, grid.P.shape[0]), dom.cells, centers)
+    F_labels = _voronoi_labels(mesh, dom.cells, centers)
     return tuple(
         float(quad[quad_labels == i].sum() - F[F_labels == i].sum())
         for i in range(len(centers))

@@ -15,8 +15,9 @@ The decomposition keeps the fibers, not the N x N eigenfield matrix E.
 Every product with E is one product with each fiber's eigenvectors plus
 an FFT over the cell axes (O(N M^dim + N log k)); a row of E at a grid
 point is a gather from the fibers, and the Green's function
-E Lambda^-1 E^T is a table over cell differences (GreenTable). E itself
-is built on first access, which only the dense Hessian (a_form) makes.
+E Lambda^-1 E^T is a table over cell differences (GreenTable); a fine
+grid that repeats cell by cell takes its FiberTable in place of the
+fibers. E itself is built on first access, which only a_form makes.
 
 A lattice translation turns each Bloch pair: a whole-cell shift by b
 multiplies the Bloch wave at theta by e^{-i theta.b} (translate), so the
@@ -35,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -203,6 +204,13 @@ def _cell_split(points: NDArray[np.intp], cells: int, per_cell: int, dim: int):
     return cell, np.ravel_multi_index(tuple(i % per_cell for i in idx), (per_cell,) * dim)
 
 
+class FiberTable(NamedTuple):
+    """Each U_f at the in-cell points of a grid that repeats cell by cell, and per_cell."""
+
+    vectors: NDArray[np.complex128]  # (fibers, per_cell^dim, bands)
+    per_cell: int
+
+
 @dataclass(frozen=True, eq=False)
 class GreenTable:
     """E Lambda^-1 E^T between the points of a grid that repeats cell by cell,
@@ -270,6 +278,7 @@ class SpectralDecomposition:
     frame: NDArray[np.float64]
     weights: NDArray[np.float64] = field(init=False, repr=False)
     signs: NDArray[np.float64] = field(init=False, repr=False)
+    torus_fibers: FiberTable = field(init=False, repr=False)  # the fiber table of the torus grid
 
     def __post_init__(self) -> None:
         for arr in (self.eigenvalues, self.fiber_vectors, self.columns, self.frame):
@@ -277,6 +286,7 @@ class SpectralDecomposition:
         # weighted coordinates: a = weights * <u, phi>_L2 makes (.,.)_k Euclidean
         self.weights = np.sqrt(np.abs(self.eigenvalues))
         self.signs = np.sign(self.eigenvalues)
+        self.torus_fibers = FiberTable(self.fiber_vectors, self.domain.samples_per_cell)
 
     @property
     def has_gap(self) -> bool:
@@ -336,17 +346,17 @@ class SpectralDecomposition:
         spec = np.fft.ifftn(spec.reshape((k,) * dim + v.shape[1:]), axes=tuple(range(dim)), norm="forward")
         return spec.real.reshape((k**dim,) + v.shape[1:])
 
-    def _by_cell(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Grid values as (k^dim, M^dim): the cell, then the point inside it."""
-        k, m, dim = self.domain.cells, self.domain.samples_per_cell, self.domain.dim
-        x = x.reshape((k, m) * dim)
-        return (x.transpose(0, 2, 1, 3) if dim == 2 else x).reshape(k**dim, m**dim)
+    def _by_cell(self, x: NDArray[np.float64], per_cell: int) -> NDArray[np.float64]:
+        """Grid values as (k^dim, per_cell^dim): the cell, then the point inside it."""
+        k, dim = self.domain.cells, self.domain.dim
+        x = x.reshape((k, per_cell) * dim)
+        return (x.transpose(0, 2, 1, 3) if dim == 2 else x).reshape(k**dim, per_cell**dim)
 
-    def _by_grid(self, u: NDArray[np.float64]) -> NDArray[np.float64]:
-        """The inverse of _by_cell, shaped like the domain."""
-        k, m, dim = self.domain.cells, self.domain.samples_per_cell, self.domain.dim
-        u = u.reshape((k,) * dim + (m,) * dim)
-        return (u.transpose(0, 2, 1, 3) if dim == 2 else u).reshape(self.domain.shape)
+    def _by_grid(self, u: NDArray[np.float64], per_cell: int) -> NDArray[np.float64]:
+        """The inverse of _by_cell, shaped like that grid."""
+        k, dim = self.domain.cells, self.domain.dim
+        u = u.reshape((k,) * dim + (per_cell,) * dim)
+        return (u.transpose(0, 2, 1, 3) if dim == 2 else u).reshape((k * per_cell,) * dim)
 
     def _pairs(self, z: NDArray[np.float64]) -> NDArray[np.complex128]:
         """(num_modes, ...) -> (fibers, bands, ...): x - i y for the
@@ -361,15 +371,17 @@ class SpectralDecomposition:
         out[self.columns[..., 0]] = c.real
         return out[:-1]
 
-    def _fields(self, z: NDArray[np.float64]) -> NDArray[np.float64]:
-        """E z, shaped like the domain. A pair's two eigenfields with
-        coefficients x, y sum to Re(psi (x - i y)) times their frames."""
+    def _fields(self, z: NDArray[np.float64], fibers: FiberTable | None = None) -> NDArray[np.float64]:
+        """E z (Q E z on a fiber table's grid), shaped like the grid. A pair's two
+        eigenfields with coefficients x, y sum to Re(psi (x - i y)) times their frames."""
+        U, per_cell = fibers or self.torus_fibers
         c = self._pairs(z * self.frame)
-        return self._by_grid(self._cell_waves(np.matmul(self.fiber_vectors, c[..., None])[..., 0]))
+        return self._by_grid(self._cell_waves(np.matmul(U, c[..., None])[..., 0]), per_cell)
 
-    def _coefficients(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
-        """E^T x: per fiber, U^T times the cell sums of x, then Re and Im."""
-        Y = np.matmul(self._cell_sums(self._by_cell(x))[:, None, :], self.fiber_vectors)[:, 0]
+    def _coefficients(self, x: NDArray[np.float64], fibers: FiberTable | None = None) -> NDArray[np.float64]:
+        """E^T x ((Q E)^T x): per fiber, U^T times the cell sums of x, then Re and Im."""
+        U, per_cell = fibers or self.torus_fibers
+        Y = np.matmul(self._cell_sums(self._by_cell(x, per_cell))[:, None, :], U)[:, 0]
         return self._unpairs(Y.conj()) * self.frame
 
     # -- lattice translations ------------------------------------------------------
@@ -403,12 +415,12 @@ class SpectralDecomposition:
             raise ValueError("field and decomposition domains differ")
         return self.a_from_values(u.values)
 
-    def values_from_a(self, a: NDArray[np.float64]) -> NDArray[np.float64]:
-        return self._fields(a / self.weights)
+    def values_from_a(self, a: NDArray[np.float64], fibers: FiberTable | None = None) -> NDArray[np.float64]:
+        return self._fields(a / self.weights, fibers)
 
-    def a_from_dual(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
-        """E^T v / weights, the transpose of values_from_a."""
-        return self._coefficients(v) / self.weights
+    def a_from_dual(self, v: NDArray[np.float64], fibers: FiberTable | None = None) -> NDArray[np.float64]:
+        """E^T v / weights (v on the grid of `fibers`), the transpose of values_from_a."""
+        return self._coefficients(v, fibers) / self.weights
 
     def random_coefficients(self, rng: np.random.Generator) -> NDArray[np.float64]:
         """sqrt(h) E^T xi for grid white noise xi: the law of rng.standard_normal(num_modes)
@@ -434,34 +446,30 @@ class SpectralDecomposition:
         A *= 0.5
         return A
 
-    def _fiber_samples(self, P: NDArray[np.float64] | None) -> tuple[NDArray[np.complex128], int]:
-        """The fiber eigenvectors at the in-cell points of the grid that P
-        interpolates onto (nf x n per axis, nf a multiple of k), and the
-        points per cell and axis; U itself and M for P None. P maps a Bloch
-        wave cell by cell: on the fiber at theta_j through
-        P_j[s, t] = sum_n P[s, n M + t] e^{i theta_j n}, built from P's
-        first cell of rows."""
+    def fiber_samples(self, rows: NDArray[np.float64]) -> FiberTable:
+        """The table of the grid that the interpolation Q onto a grid that
+        repeats cell by cell reaches, from Q's first cell of rows (per_cell x
+        n per axis). Q maps a Bloch wave cell by cell: on the fiber at
+        theta_j through Q_j[s, t] = sum_n Q[s, n M + t] e^{i theta_j n}."""
         k, m, dim = self.domain.cells, self.domain.samples_per_cell, self.domain.dim
-        if P is None:
-            return self.fiber_vectors, m
-        per_cell = P.shape[0] // k
-        Pj = np.fft.ifft(P[:per_cell].reshape(per_cell, k, m), axis=1, norm="forward")
+        per_cell = rows.shape[0]
+        Pj = np.fft.ifft(rows.reshape(per_cell, k, m), axis=1, norm="forward")
         A = [Pj[:, self.quasimomenta[:, ax]].transpose(1, 0, 2) for ax in range(dim)]
         if dim == 1:
-            return np.matmul(A[0], self.fiber_vectors), per_cell
+            return FiberTable(np.matmul(A[0], self.fiber_vectors), per_cell)
         U = self.fiber_vectors
         fine = np.einsum("fas,fbt,fstc->fabc", A[0], A[1], U.reshape(-1, m, m, U.shape[2]), optimize=True)
-        return fine.reshape(U.shape[0], per_cell**2, U.shape[2]), per_cell
+        return FiberTable(fine.reshape(U.shape[0], per_cell**2, U.shape[2]), per_cell)
 
     def a_rows(
-        self, points: NDArray[np.intp], scale: NDArray[np.float64], P: NDArray[np.float64] | None = None
+        self, points: NDArray[np.intp], scale: NDArray[np.float64], fibers: FiberTable | None = None
     ) -> NDArray[np.float64]:
         """diag(scale) Q E / w at the rows `points` of Q, the interpolation
-        onto P's grid (P None: the torus grid, Q = I), as an r x N matrix.
-        Row (n, s) of Q E is frame times Re, Im of e^{i theta.n} (Q U)[s]:
-        a gather from the fibers, O(r N)."""
+        onto the grid of a fiber table (None: the torus grid, Q = I), as an
+        r x N matrix. Row (n, s) of Q E is frame times Re, Im of
+        e^{i theta.n} (Q U)[s]: a gather from the table, O(r N)."""
         k, dim = self.domain.cells, self.domain.dim
-        U, per_cell = self._fiber_samples(P)
+        U, per_cell = fibers or self.torus_fibers
         cell, sub = _cell_split(points, k, per_cell, dim)
         roots = np.exp(2j * np.pi * np.arange(k) / k)
         W = U.transpose(0, 2, 1)[:, :, sub]  # (fibers, bands, r)
@@ -471,14 +479,14 @@ class SpectralDecomposition:
         GT *= scale
         return GT.T
 
-    def green(self, P: NDArray[np.float64] | None = None, negative: bool = False) -> GreenTable:
-        """E Lambda^-1 E^T on the torus grid, or Q E Lambda^-1 E^T Q^T on the
-        grid that P interpolates onto: by Floquet-Bloch, the table of
+    def green(self, fibers: FiberTable | None = None, negative: bool = False) -> GreenTable:
+        """E Lambda^-1 E^T on the torus grid, or Q E Lambda^-1 E^T Q^T on
+        the grid of a fiber table: by Floquet-Bloch, the table of
         g[d] = Re sum_f e^{i theta_f.d} U_f diag(frame^2 / lambda) U_f^H over
         the cell differences d (a pair's frame^2 carries its factor 2).
         With `negative`, the weights are frame^2 / |lambda| on the negative
         eigenvalues and 0 elsewhere: E P- |Lambda|^-1 E^T."""
-        U, per_cell = self._fiber_samples(P)
+        U, per_cell = fibers or self.torus_fibers
         lead = self.columns[..., 0]
         lam = self.eigenvalues[lead]
         weight = self.frame[lead] ** 2 / lam

@@ -179,6 +179,7 @@ def _newton_direction(
 
 
 KERNEL_TAU = 1e-4
+ORBIT_TIE_RTOL = 1e-12  # orbit distances within this fraction of |a_u| + |a_v| of the least tie
 
 
 def kernel_split(
@@ -552,20 +553,20 @@ def orbit_distance(
 
     min_b |||u - v(. + b)|||^2 = |a_u|^2 + |a_v|^2 - 2 a_u . a_v(. + b), every
     overlap from one FFT (S.overlaps); the shifts within rounding of the
-    minimum are measured again exactly (S.translate), and ties resolve to
-    the lexicographically smallest shift so the answer is deterministic.
+    minimum are measured again exactly (S.translate). Distances within
+    ORBIT_TIE_RTOL (|a_u| + |a_v|) of the least tie, and ties resolve to
+    the lexicographically smallest shift, so the answer does not depend
+    on the last bit of any distance.
     """
     au, av = S.a_from_field(u), S.a_from_field(v)
     nu, nv = float(au @ au), float(av @ av)
     squares = nu + nv - 2.0 * S.overlaps(au, av)
-    best = np.inf
-    best_shift: tuple[int, ...] = (0,) * u.domain.dim
-    for i in np.flatnonzero(squares <= squares.min() + 1e-10 * (nu + nv)):
-        b = tuple(int(c) for c in np.unravel_index(i, (u.domain.cells,) * u.domain.dim))
-        d = float(np.linalg.norm(au - S.translate(av, [-c for c in b])))
-        if d < best - 1e-15:
-            best, best_shift = d, b
-    return best, best_shift
+    near = np.flatnonzero(squares <= squares.min() + 1e-10 * (nu + nv))  # row-major: lexicographic
+    shifts = [tuple(int(c) for c in np.unravel_index(i, (u.domain.cells,) * u.domain.dim)) for i in near]
+    dists = [float(np.linalg.norm(au - S.translate(av, [-c for c in b]))) for b in shifts]
+    tie = min(dists) + ORBIT_TIE_RTOL * (np.sqrt(nu) + np.sqrt(nv))
+    first = next(i for i, d in enumerate(dists) if d <= tie)
+    return dists[first], shifts[first]
 
 
 def same_orbit(

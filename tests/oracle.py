@@ -1,14 +1,14 @@
 """Plain references for the tests: -Lap + V on a torus grid, the
 eigenfield matrix of a decomposition built from its Bloch waves, the
-Hessian's rows sampled from it, and the orbit distance one grid shift at
-a time.
+dense interpolation matrix onto a fine grid, the Hessian's rows sampled
+from them, and the orbit distance one grid shift at a time.
 
 The matrices take O(N^2) memory. The tests diagonalize the operator densely
 to check the Bloch-fiber construction of operator.diagonalize, compare the
-fiber transforms and row gathers against the eigenfield matrix, compare a
-Hessian model with the dense Hessian of the rows it keeps, and compare
-the one-FFT orbit distance with the shift loop; the package itself does
-none of these this way.
+fiber transforms and row gathers against the eigenfield matrix and the
+interpolation matrix, compare a Hessian model with the dense Hessian of
+the rows it keeps, and compare the one-FFT orbit distance with the shift
+loop; the package itself does none of these this way.
 """
 
 from itertools import product
@@ -16,9 +16,43 @@ from itertools import product
 import numpy as np
 from numpy.typing import NDArray
 
-from gapbumps.functional import ROW_CUT, Nonlinearity, _active_rows, _along_axes, _eval_grid, a_hessian
+from gapbumps.functional import ROW_CUT, Nonlinearity, _active_rows, _eval_grid, a_hessian
 from gapbumps.operator import PeriodicPotential, SpectralDecomposition
+from gapbumps.solver import ORBIT_TIE_RTOL
 from gapbumps.torus import GridField, TorusDomain, translate
+
+
+def _interpolation_matrix(n: int, factor: float, cells: int = 1) -> NDArray[np.float64]:
+    """Zero-padded trigonometric interpolation from n to nf >= factor * n
+    equispaced points of a period, as an nf x n matrix: nf is the smallest
+    even multiple of `cells` there, so that on a torus of that many cells
+    the fine points repeat cell by cell.
+
+    An even n's Nyquist mode is split evenly between +-n/2, so that its
+    interpolant is the real cosine; with nf = n the matrix is the identity.
+    """
+    nf = -(-int(np.ceil(n * factor)) // cells) * cells
+    if nf % 2:  # an odd multiple of an odd cell count: the next one is even
+        nf += cells
+    spec = np.fft.rfft(np.eye(n), axis=0)
+    if nf > n and n % 2 == 0:
+        spec[n // 2] *= 0.5
+    return np.fft.irfft(spec, nf, axis=0) * (nf / n)
+
+
+def _along_axes(M: NDArray[np.float64], x: NDArray[np.float64], dim: int) -> NDArray[np.float64]:
+    """M applied along each of the last `dim` (1 or 2) axes of x."""
+    x = x @ M.T
+    return M @ x if dim == 2 else x
+
+
+def fine_samples(S: SpectralDecomposition, factor: float, values: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Grid values (the grid axes last) interpolated by the dense matrix onto
+    the evaluation grid of `factor` on S's torus; factor 1 leaves them."""
+    if factor == 1.0:
+        return values
+    P = _interpolation_matrix(S.domain.points_per_axis, factor, S.domain.cells)
+    return _along_axes(P, values, S.domain.dim)
 
 
 def _laplacian_block(domain: TorusDomain) -> NDArray[np.float64]:
@@ -79,10 +113,8 @@ def oracle_rows(S: SpectralDecomposition, nl: Nonlinearity, a: NDArray[np.float6
     eigenfield matrix or by default the one built from the Bloch waves."""
     grid = _eval_grid(S, nl)
     F = eigenfield_matrix(S) if F is None else F
-    if grid.P is not None:
-        fine = _along_axes(grid.P, F.T.reshape((-1,) + S.domain.shape), grid.dim)
-        F = fine.reshape(S.num_modes, -1).T
-    samples = grid.samples(S.values_from_a(a))
+    F = fine_samples(S, nl.dealias_factor, F.T.reshape((-1,) + S.domain.shape)).reshape(S.num_modes, -1).T
+    samples = fine_samples(S, nl.dealias_factor, S.values_from_a(a))
     return F * np.sqrt(grid.qw * nl.fprime(samples, grid.h)).reshape(-1)[:, None]
 
 
@@ -109,13 +141,12 @@ def assert_within_weyl_bound(S: SpectralDecomposition, nl: Nonlinearity, a: NDAr
 
 def orbit_distance(u: GridField, v: GridField, S: SpectralDecomposition) -> tuple[float, tuple[int, ...]]:
     """min over lattice shifts b of |||u - v(. + b)|||: each shift of v made
-    on the grid and transformed (k^dim transforms); ties resolve to the
-    lexicographically smallest shift."""
-    au = S.a_from_field(u)
-    best = np.inf
-    best_shift: tuple[int, ...] = (0,) * u.domain.dim
-    for b in product(range(u.domain.cells), repeat=u.domain.dim):
-        d = float(np.linalg.norm(au - S.a_from_field(translate(v, b))))
-        if d < best - 1e-15:
-            best, best_shift = d, b
-    return best, best_shift
+    on the grid and transformed (k^dim transforms); distances within
+    ORBIT_TIE_RTOL (|a_u| + |a_v|) of the least tie, and ties resolve to
+    the lexicographically smallest shift."""
+    au, av = S.a_from_field(u), S.a_from_field(v)
+    shifts = list(product(range(u.domain.cells), repeat=u.domain.dim))
+    dists = [float(np.linalg.norm(au - S.a_from_field(translate(v, b)))) for b in shifts]
+    tie = min(dists) + ORBIT_TIE_RTOL * (np.linalg.norm(au) + np.linalg.norm(av))
+    first = next(i for i, d in enumerate(dists) if d <= tie)
+    return dists[first], shifts[first]

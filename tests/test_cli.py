@@ -519,7 +519,7 @@ class TestCommands:
         def refuse(*args):
             raise MemoryError("Unable to allocate 7.3 TiB for an array")
 
-        monkeypatch.setattr(functional, "_interpolation_matrix", refuse)
+        monkeypatch.setattr(functional, "_interpolation_rows", refuse)
         cfg = tmp_path / "huge.json"
         cfg.write_text('{"nonlinearity": {"dealias_factor": 1e9}}')
         assert main(["--config", str(cfg), "solve", "--k", "8"]) == 3

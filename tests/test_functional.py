@@ -14,7 +14,7 @@ from gapbumps.functional import (
     _active_rows,
     _eval_grid,
     _gram_factor,
-    _interpolation_matrix,
+    _interpolation_rows,
     a_gradient,
     a_hessian,
     a_hessvec,
@@ -27,7 +27,7 @@ from gapbumps import presets
 from gapbumps.operator import PeriodicPotential, diagonalize
 from gapbumps.solver import initial_ansatz
 from gapbumps.torus import GridField, TorusDomain, translate
-from oracle import oracle_rows
+from oracle import _along_axes, _interpolation_matrix, fine_samples, oracle_rows
 
 
 class TestHypotheses:
@@ -323,66 +323,93 @@ class TestDealiasing:
         for weight in (None, PeriodicPotential(amplitude=0.5, shift=-2.0)):
             nl = Nonlinearity(weight=weight, dealias_factor=1.0)
             grid = _eval_grid(S, nl)
-            assert grid.P is None
+            assert grid.fibers is None and grid.rows is None and grid.nf == S.domain.points_per_axis
             assert grid.qw == S.domain.spacing**dim
             h = nl.weight_values(S.domain)
             assert np.array_equal(grid.h, h) and np.shape(grid.h) == np.shape(h)
             assert _eval_grid(S, nl) is grid
 
 
-def _grid(n, factor, dim):
-    """A bare evaluation grid with n points per axis; only P and dim matter."""
-    return _EvalGrid(_interpolation_matrix(n, factor), 1.0, 1.0, dim)
+def _grid(n, factor, cells=1):
+    """A bare evaluation grid with n points per axis; only the rows and nf matter."""
+    rows = _interpolation_rows(n, factor, cells)
+    return _EvalGrid(None, rows, rows.shape[0] * cells, 1.0, 1.0)
+
+
+# (dim, cells, samples per cell) of small tori; 2-d at M = 8 keeps the tables small
+_TABLE_DOMAINS_1D = st.tuples(st.just(1), st.integers(1, 4), st.sampled_from([8, 16]))
+_TABLE_DOMAINS = st.one_of(_TABLE_DOMAINS_1D, st.tuples(st.just(2), st.integers(1, 4), st.just(8)))
+
+
+def _table_case(potential, degenerate, dim, cells, m, factor):
+    """A decomposition on a small torus, 1-d or 2-d, and its fiber table at `factor`."""
+    V = potential if dim == 1 else degenerate[0].potential
+    S = diagonalize(V, TorusDomain(dim, cells, m))
+    return S, _eval_grid(S, Nonlinearity(dealias_factor=factor))
 
 
 class TestInterpolation:
+    """The fiber table is the one route onto a fine grid; the dense nf x n
+    interpolation matrix of the oracle is its reference."""
+
+    @pytest.mark.parametrize("cells, m", [(1, 16), (3, 8), (8, 16), (64, 16)])
+    @pytest.mark.parametrize("factor", [1.0, 1.3, 1.5, 3.0])
+    def test_rows_are_the_first_cell_of_the_dense_matrix(self, cells, m, factor):
+        # one FFT per row; tiled by whole-cell shifts, the whole matrix
+        n = cells * m
+        P = _interpolation_matrix(n, factor, cells)
+        rows = _interpolation_rows(n, factor, cells)
+        tiled = np.concatenate([np.roll(rows, c * m, axis=1) for c in range(cells)])
+        assert tiled.shape == P.shape
+        assert np.abs(tiled - P).max() <= 1e-14
+
     @settings(max_examples=40, deadline=None)
-    @given(
-        n=st.integers(4, 40).map(lambda half: 2 * half),
-        factor=st.floats(1.0, 3.0),
-        data=st.data(),
-    )
-    def test_band_limited_and_nyquist_modes_are_reproduced(self, n, factor, data):
-        P = _interpolation_matrix(n, factor)
-        nf = P.shape[0]
+    @given(case=_TABLE_DOMAINS_1D, factor=st.floats(1.0, 3.0), data=st.data())
+    def test_band_limited_and_nyquist_modes_are_reproduced(self, potential, degenerate, case, factor, data):
+        S, grid = _table_case(potential, degenerate, *case, factor)
+        n, nf = S.domain.points_per_axis, grid.nf
         assert nf >= factor * n and nf % 2 == 0
         x, y = np.arange(n) / n, np.arange(nf) / nf
         m = data.draw(st.integers(0, n // 2 - 1), label="mode")
         phase = data.draw(st.floats(0.0, 2 * np.pi), label="phase")
-        assert np.allclose(P @ np.cos(2 * np.pi * m * x + phase),
-                           np.cos(2 * np.pi * m * y + phase), rtol=0, atol=1e-12)
-        # the Nyquist mode's interpolant is the real cosine
-        assert np.allclose(P @ np.cos(np.pi * n * x), np.cos(np.pi * n * y), rtol=0, atol=1e-12)
+        for coarse, fine in [
+            (np.cos(2 * np.pi * m * x + phase), np.cos(2 * np.pi * m * y + phase)),
+            (np.cos(np.pi * n * x), np.cos(np.pi * n * y)),  # the Nyquist mode's interpolant is the real cosine
+        ]:
+            got = S.values_from_a(S.a_from_values(coarse), grid.fibers)
+            assert np.allclose(got, fine, rtol=0, atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        n=st.integers(4, 40).map(lambda half: 2 * half),
-        factor=st.floats(1.0, 3.0),
-        dim=st.sampled_from([1, 2]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_samples_and_adjoint_are_transposes(self, n, factor, dim, seed):
-        grid = _grid(n, factor, dim)
+    @given(case=_TABLE_DOMAINS, factor=st.floats(1.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_samples_and_adjoint_are_transposes(self, potential, degenerate, case, factor, seed):
+        # and the values are the dense matrix's interpolation of the grid values
+        S, grid = _table_case(potential, degenerate, *case, factor)
         rng = np.random.default_rng(seed)
-        u = rng.standard_normal((n,) * dim)
-        w = rng.standard_normal((grid.P.shape[0],) * dim)
-        lhs = float(np.sum(grid.samples(u) * w))
-        rhs = float(np.sum(u * grid.adjoint(w)))
-        scale = np.linalg.norm(grid.samples(u)) * np.linalg.norm(w)
+        a = rng.standard_normal(S.num_modes)
+        w = rng.standard_normal((grid.nf,) * S.domain.dim)
+        fine = S.values_from_a(a, grid.fibers)
+        lhs = float(np.sum(fine * w))
+        rhs = float(np.dot(a, S.a_from_dual(w, grid.fibers)))
+        scale = np.linalg.norm(fine) * np.linalg.norm(w)
         assert abs(lhs - rhs) <= 1e-13 * scale
+        want = fine_samples(S, factor, S.values_from_a(a))
+        assert np.abs(fine - want).max() <= 1e-13 * np.abs(want).max()
 
     @settings(max_examples=30, deadline=None)
     @given(
-        n=st.integers(2, 12).map(lambda half: 2 * half),
+        cells=st.integers(1, 3),
+        m=st.integers(1, 4).map(lambda half: 2 * half),
         factor=st.floats(1.0, 3.0),
         dim=st.sampled_from([1, 2]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_gram_is_the_weighted_gram_of_the_sampling_map(self, n, factor, dim, seed):
-        grid = _grid(n, factor, dim)
-        nf = grid.P.shape[0]
+    def test_gram_is_the_weighted_gram_of_the_sampling_map(self, cells, m, factor, dim, seed):
+        n = cells * m
+        grid = _grid(n, factor, cells)
+        nf = grid.nf
         w = np.random.default_rng(seed).uniform(0.0, 1.0, (nf,) * dim)
-        samples = grid.samples(np.eye(n**dim).reshape((-1,) + (n,) * dim))
+        P = _interpolation_matrix(n, factor, cells)
+        samples = _along_axes(P, np.eye(n**dim).reshape((-1,) + (n,) * dim), dim)
         Smat = samples.reshape(n**dim, -1).T
         oracle = Smat.T @ (w.reshape(-1, 1) * Smat)
         M = grid.form(w)
@@ -393,25 +420,39 @@ class TestInterpolation:
     def test_fine_grid_repeats_cell_by_cell(self, cells, m, factor):
         # the smallest even multiple of the cell count at or above factor * n
         n = cells * m
-        nf = _interpolation_matrix(n, factor, cells).shape[0]
+        nf = _interpolation_rows(n, factor, cells).shape[0] * cells
         step = cells if cells % 2 == 0 else 2 * cells
         assert nf % step == 0 and nf >= factor * n and nf - step < factor * n
+        assert nf == _interpolation_matrix(n, factor, cells).shape[0]
 
     @pytest.mark.parametrize("factor", [1.0, 1.5, 3.0])
     @pytest.mark.parametrize("cells, m", [(8, 16), (64, 16), (3, 8), (5, 8)])
     def test_usual_factors_keep_their_grids(self, cells, m, factor):
         n = cells * m
-        assert _interpolation_matrix(n, factor, cells).shape == _interpolation_matrix(n, factor).shape
+        assert _interpolation_rows(n, factor, cells).shape[0] * cells == _interpolation_matrix(n, factor).shape[0]
 
     def test_an_odd_torus_takes_the_next_even_multiple(self, degenerate):
         # Q_3 at M = 8 and factor 1.3: ceil(31.2) = 32 points per axis on
         # one cell's rule, 36 = 12 per cell on the torus
         S, nl2, _, _ = degenerate
         assert _interpolation_matrix(24, 1.3).shape[0] == 32
-        assert _eval_grid(_fresh(S), dataclasses.replace(nl2, dealias_factor=1.3)).P.shape[0] == 36
+        assert _eval_grid(_fresh(S), dataclasses.replace(nl2, dealias_factor=1.3)).nf == 36
 
     def test_factor_one_is_the_identity(self):
-        assert np.allclose(_interpolation_matrix(24, 1.0), np.eye(24), rtol=0, atol=1e-15)
+        assert np.allclose(_interpolation_rows(24, 1.0, 1), np.eye(24), rtol=0, atol=1e-15)
+
+    def test_the_grid_holds_nothing_of_the_fine_matrix_size(self, potential, nl):
+        # at k = 256 and factor 1.5 the nf x n matrix would take 192 MiB;
+        # the grid keeps one cell's rows and the fiber table, and a
+        # gradient adds nothing to it
+        S = diagonalize(potential, TorusDomain(1, 256, 16))
+        nl15 = Nonlinearity(dealias_factor=1.5)
+        a_gradient(S, nl15, S.a_from_field(_ansatz(S)))
+        grid = _eval_grid(S, nl15)
+        per_cell, n = 24, S.domain.points_per_axis
+        assert grid.nf == 256 * per_cell
+        arrays = [x for v in vars(grid).values() for x in (v if isinstance(v, tuple) else (v,))]
+        assert max(np.size(x) for x in arrays) <= per_cell * n
 
 
 class TestInteractionDefect:

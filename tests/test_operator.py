@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapbumps import presets
-from gapbumps.functional import _along_axes, _eval_grid, _interpolation_matrix
+from gapbumps.functional import Nonlinearity, _eval_grid
 from gapbumps.operator import (
     NoCertifiedGap,
     NotInvertible,
@@ -20,7 +20,7 @@ from gapbumps.operator import (
     project_positive,
 )
 from gapbumps.torus import GridField, TorusDomain, l2_inner, translate
-from oracle import eigenfield_matrix, operator_matrix
+from oracle import eigenfield_matrix, fine_samples, operator_matrix
 
 
 class TestPotential:
@@ -225,20 +225,19 @@ class TestDenseOracle:
 
 
 def _transform_case(case, S8, S64, degenerate):
-    """(S, fine interpolation matrix P) of a case: 1-d at factor 1.5, the
-    2-d fixture at its own factor 3."""
+    """(S, fine dealias factor) of a case: 1-d at factor 1.5, the 2-d
+    fixture at its own factor 3."""
     if case == "2d_fixture":
-        S = degenerate[0]
-        return S, _interpolation_matrix(S.domain.points_per_axis, 3.0, S.domain.cells)
-    S = {"1d_k8": S8, "1d_k64": S64}[case]
-    return S, _interpolation_matrix(S.domain.points_per_axis, 1.5, S.domain.cells)
+        return degenerate[0], 3.0
+    return {"1d_k8": S8, "1d_k64": S64}[case], 1.5
 
 
 class TestFiberTransforms:
     """The transforms run per fiber plus an FFT over the cell axes, and
-    a_rows and S.eigenfields gather rows from the fibers; the eigenfield
-    matrix E built from the Bloch waves on the whole grid is their oracle,
-    to rounding."""
+    a_rows and S.eigenfields gather rows from the fibers, on the torus grid
+    or through a fine grid's fiber table; the eigenfield matrix E built
+    from the Bloch waves on the whole grid, interpolated by the dense
+    matrix onto a fine grid, is their oracle, to rounding."""
 
     CASES = ["1d_k8", "1d_k64", "2d_fixture"]
 
@@ -248,7 +247,7 @@ class TestFiberTransforms:
 
     @pytest.mark.parametrize("case", CASES)
     def test_transforms_match_the_dense_matrix(self, S8, S64, degenerate, rng, case):
-        S, _ = _transform_case(case, S8, S64, degenerate)
+        S, factor = _transform_case(case, S8, S64, degenerate)
         E, w, h = eigenfield_matrix(S), S.weights, S.domain.spacing**S.domain.dim
         a, x = rng.standard_normal(S.num_modes), rng.standard_normal(S.num_modes)
         self._close(S.values_from_a(a).reshape(-1), E @ (a / w))
@@ -256,19 +255,26 @@ class TestFiberTransforms:
         self._close(S.a_from_dual(x), (E.T @ x) / w)
         self._close(S.eigenfield(5).flat, E[:, 5])
         self._close(S.eigenfields, E)
+        # through the fine grid's table: Q E and its transpose
+        grid = _eval_grid(S, Nonlinearity(dealias_factor=factor))
+        QE = fine_samples(S, factor, E.T.reshape((-1,) + S.domain.shape)).reshape(S.num_modes, -1).T
+        y = rng.standard_normal((grid.nf,) * S.domain.dim)
+        self._close(S.values_from_a(a, grid.fibers).reshape(-1), QE @ (a / w))
+        self._close(S.a_from_dual(y, grid.fibers), (QE.T @ y.reshape(-1)) / w)
 
     @pytest.mark.parametrize("grid", ["torus", "fine"])
     @pytest.mark.parametrize("case", CASES)
     def test_rows_match_the_dense_matrix(self, S8, S64, degenerate, rng, case, grid):
-        S, P = _transform_case(case, S8, S64, degenerate)
-        E, dim = eigenfield_matrix(S), S.domain.dim
+        S, factor = _transform_case(case, S8, S64, degenerate)
+        E = eigenfield_matrix(S)
         if grid == "torus":
-            P, QE = None, E
+            fibers, QE = None, E
         else:
-            QE = _along_axes(P, E.T.reshape((-1,) + S.domain.shape), dim).reshape(S.num_modes, -1).T
+            fibers = _eval_grid(S, Nonlinearity(dealias_factor=factor)).fibers
+            QE = fine_samples(S, factor, E.T.reshape((-1,) + S.domain.shape)).reshape(S.num_modes, -1).T
         points = rng.choice(QE.shape[0], 40, replace=False)
         scale = rng.uniform(0.5, 2.0, points.size)
-        self._close(S.a_rows(points, scale, P), QE[points] * scale[:, None] / S.weights)
+        self._close(S.a_rows(points, scale, fibers), QE[points] * scale[:, None] / S.weights)
 
     def test_the_dense_matrix_is_built_on_first_access_only(self, potential, rng):
         S = diagonalize(potential, TorusDomain(1, 16, 16))
@@ -307,13 +313,12 @@ class TestGreenTable:
     def test_block_is_the_elementwise_gather(self, S8, degenerate, rng, case):
         # the cell-block gather copies the same entries, in any point order
         if case.startswith("1d"):
-            S = S8
-            P = _interpolation_matrix(S.domain.points_per_axis, 1.5, S.domain.cells) if "fine" in case else None
+            S, nl = S8, Nonlinearity(dealias_factor=1.5)
         else:
-            S, nl2, _, _ = degenerate
-            P = _eval_grid(S, nl2).P if "fine" in case else None
+            S, nl, _, _ = degenerate
+        fibers = _eval_grid(S, nl).fibers if "fine" in case else None
         for negative in (False, True):
-            T = S.green(P, negative)
+            T = S.green(fibers, negative)
             size = (T.cells * T.per_cell) ** T.dim
             sorted_half = np.sort(rng.choice(size, size // 2, replace=False))
             for points in (sorted_half, rng.permutation(size)[:90], np.arange(0)):

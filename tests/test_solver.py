@@ -170,10 +170,21 @@ class TestOrbits:
             assert abs(got - want) <= 1e-9 * max(1.0, want)
         assert orbit_distance(pair, translate(pair, (1,)), S8)[1] == (3,)  # 7 as well
         # the 2-d base is a stripe, the same in every cell along axis 0 to
-        # rounding, so three shifts reach it: the smallest wins (the loop
-        # returns the one whose grid shift gives u back bit for bit)
+        # rounding, so three shifts reach it: the smallest wins
         dist, shift = orbit_distance(rec2.field, translate(rec2.field, (2, 1)), S2)
         assert dist < 1e-12 and shift == (0, 2)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_ties_on_the_stripe_go_to_the_smallest_shift(self, degenerate, seed):
+        # three shifts along axis 0 reach any field at distances that agree
+        # to rounding (about 61, ulp 7e-15): both routes take the one with
+        # b0 = 0, whatever the last bits of the distances
+        S2, _, rec2, _ = degenerate
+        noise = GridField(S2.domain, np.random.default_rng(seed).standard_normal(S2.domain.shape))
+        got, shift = orbit_distance(rec2.field, noise, S2)
+        want, want_shift = loop_orbit_distance(rec2.field, noise, S2)
+        assert shift == want_shift and shift[0] == 0
+        assert abs(got - want) <= 1e-9 * max(1.0, want)
 
     def test_all_shifts_cost_a_fixed_number_of_transforms(self, potential, monkeypatch):
         S = diagonalize(potential, TorusDomain(1, 512, 16))
