@@ -295,19 +295,26 @@ def _finite_or_none(value: float) -> float | None:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """A header line and one line per row, floats as their repr, in csv's
+    default dialect (CRLF line ends). A float array's rows are written as
+    one join of its repr'd columns: nothing in a float's repr needs
+    quoting."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
+        if isinstance(rows, np.ndarray):
+            columns = [map(repr, column) for column in rows.T.tolist()]
+            fh.write("".join(line + "\r\n" for line in map(",".join, zip(*columns))))
+            return
         for row in rows:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
 def write_field_csv(path: Path, field: GridField) -> None:
     dim = field.domain.dim
-    grids = [g.reshape(-1) for g in field.domain.meshgrid()]
     header = [f"x{i + 1}" for i in range(dim)] + ["value"]
-    rows = zip(*grids, (float(v) for v in field.flat))
-    _write_csv(path, header, ([float(c) for c in row] for row in rows))
+    columns = [g.reshape(-1) for g in field.domain.meshgrid()] + [field.flat]
+    _write_csv(path, header, np.stack(columns, axis=1))
 
 
 def read_field_csv(path: Path, domain: TorusDomain) -> GridField:
@@ -504,6 +511,7 @@ def cmd_solve(args, cfg: RunConfig, out: _Output) -> int:
                 center, width, amplitude = draw_ansatz(rng, cfg.domain)
         else:  # every try failed (--tries is at least 1)
             raise last_error
+    with out.timed("census"):
         census = hessian_census(S, cfg.nonlinearity, S.a_from_field(rec.field))
     _write_json(out.path("solution.json"), rec.to_dict() | census)
     write_field_csv(out.path("solution.csv"), rec.field)

@@ -29,10 +29,12 @@ r <= N it carries the rows:
   the projected Newton step and the reduced Hessian, its LDL^T
   inertia the degeneracy monitor. A factorization of order r + l
   replaces one of order N + l, and no N x N matrix is formed;
-- the census and the kernel split, which need Ritz data, read one
-  route: the Rayleigh-Ritz matrix K on an H-invariant frame U that
-  contains the active rows and X, built on first use, exact to rounding
-  however wide U is (Parlett, The Symmetric Eigenvalue Problem, ch. 11).
+- the census counts by the same inertia, at shifts set by a Lanczos
+  spectral radius (`spectral_radius`);
+- the kernel split, which needs Ritz data, reads one route: the
+  Rayleigh-Ritz matrix K on an H-invariant frame U that contains the
+  active rows and X, built on first use, exact to rounding however wide
+  U is (Parlett, The Symmetric Eigenvalue Problem, ch. 11).
 Only when more rows are active than there are modes (the dealiased 2-d
 fixture) is the model the dense `a_hessian` alone, backend "dense",
 with bordered matrices of order N + l.
@@ -273,7 +275,10 @@ def a_gradient(S, nl, a: NDArray[np.float64]) -> NDArray[np.float64]:
 
 
 def a_hessian(
-    S: SpectralDecomposition, nl: Nonlinearity, a: NDArray[np.float64]
+    S: SpectralDecomposition,
+    nl: Nonlinearity,
+    a: NDArray[np.float64],
+    weight: NDArray[np.float64] | None = None,
 ) -> NDArray[np.float64]:
     """Dense symmetric Hessian of J in the weighted coordinates:
     D - E^T M E / (w w^T), M = `_EvalGrid.form` of the weights qw f'.
@@ -281,11 +286,13 @@ def a_hessian(
     M is diagonal on the collocated grid, where the block is a Gram product:
     f' = (p-1) h |u|^(p-2) >= 0 because p >= 3 and h >= 0 (`Nonlinearity`,
     `_eval_grid`). On a fine grid M is sum-factorized, so no N_f x N
-    matrix is formed.
+    matrix is formed. `weight`, the weights at a flattened (as
+    `_active_rows` returns them), saves the transform of a.
     """
     grid = _eval_grid(S, nl)
-    weight = grid.qw * nl.fprime(S.values_from_a(a, grid.fibers), grid.h)
-    A = S.a_form(grid.form(weight))
+    if weight is None:
+        weight = grid.qw * nl.fprime(S.values_from_a(a, grid.fibers), grid.h)
+    A = S.a_form(grid.form(weight.reshape((grid.nf,) * S.domain.dim)))
     np.negative(A, out=A)
     A[np.diag_indices_from(A)] += S.signs
     return A
@@ -430,16 +437,18 @@ class HessianModel:
     sigma = 0 gives `projected_step` and `reduced_hessian`, and its
     inertia at sigma = +-s gives `complement_degenerates`
     (`negative_count`). Nothing of order N is formed or factored there.
+    The census needs no more: `spectral_radius` is Lanczos on `matvec`
+    and its counts are `negative_count`s.
 
-    Ritz data (K, `eigenvalues`, `embed`, `complement`, `off_signs`) is
-    for the census and the kernel split only, and built on first use.
-    With G it comes from a frame: D keeps the negative block (the first
-    j coordinates) and the positive block apart, so orthonormalizing
-    each block's part of [G^T X] on its own gives U = blockdiag(Q-, Q+)
-    with range(G^T) and span X inside span U: an H-invariant span, with
-    H = D = +-1 on its complement. Only orthogonal transforms and the
-    m x m matrix K = U^T H U (Rayleigh-Ritz, exact to rounding) are
-    involved, m = subspace_dim; a block that its columns fill is the
+    Ritz data (K, `embed`, `complement`, `off_signs`) is for the kernel
+    split only, and built on first use. With G it comes from a frame: D
+    keeps the negative block (the first j coordinates) and the positive
+    block apart, so orthonormalizing each block's part of [G^T X] on its
+    own gives U = blockdiag(Q-, Q+) with range(G^T) and span X inside
+    span U: an H-invariant span, with H = D = +-1 on its complement. Only
+    orthogonal transforms and the m x m matrix K = U^T H U (Rayleigh-Ritz,
+    exact to rounding) are involved, m = subspace_dim, which its rule
+    gives without the frame; a block that its columns fill is the
     identity. That is the one Ritz route of the rows form. The other
     form, backend "dense", is the dense Hessian K alone, with U = I, for
     more active rows than modes: every solve and count runs on K and the
@@ -485,9 +494,14 @@ class HessianModel:
         K[np.diag_indices_from(K)] += np.repeat([-1.0, 1.0], [self.neg.dim, self.pos.dim])
         return K
 
-    @cached_property
+    @property
     def subspace_dim(self) -> int:
-        return self.neg.dim + self.pos.dim
+        """The order m of K, from the frame's rule without building it: each
+        sign block keeps min(width, r + l) columns; N on the dense route."""
+        if self._dense is not None:
+            return self.signs.size
+        c = self.G.size + self.X.shape[1]
+        return min(self.j, c) + min(self.signs.size - self.j, c)
 
     @cached_property
     def off_signs(self) -> NDArray[np.float64]:
@@ -507,10 +521,6 @@ class HessianModel:
             b.apply(np.eye(b.width, b.width - b.dim, -b.dim)) for b in (self.neg, self.pos)
         ))
 
-    def eigenvalues(self) -> NDArray[np.float64]:
-        """All N eigenvalues, ascending: K's, and the off_signs."""
-        return np.sort(np.concatenate([scipy.linalg.eigvalsh(self.K), self.off_signs]))
-
     def _D(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
         """D v, for one column or several."""
         return (self.signs * v.T).T
@@ -520,6 +530,32 @@ class HessianModel:
         if self.G is None:
             return self.K @ v
         return self._D(v) - self.G.tdot(self.G.dot(v))
+
+    def spectral_radius(self) -> float:
+        """max |mu| over the spectrum of H (a model without X), from
+        `_lanczos_lowest` on `matvec`, certified by inertia.
+
+        H <= D <= I, so no eigenvalue exceeds 1, and with a negative block
+        (j >= 1) the lowest is at most -1: the radius is -mu_min, the
+        lowest Ritz value's limit from above. One count, no eigenvalue
+        below -(1 + RADIUS_RTOL) times the radius, certifies that Lanczos
+        missed no lower mode. Without one (j = 0) the top may be the
+        radius: a second run on -H finds it, and a second count above it
+        certifies it. A failed certificate raises LinAlgError.
+        """
+        n = self.signs.size
+        radius = -_lanczos_lowest(self.matvec, n)
+        if radius < 1.0:
+            radius = max(radius, -_lanczos_lowest(lambda v: -self.matvec(v), n))
+        edge = (1.0 + RADIUS_RTOL) * radius
+        missed = self.negative_count(-edge)
+        if edge < 1.0:
+            missed += n - self.negative_count(edge)
+        if missed:
+            raise scipy.linalg.LinAlgError(
+                f"Lanczos radius {radius:.17g} misses {missed} eigenvalue(s) beyond it"
+            )
+        return radius
 
     def solve(self, rhs: NDArray[np.float64], mu: float) -> NDArray[np.float64]:
         """d with (H + mu D) d = rhs.
@@ -681,6 +717,51 @@ def _negative_count(A: NDArray[np.float64]) -> int:
     return int(np.count_nonzero(one_by_one < 0.0) + np.count_nonzero(ipiv < 0) // 2)
 
 
+# the spectral radius: Lanczos stops when its lowest Ritz value moves by less
+# than LANCZOS_RTOL of itself in one step, and the certificate counts below
+# (1 + RADIUS_RTOL) times the radius, a margin far above the Ritz value's
+# rounding
+LANCZOS_RTOL = 1e-14
+RADIUS_RTOL = 1e-8
+
+
+def _lanczos_lowest(matvec, n: int) -> float:
+    """The lowest Ritz value of the symmetric operator `matvec` on R^n,
+    from Lanczos with full reorthogonalization (each new vector twice
+    against all before it: Parlett, The Symmetric Eigenvalue Problem,
+    ch. 13) and the tridiagonal's eigenvalues.
+
+    The start is a fixed, seeded Gaussian vector: a structured one, such as
+    all ones, can stay orthogonal to the lowest mode of a symmetric base.
+    The lowest Ritz value falls monotonically to the lowest eigenvalue, and
+    an extreme one converges first; the run stops when it moves by at most
+    LANCZOS_RTOL of itself in one step, or when the Krylov space is
+    invariant (at most n steps).
+    """
+    Q = np.empty((min(n, 64), n))
+    Q[0] = np.random.default_rng(0).standard_normal(n)
+    Q[0] /= np.linalg.norm(Q[0])
+    alpha: list[float] = []
+    beta: list[float] = []
+    lowest = np.inf
+    for m in range(n):
+        w = matvec(Q[m])
+        alpha.append(float(Q[m] @ w))
+        for _ in range(2):
+            w -= Q[: m + 1].T @ (Q[: m + 1] @ w)
+        previous = lowest
+        lowest = float(scipy.linalg.eigvalsh_tridiagonal(np.array(alpha), np.array(beta))[0])
+        b = float(np.linalg.norm(w))
+        tol = LANCZOS_RTOL * abs(lowest)
+        if m + 1 == n or b <= tol or previous - lowest <= tol:
+            break
+        if m + 1 == Q.shape[0]:
+            Q = np.concatenate([Q, np.empty_like(Q)])[:n]
+        beta.append(b)
+        Q[m + 1] = w / b
+    return lowest
+
+
 def _active_rows(
     S: SpectralDecomposition, nl: Nonlinearity, a: NDArray[np.float64]
 ) -> tuple[NDArray[np.float64], NDArray[np.intp]]:
@@ -726,7 +807,7 @@ def hessian_model(
     X = np.zeros((S.num_modes, 0)) if X is None else X
     weight, rows = _active_rows(S, nl, a)
     if rows.size > S.num_modes:
-        return HessianModel(S.signs, S.j, X, K=a_hessian(S, nl, a))
+        return HessianModel(S.signs, S.j, X, K=a_hessian(S, nl, a, weight))
     return HessianModel(S.signs, S.j, X, G=_gram_factor(S, nl, weight, rows))
 
 

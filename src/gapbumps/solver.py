@@ -187,33 +187,40 @@ def kernel_split(
 ) -> tuple[NDArray[np.bool_], float]:
     """Mask of Hessian eigenvalues with |mu| < tau * scale, and the scale.
 
-    scale is the spectral radius max |mu|; `hessian_census` and the
-    reduction's kernel block both split the spectrum here.
+    scale is the spectral radius max |mu|. The reduction's kernel block
+    splits its spectrum here; `hessian_census` makes the same split by
+    inertia, without the spectrum.
     """
     scale = float(np.abs(mu).max())
     return np.abs(mu) < tau * scale, scale
 
 
 def hessian_census(S: SpectralDecomposition, nl: Nonlinearity, a: NDArray[np.float64]) -> dict:
-    """Morse data of the Hessian at a, from one model and one eigvalsh.
+    """Morse data of the Hessian at a, by inertia: no eigenvalue is computed.
 
     negative_hessian_count counts eigenvalues below -tau*scale and
     kernel_dim_estimate those within tau*scale of zero, tau = KERNEL_TAU:
-    the split the reduction uses, so the two views agree. Both read the
-    model's one Ritz route, its K. The model keeps only the rows that can
-    move an eigenvalue by more than functional.ROW_CUT (1e-10) times the
-    bound on ||H||, far below tau*scale, so the counts are the full
-    Hessian's. hessian_backend is "dense" only when
-    more rows are active than there are modes and K is the dense
-    Hessian, else "low-rank"; hessian_subspace_dim is the order of K,
-    which is N when the frame is the whole space.
+    the split `kernel_split` gives the reduction, so the two views agree.
+    scale is the model's Lanczos spectral radius, and each count is one
+    `negative_count`, an LDL^T of the r x r capacitance (of the dense
+    Hessian on the dense route): n-(H + tau*scale) and n-(H - tau*scale)
+    minus it. The model keeps only the rows that can move an eigenvalue
+    by more than functional.ROW_CUT (1e-10) times the bound on ||H||, far
+    below tau*scale, so the counts are the full Hessian's.
+    hessian_backend is "dense" only when more rows are active than there
+    are modes, else "low-rank"; hessian_subspace_dim is the order of the
+    model's Ritz frame (`HessianModel.subspace_dim`), N on the dense route.
     """
-    H = hessian_model(S, nl, a)
-    mu = H.eigenvalues()
-    near, _ = kernel_split(mu)
+    return model_census(hessian_model(S, nl, a))
+
+
+def model_census(H: HessianModel) -> dict:
+    """`hessian_census` of a Hessian model without X."""
+    edge = KERNEL_TAU * H.spectral_radius()
+    negative = H.negative_count(-edge)
     return {
-        "negative_hessian_count": int(((mu < 0) & ~near).sum()),
-        "kernel_dim_estimate": int(near.sum()),
+        "negative_hessian_count": negative,
+        "kernel_dim_estimate": H.negative_count(edge) - negative,
         "hessian_backend": H.backend,
         "hessian_subspace_dim": H.subspace_dim,
     }

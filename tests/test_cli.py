@@ -205,6 +205,27 @@ class TestFieldCsv:
         back = read_field_csv(p, d)
         assert np.array_equal(back.values, f.values)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_bytes_are_those_of_a_row_by_row_csv_writer(self, tmp_path, rng, dim):
+        # the reference writes one csv row of repr'd floats per point; the
+        # signs, exponents and signed zeros below cover every repr form
+        import csv
+
+        d = TorusDomain(dim, 4, 8)
+        values = rng.standard_normal(d.shape) * 10.0 ** rng.integers(-20, 20, d.shape)
+        values.reshape(-1)[:3] = [0.0, -0.0, 1e300]
+        f = GridField(d, values)
+        reference = tmp_path / "reference.csv"
+        with reference.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"x{i + 1}" for i in range(dim)] + ["value"])
+            rows = zip(*(g.reshape(-1) for g in d.meshgrid()), f.flat)
+            for row in rows:
+                writer.writerow([repr(float(v)) for v in row])
+        p = tmp_path / "f.csv"
+        write_field_csv(p, f)
+        assert p.read_bytes() == reference.read_bytes()
+
     def test_wrong_length_rejected(self, tmp_path):
         d = TorusDomain(1, 2, 8)
         p = tmp_path / "f.csv"
@@ -266,8 +287,8 @@ class TestCommands:
     def test_solve_manifest_times_each_phase(self, outdir):
         assert main(["solve", "--k", "8", "--seed", "7"]) == 0
         timings = json.loads((outdir / "manifest.json").read_text())["timings"]
-        assert set(timings) == {"diagonalize_s", "newton_s", "total_s"}
-        assert timings["diagonalize_s"] + timings["newton_s"] <= timings["total_s"] + 2e-3
+        assert set(timings) == {"diagonalize_s", "newton_s", "census_s", "total_s"}
+        assert timings["diagonalize_s"] + timings["newton_s"] + timings["census_s"] <= timings["total_s"] + 2e-3
         record = json.loads((outdir / "solution.json").read_text())
         assert not any(key.endswith("_s") or "time" in key for key in record)
 

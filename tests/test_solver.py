@@ -267,7 +267,7 @@ def _assert_matches_dense(model, H, signs, rng):
         ridged_mu = np.abs(scipy.linalg.eigvalsh(ridged))
         cond = ridged_mu.max() / ridged_mu.min()
         assert np.linalg.norm(d - dense) <= 1e-14 * cond * np.linalg.norm(dense)
-    mu_model = model.eigenvalues()
+    mu_model = np.sort(np.concatenate([scipy.linalg.eigvalsh(model.K), model.off_signs]))
     assert mu_model.shape == (n,)
     assert np.all(np.diff(mu_model) >= 0)
     assert np.abs(mu_model - mu_dense).max() <= 1e-13 * scale
@@ -374,17 +374,40 @@ class TestLowRankHessian:
         assert _active_rows(S2, nl2, a2)[1].size > S2.num_modes
         assert hessian_model(S2, nl2, a2).backend == "dense"
 
+    def test_dense_route_transforms_a_once(self, degenerate, monkeypatch):
+        # the row cut's weights serve the dense Hessian: one transform of a
+        # onto the fine grid per model, and the same K bit for bit
+        S2, nl2, rec, _ = degenerate
+        a = S2.a_from_field(rec.field)
+        expected = a_hessian(S2, nl2, a)
+        calls = []
+        real = SpectralDecomposition.values_from_a
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[1:] + tuple(kwargs.values()))
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpectralDecomposition, "values_from_a", counted)
+        model = hessian_model(S2, nl2, a)
+        assert model.backend == "dense" and len(calls) == 1
+        assert np.array_equal(model.K, expected)
+
     def test_newton_builds_no_frame(self, S64, nl, ansatz64, monkeypatch):
         # Newton solves through the capacitance and never factors [G^T];
-        # the census builds the frame once, its negative and positive block
+        # nor does the census, which counts by inertia and computes no
+        # eigenvalue
         from gapbumps import functional
 
-        qrs, blocks = [], []
-        real_qr, real_block = scipy.linalg.qr, functional._SignBlock
+        qrs, blocks, eigvalshs = [], [], []
+        real_qr, real_block, real_eigvalsh = scipy.linalg.qr, functional._SignBlock, scipy.linalg.eigvalsh
 
         def qr(*args, **kwargs):
             qrs.append(args[0].shape)
             return real_qr(*args, **kwargs)
+
+        def eigvalsh(*args, **kwargs):
+            eigvalshs.append(args[0].shape)
+            return real_eigvalsh(*args, **kwargs)
 
         class CountedBlock(real_block):
             def __init__(self, width, C):
@@ -392,12 +415,13 @@ class TestLowRankHessian:
                 super().__init__(width, C)
 
         monkeypatch.setattr(scipy.linalg, "qr", qr)
+        monkeypatch.setattr(scipy.linalg, "eigvalsh", eigvalsh)
         monkeypatch.setattr(functional, "_SignBlock", CountedBlock)
         rec = find_critical_point(ansatz64, S64, nl)
         assert rec.iterations == 6
         assert not qrs and not blocks
         census = hessian_census(S64, nl, S64.a_from_field(rec.field))
-        assert len(blocks) == 2 and qrs
+        assert not qrs and not blocks and not eigvalshs
         assert tuple(census.values()) == (66, 0, "low-rank", 249)
 
     @pytest.mark.parametrize("k", [8, 32, 256], ids=["k8", "k32", "k256"])
@@ -470,12 +494,15 @@ class TestRowCut:
         assert rows.size == 185
         assert np.delete(fprime, rows).max() <= ROW_CUT * (lam + fprime.max())
 
-    @pytest.mark.parametrize("k", [8, 16, 32, 48, 64, 128])
-    def test_morse_data_is_that_of_the_full_hessian(self, request, potential, nl, k):
+    @pytest.mark.parametrize("k", [8, 16, 32, 48, 64, 128, "2d"])
+    def test_morse_data_is_that_of_the_full_hessian(self, request, potential, nl, degenerate, k):
         # the census counts and the kernel split of the cut model against
         # the dense spectrum of every row: the same counts and l, and eta
-        # and the spectral radius to rounding
-        if k in (8, 32, 64):
+        # and the spectral radius (the census's Lanczos one too) to rounding;
+        # the dealiased 2-d fixture has more rows than modes, the dense route
+        if k == "2d":
+            S, nl, rec, _ = degenerate
+        elif k in (8, 32, 64):
             S, rec = request.getfixturevalue(f"S{k}"), request.getfixturevalue(f"base{k}")
         else:
             S = diagonalize(potential, TorusDomain(1, k, 16))
@@ -483,7 +510,10 @@ class TestRowCut:
             rec = find_critical_point(initial_ansatz(A["center"], A["width"], A["amplitude"], S.domain, S), S, nl)
         a = S.a_from_field(rec.field)
         mu = scipy.linalg.eigvalsh(a_hessian(S, nl, a))
-        near, _ = kernel_split(mu)
+        near, scale = kernel_split(mu)
+        model = hessian_model(S, nl, a)
+        assert model.backend == ("dense" if k == "2d" else "low-rank")
+        assert model.spectral_radius() == pytest.approx(scale, rel=1e-12)
         census = hessian_census(S, nl, a)
         assert (census["negative_hessian_count"], census["kernel_dim_estimate"]) == (
             np.count_nonzero((mu < 0) & ~near), np.count_nonzero(near)
@@ -493,6 +523,92 @@ class TestRowCut:
         assert kb.l == np.count_nonzero(near)
         assert kb.eta == pytest.approx(1.0 / np.abs(mu[~near]).min(), rel=1e-12)
         assert kb.hessian_scale == pytest.approx(scale, rel=1e-12)
+
+
+def _planted_model(spectrum, j, backend, rng, lowest=None):
+    """A model with n = j + spectrum.size modes whose spectrum is -1 (j
+    times, the negative block) and `spectrum` (all <= 1, on the positive
+    block): G's rows reach the positive block only, G^T G = Q diag(1 - mu)
+    Q^T there, and a mode at exactly 1 takes no row. `lowest` (a unit
+    vector on the positive block) is the eigenvector of spectrum[0]."""
+    n = j + spectrum.size
+    Q = np.linalg.qr(rng.standard_normal((spectrum.size, spectrum.size)))[0]
+    if lowest is not None:
+        Q = np.linalg.qr(np.column_stack([lowest, Q[:, 1:]]))[0]
+    active = spectrum < 1.0
+    G = np.zeros((int(active.sum()), n))
+    G[:, j:] = np.sqrt(1.0 - spectrum[active])[:, None] * Q[:, active].T
+    signs = np.concatenate([-np.ones(j), np.ones(n - j)])
+    X = np.zeros((n, 0))
+    if backend == "dense":
+        return HessianModel(signs, j, X, K=np.diag(signs) - G.T @ G)
+    return HessianModel(signs, j, X, G=G)
+
+
+class TestCensusByInertia:
+    """The census reads its counts from capacitance inertias at +-tau*scale
+    and its scale from Lanczos, certified by one count; no eigenvalue,
+    frame or eigenfield matrix is computed."""
+
+    @pytest.mark.parametrize("backend", ["low-rank", "dense"])
+    def test_planted_eigenvalues_around_the_kernel_threshold(self, rng, backend):
+        # radius 3, so tau*scale = 3e-4: the eigenvalues at +-1.5e-4 are
+        # kernel, the one at 6e-4 is not, and -0.01 is below the threshold
+        tau_s = solver.KERNEL_TAU * 3.0
+        planted = np.array([-3.0, -0.01, -0.5 * tau_s, 0.5 * tau_s, 2.0 * tau_s])
+        spectrum = np.concatenate([planted, np.linspace(0.1, 0.9, 20), np.ones(5)])
+        model = _planted_model(spectrum, 6, backend, rng)
+        assert model.backend == backend
+        assert model.spectral_radius() == pytest.approx(3.0, rel=1e-12)
+        census = solver.model_census(model)
+        assert (census["negative_hessian_count"], census["kernel_dim_estimate"]) == (6 + 2, 2)
+
+    def test_lowest_mode_orthogonal_to_ones(self, rng):
+        # the lowest eigenvector is the alternating vector on the positive
+        # block, orthogonal to all ones: the seeded start still reaches it
+        m = 30
+        lowest = np.tile([1.0, -1.0], m // 2) / np.sqrt(m)
+        spectrum = np.concatenate([[-4.0], np.linspace(-2.0, 0.9, m - 6), np.ones(5)])
+        model = _planted_model(spectrum, 4, "low-rank", rng, lowest)
+        H = model.matvec(np.eye(model.signs.size))
+        v = np.concatenate([np.zeros(4), lowest])
+        assert np.allclose(H @ v, -4.0 * v, atol=1e-13) and abs(np.sum(v)) <= 1e-14
+        assert model.spectral_radius() == pytest.approx(4.0, rel=1e-12)
+        census = solver.model_census(model)
+        assert census["negative_hessian_count"] == np.count_nonzero(scipy.linalg.eigvalsh(H) < 0.0)
+
+    def test_no_negative_block(self, rng):
+        # j = 0 and the top of the spectrum is the radius: Lanczos on -H
+        # finds it, and a count above it certifies it
+        spectrum = np.array([-0.2, 0.3, 0.6, 0.8])
+        model = _planted_model(spectrum, 0, "low-rank", rng)
+        assert model.spectral_radius() == pytest.approx(0.8, rel=1e-12)
+        assert solver.model_census(model)["negative_hessian_count"] == 1
+
+    def test_a_missed_lowest_mode_is_refused(self, rng, monkeypatch):
+        # a Ritz value above the lowest eigenvalue fails the certificate
+        from gapbumps import functional
+
+        model = _planted_model(np.concatenate([[-3.0, -2.0], np.linspace(0.0, 0.9, 10)]), 3, "low-rank", rng)
+        monkeypatch.setattr(functional, "_lanczos_lowest", lambda matvec, n: -2.0)
+        with pytest.raises(scipy.linalg.LinAlgError, match="misses 1 eigenvalue"):
+            model.spectral_radius()
+
+    def test_census_builds_no_eigenfield_matrix(self, potential, nl, monkeypatch):
+        # at k = 256 (N = 4096) the census needs transforms, gathers and
+        # three r x r factorizations: no frame and no N x N matrix
+        from gapbumps import functional
+
+        def refuse(*args):
+            raise AssertionError("the census built a frame block")
+
+        S = diagonalize(potential, TorusDomain(1, 256, 16))
+        A = presets.BASE_ANSATZ
+        rec = find_critical_point(initial_ansatz(A["center"], A["width"], A["amplitude"], S.domain, S), S, nl)
+        monkeypatch.setattr(functional, "_SignBlock", refuse)
+        census = hessian_census(S, nl, S.a_from_field(rec.field))
+        assert "eigenfields" not in vars(S)
+        assert tuple(census.values()) == (258, 0, "low-rank", 370)
 
 
 def _first_model_solves(S8, nl, monkeypatch, solve):
