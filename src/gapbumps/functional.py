@@ -35,9 +35,12 @@ r <= N it carries the rows:
   Rayleigh-Ritz matrix K on an H-invariant frame U that contains the
   active rows and X, built on first use, exact to rounding however wide
   U is (Parlett, The Symmetric Eigenvalue Problem, ch. 11).
-Only when more rows are active than there are modes (the dealiased 2-d
-fixture) is the model the dense `a_hessian` alone, backend "dense",
-with bordered matrices of order N + l.
+When more rows are active than there are modes (the dealiased 2-d
+fixture), the model is dense, backend "dense", held in the torus grid's
+values z = T^-1 a (T = h W E^T), where T^T H T = h (-Lap + V) - M for
+the grid form M of `_EvalGrid.form`: its solves and counts run on
+matrices congruent to H's (`_Congruence`), O(N^2) per model beyond the
+factorization.
 
 Nonlinear terms are evaluated on the grid of `Nonlinearity.dealias_factor`:
 the torus grid itself at the default factor 1 (collocation), a zero-padded
@@ -51,8 +54,8 @@ decomposition: u reaches its points straight from the a-coordinates,
 and forces return through the transpose of that transform, so the
 finite-difference identities hold at machine accuracy on either grid.
 Values, gradients, Hessian-vector products, Green tables and rows of G
-need no nf x n matrix. The dense Hessian's nonlinear block is the
-decomposition's E^T M E for the grid form M of `_EvalGrid.form`.
+need no nf x n matrix. The reference `a_hessian`, which the tests
+compare models against, is D - E^T M E / (w w^T) for the same grid form M.
 """
 
 from __future__ import annotations
@@ -192,8 +195,8 @@ class _EvalGrid:
 
         P (nf x n) is tiled from the first cell's rows: row block c is the
         first rolled by c cells of torus points. In 1-d M is the symmetric
-        rank-k update R^T R, R = diag(sqrt w) P (w >= 0 where the Hessian
-        forms it: `a_hessian`). In 2-d, PP[a, (i, j)] = P[a, i] P[a, j]
+        rank-k update R^T R, R = diag(sqrt w) P (w = qw f' >= 0 wherever a
+        Hessian forms it). In 2-d, PP[a, (i, j)] = P[a, i] P[a, j]
         gives every axis-1 sum as one product, T = w PP, and the axis-0 sum
         as a second, PP^T T, which indexes M as ((i0 j0), (i1 j1)) (sum
         factorization; Deville, Fischer & Mund, High-Order Methods for
@@ -274,25 +277,19 @@ def a_gradient(S, nl, a: NDArray[np.float64]) -> NDArray[np.float64]:
     return a_value_and_gradient(S, nl, a)[1]
 
 
-def a_hessian(
-    S: SpectralDecomposition,
-    nl: Nonlinearity,
-    a: NDArray[np.float64],
-    weight: NDArray[np.float64] | None = None,
-) -> NDArray[np.float64]:
+def a_hessian(S: SpectralDecomposition, nl: Nonlinearity, a: NDArray[np.float64]) -> NDArray[np.float64]:
     """Dense symmetric Hessian of J in the weighted coordinates:
     D - E^T M E / (w w^T), M = `_EvalGrid.form` of the weights qw f'.
 
-    M is diagonal on the collocated grid, where the block is a Gram product:
-    f' = (p-1) h |u|^(p-2) >= 0 because p >= 3 and h >= 0 (`Nonlinearity`,
-    `_eval_grid`). On a fine grid M is sum-factorized, so no N_f x N
-    matrix is formed. `weight`, the weights at a flattened (as
-    `_active_rows` returns them), saves the transform of a.
+    The reference the tests compare `hessian_model` against; the package
+    itself never forms it. M is diagonal on the collocated grid, where the
+    block is a Gram product: f' = (p-1) h |u|^(p-2) >= 0 because p >= 3
+    and h >= 0 (`Nonlinearity`, `_eval_grid`). On a fine grid M is
+    sum-factorized, so no N_f x N matrix is formed.
     """
     grid = _eval_grid(S, nl)
-    if weight is None:
-        weight = grid.qw * nl.fprime(S.values_from_a(a, grid.fibers), grid.h)
-    A = S.a_form(grid.form(weight.reshape((grid.nf,) * S.domain.dim)))
+    weight = grid.qw * nl.fprime(S.values_from_a(a, grid.fibers), grid.h)
+    A = S.a_form(grid.form(weight))
     np.negative(A, out=A)
     A[np.diag_indices_from(A)] += S.signs
     return A
@@ -418,6 +415,108 @@ class _SampledRows:
     def matrix(self) -> NDArray[np.float64]:
         return self.S.a_rows(self.points, self.scale, self.grid.fibers)
 
+    def gram(self) -> NDArray[np.float64]:
+        """G^T G, accumulated over chunks of at most N rows, each gathered
+        by `a_rows`: no r x N matrix is held, however many rows there are."""
+        n = self.S.num_modes
+        out = np.zeros((n, n))
+        for chunk in np.array_split(np.arange(self.size), max(1, -(-self.size // n))):
+            G = self.S.a_rows(self.points[chunk], self.scale[chunk], self.grid.fibers)
+            out += G.T @ G
+        return out
+
+
+def _each(f, v: NDArray[np.float64]) -> NDArray[np.float64]:
+    """f applied to v, or to each column of v (a map of R^N to itself)."""
+    return f(v) if v.ndim == 1 else _columns(f, v, v.shape[0])
+
+
+class _GridValues:
+    """The coordinates z = T^-1 a, the values on the torus grid of the field
+    with a-coordinates a: T = h W E^T, h the spacing to the power dim and
+    W = diag sqrt|lambda|. T z is a_from_values(z) and T^T x = h E W x is
+    h values_from_a(|lambda| x), one transform per column."""
+
+    def __init__(self, S: SpectralDecomposition) -> None:
+        self.S = S
+
+    def apply(self, z: NDArray[np.float64]) -> NDArray[np.float64]:
+        """T z."""
+        return _each(self.S.a_from_values, z)
+
+    def transpose(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
+        """T^T x."""
+        h = self.S.domain.spacing**self.S.domain.dim
+        return _each(lambda v: h * self.S.values_from_a(np.abs(self.S.eigenvalues) * v).reshape(-1), x)
+
+
+class _SameCoordinates:
+    """T = I: a dense model given by its a-coordinate Hessian."""
+
+    @staticmethod
+    def apply(v: NDArray[np.float64]) -> NDArray[np.float64]:
+        return v
+
+    transpose = apply
+
+
+class _Congruence:
+    """The dense Hessian K held as B = T^T K T in the coordinates
+    z = T^-1 a of an invertible T, with L = T^T D T and
+    T^T T = L + 2 F F^T, F of j columns (`_grid_hessian`; T = I, L = D
+    and F the negative unit columns for a K given as such).
+
+    By Sylvester's law of inertia every count and solve runs on B, with
+    no product of order N^3: K + mu D is congruent to B + mu L, and the
+    bordered [[K - sigma I, X], [X^T, 0]] to
+    [[B - sigma (L + 2 F F^T), T^T X], [X^T T, 0]]. The rank-j term stays
+    out of the N x N block: j more border rows, [F^T, 0, I / (2 sigma)],
+    give it as their Schur complement, and their block adds j negative
+    eigenvalues when sigma < 0 (Haynsworth).
+    """
+
+    def __init__(
+        self,
+        B: NDArray[np.float64],
+        L: NDArray[np.float64],
+        F: NDArray[np.float64],
+        T: _GridValues | type[_SameCoordinates] = _SameCoordinates,
+    ) -> None:
+        self.B, self.L, self.F, self.T = B, L, F, T
+
+    def solve(self, rhs: NDArray[np.float64], mu: float) -> NDArray[np.float64]:
+        """d = T z with (B + mu L) z = T^T rhs: (K + mu D) d = rhs."""
+        A = np.multiply(self.L, mu, order="F")
+        A += self.B
+        return self.T.apply(solve_symmetric(A, self.T.transpose(rhs)))
+
+    def bordered(self, TX: NDArray[np.float64], sigma: float) -> NDArray[np.float64]:
+        """[[B - sigma L, T^T X, F], [X^T T, 0, 0], [F^T, 0, I / (2 sigma)]]
+        in Fortran order, without F's rows at sigma = 0. The matrix is
+        symmetric, so it is filled in C order and handed over transposed."""
+        n, l = TX.shape
+        m = self.F.shape[1] if sigma else 0
+        Z = np.empty((n + l + m,) * 2)
+        np.multiply(self.L, -sigma, out=Z[:n, :n])
+        Z[:n, :n] += self.B
+        Z[:n, n : n + l] = TX
+        Z[:n, n + l :] = self.F[:, :m]
+        Z[n:, :n] = Z[:n, n:].T
+        Z[n:, n:] = 0.0
+        if m:
+            border = np.arange(n + l, n + l + m)
+            Z[border, border] = 0.5 / sigma
+        return Z.T
+
+    def negative_count(self, TX: NDArray[np.float64], sigma: float) -> int:
+        """n-([[K - sigma I, X], [X^T, 0]]), TX = T^T X."""
+        return _negative_count(self.bordered(TX, sigma)) - (self.F.shape[1] if sigma < 0.0 else 0)
+
+    def bordered_solve(self, TX: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
+        """y = T z with [[B, T^T X], [X^T T, 0]] [z; lambda] = [T^T b; 0]."""
+        rhs = np.concatenate([self.T.transpose(b), np.zeros((TX.shape[1], b.shape[1]))])
+        return self.T.apply(solve_symmetric(self.bordered(TX, 0.0), rhs)[: b.shape[0]])
+
 
 class HessianModel:
     """H = D - G^T G, D = diag(sign lambda), at one point, with a block X
@@ -449,10 +548,14 @@ class HessianModel:
     orthogonal transforms and the m x m matrix K = U^T H U (Rayleigh-Ritz,
     exact to rounding) are involved, m = subspace_dim, which its rule
     gives without the frame; a block that its columns fill is the
-    identity. That is the one Ritz route of the rows form. The other
-    form, backend "dense", is the dense Hessian K alone, with U = I, for
-    more active rows than modes: every solve and count runs on K and the
-    bordered matrix of order N + l.
+    identity. That is the one Ritz route of the rows form.
+
+    The other form, backend "dense", is for more active rows than modes
+    (or a K given as such): `dense`, a `_Congruence`, holds B = T^T K T
+    in grid coordinates, and every solve and count runs on B and its
+    bordered matrix of order N + l (+ j), congruent to K's. G then keeps
+    every evaluation point, for `matvec` and for the Ritz data: K itself,
+    D - G^T G accumulated over chunks of rows, with U = I.
     """
 
     def __init__(
@@ -462,16 +565,19 @@ class HessianModel:
         X: NDArray,
         G: NDArray | _SampledRows | None = None,
         K: NDArray | None = None,
+        dense: _Congruence | None = None,
     ) -> None:
         self.signs, self.j, self.X = signs, j, X
         self.G = _MatrixRows(G, signs) if isinstance(G, np.ndarray) else G
-        self._dense = K
-        self.backend = "low-rank" if K is None else "dense"
+        if K is not None:
+            dense = _Congruence(K, np.diag(signs), np.eye(signs.size)[:, signs < 0.0])
+        self.dense = dense
+        self.backend = "low-rank" if dense is None else "dense"
 
     @cached_property
     def _C(self) -> NDArray[np.float64] | None:
         """[G^T X] as a Fortran-order view (of G alone without X): QR copies it cheaply."""
-        if self._dense is not None:
+        if self.dense is not None:
             return None
         G = self.G.matrix
         return (np.concatenate([G, self.X.T]) if self.X.shape[1] else G).T
@@ -486,8 +592,12 @@ class HessianModel:
 
     @cached_property
     def K(self) -> NDArray[np.float64]:
-        if self._dense is not None:
-            return self._dense
+        if self.dense is not None:
+            if self.G is None:
+                return self.dense.B
+            K = np.negative(self.G.gram())
+            K[np.diag_indices_from(K)] += self.signs
+            return K
         r = self.G.size
         GU = np.hstack([self.neg.QC[:, :r].T, self.pos.QC[:, :r].T])
         K = -(GU.T @ GU)
@@ -498,7 +608,7 @@ class HessianModel:
     def subspace_dim(self) -> int:
         """The order m of K, from the frame's rule without building it: each
         sign block keeps min(width, r + l) columns; N on the dense route."""
-        if self._dense is not None:
+        if self.dense is not None:
             return self.signs.size
         c = self.G.size + self.X.shape[1]
         return min(self.j, c) + min(self.signs.size - self.j, c)
@@ -561,14 +671,20 @@ class HessianModel:
         """d with (H + mu D) d = rhs.
 
         With G, d = D (rhs + G^T y) / (1+mu), y solving
-        ((1+mu) I - G D G^T) y = G D rhs.
+        ((1+mu) I - G D G^T) y = G D rhs; on the dense form, d = T z with
+        (B + mu L) z = T^T rhs.
         """
-        if self.G is None:
-            return solve_symmetric(self.K + np.diag(mu * self.signs), rhs)
+        if self.dense is not None:
+            return self.dense.solve(rhs, mu)
         cap = np.negative(self.G.gdg, order="F")
         cap[np.diag_indices_from(cap)] += 1.0 + mu
         y = solve_symmetric(cap, self.G.dot(self.signs * rhs))
         return self.signs * (rhs + self.G.tdot(y)) / (1.0 + mu)
+
+    @cached_property
+    def _TX(self) -> NDArray[np.float64]:
+        """T^T X on the dense form: l transforms that every shift shares."""
+        return self.dense.T.transpose(self.X)
 
     @cached_property
     def _split_X(self) -> tuple[NDArray, NDArray, NDArray, NDArray]:
@@ -613,12 +729,14 @@ class HessianModel:
         inertia of a partitioned Hermitian matrix, Linear Algebra Appl. 1,
         1968). At sigma = +-1, D - sigma I is singular and R(sigma) does
         not exist: the count runs there on the bordered matrix of order
-        N + l, H built column by column, as it does on K without G. Only a
-        ceiling of exactly 1 asks for that shift.
+        N + l, H built column by column. Only a ceiling of exactly 1 asks
+        for that shift. The dense form counts on its congruent bordered
+        matrix at every shift (`_Congruence`).
         """
-        if self.G is None or abs(sigma) == 1.0:
-            H = self.K if self.G is None else self.matvec(np.eye(self.signs.size))
-            return _negative_count(_bordered(H, self.X, sigma))
+        if self.dense is not None:
+            return self.dense.negative_count(self._TX, sigma)
+        if abs(sigma) == 1.0:
+            return _negative_count(_bordered(self.matvec(np.eye(self.signs.size)), self.X, sigma))
         return int(np.count_nonzero(self.signs < sigma)) + _negative_count(self.capacitance(sigma))
 
     def complement_degenerates(self, ceiling: float) -> bool:
@@ -637,12 +755,11 @@ class HessianModel:
         """y (N x c) with [[H, X], [X^T, 0]] [y; lambda] = [b; 0], b N x c.
 
         With G, R(0) [z; lambda] = [-G D b; -X^T D b] and
-        y = D (b - X lambda - G^T z).
+        y = D (b - X lambda - G^T z); on the dense form, y = T z with
+        [[B, T^T X], [X^T T, 0]] [z; lambda] = [T^T b; 0].
         """
-        l = self.X.shape[1]
-        if self.G is None:
-            rhs = np.concatenate([b, np.zeros((l, b.shape[1]))])
-            return solve_symmetric(_bordered(self.K, self.X, 0.0), rhs)[: b.shape[0]]
+        if self.dense is not None:
+            return self.dense.bordered_solve(self._TX, b)
         r = self.G.size
         Db = self._D(b)
         zl = solve_symmetric(self.capacitance(0.0), -np.concatenate([self.G.dot(Db), self.X.T @ Db]))
@@ -787,6 +904,33 @@ def _gram_factor(
     return _SampledRows(S, _eval_grid(S, nl), rows, np.sqrt(weight[rows]))
 
 
+# L and F of `_grid_hessian` per decomposition; they hold no reference back to their key
+_OPERATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _grid_operator(S: SpectralDecomposition) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """(L, F) of the dense form in grid coordinates, built once per
+    decomposition: L = T^T D T = h (-Lap + V) (`grid_operator`) and
+    F = T^T on the negative modes' unit columns (eigenvalues ascend),
+    h E- |Lambda-|^(1/2), N x j, so that L + 2 F F^T = T^T T =
+    h^2 E |Lambda| E^T."""
+    if S not in _OPERATORS:
+        _OPERATORS[S] = (S.grid_operator(), _GridValues(S).transpose(np.eye(S.num_modes, S.j)))
+    return _OPERATORS[S]
+
+
+def _grid_hessian(S: SpectralDecomposition, nl: Nonlinearity, weight: NDArray[np.float64]) -> _Congruence:
+    """The dense Hessian of the weights qw f' at the evaluation points, in
+    the coordinates z = T^-1 a of the torus grid's values: B = T^T K T =
+    L - M, M = `_EvalGrid.form` of the weights, with L and F from
+    `_grid_operator`. O(N^2) per model beyond M. Only a fine grid has
+    more points than modes, so M is a matrix here, and B takes its place."""
+    grid = _eval_grid(S, nl)
+    L, F = _grid_operator(S)
+    M = grid.form(weight.reshape((grid.nf,) * S.domain.dim))
+    return _Congruence(np.subtract(L, M, out=M), L, F, _GridValues(S))
+
+
 def hessian_model(
     S: SpectralDecomposition,
     nl: Nonlinearity,
@@ -795,19 +939,23 @@ def hessian_model(
 ) -> HessianModel:
     """The Hessian of J at a, with the block X (N x l, default none).
 
-    The model is the Hessian of the rows `_active_rows` keeps, within
-    ROW_CUT * (1 + max f' / min|lambda|) of the full one in norm. Their
-    number r (on either evaluation grid) picks the model's form before
-    anything is built. With r <= N
-    the model carries the sampled rows (backend "low-rank"): every solve
-    and count goes through a capacitance of order at most r + l <= N + l,
-    and its Ritz data comes from the Householder blocks of [G^T X], built
-    on first use. With r > N it is the dense `a_hessian` alone ("dense").
+    The number r of rows that `_active_rows` keeps (on either evaluation
+    grid) picks the model's form before anything is built. With r <= N
+    the model is the Hessian of those rows, within ROW_CUT * (1 + max f' /
+    min|lambda|) of the full one in norm, and carries them (backend
+    "low-rank"): every solve and count goes through a capacitance of
+    order at most r + l <= N + l, and its Ritz data comes from the
+    Householder blocks of [G^T X], built on first use. With r > N it is
+    the full Hessian in the torus grid's coordinates ("dense",
+    `_grid_hessian`): solves and counts on N x N matrices congruent to
+    K's, products and Ritz data through the rows of every evaluation
+    point.
     """
     X = np.zeros((S.num_modes, 0)) if X is None else X
     weight, rows = _active_rows(S, nl, a)
     if rows.size > S.num_modes:
-        return HessianModel(S.signs, S.j, X, K=a_hessian(S, nl, a, weight))
+        every = _gram_factor(S, nl, weight, np.arange(weight.size))
+        return HessianModel(S.signs, S.j, X, G=every, dense=_grid_hessian(S, nl, weight))
     return HessianModel(S.signs, S.j, X, G=_gram_factor(S, nl, weight, rows))
 
 

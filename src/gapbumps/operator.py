@@ -17,7 +17,9 @@ an FFT over the cell axes (O(N M^dim + N log k)); a row of E at a grid
 point is a gather from the fibers, and the Green's function
 E Lambda^-1 E^T is a table over cell differences (GreenTable); a fine
 grid that repeats cell by cell takes its FiberTable in place of the
-fibers. E itself is built on first access, which only a_form makes.
+fibers. E itself is built on first access, which only a_form makes,
+for the reference dense Hessian; the Hessian's dense route uses the
+table of h^2 E Lambda E^T instead (grid_operator).
 
 A lattice translation turns each Bloch pair: a whole-cell shift by b
 multiplies the Bloch wave at theta by e^{-i theta.b} (translate), so the
@@ -213,10 +215,11 @@ class FiberTable(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class GreenTable:
-    """E Lambda^-1 E^T between the points of a grid that repeats cell by cell,
-    stored by cell difference: g[d, s, t] couples in-cell point s of cell
-    n + d with point t of cell n, for every n (Floquet-Bloch: the operator
-    and its inverse commute with whole-cell shifts)."""
+    """E f(Lambda) E^T between the points of a grid that repeats cell by
+    cell (the Green's function for f(lambda) = 1 / lambda), stored by cell
+    difference: g[d, s, t] couples in-cell point s of cell n + d with
+    point t of cell n, for every n (Floquet-Bloch: the operator and its
+    functions commute with whole-cell shifts)."""
 
     g: NDArray[np.float64]
     cells: int
@@ -258,7 +261,7 @@ class SpectralDecomposition:
     its first entry of largest modulus real and positive, so no sign or
     phase comes from the eigensolver. Transforms are products with each
     fiber plus an FFT over the cell axes; the N x N matrix `eigenfields`
-    is built on first access only (dense Hessians read it).
+    is built on first access only (the reference dense Hessian reads it).
 
     Inside an eigenspace of several bands or fibers that basis is one
     choice of many: projections, energies, Newton steps and random draws
@@ -481,17 +484,33 @@ class SpectralDecomposition:
 
     def green(self, fibers: FiberTable | None = None, negative: bool = False) -> GreenTable:
         """E Lambda^-1 E^T on the torus grid, or Q E Lambda^-1 E^T Q^T on
-        the grid of a fiber table: by Floquet-Bloch, the table of
-        g[d] = Re sum_f e^{i theta_f.d} U_f diag(frame^2 / lambda) U_f^H over
-        the cell differences d (a pair's frame^2 carries its factor 2).
+        the grid of a fiber table (`_spectral_table` of frame^2 / lambda).
         With `negative`, the weights are frame^2 / |lambda| on the negative
         eigenvalues and 0 elsewhere: E P- |Lambda|^-1 E^T."""
-        U, per_cell = fibers or self.torus_fibers
         lead = self.columns[..., 0]
         lam = self.eigenvalues[lead]
         weight = self.frame[lead] ** 2 / lam
         if negative:
             weight = np.where(lam < 0.0, -weight, 0.0)
+        return self._spectral_table(weight, fibers)
+
+    def grid_operator(self) -> NDArray[np.float64]:
+        """L = h^2 E Lambda E^T = h (-Lap + V) on the torus grid (h the
+        spacing to the power dim), N x N in the grid's row-major order: the
+        `_spectral_table` of h^2 frame^2 lambda, gathered whole. With
+        T = h W E^T, the map u -> a, this is T^T D T."""
+        lead = self.columns[..., 0]
+        h = self.domain.spacing**self.domain.dim
+        weight = h * h * self.frame[lead] ** 2 * self.eigenvalues[lead]
+        return self._spectral_table(weight).block(np.arange(self.domain.num_points))
+
+    def _spectral_table(self, weight: NDArray[np.float64], fibers: FiberTable | None = None) -> GreenTable:
+        """E f(Lambda) E^T between the points of the torus grid or of a fiber
+        table's grid, from the weights frame^2 f(lambda) of each fiber's
+        bands (fibers x bands; a pair's frame^2 carries its factor 2): by
+        Floquet-Bloch, the table of g[d] = Re sum_f e^{i theta_f.d} U_f
+        diag(weight_f) U_f^H over the cell differences d."""
+        U, per_cell = fibers or self.torus_fibers
         B = np.matmul(U * weight[:, None, :], U.conj().transpose(0, 2, 1))
         return GreenTable(self._cell_waves(B), self.domain.cells, per_cell, self.domain.dim)
 

@@ -89,7 +89,10 @@ def detect_kernel(
     values and the +-1 off span U. The selected vectors (U z, and the
     complement of U once tau * scale > 1) make the kernel block Lambda;
     eta comes from the smallest surviving |mu|. Each U z has the sign that
-    makes its field's first value of largest magnitude positive.
+    makes its field's first value of largest magnitude positive. On the
+    dense route U = I and K is the a-coordinate Hessian D - G^T G,
+    accumulated over chunks of evaluation points: exact Ritz data, with
+    no eigenfield matrix built.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")

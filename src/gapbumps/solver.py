@@ -202,11 +202,12 @@ def hessian_census(S: SpectralDecomposition, nl: Nonlinearity, a: NDArray[np.flo
     kernel_dim_estimate those within tau*scale of zero, tau = KERNEL_TAU:
     the split `kernel_split` gives the reduction, so the two views agree.
     scale is the model's Lanczos spectral radius, and each count is one
-    `negative_count`, an LDL^T of the r x r capacitance (of the dense
-    Hessian on the dense route): n-(H + tau*scale) and n-(H - tau*scale)
-    minus it. The model keeps only the rows that can move an eigenvalue
-    by more than functional.ROW_CUT (1e-10) times the bound on ||H||, far
-    below tau*scale, so the counts are the full Hessian's.
+    `negative_count`, an LDL^T of the r x r capacitance (on the dense
+    route, of the congruent bordered matrix in grid coordinates, order
+    N + j): n-(H + tau*scale) and n-(H - tau*scale) minus it. The model
+    keeps only the rows that can move an eigenvalue by more than
+    functional.ROW_CUT (1e-10) times the bound on ||H||, far below
+    tau*scale, so the counts are the full Hessian's.
     hessian_backend is "dense" only when more rows are active than there
     are modes, else "low-rank"; hessian_subspace_dim is the order of the
     model's Ritz frame (`HessianModel.subspace_dim`), N on the dense route.

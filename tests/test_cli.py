@@ -284,6 +284,24 @@ class TestCommands:
         text = (outdir / "multibump.json").read_text()
         assert json.loads(text, parse_constant=_reject_constant)["separation"] is None
 
+    def test_solve_and_gluing_stay_off_the_dense_route(self, outdir, monkeypatch):
+        # a localized 1-d bump keeps fewer rows than modes, so `solve --k 64`
+        # and gluing two bumps at k = 32 build no dense model
+        dense = []
+        real = functional._grid_hessian
+
+        def recorded(*args):
+            dense.append(args[0].num_modes)
+            return real(*args)
+
+        monkeypatch.setattr(functional, "_grid_hessian", recorded)
+        assert main(["solve", "--k", "64"]) == 0
+        monkeypatch.setenv("GAPBUMPS_OUT", str(outdir / "k32"))
+        assert main(["solve", "--k", "32"]) == 0
+        base = str(outdir / "k32" / "solution.json")
+        assert main(["multibump", "--base", base, "--centers", "0;16"]) == 0
+        assert not dense
+
     def test_solve_manifest_times_each_phase(self, outdir):
         assert main(["solve", "--k", "8", "--seed", "7"]) == 0
         timings = json.loads((outdir / "manifest.json").read_text())["timings"]

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from gapbumps import presets, reduction
 from gapbumps.functional import (
-    HessianModel, Nonlinearity, _negative_count, a_gradient, a_hessian, a_value_and_gradient,
-    hessian_model,
+    HessianModel, Nonlinearity, _bordered, _grid_operator, _negative_count, a_gradient, a_hessian,
+    a_value_and_gradient, hessian_model,
 )
 from gapbumps.multibump import build_problem, superposition_compare
 from gapbumps.reduction import (
@@ -23,9 +23,11 @@ from gapbumps.reduction import (
     solve_w,
 )
 from gapbumps.operator import diagonalize
-from gapbumps.solver import NoConvergence, find_critical_point, initial_ansatz, kernel_split
+from gapbumps.solver import (
+    KERNEL_TAU, NoConvergence, find_critical_point, hessian_census, initial_ansatz, kernel_split,
+)
 from gapbumps.torus import GridField, TorusDomain, spectral_gradient, translate
-from oracle import assert_within_weyl_bound, kept_hessian
+from oracle import assert_within_weyl_bound, eigenfield_matrix, kept_hessian, operator_matrix
 
 
 class TestDetection:
@@ -451,6 +453,98 @@ class TestDegenerateFixture:
             s = solve_w(kb, kernel_combination(kb, np.array([x * kb.delta0])))
             assert s.I == pytest.approx(rec.energy, abs=1e-9)
             assert abs(float(s.dI[0])) < 1e-8
+
+
+def _rel(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+class TestGridCoordinates:
+    """The dense route (r > N, the dealiased 2-d fixture) counts, solves
+    and steps in the torus grid's values z = T^-1 a, T = h W E^T: K is
+    congruent to B = L - M there, and K - sigma I to B - sigma (L + 2 F F^T).
+    Every check is against the a-coordinate Hessian `a_hessian` or the
+    eigenfield matrix of the oracle."""
+
+    @pytest.mark.parametrize("case", ["2d", "1d-k8"])
+    def test_operator_and_metric_match_the_oracle(self, degenerate, S8, case):
+        # L from the fibers' cell-difference table is h (-Lap + V) from the
+        # dense pseudospectral matrix, and L + 2 F F^T is h^2 E |Lambda| E^T
+        S = degenerate[0] if case == "2d" else S8
+        L, F = _grid_operator(S)
+        h = S.domain.spacing**S.domain.dim
+        assert F.shape == (S.num_modes, S.j)
+        assert _rel(L, h * operator_matrix(S.potential, S.domain)) <= 1e-14
+        E = eigenfield_matrix(S)
+        assert _rel(L + 2.0 * F @ F.T, h * h * (E * np.abs(S.eigenvalues)) @ E.T) <= 1e-14
+
+    @pytest.fixture(scope="class")
+    def route(self, degenerate):
+        """(S, model, K, X): the model at the base plus 0.3 delta0 along the
+        kernel, with X = kb.E, and the dense a-coordinate Hessian there."""
+        S, nl, _, kb = degenerate
+        a = kb.base_a + 0.3 * kb.delta0 * kb.E[:, 0]
+        model = hessian_model(S, nl, a, kb.E)
+        assert model.backend == "dense" and model.subspace_dim == S.num_modes
+        return S, model, a_hessian(S, nl, a), kb.E
+
+    def test_counts_match_the_dense_bordered_matrix(self, route):
+        S, model, K, X = route
+        radius = float(np.abs(np.linalg.eigvalsh(K)).max())
+        edge = KERNEL_TAU * radius
+        for sigma in (-1.5, -(1.0 + 1e-8) * radius, -1.0, -0.5, -edge, edge, 0.0, 0.5, 1.0, 1.5):
+            assert model.negative_count(sigma) == _negative_count(_bordered(K, X, sigma)), sigma
+
+    def test_products_and_solves_match_the_dense_hessian(self, route, rng):
+        S, model, K, X = route
+        n, l = X.shape
+        V = rng.standard_normal((n, 3))
+        assert _rel(model.matvec(V), K @ V) <= 1e-12
+        assert _rel(model.matvec(V[:, 0]), K @ V[:, 0]) <= 1e-12
+        rhs = np.concatenate([V, np.zeros((l, 3))])
+        assert _rel(model._bordered_solve(V), np.linalg.solve(_bordered(K, X, 0.0), rhs)[:n]) <= 1e-12
+        # the reduced Hessian X^T H (X + w') sums terms that cancel about
+        # sixfold on the kernel, and H X rounds differently on the two
+        # routes (fine transforms against the dense K): compare at the
+        # terms' scale
+        HX = K @ X
+        step = np.linalg.solve(_bordered(K, X, 0.0), np.concatenate([-HX, np.zeros((l, l))]))[:n]
+        terms = np.abs(HX).T @ np.abs(X + step)
+        assert np.all(np.abs(model.reduced_hessian() - HX.T @ (X + step)) <= 1e-12 * terms)
+        # K + mu D is near-singular on the translation kernel: judge the
+        # solve by its backward error, not against another solve
+        ridged = K + 1e-3 * np.diag(S.signs)
+        d = model.solve(V[:, 0], 1e-3)
+        backward = np.linalg.norm(ridged @ d - V[:, 0]) / (np.linalg.norm(ridged, 2) * np.linalg.norm(d))
+        assert backward <= 1e-13
+
+    def test_the_shifted_matrix_is_congruent_entrywise(self, route):
+        # the Schur complement of the bordered matrix's F rows at sigma = 0.5,
+        # where the rank-j term 2 sigma F F^T is about 1e-4 of the block,
+        # against T^T (K - sigma I) T, T = h W E^T from the oracle
+        S, model, K, X = route
+        n, l, sigma = S.num_modes, X.shape[1], 0.5
+        Z = model.dense.bordered(model._TX, sigma)
+        assert Z.shape == (n + l + S.j,) * 2 and _rel(Z, Z.T) <= 1e-15
+        schur = Z[:n, :n] - Z[:n, n + l :] @ (2.0 * sigma * Z[n + l :, :n])
+        T = S.domain.spacing**S.domain.dim * S.weights[:, None] * eigenfield_matrix(S).T
+        assert _rel(Z[:n, :n] - schur, schur) >= 1e-5
+        assert _rel(schur, T.T @ (K - sigma * np.eye(n)) @ T) <= 1e-14
+        np.testing.assert_allclose(Z[:n, n : n + l], T.T @ X, rtol=0, atol=1e-13 * np.abs(T.T @ X).max())
+
+    def test_the_route_never_builds_the_eigenfield_matrix(self):
+        # base Newton, census, kernel split and one correction on a fresh
+        # decomposition: every product with E is a transform, a table or a
+        # gather of a_rows
+        domain, V, nl = presets.degenerate_problem()
+        S = diagonalize(V, domain)
+        A = presets.DEGENERATE_ANSATZ
+        rec = find_critical_point(initial_ansatz(A["center"], A["width"], A["amplitude"], domain, S), S, nl)
+        census = hessian_census(S, nl, S.a_from_field(rec.field))
+        kb = detect_kernel(rec, S, nl)
+        s = solve_w(kb, kernel_combination(kb, np.array([0.25 * kb.delta0])))
+        assert census["hessian_backend"] == "dense" and kb.l == 1 and s.newton_iters >= 1
+        assert "eigenfields" not in vars(S)
 
 
 class TestSuperposition:

@@ -376,21 +376,23 @@ class TestLowRankHessian:
 
     def test_dense_route_transforms_a_once(self, degenerate, monkeypatch):
         # the row cut's weights serve the dense Hessian: one transform of a
-        # onto the fine grid per model, and the same K bit for bit
+        # onto the fine grid per model, and K, the Gram product over chunks
+        # of fine rows, is a_hessian's to rounding
         S2, nl2, rec, _ = degenerate
         a = S2.a_from_field(rec.field)
         expected = a_hessian(S2, nl2, a)
-        calls = []
+        fine = []
         real = SpectralDecomposition.values_from_a
 
         def counted(self, *args, **kwargs):
-            calls.append(args[1:] + tuple(kwargs.values()))
+            fibers = args[1] if len(args) > 1 else kwargs.get("fibers")
+            fine.append(fibers is not None)
             return real(self, *args, **kwargs)
 
         monkeypatch.setattr(SpectralDecomposition, "values_from_a", counted)
         model = hessian_model(S2, nl2, a)
-        assert model.backend == "dense" and len(calls) == 1
-        assert np.array_equal(model.K, expected)
+        assert model.backend == "dense" and sum(fine) == 1
+        assert np.abs(model.K - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_newton_builds_no_frame(self, S64, nl, ansatz64, monkeypatch):
         # Newton solves through the capacitance and never factors [G^T];
