@@ -28,7 +28,10 @@ r <= N it carries the rows:
   (l columns) through the (r+l) bordered capacitance: its solve gives
   the projected Newton step and the reduced Hessian, its LDL^T
   inertia the degeneracy monitor. A factorization of order r + l
-  replaces one of order N + l, and no N x N matrix is formed;
+  replaces one of order N + l, and no N x N matrix is formed. Where a
+  reference model's gap and the weights' change prove the monitor's
+  verdict by Weyl's inequality, its counts are skipped
+  (`HessianModel.gap_certified`, `_weight_distance`);
 - the census counts by the same inertia, at shifts set by a Lanczos
   spectral radius (`spectral_radius`);
 - the kernel split, which needs Ritz data, reads one route: the
@@ -492,13 +495,17 @@ class _Congruence:
 
     def bordered(self, TX: NDArray[np.float64], sigma: float) -> NDArray[np.float64]:
         """[[B - sigma L, T^T X, F], [X^T T, 0, 0], [F^T, 0, I / (2 sigma)]]
-        in Fortran order, without F's rows at sigma = 0. The matrix is
-        symmetric, so it is filled in C order and handed over transposed."""
+        in Fortran order, without F's rows at sigma = 0, where B is copied
+        in as it is. The matrix is symmetric, so it is filled in C order
+        and handed over transposed."""
         n, l = TX.shape
         m = self.F.shape[1] if sigma else 0
         Z = np.empty((n + l + m,) * 2)
-        np.multiply(self.L, -sigma, out=Z[:n, :n])
-        Z[:n, :n] += self.B
+        if sigma:
+            np.multiply(self.L, -sigma, out=Z[:n, :n])
+            Z[:n, :n] += self.B
+        else:
+            Z[:n, :n] = self.B
         Z[:n, n : n + l] = TX
         Z[:n, n + l :] = self.F[:, :m]
         Z[n:, :n] = Z[:n, n:].T
@@ -536,6 +543,9 @@ class HessianModel:
     sigma = 0 gives `projected_step` and `reduced_hessian`, and its
     inertia at sigma = +-s gives `complement_degenerates`
     (`negative_count`). Nothing of order N is formed or factored there.
+    A model from `hessian_model` keeps its evaluation-point weights
+    qw f' (`weight`) and their floor qw min|lambda|, so that
+    `gap_certified` can bound its distance from a reference model.
     The census needs no more: `spectral_radius` is Lanczos on `matvec`
     and its counts are `negative_count`s.
 
@@ -566,8 +576,11 @@ class HessianModel:
         G: NDArray | _SampledRows | None = None,
         K: NDArray | None = None,
         dense: _Congruence | None = None,
+        weight: NDArray | None = None,
+        floor: float = 0.0,
     ) -> None:
         self.signs, self.j, self.X = signs, j, X
+        self.weight, self.floor = weight, floor
         self.G = _MatrixRows(G, signs) if isinstance(G, np.ndarray) else G
         if K is not None:
             dense = _Congruence(K, np.diag(signs), np.eye(signs.size)[:, signs < 0.0])
@@ -746,10 +759,27 @@ class HessianModel:
         exactly l more negative eigenvalues than C - sigma I, C the
         complement block (Sylvester's law of inertia; Gould 1985). So C has
         an eigenvalue in [-s, s), s = 1/ceiling, exactly when the count
-        rises from shift -s to shift +s.
+        rises from shift -s to shift +s: two factorizations, which
+        `gap_certified` spares where it proves the answer False.
         """
         s = 1.0 / ceiling
         return self.negative_count(s) > self.negative_count(-s)
+
+    def gap_certified(self, reference: NDArray[np.float64], gap: float, ceiling: float) -> bool:
+        """Whether Weyl's inequality proves complement_degenerates(ceiling)
+        False without a count: `reference` is the weights of a model whose
+        complement of span X has no eigenvalue within `gap` of 0.
+
+        The complement of span X is the same subspace in both models, and
+        compressing onto it moves no eigenvalue by more than ||H - H_ref||
+        (Kato, Perturbation Theory for Linear Operators, V.4). So with
+        d the bound of `_weight_distance`, every eigenvalue of this
+        complement block has |mu| >= gap - d, and none lies in [-s, s),
+        s = 1/ceiling, once d < gap - s. The margin RADIUS_RTOL * rho in d
+        covers the rounding of the reference's gap and of X as its
+        eigenvectors. It needs the weights that `hessian_model` keeps.
+        """
+        return _weight_distance(self.weight, reference, self.floor, RADIUS_RTOL) < gap - 1.0 / ceiling
 
     def _bordered_solve(self, b: NDArray[np.float64]) -> NDArray[np.float64]:
         """y (N x c) with [[H, X], [X^T, 0]] [y; lambda] = [b; 0], b N x c.
@@ -892,8 +922,28 @@ def _active_rows(
     By Weyl's inequality no eigenvalue of the model moves by more."""
     grid = _eval_grid(S, nl)
     weight = (grid.qw * nl.fprime(S.values_from_a(a, grid.fibers), grid.h)).reshape(-1)
-    floor = grid.qw * float(np.abs(S.eigenvalues).min())
-    return weight, np.flatnonzero(weight > ROW_CUT * (weight.max() + floor))
+    return weight, np.flatnonzero(weight > ROW_CUT * (weight.max() + _weight_floor(S, nl)))
+
+
+def _weight_floor(S: SpectralDecomposition, nl: Nonlinearity) -> float:
+    """qw * min|lambda|: changing every weight by at most c moves the
+    Hessian by at most c / floor in norm (`_active_rows`)."""
+    return _eval_grid(S, nl).qw * float(np.abs(S.eigenvalues).min())
+
+
+def _weight_distance(
+    weight: NDArray[np.float64], reference: NDArray[np.float64], floor: float, rtol: float = 0.0
+) -> float:
+    """A bound on ||H - H_ref||, the models (`hessian_model`) of the weights
+    `weight` and `reference` at the same evaluation points, plus rtol * rho.
+
+    The full Hessians differ by -E^T Q^T diag(w - w_ref) Q E / (w w^T),
+    and by the argument of `_active_rows` for a signed diagonal, that has
+    norm at most max|w - w_ref| / floor. Each model's row cut moves it by
+    at most ROW_CUT * rho more, rho = 1 + max w / floor >= ||H|| over both.
+    """
+    rho = 1.0 + max(float(weight.max()), float(reference.max())) / floor
+    return float(np.abs(weight - reference).max()) / floor + (2.0 * ROW_CUT + rtol) * rho
 
 
 def _gram_factor(
@@ -953,10 +1003,12 @@ def hessian_model(
     """
     X = np.zeros((S.num_modes, 0)) if X is None else X
     weight, rows = _active_rows(S, nl, a)
+    floor = _weight_floor(S, nl)
     if rows.size > S.num_modes:
         every = _gram_factor(S, nl, weight, np.arange(weight.size))
-        return HessianModel(S.signs, S.j, X, G=every, dense=_grid_hessian(S, nl, weight))
-    return HessianModel(S.signs, S.j, X, G=_gram_factor(S, nl, weight, rows))
+        dense = _grid_hessian(S, nl, weight)
+        return HessianModel(S.signs, S.j, X, G=every, dense=dense, weight=weight, floor=floor)
+    return HessianModel(S.signs, S.j, X, G=_gram_factor(S, nl, weight, rows), weight=weight, floor=floor)
 
 
 # -- field-level diagnostics ---------------------------------------------------

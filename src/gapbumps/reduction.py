@@ -10,6 +10,14 @@ active rows, gives the Newton step, the inertia monitor and the reduced
 Hessian, so this module keeps only the loops. The kernel split takes
 the model's Ritz data. Translated kernel fields span the joint block of a
 multibump problem.
+
+The monitor checks that the complement block stays invertible, the fact
+the reduction rests on. The kernel basis keeps the base's weights and
+its measured gap, so `solve_w` proves that by Weyl's inequality from the
+base wherever the model's weights allow (`HessianModel.gap_certified`)
+and counts by inertia only where they do not: one factorization per
+model, the step's, instead of three. The gluing has no base gap for its
+joint block and always counts.
 """
 
 from __future__ import annotations
@@ -47,6 +55,11 @@ class KernelBasis:
     Hessian stays block-diagonal to solver accuracy. eta bounds the
     inverse of that complement block; delta0 = 0.3/eta is the radius of
     the offset ball inside which solve_w is trusted.
+
+    base_weight (qw f' at every evaluation point) and gap (min|mu| off
+    the block, 1/eta as detected) are the base model's, for the Weyl
+    certificate of `solve_w`'s monitor. gap is kept apart from eta, so a
+    caller's ceiling never feeds the certificate.
     """
 
     base: SolutionRecord
@@ -57,6 +70,8 @@ class KernelBasis:
     eta: float
     hessian_scale: float
     base_a: NDArray[np.float64]
+    base_weight: NDArray[np.float64]
+    gap: float
 
     @property
     def l(self) -> int:
@@ -120,6 +135,8 @@ def detect_kernel(
         eta=1.0 / excluded_min,
         hessian_scale=scale,
         base_a=a,
+        base_weight=H.weight,
+        gap=excluded_min,
     )
 
 
@@ -137,6 +154,7 @@ def _projected_newton(
     X: NDArray[np.float64],
     eta: float,
     w0: NDArray[np.float64] | None = None,
+    reference: tuple[NDArray[np.float64], float] | None = None,
 ) -> tuple[NDArray[np.float64], int, float, NDArray[np.float64]]:
     """Solve P grad J(a_center + w) = 0 for w orthogonal to span(X).
 
@@ -144,7 +162,11 @@ def _projected_newton(
     |g - Q1 Q1^T g| <= W_RESIDUAL_TOL, X = Q1 R, or MAX_W_ITERS
     iterations, each step the model's `projected_step`. Aborts once the
     complement block's 1/min|eig| exceeds the ceiling 2 eta, eta the
-    kernel basis's bound at the base.
+    kernel basis's bound at the base. `reference`, (weights, gap) of a
+    model with X's complement block gap away from singular, lets a model
+    skip that monitor's two inertia counts where Weyl's inequality
+    proves its verdict (`HessianModel.gap_certified`); the step itself
+    is the same either way.
 
     Returns (w, iterations, J, g), J and g the energy and gradient at
     a_center + w.
@@ -157,7 +179,8 @@ def _projected_newton(
         if float(np.linalg.norm(g - Q1 @ (Q1.T @ g))) <= W_RESIDUAL_TOL:
             return w, iteration, J, g
         H = hessian_model(S, nl, a_center + w, X)
-        if H.complement_degenerates(ceiling):
+        certified = reference is not None and H.gap_certified(*reference, ceiling)
+        if not certified and H.complement_degenerates(ceiling):
             raise NoConvergence(
                 f"complement block degenerating: 1/min|eig| exceeds ceiling {ceiling:.3e}"
             )
@@ -181,7 +204,8 @@ def solve_w(kb: KernelBasis, h: GridField) -> ReducedSample:
         raise ValueError("h has a component outside the kernel block")
     if hnorm > kb.delta0:
         raise OutOfBall(f"|||h||| = {hnorm:.4g} exceeds delta0 = {kb.delta0:.4g}")
-    w_a, iters, I, g = _projected_newton(kb.S, kb.nl, kb.base_a + ha, kb.E, kb.eta)
+    reference = (kb.base_weight, kb.gap)
+    w_a, iters, I, g = _projected_newton(kb.S, kb.nl, kb.base_a + ha, kb.E, kb.eta, reference=reference)
     return ReducedSample(
         x=kb.E.T @ ha,
         w=kb.S.field_from_a(w_a),

@@ -6,10 +6,10 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gapbumps import presets, reduction
+from gapbumps import functional, presets, reduction
 from gapbumps.functional import (
-    HessianModel, Nonlinearity, _bordered, _grid_operator, _negative_count, a_gradient, a_hessian,
-    a_value_and_gradient, hessian_model,
+    HessianModel, Nonlinearity, _bordered, _grid_operator, _negative_count, _weight_distance, a_gradient,
+    a_hessian, a_value_and_gradient, hessian_model,
 )
 from gapbumps.multibump import build_problem, superposition_compare
 from gapbumps.reduction import (
@@ -545,6 +545,79 @@ class TestGridCoordinates:
         s = solve_w(kb, kernel_combination(kb, np.array([0.25 * kb.delta0])))
         assert census["hessian_backend"] == "dense" and kb.l == 1 and s.newton_iters >= 1
         assert "eigenfields" not in vars(S)
+
+
+class TestGapCertificate:
+    """solve_w's monitor skips its two inertia counts where Weyl's
+    inequality from the base proves their verdict: the bound on the
+    Hessian's change against the dense a-coordinate Hessians, the
+    skipped verdict against the counts, and the factorizations spent."""
+
+    @pytest.fixture(params=["2d", "k8"])
+    def case(self, request, degenerate, kb8):
+        """(basis, backend): the fixture's on the dense route or k = 8's on the low-rank one."""
+        return (degenerate[3], "dense") if request.param == "2d" else (kb8, "low-rank")
+
+    @pytest.mark.parametrize("t", [0.3, 0.7])
+    def test_bound_covers_the_hessian_change(self, case, t):
+        kb, backend = case
+        S, nl = kb.S, kb.nl
+        a = kb.base_a + t * kb.delta0 * kb.E[:, 0]
+        model = hessian_model(S, nl, a, kb.E)
+        assert model.backend == backend
+        bound = _weight_distance(model.weight, kb.base_weight, model.floor)
+        change = a_hessian(S, nl, a) - a_hessian(S, nl, kb.base_a)
+        assert bound >= float(np.abs(np.linalg.eigvalsh(change)).max()) > 0.0
+
+    def test_certified_models_never_degenerate(self, case, monkeypatch):
+        # every model the corrector builds over t in [-0.8, 0.8] delta0:
+        # where the certificate holds, the counts read "not degenerate"
+        kb = case[0]
+        certify = HessianModel.gap_certified
+        verdicts = []
+
+        def counted_anyway(model, reference, gap, ceiling):
+            certified = certify(model, reference, gap, ceiling)
+            verdicts.append((certified, model.complement_degenerates(ceiling)))
+            return certified
+
+        monkeypatch.setattr(HessianModel, "gap_certified", counted_anyway)
+        for t in np.linspace(-0.8, 0.8, 9):
+            solve_w(kb, kernel_combination(kb, np.array([t * kb.delta0])))
+        assert any(c for c, _ in verdicts)
+        assert not any(c and degenerate for c, degenerate in verdicts)
+
+    @staticmethod
+    def _factorizations(monkeypatch):
+        calls = []
+        ldlt = functional._ldlt
+
+        def counted(A):
+            calls.append(A.shape[0])
+            return ldlt(A)
+
+        monkeypatch.setattr(functional, "_ldlt", counted)
+        return calls
+
+    @pytest.mark.parametrize("t, per_model", [(0.5, 1), (0.9, 3)])
+    def test_factorizations_per_model(self, degenerate, monkeypatch, t, per_model):
+        # inside 0.76 delta0 the fixture's models are certified and factor
+        # for the step only; at 0.9 delta0 the bound fails and both counts run
+        kb = degenerate[3]
+        calls = self._factorizations(monkeypatch)
+        s = solve_w(kb, kernel_combination(kb, np.array([t * kb.delta0])))
+        assert s.newton_iters >= 1
+        assert len(calls) == per_model * s.newton_iters
+
+    def test_a_shrunk_gap_counts_with_the_same_result(self, degenerate, monkeypatch):
+        kb = degenerate[3]
+        h = kernel_combination(kb, np.array([0.5 * kb.delta0]))
+        certified = solve_w(kb, h)
+        calls = self._factorizations(monkeypatch)
+        counted = solve_w(dataclasses.replace(kb, gap=0.5 * kb.gap), h)
+        assert len(calls) == 3 * counted.newton_iters
+        assert counted.w.values.tobytes() == certified.w.values.tobytes()
+        assert counted.I == certified.I and counted.dI.tobytes() == certified.dI.tobytes()
 
 
 class TestSuperposition:
