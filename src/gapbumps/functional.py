@@ -34,10 +34,10 @@ r <= N it carries the rows:
   (`HessianModel.gap_certified`, `_weight_distance`);
 - the census counts by the same inertia, at shifts set by a Lanczos
   spectral radius (`spectral_radius`);
-- the kernel split, which needs Ritz data, reads one route: the
-  Rayleigh-Ritz matrix K on an H-invariant frame U that contains the
-  active rows and X, built on first use, exact to rounding however wide
-  U is (Parlett, The Symmetric Eigenvalue Problem, ch. 11).
+- the kernel split takes its counts from the census and its vectors
+  from Lanczos on `HessianModel.inverse`: Newton's capacitance at
+  mu = 0, factored once and applied to each Lanczos vector (shift-invert
+  at 0; Parlett, The Symmetric Eigenvalue Problem, ch. 13).
 When more rows are active than there are modes (the dealiased 2-d
 fixture), the model is dense, backend "dense", held in the torus grid's
 values z = T^-1 a (T = h W E^T), where T^T H T = h (-Lap + V) - M for
@@ -203,7 +203,9 @@ class _EvalGrid:
         gives every axis-1 sum as one product, T = w PP, and the axis-0 sum
         as a second, PP^T T, which indexes M as ((i0 j0), (i1 j1)) (sum
         factorization; Deville, Fischer & Mund, High-Order Methods for
-        Incompressible Fluid Flow, ch. 4).
+        Incompressible Fluid Flow, ch. 4). Its middle axes are swapped in
+        place, block by block, so a model builds one n^2 x n^2 array here,
+        not two.
         """
         if self.rows is None:
             return w.reshape(-1)
@@ -215,7 +217,9 @@ class _EvalGrid:
             return R.T @ R
         PP = (P[:, :, None] * P[:, None, :]).reshape(nf, n * n)
         M = PP.T @ (w.reshape(nf, nf) @ PP)
-        return M.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+        for block in M.reshape(n, n, n, n):  # to ((i0 i1), (j0 j1)), one n^3 block at a time
+            block[...] = block.transpose(1, 0, 2)
+        return M
 
 
 def _eval_mesh(domain, nf: int) -> list[NDArray[np.float64]]:
@@ -307,35 +311,6 @@ def a_hessvec(
     return S.signs * v - S.a_from_dual(prod, grid.fibers)
 
 
-class _SignBlock:
-    """An orthonormal basis Q of one sign block whose first `dim` columns
-    contain those of C, the block's part of [G^T X] (width x c): the
-    identity when c >= width or C is None (the dense model), otherwise
-    the Householder QR C = Q R (Golub & Van Loan, Matrix Computations,
-    5.1-5.2), so that Q^T C = R (QC) needs no product. Q stays in
-    LAPACK's compact form and `apply` takes its reflectors one at a time:
-    O(width c) per vector. No columns give Q = I.
-    """
-
-    def __init__(self, width: int, C: NDArray[np.float64] | None) -> None:
-        self.width = width
-        self.raw, self.QC, self.dim = None, C, width
-        if C is not None and C.shape[1] < width:
-            self.dim = C.shape[1]
-            self.raw, self.QC = scipy.linalg.qr(C, mode="raw") if self.dim else (None, C[:0])
-
-    def apply(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Q v."""
-        if self.raw is None:
-            return v
-        work = v.size // v.shape[0]
-        return scipy.linalg.lapack.dormqr("L", "N", *self.raw, v, lwork=max(1, work))[0]
-
-    def embed(self, z: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Q z."""
-        return self.apply(np.concatenate([z, np.zeros((self.width - self.dim,) + z.shape[1:])]))
-
-
 def _columns(f, V: NDArray[np.float64], rows: int) -> NDArray[np.float64]:
     """f applied to each column of V, as the columns of a rows x c array."""
     out = np.empty((rows, V.shape[1]))
@@ -375,8 +350,8 @@ class _SampledRows:
     diag(scale) (Q L^-1 Q^T)[R, R] diag(scale) with L^-1 = E Lambda^-1
     E^T: a gather from the grid's Green table; G P- G^T (P- the
     projection on the negative modes) is the same gather from the table
-    of weights 1 / |lambda| on the negative modes. The r x N matrix
-    itself is built on first use, for the frame only.
+    of weights 1 / |lambda| on the negative modes. No r x N matrix is
+    formed.
     """
 
     def __init__(
@@ -413,20 +388,6 @@ class _SampledRows:
     @cached_property
     def gqg(self) -> NDArray[np.float64]:
         return self._gather("negative_green")
-
-    @cached_property
-    def matrix(self) -> NDArray[np.float64]:
-        return self.S.a_rows(self.points, self.scale, self.grid.fibers)
-
-    def gram(self) -> NDArray[np.float64]:
-        """G^T G, accumulated over chunks of at most N rows, each gathered
-        by `a_rows`: no r x N matrix is held, however many rows there are."""
-        n = self.S.num_modes
-        out = np.zeros((n, n))
-        for chunk in np.array_split(np.arange(self.size), max(1, -(-self.size // n))):
-            G = self.S.a_rows(self.points[chunk], self.scale[chunk], self.grid.fibers)
-            out += G.T @ G
-        return out
 
 
 def _each(f, v: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -487,11 +448,13 @@ class _Congruence:
     ) -> None:
         self.B, self.L, self.F, self.T = B, L, F, T
 
-    def solve(self, rhs: NDArray[np.float64], mu: float) -> NDArray[np.float64]:
-        """d = T z with (B + mu L) z = T^T rhs: (K + mu D) d = rhs."""
+    def inverse(self, mu: float):
+        """rhs -> d = T z with (B + mu L) z = T^T rhs, (K + mu D) d = rhs,
+        from one factorization of B + mu L."""
         A = np.multiply(self.L, mu, order="F")
         A += self.B
-        return self.T.apply(solve_symmetric(A, self.T.transpose(rhs)))
+        solve = symmetric_solver(A)
+        return lambda rhs: self.T.apply(solve(self.T.transpose(rhs)))
 
     def bordered(self, TX: NDArray[np.float64], sigma: float) -> NDArray[np.float64]:
         """[[B - sigma L, T^T X, F], [X^T T, 0, 0], [F^T, 0, I / (2 sigma)]]
@@ -546,26 +509,16 @@ class HessianModel:
     A model from `hessian_model` keeps its evaluation-point weights
     qw f' (`weight`) and their floor qw min|lambda|, so that
     `gap_certified` can bound its distance from a reference model.
-    The census needs no more: `spectral_radius` is Lanczos on `matvec`
-    and its counts are `negative_count`s.
-
-    Ritz data (K, `embed`, `complement`, `off_signs`) is for the kernel
-    split only, and built on first use. With G it comes from a frame: D
-    keeps the negative block (the first j coordinates) and the positive
-    block apart, so orthonormalizing each block's part of [G^T X] on its
-    own gives U = blockdiag(Q-, Q+) with range(G^T) and span X inside
-    span U: an H-invariant span, with H = D = +-1 on its complement. Only
-    orthogonal transforms and the m x m matrix K = U^T H U (Rayleigh-Ritz,
-    exact to rounding) are involved, m = subspace_dim, which its rule
-    gives without the frame; a block that its columns fill is the
-    identity. That is the one Ritz route of the rows form.
+    The census and the kernel split need no more: `spectral_radius` is
+    Lanczos on `matvec`, their counts are `negative_count`s, and the
+    kernel's vectors come from Lanczos on `inverse`, one factorization
+    applied to every Lanczos vector.
 
     The other form, backend "dense", is for more active rows than modes
     (or a K given as such): `dense`, a `_Congruence`, holds B = T^T K T
     in grid coordinates, and every solve and count runs on B and its
     bordered matrix of order N + l (+ j), congruent to K's. G then keeps
-    every evaluation point, for `matvec` and for the Ritz data: K itself,
-    D - G^T G accumulated over chunks of rows, with U = I.
+    every evaluation point, for `matvec`.
     """
 
     def __init__(
@@ -587,63 +540,6 @@ class HessianModel:
         self.dense = dense
         self.backend = "low-rank" if dense is None else "dense"
 
-    @cached_property
-    def _C(self) -> NDArray[np.float64] | None:
-        """[G^T X] as a Fortran-order view (of G alone without X): QR copies it cheaply."""
-        if self.dense is not None:
-            return None
-        G = self.G.matrix
-        return (np.concatenate([G, self.X.T]) if self.X.shape[1] else G).T
-
-    @cached_property
-    def neg(self) -> _SignBlock:
-        return _SignBlock(self.j, None if self._C is None else self._C[: self.j])
-
-    @cached_property
-    def pos(self) -> _SignBlock:
-        return _SignBlock(self.signs.size - self.j, None if self._C is None else self._C[self.j :])
-
-    @cached_property
-    def K(self) -> NDArray[np.float64]:
-        if self.dense is not None:
-            if self.G is None:
-                return self.dense.B
-            K = np.negative(self.G.gram())
-            K[np.diag_indices_from(K)] += self.signs
-            return K
-        r = self.G.size
-        GU = np.hstack([self.neg.QC[:, :r].T, self.pos.QC[:, :r].T])
-        K = -(GU.T @ GU)
-        K[np.diag_indices_from(K)] += np.repeat([-1.0, 1.0], [self.neg.dim, self.pos.dim])
-        return K
-
-    @property
-    def subspace_dim(self) -> int:
-        """The order m of K, from the frame's rule without building it: each
-        sign block keeps min(width, r + l) columns; N on the dense route."""
-        if self.dense is not None:
-            return self.signs.size
-        c = self.G.size + self.X.shape[1]
-        return min(self.j, c) + min(self.signs.size - self.j, c)
-
-    @cached_property
-    def off_signs(self) -> NDArray[np.float64]:
-        """The eigenvalues of H off span U, negative block first."""
-        neg, pos = self.neg, self.pos
-        return np.repeat([-1.0, 1.0], [neg.width - neg.dim, pos.width - pos.dim])
-
-    def embed(self, z: NDArray[np.float64]) -> NDArray[np.float64]:
-        """U z."""
-        m = self.neg.dim
-        return np.concatenate([self.neg.embed(z[:m]), self.pos.embed(z[m:])])
-
-    def complement(self) -> NDArray[np.float64]:
-        """An orthonormal basis of the complement of span U, ordered as
-        off_signs: each block's Householder columns past its dim."""
-        return scipy.linalg.block_diag(*(
-            b.apply(np.eye(b.width, b.width - b.dim, -b.dim)) for b in (self.neg, self.pos)
-        ))
-
     def _D(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
         """D v, for one column or several."""
         return (self.signs * v.T).T
@@ -651,7 +547,7 @@ class HessianModel:
     def matvec(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
         """H v, for one column or several."""
         if self.G is None:
-            return self.K @ v
+            return self.dense.B @ v
         return self._D(v) - self.G.tdot(self.G.dot(v))
 
     def spectral_radius(self) -> float:
@@ -680,19 +576,29 @@ class HessianModel:
             )
         return radius
 
-    def solve(self, rhs: NDArray[np.float64], mu: float) -> NDArray[np.float64]:
-        """d with (H + mu D) d = rhs.
+    def inverse(self, mu: float = 0.0):
+        """rhs -> d with (H + mu D) d = rhs, for one right-hand side, from
+        one factorization.
 
         With G, d = D (rhs + G^T y) / (1+mu), y solving
         ((1+mu) I - G D G^T) y = G D rhs; on the dense form, d = T z with
         (B + mu L) z = T^T rhs.
         """
         if self.dense is not None:
-            return self.dense.solve(rhs, mu)
+            return self.dense.inverse(mu)
         cap = np.negative(self.G.gdg, order="F")
         cap[np.diag_indices_from(cap)] += 1.0 + mu
-        y = solve_symmetric(cap, self.G.dot(self.signs * rhs))
-        return self.signs * (rhs + self.G.tdot(y)) / (1.0 + mu)
+        solve = symmetric_solver(cap)
+
+        def apply(rhs: NDArray[np.float64]) -> NDArray[np.float64]:
+            y = solve(self.G.dot(self.signs * rhs))
+            return self.signs * (rhs + self.G.tdot(y)) / (1.0 + mu)
+
+        return apply
+
+    def solve(self, rhs: NDArray[np.float64], mu: float) -> NDArray[np.float64]:
+        """d with (H + mu D) d = rhs (`inverse`)."""
+        return self.inverse(mu)(rhs)
 
     @cached_property
     def _TX(self) -> NDArray[np.float64]:
@@ -834,20 +740,25 @@ def _ldlt(A: NDArray[np.float64]):
     return scipy.linalg.lapack.dsytrf(A, lower=0, lwork=lwork, overwrite_a=1)
 
 
-def solve_symmetric(A: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
-    """x with A x = b for a symmetric A (its upper triangle is read) and one
-    right-hand side or several: LAPACK dsytrf, then dsytrs. These are the
-    bits of scipy.linalg.solve(A, b, assume_a="sym"), without its
-    condition estimate and copies, so an ill-conditioned A gives no
-    LinAlgWarning: a Fortran-order A is overwritten by its factors.
-    Raises LinAlgError on an exactly zero pivot; an empty system has an
-    empty solution."""
+def symmetric_solver(A: NDArray[np.float64]):
+    """b -> x with A x = b for a symmetric A (its upper triangle is read),
+    one right-hand side or several: LAPACK dsytrf once, then dsytrs per
+    call. These are the bits of scipy.linalg.solve(A, b, assume_a="sym"),
+    without its condition estimate and copies, so an ill-conditioned A
+    gives no LinAlgWarning: a Fortran-order A is overwritten by its
+    factors. Raises LinAlgError on an exactly zero pivot; an empty system
+    has an empty solution."""
     if A.shape[0] == 0:
-        return np.zeros(b.shape)
+        return lambda b: np.zeros(b.shape)
     ldu, ipiv, info = _ldlt(A)
     if info > 0:
         raise scipy.linalg.LinAlgError(f"singular matrix: zero pivot in row {info}")
-    return scipy.linalg.lapack.dsytrs(ldu, ipiv, b, lower=0)[0]
+    return lambda b: scipy.linalg.lapack.dsytrs(ldu, ipiv, b, lower=0)[0]
+
+
+def solve_symmetric(A: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
+    """x with A x = b (`symmetric_solver`)."""
+    return symmetric_solver(A)(b)
 
 
 def _negative_count(A: NDArray[np.float64]) -> int:
@@ -994,12 +905,10 @@ def hessian_model(
     the model is the Hessian of those rows, within ROW_CUT * (1 + max f' /
     min|lambda|) of the full one in norm, and carries them (backend
     "low-rank"): every solve and count goes through a capacitance of
-    order at most r + l <= N + l, and its Ritz data comes from the
-    Householder blocks of [G^T X], built on first use. With r > N it is
-    the full Hessian in the torus grid's coordinates ("dense",
-    `_grid_hessian`): solves and counts on N x N matrices congruent to
-    K's, products and Ritz data through the rows of every evaluation
-    point.
+    order at most r + l <= N + l. With r > N it is the full Hessian in
+    the torus grid's coordinates ("dense", `_grid_hessian`): solves and
+    counts on N x N matrices congruent to K's, products through the rows
+    of every evaluation point.
     """
     X = np.zeros((S.num_modes, 0)) if X is None else X
     weight, rows = _active_rows(S, nl, a)

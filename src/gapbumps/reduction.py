@@ -7,9 +7,10 @@ Schur complement) and its Morse data at the origin. Every Hessian is a
 `hessian_model` with the kernel block X: its bordered matrix
 [[H, X], [X^T, 0]], reached through the (r+l) capacitance of the r
 active rows, gives the Newton step, the inertia monitor and the reduced
-Hessian, so this module keeps only the loops. The kernel split takes
-the model's Ritz data. Translated kernel fields span the joint block of a
-multibump problem.
+Hessian, so this module keeps only the loops. The kernel split counts
+by inertia, as the census does, and takes its vectors from Lanczos on
+the base model's inverse. Translated kernel fields span the joint block
+of a multibump problem.
 
 The monitor checks that the complement block stays invertible, the fact
 the reduction rests on. The kernel basis keeps the base's weights and
@@ -98,34 +99,53 @@ def detect_kernel(
     nl: Nonlinearity,
     tau: float = KERNEL_TAU,
 ) -> KernelBasis:
-    """Diagonalize the Hessian at `rec`, split off |mu| < tau * scale.
+    """Split the Hessian at `rec` into |mu| < tau * scale and the rest.
 
-    tau is relative to the spectral radius of the spectrum: K's Ritz
-    values and the +-1 off span U. The selected vectors (U z, and the
-    complement of U once tau * scale > 1) make the kernel block Lambda;
-    eta comes from the smallest surviving |mu|. Each U z has the sign that
-    makes its field's first value of largest magnitude positive. On the
-    dense route U = I and K is the a-coordinate Hessian D - G^T G,
-    accumulated over chunks of evaluation points: exact Ritz data, with
-    no eigenfield matrix built.
+    scale (the spectral radius) and the block's order l come by inertia,
+    as the census's do (`kernel_split`), and the vectors by Lanczos
+    (ARPACK's eigsh, from the seeded start of `_lanczos_lowest`). While
+    tau * scale <= 1 the block and the nearest eigenvalue beyond it are
+    the l + 1 largest |nu| of H^-1, nu = 1/mu (shift-invert at 0; Lehoucq,
+    Sorensen & Yang, ARPACK Users' Guide, SIAM 1998): the model's one
+    factorization serves every Lanczos step. Above 1 the +-1 bulk joins
+    a nonempty block, which is then the complement of the eigenvectors
+    below -tau * scale, found by Lanczos on H itself. Lanczos can miss a
+    copy of a repeated eigenvalue, so its values must reproduce the
+    counts; a split that does not raises NoConvergence, as does an ARPACK
+    failure. eta comes from the smallest |mu| off the block. Each vector
+    has the sign that makes its field's first value of largest magnitude
+    positive.
     """
+    import scipy.sparse.linalg  # ARPACK: only the kernel split needs it
+
     if tau <= 0:
         raise ValueError("tau must be positive")
     a = S.a_from_field(rec.field)
     H = hessian_model(S, nl, a)
-    # divide and conquer: MRRR keeps K's clustered Ritz vectors orthogonal only to ~1e-12
-    ritz, Z = scipy.linalg.eigh(H.K, driver="evd")
-    mu = np.concatenate([ritz, H.off_signs])
-    near, scale = kernel_split(mu, tau)
-    if near.all():
-        raise AllKernel(f"all {mu.size} directions below tau*scale = {tau * scale:g}")
+    n = S.num_modes
+    scale, negative, l = kernel_split(H, tau)
+    if l == n:
+        raise AllKernel(f"all {n} directions below tau*scale = {tau * scale:g}")
+    edge = tau * scale
+    bulk = edge > 1.0 and l > 0  # an empty block takes Lanczos on H^-1, for eta alone
+    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=H.matvec if bulk else H.inverse(), dtype=float)
+    start = np.random.default_rng(0).standard_normal(n)
+    try:
+        if bulk:
+            mu, V = scipy.sparse.linalg.eigsh(op, k=negative, which="SA", tol=0, v0=start)
+        else:
+            nu, V = scipy.sparse.linalg.eigsh(op, k=l + 1, which="LM", tol=0, v0=start)
+            mu = 1.0 / nu
+    except scipy.sparse.linalg.ArpackError as e:
+        raise NoConvergence(f"kernel split: {e}") from e
+    near = (mu >= -edge) & (mu < edge)  # the counts' rule
+    if np.count_nonzero(mu < -edge if bulk else near) != (negative if bulk else l):
+        raise NoConvergence(f"Lanczos missed an eigenvalue of the kernel split at tau*scale = {edge:g}")
     excluded_min = float(np.abs(mu[~near]).min())
-    E = H.embed(Z[:, near[: ritz.size]])
-    for e in E.T:  # the sign of each vector from its field, not from eigh
+    E = scipy.linalg.null_space(V.T) if bulk else V[:, near][:, np.argsort(mu[near])]
+    for e in E.T:  # the sign of each vector from its field, not from Lanczos
         v = S.values_from_a(e).reshape(-1)
         e *= np.sign(v[first_largest(np.abs(v))])
-    if near[ritz.size :].any():
-        E = np.hstack([E, H.complement()])
     return KernelBasis(
         base=rec,
         S=S,

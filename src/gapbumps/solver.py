@@ -182,17 +182,15 @@ KERNEL_TAU = 1e-4
 ORBIT_TIE_RTOL = 1e-12  # orbit distances within this fraction of |a_u| + |a_v| of the least tie
 
 
-def kernel_split(
-    mu: NDArray[np.float64], tau: float = KERNEL_TAU
-) -> tuple[NDArray[np.bool_], float]:
-    """Mask of Hessian eigenvalues with |mu| < tau * scale, and the scale.
-
-    scale is the spectral radius max |mu|. The reduction's kernel block
-    splits its spectrum here; `hessian_census` makes the same split by
-    inertia, without the spectrum.
-    """
-    scale = float(np.abs(mu).max())
-    return np.abs(mu) < tau * scale, scale
+def kernel_split(H: HessianModel, tau: float = KERNEL_TAU) -> tuple[float, int, int]:
+    """(scale, negative, near) of a Hessian model without X, by inertia:
+    scale its Lanczos spectral radius, negative the number of eigenvalues
+    below -tau * scale and near the number in [-tau * scale, tau * scale),
+    each from `negative_count`. The census reports these counts, and the
+    reduction's kernel block is the near part of the spectrum."""
+    scale = H.spectral_radius()
+    negative = H.negative_count(-tau * scale)
+    return scale, negative, H.negative_count(tau * scale) - negative
 
 
 def hessian_census(S: SpectralDecomposition, nl: Nonlinearity, a: NDArray[np.float64]) -> dict:
@@ -200,7 +198,7 @@ def hessian_census(S: SpectralDecomposition, nl: Nonlinearity, a: NDArray[np.flo
 
     negative_hessian_count counts eigenvalues below -tau*scale and
     kernel_dim_estimate those within tau*scale of zero, tau = KERNEL_TAU:
-    the split `kernel_split` gives the reduction, so the two views agree.
+    `kernel_split`, whose counts the reduction's kernel split reads too.
     scale is the model's Lanczos spectral radius, and each count is one
     `negative_count`, an LDL^T of the r x r capacitance (on the dense
     route, of the congruent bordered matrix in grid coordinates, order
@@ -209,21 +207,18 @@ def hessian_census(S: SpectralDecomposition, nl: Nonlinearity, a: NDArray[np.flo
     functional.ROW_CUT (1e-10) times the bound on ||H||, far below
     tau*scale, so the counts are the full Hessian's.
     hessian_backend is "dense" only when more rows are active than there
-    are modes, else "low-rank"; hessian_subspace_dim is the order of the
-    model's Ritz frame (`HessianModel.subspace_dim`), N on the dense route.
+    are modes, else "low-rank".
     """
     return model_census(hessian_model(S, nl, a))
 
 
 def model_census(H: HessianModel) -> dict:
     """`hessian_census` of a Hessian model without X."""
-    edge = KERNEL_TAU * H.spectral_radius()
-    negative = H.negative_count(-edge)
+    _, negative, near = kernel_split(H)
     return {
         "negative_hessian_count": negative,
-        "kernel_dim_estimate": H.negative_count(edge) - negative,
+        "kernel_dim_estimate": near,
         "hessian_backend": H.backend,
-        "hessian_subspace_dim": H.subspace_dim,
     }
 
 

@@ -1,7 +1,8 @@
 """Plain references for the tests: -Lap + V on a torus grid, the
 eigenfield matrix of a decomposition built from its Bloch waves, the
 dense interpolation matrix onto a fine grid, the Hessian's rows sampled
-from them, and the orbit distance one grid shift at a time.
+from them, the kernel split of a dense spectrum, and the orbit
+distance one grid shift at a time.
 
 The matrices take O(N^2) memory. The tests diagonalize the operator densely
 to check the Bloch-fiber construction of operator.diagonalize, compare the
@@ -18,7 +19,7 @@ from numpy.typing import NDArray
 
 from gapbumps.functional import ROW_CUT, Nonlinearity, _active_rows, _eval_grid, a_hessian
 from gapbumps.operator import PeriodicPotential, SpectralDecomposition
-from gapbumps.solver import ORBIT_TIE_RTOL
+from gapbumps.solver import KERNEL_TAU, ORBIT_TIE_RTOL
 from gapbumps.torus import GridField, TorusDomain, translate
 
 
@@ -123,6 +124,14 @@ def kept_hessian(S: SpectralDecomposition, nl: Nonlinearity, a: NDArray[np.float
     rows divided by the weights: the matrix a rows model stands for."""
     G = oracle_rows(S, nl, a)[_active_rows(S, nl, a)[1]] / S.weights
     return np.diag(S.signs) - G.T @ G
+
+
+def dense_kernel_split(mu: NDArray[np.float64], tau: float = KERNEL_TAU) -> tuple[NDArray[np.bool_], float]:
+    """Mask of the eigenvalues mu with |mu| < tau * scale, and the scale,
+    the spectral radius max |mu|: the split that the package's
+    `kernel_split` makes by inertia, from a dense spectrum."""
+    scale = float(np.abs(mu).max())
+    return np.abs(mu) < tau * scale, scale
 
 
 def assert_within_weyl_bound(S: SpectralDecomposition, nl: Nonlinearity, a: NDArray[np.float64], kept) -> None:

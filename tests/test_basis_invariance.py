@@ -61,9 +61,8 @@ def _close(a, b):
 
 @pytest.fixture(scope="module", params=[16, 64], ids=["k16", "k64"])
 def bases(request, potential, nl):
-    """(base record, S, S rotated) at k cells, M = 16. The Hessian's frame
-    is the whole space at k = 16 (every row active, both sign blocks the
-    identity) and a compressed one at k = 64."""
+    """(base record, S, S rotated) at k cells, M = 16. Every row of the
+    Hessian is active at k = 16 (r = N) and few of them at k = 64."""
     k = request.param
     S = diagonalize(potential, TorusDomain(1, k, 16))
     A = presets.BASE_ANSATZ

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -22,12 +23,12 @@ from gapbumps.reduction import (
     kernel_combination,
     solve_w,
 )
-from gapbumps.operator import diagonalize
+from gapbumps.operator import PeriodicPotential, diagonalize, midgap_shift
 from gapbumps.solver import (
-    KERNEL_TAU, NoConvergence, find_critical_point, hessian_census, initial_ansatz, kernel_split,
+    KERNEL_TAU, NoConvergence, find_critical_point, hessian_census, initial_ansatz,
 )
 from gapbumps.torus import GridField, TorusDomain, spectral_gradient, translate
-from oracle import assert_within_weyl_bound, eigenfield_matrix, kept_hessian, operator_matrix
+from oracle import assert_within_weyl_bound, dense_kernel_split, eigenfield_matrix, kept_hessian, operator_matrix
 
 
 class TestDetection:
@@ -51,14 +52,17 @@ class TestDetection:
             detect_kernel(base8, S8, nl, tau=0.0)
 
     def test_kernel_signs_come_from_the_fields(self, base8, S8, nl, kb2dir, monkeypatch):
-        eigh = scipy.linalg.eigh
+        eigsh = scipy.sparse.linalg.eigsh
+        calls = []
 
         def negated(*args, **kwargs):
-            vals, vecs = eigh(*args, **kwargs)
+            calls.append(kwargs["k"])
+            vals, vecs = eigsh(*args, **kwargs)
             return vals, -vecs
 
-        monkeypatch.setattr(scipy.linalg, "eigh", negated)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", negated)
         np.testing.assert_array_equal(detect_kernel(base8, S8, nl, tau=0.16).E, kb2dir.E)
+        assert calls == [kb2dir.l + 1]
 
     def test_combination_shape_guard(self, kb8):
         with pytest.raises(ValueError):
@@ -216,7 +220,7 @@ def _first_step(S, nl, a, X, eta, monkeypatch):
 
 class TestFrame:
     """The kernel block X and its complement, reached through the bordered
-    matrix [[K, B], [B^T, 0]], B = U^T X, against the lifted dense oracle."""
+    matrix [[H, X], [X^T, 0]], against the lifted dense oracle."""
 
     def test_complement_eigenvalues_match_the_lifted_oracle(self, block):
         # the bordered inertia counts the complement block's eigenvalues in
@@ -239,10 +243,10 @@ class TestFrame:
         assert not model.complement_degenerates(eta * (1.0 + 1e-6))
 
     def test_unit_eigenvalues_off_u_trip_a_ceiling_below_one(self):
-        # H = I - G^T G on R^4: U = span(e1, e2), +1 on e0 and e3 off it;
-        # inside U the complement of X = e2 holds only 1 - 9 = -8
+        # H = I - G^T G on R^4 is diag(1, -8, 1, 1): the complement of X = e2
+        # holds -8 and the +1 of e0 and e3, which no row reaches
         model = HessianModel(np.ones(4), 0, np.eye(4)[:, [2]], G=np.array([[0.0, 3.0, 0.0, 0.0]]))
-        assert model.off_signs.size == 2 and np.allclose(np.sort(np.diag(model.K)), [-8.0, 1.0])
+        assert np.array_equal(model.matvec(np.eye(4)), np.diag([1.0, -8.0, 1.0, 1.0]))
         assert model.complement_degenerates(0.5)  # 1/min|eig| = 1 > 0.5
         assert not model.complement_degenerates(1.5)
 
@@ -485,7 +489,7 @@ class TestGridCoordinates:
         S, nl, _, kb = degenerate
         a = kb.base_a + 0.3 * kb.delta0 * kb.E[:, 0]
         model = hessian_model(S, nl, a, kb.E)
-        assert model.backend == "dense" and model.subspace_dim == S.num_modes
+        assert model.backend == "dense"
         return S, model, a_hessian(S, nl, a), kb.E
 
     def test_counts_match_the_dense_bordered_matrix(self, route):
@@ -649,7 +653,7 @@ class TestSuperposition:
 def _dense_kernel(rec, S, nl, tau):
     """(E, eta, scale) of the kernel split from eigh of the dense Hessian."""
     mu, vecs = scipy.linalg.eigh(a_hessian(S, nl, S.a_from_field(rec.field)))
-    near, scale = kernel_split(mu, tau)
+    near, scale = dense_kernel_split(mu, tau)
     return vecs[:, near], 1.0 / float(np.abs(mu[~near]).min()), scale
 
 
@@ -682,10 +686,10 @@ def kb64(base64, S64, nl):
 
 
 class TestCompressedModel:
-    """At 1-d k = 64 the Hessian model's subspace U is compressed
-    (m <= N/2); every reduction step is checked against the dense matrix.
-    The kernel split is also checked at k = 8, where U is the whole space,
-    and at k = 32, where it is wider than N/2."""
+    """At 1-d k = 64 the Hessian model keeps few rows (r <= N/2); every
+    reduction step is checked against the dense matrix. The kernel split
+    is also checked at k = 8, where every row is active, and at k = 32,
+    where more than N/2 are."""
 
     @pytest.mark.parametrize("k", [8, 32, 64], ids=["k8", "k32", "k64"])
     def test_kernel_split_matches_dense_eigh(self, request, nl, k):
@@ -699,8 +703,8 @@ class TestCompressedModel:
         assert _sin_largest_angle(E, kb.E) <= 1e-12
 
     def test_unit_bulk_joins_the_block(self, base64, S64, nl):
-        # tau * scale = 0.5 * 2.8 > 1 puts the +-1 eigenvalues off span U
-        # under the threshold: the block takes the complement of U whole
+        # tau * scale = 0.5 * 2.8 > 1 puts the +-1 bulk under the threshold:
+        # the block is the complement of the eigenvectors below -tau * scale
         kb = detect_kernel(base64, S64, nl, tau=0.5)
         E, eta, scale = _dense_kernel(base64, S64, nl, 0.5)
         assert kb.l == E.shape[1] > S64.num_modes // 2
@@ -744,10 +748,49 @@ class TestCompressedModel:
             recording(reduction.scipy.linalg, name)
         # the LDL^T of every symmetric solve and of the eta monitor
         recording(reduction.scipy.linalg.lapack, "dsytrf")
+        # the kernel split's Lanczos, whose operator applies one factorization
+        recording(scipy.sparse.linalg, "eigsh")
         kb = detect_kernel(base64, S64, nl, tau=presets.TAU_FORCED)
         classify_origin(kb)
         s = solve_w(kb, kernel_combination(kb, np.array([0.3 * kb.delta0])))
         assert s.newton_iters >= 1
-        assert {"eigh", "dsytrf"} <= orders.keys()
+        assert orders.pop("eigsh") == [S64.num_modes]
+        assert {"eigvalsh", "dsytrf"} <= orders.keys() and "eigh" not in orders
         # a capacitance adds the block's l columns to the r <= N/2 active rows
         assert max(max(o) for o in orders.values()) <= S64.num_modes // 2 + kb.l
+
+
+@pytest.fixture(scope="module")
+def bump2d(nl):
+    """(S, base, dense spectrum, its eigenvectors) of the bump of a cosine on
+    both axes, k = 4, M = 8 (N = 1,024), at the midgap shift: the swap of the
+    axes maps it to itself, so its soft eigenvalues come in equal pairs."""
+    V = PeriodicPotential(kind="cosine", amplitude=30.0, shift=midgap_shift(30.0, 2))
+    S = diagonalize(V, TorusDomain(2, 4, 8))
+    base = find_critical_point(initial_ansatz((0.0, 0.0), 0.4, 6.0, S.domain, S), S, nl)
+    mu, vecs = scipy.linalg.eigh(a_hessian(S, nl, S.a_from_field(base.field)))
+    return S, base, mu, vecs
+
+
+class TestEqualSoftPairs:
+    """Lanczos from one start vector can miss a copy of a repeated
+    eigenvalue; the kernel split finds both of an equal pair, checked
+    against the dense spectrum of a symmetric 2-d bump."""
+
+    @pytest.mark.parametrize("l", [2, 4, 6])
+    def test_split_after_a_pair_matches_dense_eigh(self, bump2d, nl, l):
+        # the two softest eigenvalues are equal, and so are the fifth and
+        # sixth: the split falls after the first pair, after four, and after
+        # the second pair
+        S, base, mu, vecs = bump2d
+        order = np.argsort(np.abs(mu))
+        assert mu[order[1]] == pytest.approx(mu[order[0]], rel=1e-10)
+        assert mu[order[5]] == pytest.approx(mu[order[4]], rel=1e-10)
+        scale = float(np.abs(mu).max())
+        kb = detect_kernel(base, S, nl, tau=float(np.sqrt(np.abs(mu[order[l - 1]] * mu[order[l]]))) / scale)
+        assert hessian_model(S, nl, kb.base_a).backend == "low-rank"
+        assert kb.l == l
+        assert kb.eta == pytest.approx(1.0 / np.abs(mu[order[l]]), rel=1e-12)
+        assert kb.hessian_scale == pytest.approx(scale, rel=1e-12)
+        assert np.abs(kb.E.T @ kb.E - np.eye(l)).max() <= 1e-12
+        assert _sin_largest_angle(vecs[:, order[:l]], kb.E) <= 1e-12

@@ -24,7 +24,6 @@ from gapbumps.solver import (
     find_critical_point,
     hessian_census,
     initial_ansatz,
-    kernel_split,
     linking_upper_bound,
     orbit_distance,
     same_orbit,
@@ -32,7 +31,7 @@ from gapbumps.solver import (
     validate_solution,
 )
 from gapbumps.torus import GridField, TorusDomain, l2_norm, translate
-from oracle import assert_within_weyl_bound, kept_hessian
+from oracle import assert_within_weyl_bound, dense_kernel_split, kept_hessian
 from oracle import orbit_distance as loop_orbit_distance
 
 
@@ -251,7 +250,10 @@ class TestDeflation:
 
 
 def _assert_matches_dense(model, H, signs, rng):
-    """matvec, solve at two ridges and the spectrum against a dense H."""
+    """matvec, solve at two ridges and the spectrum against a dense H: the
+    spectrum by the inertia counts of the model without X, at shifts in
+    the gaps between the dense eigenvalues (at most 16 of them) and
+    beyond both ends."""
     n = H.shape[0]
     v = rng.standard_normal(n)
     mu_dense = scipy.linalg.eigvalsh(H)
@@ -267,10 +269,11 @@ def _assert_matches_dense(model, H, signs, rng):
         ridged_mu = np.abs(scipy.linalg.eigvalsh(ridged))
         cond = ridged_mu.max() / ridged_mu.min()
         assert np.linalg.norm(d - dense) <= 1e-14 * cond * np.linalg.norm(dense)
-    mu_model = np.sort(np.concatenate([scipy.linalg.eigvalsh(model.K), model.off_signs]))
-    assert mu_model.shape == (n,)
-    assert np.all(np.diff(mu_model) >= 0)
-    assert np.abs(mu_model - mu_dense).max() <= 1e-13 * scale
+    spectrum = HessianModel(model.signs, model.j, np.zeros((n, 0)), G=model.G, dense=model.dense)
+    gaps = np.flatnonzero(np.diff(mu_dense) > 1e-9 * scale)
+    inner = 0.5 * (mu_dense[gaps] + mu_dense[gaps + 1])
+    for s in [mu_dense[0] - 0.5, *inner[:: max(1, -(-inner.size // 16))], mu_dense[-1] + 0.5]:
+        assert spectrum.negative_count(s) == np.count_nonzero(mu_dense < s), s
 
 
 def _assert_matches_kept_rows(model, S, nl, a, rng):
@@ -282,7 +285,7 @@ def _assert_matches_kept_rows(model, S, nl, a, rng):
 
 
 class TestLowRankHessian:
-    """The Hessian model on its frame U, against the dense matrix."""
+    """The Hessian model of the active rows, against the dense matrix."""
 
     @pytest.mark.parametrize(
         "k, point, columns",
@@ -297,9 +300,8 @@ class TestLowRankHessian:
         ids=["ansatz", "solution", "dealiased", "k8", "k32", "wide_block"],
     )
     def test_matches_dense_on_a_long_torus(self, request, nl, rng, k, point, columns):
-        # at k = 64 the frame is compressed; at k = 8 every row is active and
-        # both sign blocks are the identity; at k = 32, and at k = 64 with
-        # 200 columns of X, the frame is wider than N/2
+        # at k = 64 few rows are active; at k = 8 every row is; at k = 32
+        # more than N/2 are, and at k = 64 X may have 200 columns
         S = request.getfixturevalue(f"S{k}")
         if point == "ansatz":
             field = request.getfixturevalue("ansatz64")
@@ -309,10 +311,6 @@ class TestLowRankHessian:
             nl = Nonlinearity(dealias_factor=1.5)
         a = S.a_from_field(field)
         model = hessian_model(S, nl, a, np.eye(S.num_modes)[:, :columns])
-        c = model.G.size + columns
-        assert model.subspace_dim == min(S.j, c) + min(S.num_modes - S.j, c)
-        if k == 64 and not columns:
-            assert model.subspace_dim <= S.num_modes // 2
         _assert_matches_kept_rows(model, S, nl, a, rng)
 
     def test_matches_dense_on_a_collocated_2d_torus(self, degenerate, rng):
@@ -329,14 +327,12 @@ class TestLowRankHessian:
         assert S.j == 0
         a = S.a_from_field(initial_ansatz((0.0,), 0.5, 6.0, S.domain, S))
         model = hessian_model(S, nl, a)
-        assert model.neg.dim == 0
         _assert_matches_kept_rows(model, S, nl, a, rng)
 
     def test_no_active_rows_at_zero(self, S64, nl, rng):
         a = np.zeros(S64.num_modes)
         model = hessian_model(S64, nl, a)
-        assert model.backend == "low-rank"
-        assert model.subspace_dim == 0 and model.K.shape == (0, 0)
+        assert model.backend == "low-rank" and model.G.size == 0
         _assert_matches_dense(model, np.diag(S64.signs), S64.signs, rng)
 
     @pytest.mark.parametrize(
@@ -346,20 +342,16 @@ class TestLowRankHessian:
              "identity_blocks", "no_rows"],
     )
     def test_block_shapes(self, rng, n, j, r):
-        # two X columns join the rows of G: U contains them too
+        # a model with two X columns, on sign blocks of every width
         signs = np.concatenate([-np.ones(j), np.ones(n - j)])
         G = rng.standard_normal((r, n))
         X = rng.standard_normal((n, 2))
         model = HessianModel(signs, j, X, G=G)
-        assert model.subspace_dim == min(j, r + 2) + min(n - j, r + 2)
-        # X has no part off span U
-        assert np.linalg.norm(model.complement().T @ X) <= 1e-13 * np.linalg.norm(X)
         _assert_matches_dense(model, np.diag(signs) - G.T @ G, signs, rng)
 
     def test_backend_rule(self, S8, nl, base8, S64, base64, degenerate):
-        # the model carries its rows whenever r <= N, however wide its frame:
-        # every row is active at k = 8, and X's 200 columns widen the frame
-        # at k = 64 past N/2
+        # the model carries its rows whenever r <= N, however wide X is:
+        # every row is active at k = 8, and X has 200 columns at k = 64
         assert hessian_model(S8, nl, S8.a_from_field(base8.field)).backend == "low-rank"
         a = S64.a_from_field(base64.field)
         assert hessian_model(S64, nl, a).backend == "low-rank"
@@ -374,10 +366,10 @@ class TestLowRankHessian:
         assert _active_rows(S2, nl2, a2)[1].size > S2.num_modes
         assert hessian_model(S2, nl2, a2).backend == "dense"
 
-    def test_dense_route_transforms_a_once(self, degenerate, monkeypatch):
+    def test_dense_route_transforms_a_once(self, degenerate, rng, monkeypatch):
         # the row cut's weights serve the dense Hessian: one transform of a
-        # onto the fine grid per model, and K, the Gram product over chunks
-        # of fine rows, is a_hessian's to rounding
+        # onto the fine grid per model, and its product through every fine
+        # row is a_hessian's to rounding
         S2, nl2, rec, _ = degenerate
         a = S2.a_from_field(rec.field)
         expected = a_hessian(S2, nl2, a)
@@ -392,16 +384,15 @@ class TestLowRankHessian:
         monkeypatch.setattr(SpectralDecomposition, "values_from_a", counted)
         model = hessian_model(S2, nl2, a)
         assert model.backend == "dense" and sum(fine) == 1
-        assert np.abs(model.K - expected).max() <= 1e-13 * np.abs(expected).max()
+        V = rng.standard_normal((S2.num_modes, 4))
+        assert np.linalg.norm(model.matvec(V) - expected @ V) <= 1e-13 * np.linalg.norm(expected, 1) * np.linalg.norm(V)
 
     def test_newton_builds_no_frame(self, S64, nl, ansatz64, monkeypatch):
         # Newton solves through the capacitance and never factors [G^T];
         # nor does the census, which counts by inertia and computes no
         # eigenvalue
-        from gapbumps import functional
-
-        qrs, blocks, eigvalshs = [], [], []
-        real_qr, real_block, real_eigvalsh = scipy.linalg.qr, functional._SignBlock, scipy.linalg.eigvalsh
+        qrs, eigvalshs = [], []
+        real_qr, real_eigvalsh = scipy.linalg.qr, scipy.linalg.eigvalsh
 
         def qr(*args, **kwargs):
             qrs.append(args[0].shape)
@@ -411,27 +402,21 @@ class TestLowRankHessian:
             eigvalshs.append(args[0].shape)
             return real_eigvalsh(*args, **kwargs)
 
-        class CountedBlock(real_block):
-            def __init__(self, width, C):
-                blocks.append(width)
-                super().__init__(width, C)
-
         monkeypatch.setattr(scipy.linalg, "qr", qr)
         monkeypatch.setattr(scipy.linalg, "eigvalsh", eigvalsh)
-        monkeypatch.setattr(functional, "_SignBlock", CountedBlock)
         rec = find_critical_point(ansatz64, S64, nl)
         assert rec.iterations == 6
-        assert not qrs and not blocks
+        assert not qrs
         census = hessian_census(S64, nl, S64.a_from_field(rec.field))
-        assert not qrs and not blocks and not eigvalshs
-        assert tuple(census.values()) == (66, 0, "low-rank", 249)
+        assert not qrs and not eigvalshs
+        assert tuple(census.values()) == (66, 0, "low-rank")
 
     @pytest.mark.parametrize("k", [8, 32, 256], ids=["k8", "k32", "k256"])
     def test_solve_and_census_never_build_the_eigenfield_matrix(self, potential, nl, monkeypatch, k):
         # every product with E on a rows model is a fiber transform or a
-        # gather, whether its frame is the whole space (k = 8), wider than
-        # N/2 (k = 32) or compressed (k = 256): neither the dense Hessian
-        # nor the N x N matrix (N = 4096 at k = 256) is formed
+        # gather, whether every row is active (k = 8), more than N/2 (k = 32)
+        # or few (k = 256): neither the dense Hessian nor the N x N matrix
+        # (N = 4096 at k = 256) is formed
         from gapbumps import functional
 
         def refuse(*args):
@@ -446,6 +431,35 @@ class TestLowRankHessian:
         assert rec.residual <= 1e-10 and census["hessian_backend"] == "low-rank"
         assert kb.l == 1
         assert "eigenfields" not in vars(S)
+
+    @pytest.mark.parametrize("form", ["low-rank", "dense"])
+    def test_inverse_factors_once_and_is_the_solve(self, S8, nl, base8, degenerate, rng, monkeypatch, form):
+        # the kernel split's Lanczos applies one factorization many times:
+        # every application is Newton's solve, bit for bit
+        from gapbumps import functional
+
+        if form == "dense":
+            S, nl, rec, _ = degenerate
+        else:
+            S, rec = S8, base8
+        model = hessian_model(S, nl, S.a_from_field(rec.field))
+        assert model.backend == form
+        factored = []
+        real_ldlt = functional._ldlt
+
+        def ldlt(A):
+            factored.append(A.shape[0])
+            return real_ldlt(A)
+
+        monkeypatch.setattr(functional, "_ldlt", ldlt)
+        for mu in (0.0, 1e-2):
+            del factored[:]
+            inverse = model.inverse(mu)
+            rhs = rng.standard_normal((3, S.num_modes))
+            applied = [inverse(b) for b in rhs]
+            assert len(factored) == 1
+            for b, d in zip(rhs, applied):
+                assert d.tobytes() == model.solve(b, mu).tobytes()
 
     def test_ridge_escalates_past_a_singular_capacitance(self, rng):
         # H = I - G^T G on R^4: at mu = 0.5625 the capacitance
@@ -478,7 +492,6 @@ class TestLowRankHessian:
         assert base64.residual <= 1e-12
         census = hessian_census(S64, nl, S64.a_from_field(base64.field))
         assert census["hessian_backend"] == "low-rank"
-        assert census["hessian_subspace_dim"] <= S64.num_modes // 2
         assert census["negative_hessian_count"] == 66
         assert census["kernel_dim_estimate"] == 0
 
@@ -512,7 +525,7 @@ class TestRowCut:
             rec = find_critical_point(initial_ansatz(A["center"], A["width"], A["amplitude"], S.domain, S), S, nl)
         a = S.a_from_field(rec.field)
         mu = scipy.linalg.eigvalsh(a_hessian(S, nl, a))
-        near, scale = kernel_split(mu)
+        near, scale = dense_kernel_split(mu)
         model = hessian_model(S, nl, a)
         assert model.backend == ("dense" if k == "2d" else "low-rank")
         assert model.spectral_radius() == pytest.approx(scale, rel=1e-12)
@@ -521,7 +534,7 @@ class TestRowCut:
             np.count_nonzero((mu < 0) & ~near), np.count_nonzero(near)
         )
         kb = detect_kernel(rec, S, nl, tau=presets.TAU_FORCED)
-        near, scale = kernel_split(mu, presets.TAU_FORCED)
+        near, scale = dense_kernel_split(mu, presets.TAU_FORCED)
         assert kb.l == np.count_nonzero(near)
         assert kb.eta == pytest.approx(1.0 / np.abs(mu[~near]).min(), rel=1e-12)
         assert kb.hessian_scale == pytest.approx(scale, rel=1e-12)
@@ -549,8 +562,8 @@ def _planted_model(spectrum, j, backend, rng, lowest=None):
 
 class TestCensusByInertia:
     """The census reads its counts from capacitance inertias at +-tau*scale
-    and its scale from Lanczos, certified by one count; no eigenvalue,
-    frame or eigenfield matrix is computed."""
+    and its scale from Lanczos, certified by one count; no eigenvalue or
+    eigenfield matrix is computed."""
 
     @pytest.mark.parametrize("backend", ["low-rank", "dense"])
     def test_planted_eigenvalues_around_the_kernel_threshold(self, rng, backend):
@@ -596,21 +609,15 @@ class TestCensusByInertia:
         with pytest.raises(scipy.linalg.LinAlgError, match="misses 1 eigenvalue"):
             model.spectral_radius()
 
-    def test_census_builds_no_eigenfield_matrix(self, potential, nl, monkeypatch):
+    def test_census_builds_no_eigenfield_matrix(self, potential, nl):
         # at k = 256 (N = 4096) the census needs transforms, gathers and
-        # three r x r factorizations: no frame and no N x N matrix
-        from gapbumps import functional
-
-        def refuse(*args):
-            raise AssertionError("the census built a frame block")
-
+        # three r x r factorizations: no N x N matrix
         S = diagonalize(potential, TorusDomain(1, 256, 16))
         A = presets.BASE_ANSATZ
         rec = find_critical_point(initial_ansatz(A["center"], A["width"], A["amplitude"], S.domain, S), S, nl)
-        monkeypatch.setattr(functional, "_SignBlock", refuse)
         census = hessian_census(S, nl, S.a_from_field(rec.field))
         assert "eigenfields" not in vars(S)
-        assert tuple(census.values()) == (258, 0, "low-rank", 370)
+        assert tuple(census.values()) == (258, 0, "low-rank")
 
 
 def _first_model_solves(S8, nl, monkeypatch, solve):
@@ -682,8 +689,8 @@ class TestNewtonHistory:
 
     def test_record_names_its_backend(self, base8, S8, nl):
         census = hessian_census(S8, nl, S8.a_from_field(base8.field))
-        # every row is active at k = 8: the frame is the whole space
-        assert (census["hessian_backend"], census["hessian_subspace_dim"]) == ("low-rank", S8.num_modes)
+        # every row is active at k = 8, and still r <= N
+        assert census["hessian_backend"] == "low-rank"
         d = base8.to_dict()
         assert d["step_history"] == list(base8.step_history)
         assert d["mu_history"] == list(base8.mu_history)
