@@ -21,7 +21,7 @@ from numpy.typing import NDArray
 from .functional import Nonlinearity, energy_density, hessian_model, solve_symmetric
 from .operator import SpectralDecomposition
 from .reduction import (
-    KernelBasis, _embed_field, _projected_newton, joint_kernel_matrix, kernel_combination, solve_w,
+    GapReference, KernelBasis, _embed_field, _projected_newton, joint_kernel_matrix, kernel_combination, solve_w,
 )
 from .solver import NoConvergence, SolverOptions, find_critical_point
 from .torus import GridField, min_image
@@ -205,12 +205,15 @@ def solve_multibump(
     X^T grad J is at most REDUCED_TOL, and otherwise takes a reduced
     Newton step (the Hessian model's `reduced_hessian`) clipped to the
     trust ball. Iteration 0 corrects at x = 0: that is phase 1, and
-    phase2_iters counts the Newton steps after it. An empty kernel block
-    gives a reduced gradient of size 0 and stops at iteration 0. Phase 3
-    polishes with the full unprojected solver and checks that the polish
-    stayed within the deflation radius. Every phase works on prob.S and
-    the energy of prob.kb.nl; `S` must be that decomposition and `nl` equal
-    that nonlinearity, or ValueError is raised.
+    phase2_iters counts the Newton steps after it. Every correction
+    shares one `GapReference.at_start`: the first corrector model, the
+    glued start, counts the joint block's gap once, and the later ones
+    certify their monitor from it. An empty kernel block gives a reduced
+    gradient of size 0 and stops at iteration 0. Phase 3 polishes with
+    the full unprojected solver and checks that the polish stayed within
+    the deflation radius. Every phase works on prob.S and the energy of
+    prob.kb.nl; `S` must be that decomposition and `nl` equal that
+    nonlinearity, or ValueError is raised.
     """
     if S is not prob.S:
         raise ValueError("S is not the decomposition the problem was built on (prob.S)")
@@ -222,12 +225,13 @@ def solve_multibump(
         )
     raw = prob.joint_raw
     ball = prob.kb.delta0
+    reference = GapReference.at_start(prob.kb)
     x = np.zeros(prob.joint_dim)
     w = None
     for phase2_iters in range(MAX_REDUCED_ITERS):
         center = prob.glued_a + raw @ x
         try:
-            w, _, _, g = _projected_newton(prob.S, nl, center, raw, prob.kb.eta, w)
+            w, _, _, g = _projected_newton(prob.S, nl, center, raw, prob.kb.eta, w, reference)
         except NoConvergence as err:
             raise NoConvergence(f"phase 1 (projected correction): {err}") from err
         a_full = center + w
@@ -325,9 +329,11 @@ def superposition_compare(
 
     Every sample point x concatenates one length-l coordinate block per
     center. The joint side corrects the glued problem of build_problem
-    at x; the single-bump side evaluates the base reduced energy at each
-    block. Returns the largest value gap, the largest gradient gap, and
-    the per-point rows.
+    at x, every sample point's corrector certified from one
+    `GapReference.at_start`, which the first model counted measures; the
+    single-bump side evaluates the base reduced energy at each block.
+    Returns the largest value gap, the largest gradient gap, and the
+    per-point rows.
     """
     if len(centers) < 1:
         raise ValueError("need at least one center")
@@ -342,6 +348,7 @@ def superposition_compare(
             cache[key] = solve_w(kb, kernel_combination(kb, x_block))
         return cache[key]
 
+    reference = GapReference.at_start(kb)
     rows: list[dict] = []
     max_c0 = 0.0
     max_c1 = 0.0
@@ -350,7 +357,7 @@ def superposition_compare(
         if x.shape != (m * l,):
             raise ValueError(f"sample point must have {m * l} coordinates")
         center = prob.glued_a + prob.joint_raw @ x
-        _, iters, I_joint, g = _projected_newton(prob.S, kb.nl, center, prob.joint_raw, kb.eta)
+        _, iters, I_joint, g = _projected_newton(prob.S, kb.nl, center, prob.joint_raw, kb.eta, reference=reference)
         dI_joint = prob.joint_raw.T @ g
         singles = [single(x[i * l : (i + 1) * l]) for i in range(m)]
         I_sum = sum(s.I for s in singles)

@@ -17,8 +17,9 @@ the reduction rests on. The kernel basis keeps the base's weights and
 its measured gap, so `solve_w` proves that by Weyl's inequality from the
 base wherever the model's weights allow (`HessianModel.gap_certified`)
 and counts by inertia only where they do not: one factorization per
-model, the step's, instead of three. The gluing has no base gap for its
-joint block and always counts.
+model, the step's, instead of three. The gluing has no base for its
+joint block, so it measures one at its glued start (`GapReference`): one
+pair of counts per problem, and Weyl's inequality from that model on.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
-from .functional import Nonlinearity, a_value_and_gradient, hessian_model
+from .functional import HessianModel, Nonlinearity, a_value_and_gradient, hessian_model
 from .operator import SpectralDecomposition, first_largest
 from .solver import KERNEL_TAU, NoConvergence, SolutionRecord, kernel_split
 from .torus import GridField, TorusDomain, embed_with_cutoff
@@ -99,7 +100,7 @@ def detect_kernel(
     nl: Nonlinearity,
     tau: float = KERNEL_TAU,
 ) -> KernelBasis:
-    """Split the Hessian at `rec` into |mu| < tau * scale and the rest.
+    """Split the Hessian at `rec` into -tau * scale <= mu < tau * scale and the rest.
 
     scale (the spectral radius) and the block's order l come by inertia,
     as the census's do (`kernel_split`), and the vectors by Lanczos
@@ -167,6 +168,49 @@ def kernel_combination(kb: KernelBasis, x: NDArray[np.float64]) -> GridField:
     return kb.S.field_from_a(kb.E @ x)
 
 
+class GapReference:
+    """The premise of `HessianModel.gap_certified` for the models of one
+    block X: the weights of a model whose complement of span X has no
+    eigenvalue in [-gap, gap), and that gap.
+
+    `solve_w` takes the base's (`KernelBasis.base_weight` and `gap`). A
+    glued problem has no base for its joint block and measures its own
+    (`at_start`): the first model that `_projected_newton` counts with it
+    counts at +-gap instead of at +-s. If the count does not rise, that
+    count proves the model's own verdict and its weights become the
+    reference; if it rises, the gap is dropped and every model counts.
+    """
+
+    def __init__(self, gap: float, weight: NDArray[np.float64] | None = None) -> None:
+        self.gap: float | None = gap
+        self.weight = weight
+
+    @classmethod
+    def at_start(cls, kb: KernelBasis) -> GapReference | None:
+        """A reference to measure for a problem glued from kb's base, at
+        t = (kb.gap + s) / 2, halfway between the base's gap and the
+        monitor's shift s = 1/(2 kb.eta), so that later models certify
+        while their distance from the first stays under t - s. None where
+        t <= s, which leaves no margin, or t >= 1, where the count would
+        reach the +-1 bulk."""
+        s = 0.5 / kb.eta
+        t = 0.5 * (kb.gap + s)
+        return cls(t) if s < t < 1.0 else None
+
+    def certifies(self, H: HessianModel, ceiling: float) -> bool:
+        """Whether H's complement block is proven free of eigenvalues in
+        [-s, s), s = 1/ceiling below the gap, without counting at +-s."""
+        if self.weight is not None:
+            return H.gap_certified(self.weight, self.gap, ceiling)
+        if self.gap is None:
+            return False
+        if H.negative_count(self.gap) > H.negative_count(-self.gap):
+            self.gap = None
+            return False
+        self.weight = H.weight
+        return True
+
+
 def _projected_newton(
     S: SpectralDecomposition,
     nl: Nonlinearity,
@@ -174,7 +218,7 @@ def _projected_newton(
     X: NDArray[np.float64],
     eta: float,
     w0: NDArray[np.float64] | None = None,
-    reference: tuple[NDArray[np.float64], float] | None = None,
+    reference: GapReference | None = None,
 ) -> tuple[NDArray[np.float64], int, float, NDArray[np.float64]]:
     """Solve P grad J(a_center + w) = 0 for w orthogonal to span(X).
 
@@ -182,11 +226,11 @@ def _projected_newton(
     |g - Q1 Q1^T g| <= W_RESIDUAL_TOL, X = Q1 R, or MAX_W_ITERS
     iterations, each step the model's `projected_step`. Aborts once the
     complement block's 1/min|eig| exceeds the ceiling 2 eta, eta the
-    kernel basis's bound at the base. `reference`, (weights, gap) of a
-    model with X's complement block gap away from singular, lets a model
-    skip that monitor's two inertia counts where Weyl's inequality
-    proves its verdict (`HessianModel.gap_certified`); the step itself
-    is the same either way.
+    kernel basis's bound at the base. `reference` (a `GapReference` for
+    X, shared by every call on the same X) lets a model skip that
+    monitor's two inertia counts where it proves their verdict; one still
+    to be measured is measured on the first model counted. The step
+    itself is the same either way.
 
     Returns (w, iterations, J, g), J and g the energy and gradient at
     a_center + w.
@@ -199,7 +243,7 @@ def _projected_newton(
         if float(np.linalg.norm(g - Q1 @ (Q1.T @ g))) <= W_RESIDUAL_TOL:
             return w, iteration, J, g
         H = hessian_model(S, nl, a_center + w, X)
-        certified = reference is not None and H.gap_certified(*reference, ceiling)
+        certified = reference is not None and reference.certifies(H, ceiling)
         if not certified and H.complement_degenerates(ceiling):
             raise NoConvergence(
                 f"complement block degenerating: 1/min|eig| exceeds ceiling {ceiling:.3e}"
@@ -224,7 +268,7 @@ def solve_w(kb: KernelBasis, h: GridField) -> ReducedSample:
         raise ValueError("h has a component outside the kernel block")
     if hnorm > kb.delta0:
         raise OutOfBall(f"|||h||| = {hnorm:.4g} exceeds delta0 = {kb.delta0:.4g}")
-    reference = (kb.base_weight, kb.gap)
+    reference = GapReference(kb.gap, kb.base_weight)
     w_a, iters, I, g = _projected_newton(kb.S, kb.nl, kb.base_a + ha, kb.E, kb.eta, reference=reference)
     return ReducedSample(
         x=kb.E.T @ ha,

@@ -64,6 +64,11 @@ def base32(S32, nl):
 
 
 @pytest.fixture(scope="session")
+def kb32(base32, S32, nl):
+    return detect_kernel(base32, S32, nl, tau=presets.TAU_FORCED)
+
+
+@pytest.fixture(scope="session")
 def S64(potential):
     return diagonalize(potential, TorusDomain(1, 64, 16))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import sys
 
@@ -6,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from gapbumps import cli, functional, multibump, presets, reduction, solver, torus
-from gapbumps.functional import Nonlinearity, a_value_and_gradient
+from gapbumps.functional import HessianModel, Nonlinearity, a_value_and_gradient
 from gapbumps.multibump import (
     CentersCollide,
     GluingUnstable,
@@ -15,9 +16,10 @@ from gapbumps.multibump import (
     bump_energy_split,
     periodic_separation,
     solve_multibump,
+    superposition_compare,
 )
 from gapbumps.operator import PeriodicPotential, SpectralDecomposition, diagonalize
-from gapbumps.reduction import detect_kernel, joint_kernel_matrix
+from gapbumps.reduction import GapReference, detect_kernel, joint_kernel_matrix
 from gapbumps.solver import NoConvergence, SolverOptions, find_critical_point, initial_ansatz
 from gapbumps.torus import GridField, TorusDomain, embed_with_cutoff, l2_norm, translate
 
@@ -248,3 +250,119 @@ def test_close_glue_factors_only_capacitances(potential, nl, monkeypatch):
     assert res.phase2_iters >= 1 and res.residual <= 1e-8
     assert orders and set(orders) <= sizes
     assert max(sizes) < S.num_modes + prob.joint_dim
+
+
+def _chain(m, spacing):
+    return [(i * spacing,) for i in range(m)]
+
+
+class TestGluedCertificate:
+    """The gluing measures its joint block's gap once, by a count pair at
+    +-t on the first model it counts, and certifies every later model of
+    the problem by Weyl's inequality from that one: the certificate
+    against the counts, the fallback where no gap is measured, and the
+    factorizations spent."""
+
+    @pytest.fixture(scope="class")
+    def S48(self, potential):
+        return diagonalize(potential, TorusDomain(1, 48, 16))
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """(orders of every LDL^T, shifts of every inertia count, (LDL^T,
+        iterations) of every corrector call) from now on."""
+        ldlts, shifts, corrector = [], [], []
+        ldlt, count, newton = functional._ldlt, HessianModel.negative_count, multibump._projected_newton
+
+        def counted_ldlt(A):
+            ldlts.append(A.shape[0])
+            return ldlt(A)
+
+        def counted_count(model, sigma):
+            shifts.append(sigma)
+            return count(model, sigma)
+
+        def counted_newton(*args, **kwargs):
+            before = len(ldlts)
+            out = newton(*args, **kwargs)
+            corrector.append((len(ldlts) - before, out[1]))
+            return out
+
+        monkeypatch.setattr(functional, "_ldlt", counted_ldlt)
+        monkeypatch.setattr(HessianModel, "negative_count", counted_count)
+        monkeypatch.setattr(multibump, "_projected_newton", counted_newton)
+        return ldlts, shifts, corrector
+
+    def test_the_start_gap_lies_between_the_shift_and_the_base_gap(self, kb32):
+        s, t = 0.5 / kb32.eta, GapReference.at_start(kb32).gap
+        assert t == 0.5 * (kb32.gap + s) and s < t < kb32.gap
+        assert GapReference.at_start(dataclasses.replace(kb32, gap=0.9 * s)) is None
+        assert GapReference.at_start(dataclasses.replace(kb32, gap=2.0 - s)) is None
+
+    def test_certified_models_never_degenerate(self, kb32, S48, nl, monkeypatch):
+        # every model after the first of m = 2 at spacings 4-16, m = 3 at
+        # 4-10, and "0;24" embedded on k = 48: where the certificate
+        # holds, the counts read "not degenerate"
+        certify = HessianModel.gap_certified
+        verdicts = []
+
+        def counted_anyway(model, reference, gap, ceiling):
+            certified = certify(model, reference, gap, ceiling)
+            verdicts.append((certified, model.complement_degenerates(ceiling)))
+            return certified
+
+        monkeypatch.setattr(HessianModel, "gap_certified", counted_anyway)
+        problems = [build_problem(kb32, _chain(2, l), kb32.S) for l in range(4, 17)]
+        problems += [build_problem(kb32, _chain(3, l), kb32.S) for l in range(4, 11)]
+        problems.append(build_problem(kb32, [(0,), (24,)], S48))
+        for prob in problems:
+            assert solve_multibump(prob, prob.S, nl).residual <= 1e-8
+        assert any(c for c, _ in verdicts)
+        assert not any(c and degenerate for c, degenerate in verdicts)
+
+    @pytest.mark.parametrize("centers, ldlt, pair", [("0;6;12", 9, True), ("0;16", 1, False)])
+    def test_one_count_pair_per_problem(self, kb32, nl, monkeypatch, centers, ldlt, pair):
+        # "0;6;12" runs 3 corrector models: the first factors for its +-t
+        # pair and its step, the others for the step alone (13 LDL^T and
+        # 6 counts when every model counts); "0;16" meets the corrector's
+        # tolerance at the glued start and builds no model
+        prob = build_problem(kb32, [(int(c),) for c in centers.split(";")], kb32.S)
+        ldlts, shifts, corrector = self._spy(monkeypatch)
+        solve_multibump(prob, prob.S, nl)
+        t = GapReference.at_start(kb32).gap
+        assert len(ldlts) == ldlt and shifts == ([t, -t] if pair else [])
+        assert sum(n for n, _ in corrector) == sum(i for _, i in corrector) + 2 * pair
+
+    def test_superposition_counts_one_pair_per_problem(self, kb32, monkeypatch):
+        # the singles' solve_w certify from the base; the joint problem
+        # counts once, at its first sample point, for every sample point
+        points = [kb32.delta0 * np.array(p) for p in ([0.0, 0.0], [0.1, -0.1], [0.2, 0.05], [-0.15, 0.1])]
+        _, shifts, _ = self._spy(monkeypatch)
+        _, _, rows = superposition_compare(kb32, [(0,), (12,)], points)
+        t = GapReference.at_start(kb32).gap
+        assert shifts == [t, -t] and sum(r["newton_iters"] for r in rows) >= 2
+
+    @pytest.mark.parametrize("fallback", ["no margin", "rising count"])
+    def test_without_a_gap_every_model_counts_with_the_same_result(self, kb32, nl, monkeypatch, fallback):
+        prob = build_problem(kb32, _chain(3, 6), kb32.S)
+        certified = solve_multibump(prob, prob.S, nl)
+        t = GapReference.at_start(kb32).gap
+        if fallback == "no margin":  # t <= s: no reference to measure
+            prob = dataclasses.replace(prob, kb=dataclasses.replace(kb32, gap=0.4 * kb32.gap))
+        else:  # the count at +t rises: the measured reference is dropped
+            count = HessianModel.negative_count
+            monkeypatch.setattr(HessianModel, "negative_count", lambda H, sigma: count(H, sigma) + (sigma == t))
+        ldlts, shifts, corrector = self._spy(monkeypatch)
+        counted = solve_multibump(prob, prob.S, nl)
+        models = sum(i for _, i in corrector)
+        s = 0.5 / kb32.eta
+        if fallback == "no margin":
+            assert all(n == 3 * i for n, i in corrector)
+            assert shifts == [s, -s] * models
+        else:
+            assert sum(n for n, _ in corrector) == 3 * models + 2
+            assert shifts == [t, -t] + [s, -s] * models
+        assert models == 3 and len(ldlts) == 13 + 2 * (fallback != "no margin")
+        assert counted.field.values.tobytes() == certified.field.values.tobytes()
+        assert counted.phase2_iters == certified.phase2_iters
+        assert counted.residual == certified.residual

@@ -285,14 +285,6 @@ def _explicit_case(r, n=60, j=20, seed=7):
     return (lambda X: HessianModel(signs, j, X, G=G)), H, rng.standard_normal(n)
 
 
-@pytest.fixture(scope="module")
-def kb32(potential, nl):
-    S = diagonalize(potential, TorusDomain(1, 32, 16))
-    A = presets.BASE_ANSATZ
-    base = find_critical_point(initial_ansatz(A["center"], A["width"], A["amplitude"], S.domain, S), S, nl)
-    return detect_kernel(base, S, nl, tau=presets.TAU_FORCED)
-
-
 @pytest.fixture(scope="module", params=["k8", "k32", "fine", "explicit", "no_rows", "all_rows"])
 def capacitance_case(request, kb8, kb32, nl):
     """(model for a block X, the dense Hessian H of its kept rows, gradient,
