@@ -25,13 +25,15 @@ G (D - sigma I)^-1 G^T at any shift sigma. A model has two forms. With
 r <= N it carries the rows:
 - Newton solves through the r x r capacitance (1+mu) I - G D G^T;
 - the reduction and the gluing reach the complement of a block X
-  (l columns) through the (r+l) bordered capacitance: its solve gives
-  the projected Newton step and the reduced Hessian, its LDL^T
-  inertia the degeneracy monitor. A factorization of order r + l
+  (l columns) through the (r+l) bordered capacitance: its one
+  factorization per model (`HessianModel.bordered_solver`) solves for
+  the projected Newton step and the reduced Hessian, and the corrector
+  keeps it across chord steps; its LDL^T inertia at two shifts is the
+  degeneracy monitor. A factorization of order r + l
   replaces one of order N + l, and no N x N matrix is formed. Where a
   reference model's gap and the weights' change prove the monitor's
   verdict by Weyl's inequality, its counts are skipped
-  (`HessianModel.gap_certified`, `_weight_distance`);
+  (`gap_certified`, `_weight_distance`);
 - the census counts by the same inertia, at shifts set by a Lanczos
   spectral radius (`spectral_radius`);
 - the kernel split takes its counts from the census and its vectors
@@ -320,7 +322,8 @@ def _columns(f, V: NDArray[np.float64], rows: int) -> NDArray[np.float64]:
 
 
 class _MatrixRows:
-    """An explicit r x N matrix G as a model's rows."""
+    """An explicit r x N matrix G as a model's rows. Its Gram blocks are
+    formed per call; the model caches them (`HessianModel._gdg`)."""
 
     def __init__(self, G: NDArray[np.float64], signs: NDArray[np.float64]) -> None:
         self.matrix, self.signs, self.size = G, signs, G.shape[0]
@@ -331,11 +334,11 @@ class _MatrixRows:
     def tdot(self, y: NDArray[np.float64]) -> NDArray[np.float64]:
         return self.matrix.T @ y
 
-    @cached_property
+    @property
     def gdg(self) -> NDArray[np.float64]:
         return (self.matrix * self.signs) @ self.matrix.T
 
-    @cached_property
+    @property
     def gqg(self) -> NDArray[np.float64]:
         neg = self.matrix[:, self.signs < 0.0]
         return neg @ neg.T
@@ -351,7 +354,9 @@ class _SampledRows:
     E^T: a gather from the grid's Green table; G P- G^T (P- the
     projection on the negative modes) is the same gather from the table
     of weights 1 / |lambda| on the negative modes. No r x N matrix is
-    formed.
+    formed. The rows hold what their transforms need and gather a block
+    per call: the model caches the blocks, so a solver that keeps the
+    rows keeps no r x r array (`HessianModel.bordered_solver`).
     """
 
     def __init__(
@@ -381,11 +386,11 @@ class _SampledRows:
         C *= self.scale
         return C
 
-    @cached_property
+    @property
     def gdg(self) -> NDArray[np.float64]:
         return self._gather("green")
 
-    @cached_property
+    @property
     def gqg(self) -> NDArray[np.float64]:
         return self._gather("negative_green")
 
@@ -482,10 +487,16 @@ class _Congruence:
         """n-([[K - sigma I, X], [X^T, 0]]), TX = T^T X."""
         return _negative_count(self.bordered(TX, sigma)) - (self.F.shape[1] if sigma < 0.0 else 0)
 
-    def bordered_solve(self, TX: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
-        """y = T z with [[B, T^T X], [X^T T, 0]] [z; lambda] = [T^T b; 0]."""
-        rhs = np.concatenate([self.T.transpose(b), np.zeros((TX.shape[1], b.shape[1]))])
-        return self.T.apply(solve_symmetric(self.bordered(TX, 0.0), rhs)[: b.shape[0]])
+    def bordered_solver(self, TX: NDArray[np.float64]):
+        """b -> y = T z with [[B, T^T X], [X^T T, 0]] [z; lambda] = [T^T b; 0],
+        b N x c, from one LDL^T. It holds the factors and T, not B."""
+        n, l = TX.shape
+        solve, T = symmetric_solver(self.bordered(TX, 0.0)), self.T
+
+        def apply(b: NDArray[np.float64]) -> NDArray[np.float64]:
+            return T.apply(solve(np.concatenate([T.transpose(b), np.zeros((l, b.shape[1]))]))[:n])
+
+        return apply
 
 
 class HessianModel:
@@ -502,13 +513,17 @@ class HessianModel:
     when it is. The complement of span X is reached through the bordered
     (KKT) matrix A(sigma) = [[H - sigma I, X], [X^T, 0]] (Nocedal &
     Wright, Numerical Optimization, ch. 16), and A(sigma) through the
-    (r+l) x (r+l) capacitance R(sigma) (`capacitance`): its solve at
-    sigma = 0 gives `projected_step` and `reduced_hessian`, and its
-    inertia at sigma = +-s gives `complement_degenerates`
-    (`negative_count`). Nothing of order N is formed or factored there.
-    A model from `hessian_model` keeps its evaluation-point weights
-    qw f' (`weight`) and their floor qw min|lambda|, so that
-    `gap_certified` can bound its distance from a reference model.
+    (r+l) x (r+l) capacitance R(sigma) (`capacitance`): its inertia at
+    sigma = +-s gives `complement_degenerates` (`negative_count`), and
+    `bordered_solver` factors R(0) once into a solver of A(0), which
+    `projected_step` and `reduced_hessian` apply and the reduction's
+    corrector keeps across its chord steps. That solver holds the
+    factors, G's transforms, X and the signs: not the model, whose Gram
+    blocks (`_gdg`, `_gqg`) it caches, so a kept solver keeps no model
+    alive. Nothing of order N is formed or factored there. A model from
+    `hessian_model` keeps its evaluation-point weights qw f' (`weight`)
+    and their floor qw min|lambda|, so that `gap_certified` can bound its
+    distance from a reference model.
     The census and the kernel split need no more: `spectral_radius` is
     Lanczos on `matvec`, their counts are `negative_count`s, and the
     kernel's vectors come from Lanczos on `inverse`, one factorization
@@ -543,6 +558,16 @@ class HessianModel:
     def _D(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
         """D v, for one column or several."""
         return (self.signs * v.T).T
+
+    @cached_property
+    def _gdg(self) -> NDArray[np.float64]:
+        """G D G^T, shared by every capacitance of the model."""
+        return self.G.gdg
+
+    @cached_property
+    def _gqg(self) -> NDArray[np.float64]:
+        """G P- G^T, shared by every shifted capacitance of the model."""
+        return self.G.gqg
 
     def matvec(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
         """H v, for one column or several."""
@@ -586,7 +611,7 @@ class HessianModel:
         """
         if self.dense is not None:
             return self.dense.inverse(mu)
-        cap = np.negative(self.G.gdg, order="F")
+        cap = np.negative(self._gdg, order="F")
         cap[np.diag_indices_from(cap)] += 1.0 + mu
         solve = symmetric_solver(cap)
 
@@ -628,10 +653,10 @@ class HessianModel:
         R = np.empty((r + l, r + l), order="F")
         C = R[:r, :r]
         if sigma == 0.0:
-            np.negative(self.G.gdg, out=C)
+            np.negative(self._gdg, out=C)
         else:
-            np.multiply(self.G.gqg, 2.0 * sigma * q, out=C)
-            C += self.G.gdg
+            np.multiply(self._gqg, 2.0 * sigma * q, out=C)
+            C += self._gdg
             C *= -p
         R[np.diag_indices(r)] += 1.0
         R[:r, r:] = q * GXn - p * GXp
@@ -671,40 +696,32 @@ class HessianModel:
         s = 1.0 / ceiling
         return self.negative_count(s) > self.negative_count(-s)
 
-    def gap_certified(self, reference: NDArray[np.float64], gap: float, ceiling: float) -> bool:
-        """Whether Weyl's inequality proves complement_degenerates(ceiling)
-        False without a count: `reference` is the weights of a model whose
-        complement of span X has no eigenvalue within `gap` of 0.
-
-        The complement of span X is the same subspace in both models, and
-        compressing onto it moves no eigenvalue by more than ||H - H_ref||
-        (Kato, Perturbation Theory for Linear Operators, V.4). So with
-        d the bound of `_weight_distance`, every eigenvalue of this
-        complement block has |mu| >= gap - d, and none lies in [-s, s),
-        s = 1/ceiling, once d < gap - s. The margin RADIUS_RTOL * rho in d
-        covers the rounding of the reference's gap and of X as its
-        eigenvectors. It needs the weights that `hessian_model` keeps.
-        """
-        return _weight_distance(self.weight, reference, self.floor, RADIUS_RTOL) < gap - 1.0 / ceiling
-
-    def _bordered_solve(self, b: NDArray[np.float64]) -> NDArray[np.float64]:
-        """y (N x c) with [[H, X], [X^T, 0]] [y; lambda] = [b; 0], b N x c.
+    def bordered_solver(self):
+        """b -> y (N x c) with [[H, X], [X^T, 0]] [y; lambda] = [b; 0],
+        from one LDL^T, the only one of R(0).
 
         With G, R(0) [z; lambda] = [-G D b; -X^T D b] and
         y = D (b - X lambda - G^T z); on the dense form, y = T z with
-        [[B, T^T X], [X^T T, 0]] [z; lambda] = [T^T b; 0].
+        [[B, T^T X], [X^T T, 0]] [z; lambda] = [T^T b; 0]
+        (`_Congruence.bordered_solver`). The solver holds the factors and
+        what applying them needs, not the model or its Gram blocks.
         """
         if self.dense is not None:
-            return self.dense.bordered_solve(self._TX, b)
-        r = self.G.size
-        Db = self._D(b)
-        zl = solve_symmetric(self.capacitance(0.0), -np.concatenate([self.G.dot(Db), self.X.T @ Db]))
-        return self._D(b - self.X @ zl[r:] - self.G.tdot(zl[:r]))
+            return self.dense.bordered_solver(self._TX)
+        solve = symmetric_solver(self.capacitance(0.0))
+        G, X, signs, r = self.G, self.X, self.signs, self.G.size
+
+        def apply(b: NDArray[np.float64]) -> NDArray[np.float64]:
+            Db = (signs * b.T).T
+            zl = solve(-np.concatenate([G.dot(Db), X.T @ Db]))
+            return (signs * (b - X @ zl[r:] - G.tdot(zl[:r])).T).T
+
+        return apply
 
     def projected_step(self, w: NDArray[np.float64], g: NDArray[np.float64]) -> NDArray[np.float64]:
         """w plus the Newton step y for the gradient g orthogonal to X:
         H y + X lambda = -g, X^T y = 0."""
-        return w + self._bordered_solve(-g[:, None])[:, 0]
+        return w + self.bordered_solver()(-g[:, None])[:, 0]
 
     def reduced_hessian(self) -> NDArray[np.float64]:
         """The Hessian of x -> J(a + Xx + w(x)) at x = 0, w solving P grad J = 0
@@ -715,7 +732,7 @@ class HessianModel:
         symmetrized.
         """
         HX = self.matvec(self.X)
-        Hred = HX.T @ (self.X + self._bordered_solve(-HX))
+        Hred = HX.T @ (self.X + self.bordered_solver()(-HX))
         return 0.5 * (Hred + Hred.T)
 
 
@@ -855,6 +872,27 @@ def _weight_distance(
     """
     rho = 1.0 + max(float(weight.max()), float(reference.max())) / floor
     return float(np.abs(weight - reference).max()) / floor + (2.0 * ROW_CUT + rtol) * rho
+
+
+def gap_certified(
+    weight: NDArray[np.float64], floor: float, reference: NDArray[np.float64], gap: float, ceiling: float
+) -> bool:
+    """Whether Weyl's inequality proves complement_degenerates(ceiling)
+    False, without a count, for the model of the weights `weight` (floor
+    qw min|lambda|) and a block X: `reference` is the weights of a model
+    whose complement of span X has no eigenvalue within `gap` of 0.
+
+    The complement of span X is the same subspace in both models, and
+    compressing onto it moves no eigenvalue by more than ||H - H_ref||
+    (Kato, Perturbation Theory for Linear Operators, V.4). So with
+    d the bound of `_weight_distance`, every eigenvalue of this
+    complement block has |mu| >= gap - d, and none lies in [-s, s),
+    s = 1/ceiling, once d < gap - s. The margin RADIUS_RTOL * rho in d
+    covers the rounding of the reference's gap and of X as its
+    eigenvectors. It reads weights only, so no model need be built: a
+    model's own (`HessianModel.weight`) or a point's (`_active_rows`).
+    """
+    return _weight_distance(weight, reference, floor, RADIUS_RTOL) < gap - 1.0 / ceiling
 
 
 def _gram_factor(

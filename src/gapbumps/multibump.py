@@ -231,7 +231,7 @@ def solve_multibump(
     for phase2_iters in range(MAX_REDUCED_ITERS):
         center = prob.glued_a + raw @ x
         try:
-            w, _, _, g = _projected_newton(prob.S, nl, center, raw, prob.kb.eta, w, reference)
+            w, _, _, _, g = _projected_newton(prob.S, nl, center, raw, prob.kb.eta, w, reference)
         except NoConvergence as err:
             raise NoConvergence(f"phase 1 (projected correction): {err}") from err
         a_full = center + w
@@ -330,10 +330,11 @@ def superposition_compare(
     Every sample point x concatenates one length-l coordinate block per
     center. The joint side corrects the glued problem of build_problem
     at x, every sample point's corrector certified from one
-    `GapReference.at_start`, which the first model counted measures; the
+    `GapReference.at_start`, which the first model built measures; the
     single-bump side evaluates the base reduced energy at each block.
     Returns the largest value gap, the largest gradient gap, and the
-    per-point rows.
+    per-point rows; each row carries the joint corrector's newton_iters
+    and the models it built.
     """
     if len(centers) < 1:
         raise ValueError("need at least one center")
@@ -357,7 +358,9 @@ def superposition_compare(
         if x.shape != (m * l,):
             raise ValueError(f"sample point must have {m * l} coordinates")
         center = prob.glued_a + prob.joint_raw @ x
-        _, iters, I_joint, g = _projected_newton(prob.S, kb.nl, center, prob.joint_raw, kb.eta, reference=reference)
+        _, iters, models, I_joint, g = _projected_newton(
+            prob.S, kb.nl, center, prob.joint_raw, kb.eta, reference=reference
+        )
         dI_joint = prob.joint_raw.T @ g
         singles = [single(x[i * l : (i + 1) * l]) for i in range(m)]
         I_sum = sum(s.I for s in singles)
@@ -374,6 +377,7 @@ def superposition_compare(
                 "value_gap": c0,
                 "gradient_gap": c1,
                 "newton_iters": iters,
+                "models": models,
                 "gram_offdiag": prob.gram_offdiag,
             }
         )

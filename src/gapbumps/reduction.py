@@ -12,14 +12,22 @@ by inertia, as the census does, and takes its vectors from Lanczos on
 the base model's inverse. Translated kernel fields span the joint block
 of a multibump problem.
 
+The corrector is a chord (Shamanskii) method: a model's one
+factorization (`HessianModel.bordered_solver`) serves every later step
+while the projected residual falls at least CHORD_RATIO-fold per step,
+and a new model is built only where it does not. Near the solution one
+model's factors finish the solve.
+
 The monitor checks that the complement block stays invertible, the fact
-the reduction rests on. The kernel basis keeps the base's weights and
-its measured gap, so `solve_w` proves that by Weyl's inequality from the
-base wherever the model's weights allow (`HessianModel.gap_certified`)
-and counts by inertia only where they do not: one factorization per
-model, the step's, instead of three. The gluing has no base for its
-joint block, so it measures one at its glued start (`GapReference`): one
-pair of counts per problem, and Weyl's inequality from that model on.
+the reduction rests on, at every iterate that takes a step. The kernel
+basis keeps the base's weights and its measured gap, so `solve_w`
+proves that by Weyl's inequality from the base wherever the iterate's
+weights allow (`gap_certified`, which a chord iterate feeds from one
+transform, with no model) and counts by inertia only where they do not:
+one factorization per model, the step's, instead of three. The gluing
+has no base for its joint block, so it measures one at its glued start
+(`GapReference`): one pair of counts per problem, and Weyl's inequality
+from that model on.
 """
 
 from __future__ import annotations
@@ -30,7 +38,9 @@ import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
-from .functional import HessianModel, Nonlinearity, a_value_and_gradient, hessian_model
+from .functional import (
+    HessianModel, Nonlinearity, _active_rows, _weight_floor, a_value_and_gradient, gap_certified, hessian_model,
+)
 from .operator import SpectralDecomposition, first_largest
 from .solver import KERNEL_TAU, NoConvergence, SolutionRecord, kernel_split
 from .torus import GridField, TorusDomain, embed_with_cutoff
@@ -46,6 +56,11 @@ class OutOfBall(ValueError):
 
 W_RESIDUAL_TOL = 1e-9
 MAX_W_ITERS = 60
+# a model's factors serve the next step while the projected residual is at
+# most this fraction of the one before the last step: the re-evaluation
+# test of a chord method (Kelley, Solving Nonlinear Equations with Newton's
+# Method, SIAM 2003, ch. 5, nsold's rho = 1/2)
+CHORD_RATIO = 0.5
 
 
 @dataclass(frozen=True)
@@ -92,6 +107,7 @@ class ReducedSample:
     dI: NDArray[np.float64]
     newton_iters: int
     w_norm: float
+    models: int  # the Hessian models the corrector built for its steps (`_projected_newton`)
 
 
 def detect_kernel(
@@ -169,16 +185,17 @@ def kernel_combination(kb: KernelBasis, x: NDArray[np.float64]) -> GridField:
 
 
 class GapReference:
-    """The premise of `HessianModel.gap_certified` for the models of one
-    block X: the weights of a model whose complement of span X has no
-    eigenvalue in [-gap, gap), and that gap.
+    """The premise of `gap_certified` for the iterates of one block X: the
+    weights of a model whose complement of span X has no eigenvalue in
+    [-gap, gap), and that gap.
 
     `solve_w` takes the base's (`KernelBasis.base_weight` and `gap`). A
     glued problem has no base for its joint block and measures its own
-    (`at_start`): the first model that `_projected_newton` counts with it
-    counts at +-gap instead of at +-s. If the count does not rise, that
-    count proves the model's own verdict and its weights become the
-    reference; if it rises, the gap is dropped and every model counts.
+    (`at_start`): the first model that `_projected_newton` builds with it,
+    never a chord iterate, counts at +-gap instead of at +-s. If the count
+    does not rise, that count proves the model's own verdict and its
+    weights become the reference; if it rises, the gap is dropped and
+    every iterate counts.
     """
 
     def __init__(self, gap: float, weight: NDArray[np.float64] | None = None) -> None:
@@ -197,12 +214,24 @@ class GapReference:
         t = 0.5 * (kb.gap + s)
         return cls(t) if s < t < 1.0 else None
 
-    def certifies(self, H: HessianModel, ceiling: float) -> bool:
-        """Whether H's complement block is proven free of eigenvalues in
-        [-s, s), s = 1/ceiling below the gap, without counting at +-s."""
+    def certifies(
+        self,
+        S: SpectralDecomposition,
+        nl: Nonlinearity,
+        a: NDArray[np.float64],
+        ceiling: float,
+        H: HessianModel | None = None,
+    ) -> bool:
+        """Whether the complement block at the point a is proven free of
+        eigenvalues in [-s, s), s = 1/ceiling below the gap, without
+        counting at +-s. H is the model built at a, if any: its weights
+        serve, and a reference still to be measured is measured on it.
+        Without one (a chord iterate) a's weights come from one transform
+        (`_active_rows`)."""
         if self.weight is not None:
-            return H.gap_certified(self.weight, self.gap, ceiling)
-        if self.gap is None:
+            weight = _active_rows(S, nl, a)[0] if H is None else H.weight
+            return gap_certified(weight, _weight_floor(S, nl), self.weight, self.gap, ceiling)
+        if self.gap is None or H is None:
             return False
         if H.negative_count(self.gap) > H.negative_count(-self.gap):
             self.gap = None
@@ -219,37 +248,56 @@ def _projected_newton(
     eta: float,
     w0: NDArray[np.float64] | None = None,
     reference: GapReference | None = None,
-) -> tuple[NDArray[np.float64], int, float, NDArray[np.float64]]:
+) -> tuple[NDArray[np.float64], int, int, float, NDArray[np.float64]]:
     """Solve P grad J(a_center + w) = 0 for w orthogonal to span(X).
 
-    Newton on w, from w0 (orthogonal to X) or from 0, until
-    |g - Q1 Q1^T g| <= W_RESIDUAL_TOL, X = Q1 R, or MAX_W_ITERS
-    iterations, each step the model's `projected_step`. Aborts once the
-    complement block's 1/min|eig| exceeds the ceiling 2 eta, eta the
-    kernel basis's bound at the base. `reference` (a `GapReference` for
-    X, shared by every call on the same X) lets a model skip that
-    monitor's two inertia counts where it proves their verdict; one still
-    to be measured is measured on the first model counted. The step
-    itself is the same either way.
+    A chord method on w, from w0 (orthogonal to X) or from 0, until the
+    projected residual |g - Q1 Q1^T g| (X = Q1 R) is at most
+    W_RESIDUAL_TOL, or MAX_W_ITERS steps. The first iterate builds a
+    model and factors it once (`HessianModel.bordered_solver`); each
+    later step reuses those factors while the residual is at most
+    CHORD_RATIO times the one before the last step, and a new model
+    replaces them where it is not. That rule reads residuals only. Every
+    step, chord or not, counts as an iteration.
 
-    Returns (w, iterations, J, g), J and g the energy and gradient at
-    a_center + w.
+    Every iterate that takes a step runs the monitor, which aborts once
+    the complement block's 1/min|eig| exceeds the ceiling 2 eta, eta the
+    kernel basis's bound at the base. `reference` (a `GapReference` for
+    X, shared by every call on the same X) lets an iterate skip its two
+    inertia counts where it proves their verdict, from the weights of the
+    iterate's model or, at a chord iterate, of the point alone; one still
+    to be measured is measured on the first model built. Where the
+    verdict is not proven, a chord iterate builds a model for the counts
+    alone. The steps are the same either way.
+
+    Returns (w, iterations, models, J, g): models the number built for a
+    step, J and g the energy and gradient at a_center + w.
     """
     ceiling = 2.0 * eta
     Q1 = np.linalg.qr(X)[0]
     w = np.zeros_like(a_center) if w0 is None else w0
+    solve, models, last = None, 0, 0.0
     for iteration in range(MAX_W_ITERS):
-        J, g = a_value_and_gradient(S, nl, a_center + w)
-        if float(np.linalg.norm(g - Q1 @ (Q1.T @ g))) <= W_RESIDUAL_TOL:
-            return w, iteration, J, g
-        H = hessian_model(S, nl, a_center + w, X)
-        certified = reference is not None and reference.certifies(H, ceiling)
-        if not certified and H.complement_degenerates(ceiling):
-            raise NoConvergence(
-                f"complement block degenerating: 1/min|eig| exceeds ceiling {ceiling:.3e}"
-            )
-        w = H.projected_step(w, g)
-        del H  # the next model is built without this one's K alive
+        a = a_center + w
+        J, g = a_value_and_gradient(S, nl, a)
+        residual = float(np.linalg.norm(g - Q1 @ (Q1.T @ g)))
+        if residual <= W_RESIDUAL_TOL:
+            return w, iteration, models, J, g
+        H = None
+        if solve is None or residual > CHORD_RATIO * last:
+            solve = None  # the next model is built without the last one's factors alive
+            H = hessian_model(S, nl, a, X)
+            models += 1
+        if reference is None or not reference.certifies(S, nl, a, ceiling, H):
+            if (hessian_model(S, nl, a, X) if H is None else H).complement_degenerates(ceiling):
+                raise NoConvergence(
+                    f"complement block degenerating: 1/min|eig| exceeds ceiling {ceiling:.3e}"
+                )
+        if H is not None:
+            solve = H.bordered_solver()
+            del H  # the kept solver holds its factors, not the model
+        w = w + solve(-g[:, None])[:, 0]
+        last = residual
     raise NoConvergence(f"projected equation not solved in {MAX_W_ITERS} iterations")
 
 
@@ -269,7 +317,7 @@ def solve_w(kb: KernelBasis, h: GridField) -> ReducedSample:
     if hnorm > kb.delta0:
         raise OutOfBall(f"|||h||| = {hnorm:.4g} exceeds delta0 = {kb.delta0:.4g}")
     reference = GapReference(kb.gap, kb.base_weight)
-    w_a, iters, I, g = _projected_newton(kb.S, kb.nl, kb.base_a + ha, kb.E, kb.eta, reference=reference)
+    w_a, iters, models, I, g = _projected_newton(kb.S, kb.nl, kb.base_a + ha, kb.E, kb.eta, reference=reference)
     return ReducedSample(
         x=kb.E.T @ ha,
         w=kb.S.field_from_a(w_a),
@@ -277,6 +325,7 @@ def solve_w(kb: KernelBasis, h: GridField) -> ReducedSample:
         dI=kb.E.T @ g,
         newton_iters=iters,
         w_norm=float(np.linalg.norm(w_a)),
+        models=models,
     )
 
 

@@ -127,11 +127,13 @@ def kept_hessian(S: SpectralDecomposition, nl: Nonlinearity, a: NDArray[np.float
 
 
 def dense_kernel_split(mu: NDArray[np.float64], tau: float = KERNEL_TAU) -> tuple[NDArray[np.bool_], float]:
-    """Mask of the eigenvalues mu with |mu| < tau * scale, and the scale,
-    the spectral radius max |mu|: the split that the package's
-    `kernel_split` makes by inertia, from a dense spectrum."""
+    """Mask of the eigenvalues mu in [-tau * scale, tau * scale), and the
+    scale, the spectral radius max |mu|: the split that the package's
+    `kernel_split` makes by inertia, half-open as its two counts are,
+    from a dense spectrum."""
     scale = float(np.abs(mu).max())
-    return np.abs(mu) < tau * scale, scale
+    edge = tau * scale
+    return (mu >= -edge) & (mu < edge), scale
 
 
 def assert_within_weyl_bound(S: SpectralDecomposition, nl: Nonlinearity, a: NDArray[np.float64], kept) -> None:

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from gapbumps import cli, functional, multibump, presets, reduction, solver, torus
-from gapbumps.functional import HessianModel, Nonlinearity, a_value_and_gradient
+from gapbumps.functional import HessianModel, Nonlinearity, a_value_and_gradient, hessian_model
 from gapbumps.multibump import (
     CentersCollide,
     GluingUnstable,
@@ -270,7 +270,7 @@ class TestGluedCertificate:
     @staticmethod
     def _spy(monkeypatch):
         """(orders of every LDL^T, shifts of every inertia count, (LDL^T,
-        iterations) of every corrector call) from now on."""
+        iterations, models) of every corrector call) from now on."""
         ldlts, shifts, corrector = [], [], []
         ldlt, count, newton = functional._ldlt, HessianModel.negative_count, multibump._projected_newton
 
@@ -285,7 +285,7 @@ class TestGluedCertificate:
         def counted_newton(*args, **kwargs):
             before = len(ldlts)
             out = newton(*args, **kwargs)
-            corrector.append((len(ldlts) - before, out[1]))
+            corrector.append((len(ldlts) - before, out[1], out[2]))
             return out
 
         monkeypatch.setattr(functional, "_ldlt", counted_ldlt)
@@ -300,38 +300,43 @@ class TestGluedCertificate:
         assert GapReference.at_start(dataclasses.replace(kb32, gap=2.0 - s)) is None
 
     def test_certified_models_never_degenerate(self, kb32, S48, nl, monkeypatch):
-        # every model after the first of m = 2 at spacings 4-16, m = 3 at
-        # 4-10, and "0;24" embedded on k = 48: where the certificate
-        # holds, the counts read "not degenerate"
-        certify = HessianModel.gap_certified
+        # every iterate that steps, on a model of its own or a chord step,
+        # of m = 2 at spacings 4-16, m = 3 at 4-10, and "0;24" embedded on
+        # k = 48: where the certificate holds, the counts of a model there
+        # read "not degenerate"
+        certify = GapReference.certifies
         verdicts = []
 
-        def counted_anyway(model, reference, gap, ceiling):
-            certified = certify(model, reference, gap, ceiling)
-            verdicts.append((certified, model.complement_degenerates(ceiling)))
+        def counted_anyway(reference, S, nl, a, ceiling, H=None):
+            certified = certify(reference, S, nl, a, ceiling, H)
+            model = hessian_model(S, nl, a, prob.joint_raw) if H is None else H
+            verdicts.append((certified, model.complement_degenerates(ceiling), H is None))
             return certified
 
-        monkeypatch.setattr(HessianModel, "gap_certified", counted_anyway)
+        monkeypatch.setattr(GapReference, "certifies", counted_anyway)
         problems = [build_problem(kb32, _chain(2, l), kb32.S) for l in range(4, 17)]
         problems += [build_problem(kb32, _chain(3, l), kb32.S) for l in range(4, 11)]
         problems.append(build_problem(kb32, [(0,), (24,)], S48))
-        for prob in problems:
+        for prob in problems:  # the spy reads the block of the problem being glued
             assert solve_multibump(prob, prob.S, nl).residual <= 1e-8
-        assert any(c for c, _ in verdicts)
-        assert not any(c and degenerate for c, degenerate in verdicts)
+        assert any(c and not chord for c, _, chord in verdicts)
+        assert any(c and chord for c, _, chord in verdicts)
+        assert not any(c and degenerate for c, degenerate, _ in verdicts)
 
-    @pytest.mark.parametrize("centers, ldlt, pair", [("0;6;12", 9, True), ("0;16", 1, False)])
+    @pytest.mark.parametrize("centers, ldlt, pair", [("0;6;12", 8, True), ("0;16", 1, False)])
     def test_one_count_pair_per_problem(self, kb32, nl, monkeypatch, centers, ldlt, pair):
-        # "0;6;12" runs 3 corrector models: the first factors for its +-t
-        # pair and its step, the others for the step alone (13 LDL^T and
-        # 6 counts when every model counts); "0;16" meets the corrector's
-        # tolerance at the glued start and builds no model
+        # "0;6;12" runs 3 corrector iterates on 2 models: the first model
+        # factors for its +-t pair and its step, the chord iterate after it
+        # certifies from its weights and factors nothing, the second model
+        # factors for its step (12 LDL^T and 6 counts when every iterate
+        # counts); "0;16" meets the corrector's tolerance at the glued
+        # start and builds no model
         prob = build_problem(kb32, [(int(c),) for c in centers.split(";")], kb32.S)
         ldlts, shifts, corrector = self._spy(monkeypatch)
         solve_multibump(prob, prob.S, nl)
         t = GapReference.at_start(kb32).gap
         assert len(ldlts) == ldlt and shifts == ([t, -t] if pair else [])
-        assert sum(n for n, _ in corrector) == sum(i for _, i in corrector) + 2 * pair
+        assert sum(n for n, _, _ in corrector) == sum(m for _, _, m in corrector) + 2 * pair
 
     def test_superposition_counts_one_pair_per_problem(self, kb32, monkeypatch):
         # the singles' solve_w certify from the base; the joint problem
@@ -341,6 +346,7 @@ class TestGluedCertificate:
         _, _, rows = superposition_compare(kb32, [(0,), (12,)], points)
         t = GapReference.at_start(kb32).gap
         assert shifts == [t, -t] and sum(r["newton_iters"] for r in rows) >= 2
+        assert all(min(1, r["newton_iters"]) <= r["models"] <= r["newton_iters"] for r in rows)
 
     @pytest.mark.parametrize("fallback", ["no margin", "rising count"])
     def test_without_a_gap_every_model_counts_with_the_same_result(self, kb32, nl, monkeypatch, fallback):
@@ -354,15 +360,17 @@ class TestGluedCertificate:
             monkeypatch.setattr(HessianModel, "negative_count", lambda H, sigma: count(H, sigma) + (sigma == t))
         ldlts, shifts, corrector = self._spy(monkeypatch)
         counted = solve_multibump(prob, prob.S, nl)
-        models = sum(i for _, i in corrector)
+        iters = sum(i for _, i, _ in corrector)
+        models = sum(m for _, _, m in corrector)
         s = 0.5 / kb32.eta
+        # one LDL^T per model for its step, two per iterate for its counts
         if fallback == "no margin":
-            assert all(n == 3 * i for n, i in corrector)
-            assert shifts == [s, -s] * models
+            assert all(n == m + 2 * i for n, i, m in corrector)
+            assert shifts == [s, -s] * iters
         else:
-            assert sum(n for n, _ in corrector) == 3 * models + 2
-            assert shifts == [t, -t] + [s, -s] * models
-        assert models == 3 and len(ldlts) == 13 + 2 * (fallback != "no margin")
+            assert sum(n for n, _, _ in corrector) == models + 2 * iters + 2
+            assert shifts == [t, -t] + [s, -s] * iters
+        assert (iters, models) == (3, 2) and len(ldlts) == 12 + 2 * (fallback != "no margin")
         assert counted.field.values.tobytes() == certified.field.values.tobytes()
         assert counted.phase2_iters == certified.phase2_iters
         assert counted.residual == certified.residual

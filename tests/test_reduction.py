@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from gapbumps.functional import (
 from gapbumps.multibump import build_problem, superposition_compare
 from gapbumps.reduction import (
     AllKernel,
+    GapReference,
     OutOfBall,
     _projected_newton,
     classify_origin,
@@ -213,8 +216,8 @@ def _first_step(S, nl, a, X, eta, monkeypatch):
         return J, (g if len(calls) == 1 else 0.0 * g)
 
     monkeypatch.setattr(reduction, "a_value_and_gradient", gradient_once)
-    w, iters, _, _ = _projected_newton(S, nl, a, X, eta)
-    assert iters == 1
+    w, iters, models, _, _ = _projected_newton(S, nl, a, X, eta)
+    assert iters == models == 1
     return w
 
 
@@ -498,7 +501,7 @@ class TestGridCoordinates:
         assert _rel(model.matvec(V), K @ V) <= 1e-12
         assert _rel(model.matvec(V[:, 0]), K @ V[:, 0]) <= 1e-12
         rhs = np.concatenate([V, np.zeros((l, 3))])
-        assert _rel(model._bordered_solve(V), np.linalg.solve(_bordered(K, X, 0.0), rhs)[:n]) <= 1e-12
+        assert _rel(model.bordered_solver()(V), np.linalg.solve(_bordered(K, X, 0.0), rhs)[:n]) <= 1e-12
         # the reduced Hessian X^T H (X + w') sums terms that cancel about
         # sixfold on the kernel, and H X rounds differently on the two
         # routes (fine transforms against the dense K): compare at the
@@ -566,22 +569,25 @@ class TestGapCertificate:
         assert bound >= float(np.abs(np.linalg.eigvalsh(change)).max()) > 0.0
 
     def test_certified_models_never_degenerate(self, case, monkeypatch):
-        # every model the corrector builds over t in [-0.8, 0.8] delta0:
-        # where the certificate holds, the counts read "not degenerate"
+        # every iterate that steps over t in [-0.8, 0.8] delta0, on a model
+        # of its own or a chord step: where the certificate holds, the
+        # counts of a model there read "not degenerate"
         kb = case[0]
-        certify = HessianModel.gap_certified
+        certify = GapReference.certifies
         verdicts = []
 
-        def counted_anyway(model, reference, gap, ceiling):
-            certified = certify(model, reference, gap, ceiling)
-            verdicts.append((certified, model.complement_degenerates(ceiling)))
+        def counted_anyway(reference, S, nl, a, ceiling, H=None):
+            certified = certify(reference, S, nl, a, ceiling, H)
+            model = hessian_model(S, nl, a, kb.E) if H is None else H
+            verdicts.append((certified, model.complement_degenerates(ceiling), H is None))
             return certified
 
-        monkeypatch.setattr(HessianModel, "gap_certified", counted_anyway)
+        monkeypatch.setattr(GapReference, "certifies", counted_anyway)
         for t in np.linspace(-0.8, 0.8, 9):
             solve_w(kb, kernel_combination(kb, np.array([t * kb.delta0])))
-        assert any(c for c, _ in verdicts)
-        assert not any(c and degenerate for c, degenerate in verdicts)
+        assert any(c and not chord for c, _, chord in verdicts)
+        assert any(c and chord for c, _, chord in verdicts)
+        assert not any(c and degenerate for c, degenerate, _ in verdicts)
 
     @staticmethod
     def _factorizations(monkeypatch):
@@ -597,13 +603,16 @@ class TestGapCertificate:
 
     @pytest.mark.parametrize("t, per_model", [(0.5, 1), (0.9, 3)])
     def test_factorizations_per_model(self, degenerate, monkeypatch, t, per_model):
-        # inside 0.76 delta0 the fixture's models are certified and factor
-        # for the step only; at 0.9 delta0 the bound fails and both counts run
+        # per_model is what a model that steps costs: one LDL^T for its
+        # step, and two for its counts where the bound fails. Inside 0.76
+        # delta0 the fixture's iterates are certified and factor for the
+        # step only; at 0.9 delta0 the bound fails and every iterate, a
+        # chord's too, counts
         kb = degenerate[3]
         calls = self._factorizations(monkeypatch)
         s = solve_w(kb, kernel_combination(kb, np.array([t * kb.delta0])))
         assert s.newton_iters >= 1
-        assert len(calls) == per_model * s.newton_iters
+        assert len(calls) == s.models + (per_model - 1) * s.newton_iters
 
     def test_a_shrunk_gap_counts_with_the_same_result(self, degenerate, monkeypatch):
         kb = degenerate[3]
@@ -611,9 +620,77 @@ class TestGapCertificate:
         certified = solve_w(kb, h)
         calls = self._factorizations(monkeypatch)
         counted = solve_w(dataclasses.replace(kb, gap=0.5 * kb.gap), h)
-        assert len(calls) == 3 * counted.newton_iters
+        assert len(calls) == counted.models + 2 * counted.newton_iters
         assert counted.w.values.tobytes() == certified.w.values.tobytes()
         assert counted.I == certified.I and counted.dI.tobytes() == certified.dI.tobytes()
+
+
+class TestChordSteps:
+    """The corrector keeps a model's factorization while the projected
+    residual at least halves per step, and builds a new model where it
+    does not: the rule reads residuals only."""
+
+    def test_one_factorization_serves_every_step(self, degenerate, monkeypatch):
+        # at 0.5 delta0 on the 2-d fixture the first model's factors take
+        # every step, and the certificate spares every count
+        kb = degenerate[3]
+        calls = TestGapCertificate._factorizations(monkeypatch)
+        s = solve_w(kb, kernel_combination(kb, np.array([0.5 * kb.delta0])))
+        assert s.newton_iters >= 2 and s.models == 1
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("backend", ["low-rank", "dense"])
+    def test_a_kept_solver_keeps_no_model_alive(self, kb8, degenerate, backend):
+        # the solver holds its factors and what applying them needs: with
+        # the collector off, dropping the model frees it and its Gram
+        # blocks or B at once, and the solver still solves
+        kb = kb8 if backend == "low-rank" else degenerate[3]
+        a = kb.base_a + 0.3 * kb.delta0 * kb.E[:, 0]
+        model = hessian_model(kb.S, kb.nl, a, kb.E)
+        assert model.backend == backend
+        b = a_gradient(kb.S, kb.nl, a)[:, None]
+        want = model.bordered_solver()(b)
+        gc.disable()
+        try:
+            solve = model.bordered_solver()
+            # B on the dense form; G D G^T, which the solve above cached, on the rows
+            refs = [weakref.ref(model), weakref.ref(model.dense if backend == "dense" else model._gdg)]
+            del model
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+        assert solve(b).tobytes() == want.tobytes()
+
+    def test_a_residual_that_does_not_halve_rebuilds_the_model(self, degenerate, monkeypatch):
+        # at 0.7 delta0 on the 2-d fixture the second iterate halves the
+        # residual and takes a chord step; the third gradient is scaled to
+        # 0.6 of the second's residual, so that iterate builds a new model
+        # for its step. Every iterate builds one exactly when its residual
+        # exceeds half the one before
+        kb = degenerate[3]
+        Q1 = np.linalg.qr(kb.E)[0]
+        residuals, stepped = [], []
+
+        def slowed(S, nl, a):
+            J, g = a_value_and_gradient(S, nl, a)
+            if len(residuals) == 2:
+                g = g * (0.6 * residuals[1] / float(np.linalg.norm(g - Q1 @ (Q1.T @ g))))
+            residuals.append(float(np.linalg.norm(g - Q1 @ (Q1.T @ g))))
+            return J, g
+
+        solver = HessianModel.bordered_solver
+
+        def recorded(model):
+            stepped.append(len(residuals) - 1)
+            return solver(model)
+
+        monkeypatch.setattr(reduction, "a_value_and_gradient", slowed)
+        monkeypatch.setattr(HessianModel, "bordered_solver", recorded)
+        s = solve_w(kb, kernel_combination(kb, np.array([0.7 * kb.delta0])))
+        assert residuals[2] == pytest.approx(0.6 * residuals[1], rel=1e-12)
+        assert stepped[:2] == [0, 2] and s.models == len(stepped)
+        rebuilt = [i for i in range(1, s.newton_iters) if residuals[i] > reduction.CHORD_RATIO * residuals[i - 1]]
+        assert stepped == [0] + rebuilt
 
 
 class TestSuperposition:

@@ -578,6 +578,25 @@ class TestCensusByInertia:
         census = solver.model_census(model)
         assert (census["negative_hessian_count"], census["kernel_dim_estimate"]) == (6 + 2, 2)
 
+    @pytest.mark.parametrize("case", ["D at tau 1", "planted at the edges"])
+    def test_eigenvalues_on_the_threshold_split_as_the_oracle(self, case, monkeypatch):
+        # eigenvalues at exactly -tau*scale are near and at +tau*scale are
+        # not, in the counts and in the oracle alike: H = D (every
+        # eigenvalue +-1, Lanczos's radius exactly 1) at tau = 1, and a
+        # diagonal K of radius 4 with +-0.5 planted at tau = 0.125. Lanczos
+        # rounds that radius in its last bits, so it is fixed at 4, and the
+        # split at the edges is the counts' alone
+        if case == "D at tau 1":
+            tau, mu = 1.0, np.array([-1.0, -1.0, -1.0, 1.0, 1.0])
+            model = HessianModel(np.sign(mu), 3, np.zeros((5, 0)), G=np.zeros((0, 5)))
+        else:
+            tau, mu = 0.125, np.array([-4.0, -1.0, -0.5, -0.5, 0.25, 0.5, 0.5, 1.0])
+            model = HessianModel(np.sign(mu), 4, np.zeros((8, 0)), K=np.diag(mu))
+            monkeypatch.setattr(HessianModel, "spectral_radius", lambda H: 4.0)
+        near, scale = dense_kernel_split(mu, tau)
+        assert np.count_nonzero(mu == -tau * scale) >= 1 and np.count_nonzero(mu == tau * scale) >= 1
+        assert solver.kernel_split(model, tau) == (scale, np.count_nonzero(mu < -tau * scale), near.sum())
+
     def test_lowest_mode_orthogonal_to_ones(self, rng):
         # the lowest eigenvector is the alternating vector on the positive
         # block, orthogonal to all ones: the seeded start still reaches it
